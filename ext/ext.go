@@ -66,7 +66,9 @@ type Tracer struct{ t *instrument.Tracer }
 // Enter marks entry into a named kernel routine and returns the
 // matching exit function (defer it). Each routine gets its own
 // synthetic code region, so custom kernel code exercises the I-cache
-// realistically.
+// realistically. The exit function must be called exactly once, in
+// reverse order of the Enter calls: it closes the routine entered most
+// recently.
 func (tr Tracer) Enter(name string) func() { return tr.t.Enter(name) }
 
 // ALU records n register-only instructions.

@@ -34,24 +34,34 @@ type RoutineStat struct {
 // event. One Tracer serves one kernel worker; Begin/Take bracket one
 // event (e.g., one page fault).
 type Tracer struct {
-	stream  isa.Stream
-	routine []frame
-	pc      uint64
-	stats   map[string]*RoutineStat
-	insts   uint64 // dynamic instructions in the current stream
-	total   uint64 // lifetime dynamic instruction count
+	stream isa.Stream
+	frames []frame
+	pc     uint64
+	stats  map[string]*routine
+	insts  uint64 // dynamic instructions in the current stream
+	total  uint64 // lifetime dynamic instruction count
+	exitFn func() // t.exit, bound once so Enter returns it without allocating
 }
 
+// routine is one kernel routine's statistics plus its synthetic
+// code-region PC, derived from the name when the routine is first seen.
+type routine struct {
+	RoutineStat
+	pc uint64
+}
+
+// frame is one active routine: everything its exit needs.
 type frame struct {
-	name  string
-	start uint64
-	pc    uint64
-	st    *RoutineStat // resolved once at Enter; memStat runs per kernel mem-op
+	start uint64   // t.insts at entry
+	pc    uint64   // the caller's PC, restored at exit
+	r     *routine // resolved once at Enter; memStat runs per kernel mem-op
 }
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
-	return &Tracer{stats: make(map[string]*RoutineStat)}
+	t := &Tracer{stats: make(map[string]*routine)}
+	t.exitFn = t.exit
+	return t
 }
 
 // Begin resets the tracer for a new kernel event.
@@ -91,26 +101,36 @@ func (t *Tracer) TotalInsts() uint64 { return t.total }
 // Enter marks entry into a named kernel routine and returns the matching
 // exit function. Routine names give each routine a distinct synthetic
 // code region so injected kernel code exercises the I-cache realistically.
+//
+// The exit function must be called exactly once per Enter, in reverse
+// order of the Enter calls (the usual `defer exit()` does this): it
+// closes whichever routine was entered most recently. Once a routine
+// name has been seen, Enter and exit do not allocate.
 func (t *Tracer) Enter(name string) func() {
-	st := t.stats[name]
-	if st == nil {
-		st = &RoutineStat{}
-		t.stats[name] = st
+	r := t.stats[name]
+	if r == nil {
+		// Each routine occupies a 16 KB synthetic code region derived
+		// from its name.
+		r = &routine{pc: 0xffff_8000_0000_0000 | (xrand.Hash64(hashName(name), 0x05) & 0x3fff_ffff << 14)}
+		t.stats[name] = r
 	}
-	st.Calls++
-	prevPC := t.pc
-	start := t.insts
-	// Each routine occupies a 16 KB synthetic code region derived from
-	// its name.
-	t.pc = 0xffff_8000_0000_0000 | (xrand.Hash64(hashName(name), 0x05) & 0x3fff_ffff << 14)
-	t.routine = append(t.routine, frame{name: name, start: start, pc: prevPC, st: st})
+	r.Calls++
+	t.frames = append(t.frames, frame{start: t.insts, pc: t.pc, r: r})
+	t.pc = r.pc
 	t.emit(isa.Inst{Op: isa.OpBranch, Count: 1, PC: t.pc, Phys: true}) // call
-	return func() {
-		t.emit(isa.Inst{Op: isa.OpBranch, Count: 1, PC: t.pc, Phys: true}) // ret
-		st.Insts += t.insts - start
-		t.pc = prevPC
-		t.routine = t.routine[:len(t.routine)-1]
-	}
+	return t.exitFn
+}
+
+// exit closes the innermost active routine: it records the ret, charges
+// the routine every instruction emitted since its Enter, and returns to
+// the caller's PC.
+func (t *Tracer) exit() {
+	n := len(t.frames) - 1
+	f := t.frames[n]
+	t.emit(isa.Inst{Op: isa.OpBranch, Count: 1, PC: t.pc, Phys: true}) // ret
+	f.r.Insts += t.insts - f.start
+	t.pc = f.pc
+	t.frames = t.frames[:n]
 }
 
 func hashName(s string) uint64 {
@@ -195,8 +215,8 @@ func (t *Tracer) Magic() {
 }
 
 func (t *Tracer) memStat() {
-	if n := len(t.routine); n > 0 {
-		t.routine[n-1].st.MemOps++
+	if n := len(t.frames); n > 0 {
+		t.frames[n-1].r.MemOps++
 	}
 }
 
@@ -236,8 +256,8 @@ func (t *Tracer) TouchObject(pa mem.PAddr, loads, stores int) {
 // Stats returns per-routine statistics sorted by name.
 func (t *Tracer) Stats() []NamedRoutineStat {
 	out := make([]NamedRoutineStat, 0, len(t.stats))
-	for name, st := range t.stats {
-		out = append(out, NamedRoutineStat{Name: name, RoutineStat: *st})
+	for name, r := range t.stats {
+		out = append(out, NamedRoutineStat{Name: name, RoutineStat: r.RoutineStat})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

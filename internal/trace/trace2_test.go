@@ -751,6 +751,50 @@ func TestSharedStoreContentKeying(t *testing.T) {
 	}
 }
 
+// TestSharedStoreMultiBlockLargeFile decodes a v2 trace of several
+// blocks, too large for the reader's read-ahead buffer to hold, through
+// the shared store: it must yield the same records as OpenSource. The
+// store once sized the file by seeking it to EOF under the reader,
+// which then read its first block from there and failed.
+func TestSharedStoreMultiBlockLargeFile(t *testing.T) {
+	insts := genInsts(3*blockRecords + 321)
+	// Scatter the addresses so the blocks do not compress to nothing.
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := range insts {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		insts[i].Addr = x &^ 63
+	}
+	path := filepath.Join(t.TempDir(), "big.trc")
+	writeTraceV2File(t, path, insts)
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() <= 1<<16 {
+		t.Fatalf("trace is %d bytes; it must outgrow the reader's 64 KiB buffer", fi.Size())
+	}
+
+	src, err := OpenSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drainSource(src)
+	shared, err := NewShared(0).Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shared.(io.Closer).Close()
+	got := drainSource(shared)
+	if len(got) != len(want) || len(want) != len(insts) {
+		t.Fatalf("shared store drained %d records, OpenSource %d, written %d", len(got), len(want), len(insts))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: shared %+v, OpenSource %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestOpenReplaySourceVariants drives the dispatcher over both formats
 // and checks stream equality against the plain reader.
 func TestOpenReplaySourceVariants(t *testing.T) {
