@@ -63,6 +63,35 @@ func TestOpenFailurePaths(t *testing.T) {
 	}
 }
 
+// TestBadCacheGeometryIsAnError: an unbuildable cache level fails Open
+// and its sweep point with an error instead of panicking in the cache
+// constructor.
+func TestBadCacheGeometryIsAnError(t *testing.T) {
+	bad := virtuoso.ScaledConfig()
+	bad.CacheCfg.L2Ways = 0
+	if _, err := virtuoso.Open(virtuoso.WithConfig(bad), tinyScale(), virtuoso.WithWorkload("JSON")); err == nil || !strings.Contains(err.Error(), "L2") {
+		t.Fatalf("Open with L2Ways = 0: err = %v, want an L2 geometry error", err)
+	}
+
+	base := virtuoso.ScaledConfig()
+	base.MaxAppInsts = 20_000
+	sweep := &virtuoso.Sweep{
+		Base:      base,
+		Workloads: []string{"JSON"},
+		Seeds:     []uint64{1, 2},
+		Params:    virtuoso.WorkloadParams{Scale: 0.05},
+		Configure: func(cfg *virtuoso.Config, p virtuoso.Point) error {
+			if p.Seed == 2 {
+				cfg.CacheCfg.L3Ways = 3 // 2 MB / 64 B lines do not split into 3 ways
+			}
+			return nil
+		},
+	}
+	if _, err := sweep.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "L3") {
+		t.Fatalf("sweep with a 3-way L3 point: err = %v, want an L3 geometry error", err)
+	}
+}
+
 func TestParseHelpers(t *testing.T) {
 	if _, err := virtuoso.ParseMode("emulatoin"); err == nil {
 		t.Error("ParseMode accepted a typo")

@@ -22,7 +22,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	v := virtuoso.NewVirtualizedSystem(cfg)
+	v, err := virtuoso.NewVirtualizedSystem(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	gf, hf, kinsts, ipc := v.Run(w, 500_000)
 
 	fmt.Println("== Virtualized execution: guest Linux on a MimicOS hypervisor ==")

@@ -244,7 +244,10 @@ func TestFastPathEquivalenceVirtualized(t *testing.T) {
 		cfg.GuestPhysBytes = 256 << 20
 		cfg.HostPhysBytes = 512 << 20
 		cfg.ReferencePath = ref
-		v := virtuoso.NewVirtualizedSystem(cfg)
+		v, err := virtuoso.NewVirtualizedSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		w, err := virtuoso.NamedWorkloadWith("2D-Sum", virtuoso.WorkloadParams{Scale: 0.02})
 		if err != nil {
 			t.Fatal(err)

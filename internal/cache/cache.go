@@ -37,17 +37,33 @@ func (p ReplPolicy) String() string {
 
 const srripMax = 3 // 2-bit RRPV
 
-// Lines are stored structure-of-arrays so the way scans in Access/Fill
-// touch one densely packed uint64 per way instead of a 32-byte struct:
+// Lines are stored structure-of-arrays, one densely packed word or byte
+// per way instead of a 32-byte struct:
 //
 //	tags[i] = (tag << 1) | 1 for a valid line, 0 for an invalid one
 //	lru[i]  = last-use stamp (LRU replacement)
 //	meta[i] = dirty (bit 0) | rrpv (bits 1-2) | atype (bits 3-7)
+//
+// Set lookup reads a per-set record of stride words in setMeta instead of
+// every tag (vw = ceil(ways/64), fw = ceil(ways/8)):
+//
+//	setMeta[o : o+vw]       valid mask: bit w%64 of word w/64 is set iff way w is valid
+//	setMeta[o+vw : o+vw+fw] fingerprints: byte w%8 of word w/8 is the low 8 bits of way w's tag
+//	setMeta[o+vw+fw]        packed SRRIP only: the set's 2-bit RRPVs, way w at bits 2w..2w+1
+//
+// find XORs each fingerprint word with the probed tag's low byte copied
+// into every lane and picks the zero lanes with the SWAR test
+// (x-0x01..)&^x&0x80..; only those candidate ways are compared against
+// the full tags entry. fill takes the first invalid way from the valid
+// mask and runs the policy's victim scan only when the set is full.
 const (
 	metaDirty     = 1 << 0
 	metaRrpvShift = 1
 	metaRrpvMask  = 0b11 << metaRrpvShift
 	metaTypeShift = 3
+
+	lanes   = 0x0101010101010101 // one bit at the bottom of every byte lane
+	laneTop = lanes << 7         // one bit at the top of every byte lane
 )
 
 // Stats counts per-type cache activity.
@@ -85,19 +101,38 @@ type Cache struct {
 	tags      []uint64 // sets*ways, row-major; (tag<<1)|valid
 	lru       []uint64
 	meta      []uint8
-	rrpv      []uint64 // packed SRRIP only: one word per set, 2 bits per way
+	setMeta   []uint64 // sets*stride per-set lookup records (layout above)
+	stride    int
+	fpOff     int // first fingerprint word of a record (= vw)
+	fpEnd     int // one past the last fingerprint word (= vw+fw)
 	tick      uint64
 	stats     Stats
-	setShift  uint
 	setMask   uint64
 	setsShift uint // log2(sets): tag extraction shifts instead of dividing
-	packed    bool // SRRIP with ways <= 32: RRPVs live in rrpv, not meta
+	packed    bool // SRRIP with ways <= 32: RRPVs live in setMeta[o+fpEnd], not meta
 	rrpvLo    uint64
 	rrpvHi    uint64
 }
 
+// geometry returns the set count of a sizeBytes cache with the given
+// ways, or why no such cache can be built.
+func geometry(sizeBytes uint64, ways int) (int, error) {
+	lines := sizeBytes / mem.CacheLineBytes
+	switch {
+	case lines == 0 || ways <= 0:
+		return 0, fmt.Errorf("size %d B with %d ways: need at least one %d B line and one way", sizeBytes, ways, mem.CacheLineBytes)
+	case lines%uint64(ways) != 0:
+		return 0, fmt.Errorf("%d lines not divisible by %d ways", lines, ways)
+	}
+	sets := lines / uint64(ways)
+	if sets&(sets-1) != 0 {
+		return 0, fmt.Errorf("%d sets (%d lines / %d ways) is not a power of two", sets, lines, ways)
+	}
+	return int(sets), nil
+}
+
 // New builds a cache with the given geometry. sizeBytes/64 must be
-// divisible by ways.
+// divisible by ways into a power-of-two number of sets.
 func New(name string, sizeBytes uint64, ways int, latency uint64, policy ReplPolicy) *Cache {
 	return NewWith(nil, name, sizeBytes, ways, latency, policy)
 }
@@ -105,17 +140,16 @@ func New(name string, sizeBytes uint64, ways int, latency uint64, policy ReplPol
 // NewWith is New drawing the SoA line arrays from pool (nil pool =
 // plain New).
 func NewWith(pool *recycle.Pool, name string, sizeBytes uint64, ways int, latency uint64, policy ReplPolicy) *Cache {
-	linesTotal := sizeBytes / mem.CacheLineBytes
-	sets := int(linesTotal) / ways
-	if sets == 0 || int(linesTotal)%ways != 0 {
-		panic(fmt.Sprintf("cache %s: bad geometry size=%d ways=%d", name, sizeBytes, ways))
-	}
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: sets %d not a power of two", name, sets))
+	sets, err := geometry(sizeBytes, ways)
+	if err != nil {
+		// Configurations reach here through HierarchyConfig.Validate, so
+		// a bad geometry at this point is a caller bug.
+		panic(fmt.Sprintf("cache %s: %v", name, err))
 	}
 	if mem.NumAccessTypes > 32 {
 		panic("cache: access types no longer fit the packed meta byte")
 	}
+	vw, fw := (ways+63)/64, (ways+7)/8
 	c := &Cache{
 		name:      name,
 		sets:      sets,
@@ -124,13 +158,11 @@ func NewWith(pool *recycle.Pool, name string, sizeBytes uint64, ways int, latenc
 		policy:    policy,
 		tags:      pool.Uint64s(sets * ways),
 		meta:      pool.Uint8s(sets * ways),
+		stride:    vw + fw,
+		fpOff:     vw,
+		fpEnd:     vw + fw,
 		setMask:   uint64(sets - 1),
 		setsShift: uint(bits.TrailingZeros(uint(sets))),
-	}
-	// LRU stamps are replacement state only under LRU; SRRIP caches
-	// never read them, so the largest levels skip the allocation.
-	if policy == LRU {
-		c.lru = pool.Uint64s(sets * ways)
 	}
 	// Up to 32 ways the per-way 2-bit RRPVs of an SRRIP set fit one
 	// uint64, so victim selection and aging become a handful of bit
@@ -138,13 +170,22 @@ func NewWith(pool *recycle.Pool, name string, sizeBytes uint64, ways int, latenc
 	// per-way meta loop). Behavior is identical either way.
 	if policy == SRRIP && ways <= 32 {
 		c.packed = true
-		c.rrpv = pool.Uint64s(sets)
+		c.stride++
 		c.rrpvLo = 0x5555555555555555
 		if ways < 32 {
 			c.rrpvLo &= 1<<(2*uint(ways)) - 1
 		}
 		c.rrpvHi = c.rrpvLo << 1
 	}
+	// LRU stamps are replacement state only under LRU; SRRIP caches
+	// never read them, so the largest levels skip them. The lookup
+	// records share one allocation with the stamps, so they add none.
+	stamps := 0
+	if policy == LRU {
+		stamps = sets * ways
+	}
+	words := pool.Uint64s(stamps + sets*c.stride)
+	c.lru, c.setMeta = words[:stamps], words[stamps:]
 	return c
 }
 
@@ -155,14 +196,9 @@ func (c *Cache) Recycle(pool *recycle.Pool) {
 		return
 	}
 	pool.PutUint64s(c.tags)
-	if c.policy == LRU {
-		pool.PutUint64s(c.lru)
-	}
+	pool.PutUint64s(c.lru[:len(c.lru)+len(c.setMeta)])
 	pool.PutUint8s(c.meta)
-	if c.packed {
-		pool.PutUint64s(c.rrpv)
-	}
-	c.tags, c.lru, c.meta, c.rrpv = nil, nil, nil, nil
+	c.tags, c.lru, c.meta, c.setMeta = nil, nil, nil, nil
 }
 
 // Name returns the cache's configured name.
@@ -179,58 +215,74 @@ func (c *Cache) SizeBytes() uint64 {
 	return uint64(c.sets*c.ways) * mem.CacheLineBytes
 }
 
-func (c *Cache) setOf(pa mem.PAddr) int {
-	return int((uint64(pa) >> mem.CacheLineShift) & c.setMask)
+// locate returns pa's set and its encoded tags entry.
+func (c *Cache) locate(pa mem.PAddr) (set int, enc uint64) {
+	line := uint64(pa) >> mem.CacheLineShift
+	return int(line & c.setMask), line>>c.setsShift<<1 | 1
 }
 
-func (c *Cache) tagOf(pa mem.PAddr) uint64 {
-	return uint64(pa) >> mem.CacheLineShift >> c.setsShift
+// find returns the way of set whose tags entry is enc, or -1. The
+// fingerprint lanes that match enc's tag byte are the only candidates;
+// the lowest is exact and any others are confirmed against tags, as is
+// every lane of an invalid way (its tags entry is 0, never enc).
+func (c *Cache) find(set int, enc uint64) int {
+	fps := c.setMeta[set*c.stride+c.fpOff : set*c.stride+c.fpEnd]
+	key := (enc >> 1 & 0xff) * lanes
+	for i, x := range fps {
+		x ^= key
+		for m := (x - lanes) &^ x & laneTop; m != 0; m &= m - 1 {
+			// Lanes past the last way are padding, never a match.
+			if w := i<<3 | bits.TrailingZeros64(m)>>3; w < c.ways && c.tags[set*c.ways+w] == enc {
+				return w
+			}
+		}
+	}
+	return -1
+}
+
+// firstInvalid returns the lowest invalid way of the set whose record
+// starts at o, or -1 when the set is full.
+func (c *Cache) firstInvalid(o int) int {
+	for i, v := range c.setMeta[o : o+c.fpOff] {
+		// Clear bits past the last way are padding, never a free way.
+		if w := i<<6 | bits.TrailingZeros64(^v); v != ^uint64(0) && w < c.ways {
+			return w
+		}
+	}
+	return -1
 }
 
 // Lookup probes the cache without recording a hit/miss stat; it returns
 // whether the line is present. Used by the hierarchy for inclusive checks.
 func (c *Cache) Lookup(pa mem.PAddr) bool {
-	set, tag := c.setOf(pa), c.tagOf(pa)
-	enc := tag<<1 | 1
-	base := set * c.ways
-	row := c.tags[base : base+c.ways]
-	for w := range row {
-		if row[w] == enc {
-			return true
-		}
-	}
-	return false
+	return c.find(c.locate(pa)) >= 0
 }
 
 // Access performs a demand access, updating replacement state and stats.
 // It reports whether the access hit.
 func (c *Cache) Access(pa mem.PAddr, write bool, t mem.AccessType) bool {
 	c.tick++
-	set, tag := c.setOf(pa), c.tagOf(pa)
-	enc := tag<<1 | 1
-	base := set * c.ways
-	row := c.tags[base : base+c.ways : base+c.ways]
-	for w := range row {
-		if row[w] == enc {
-			c.stats.Hits[t]++
-			i := base + w
-			switch {
-			case c.policy == LRU:
-				c.lru[i] = c.tick
-				c.meta[i] &^= metaRrpvMask
-			case c.packed:
-				c.rrpv[set] &^= 3 << (uint(w) * 2)
-			default:
-				c.meta[i] &^= metaRrpvMask
-			}
-			if write {
-				c.meta[i] |= metaDirty
-			}
-			return true
-		}
+	set, enc := c.locate(pa)
+	w := c.find(set, enc)
+	if w < 0 {
+		c.stats.Misses[t]++
+		return false
 	}
-	c.stats.Misses[t]++
-	return false
+	c.stats.Hits[t]++
+	i := set*c.ways + w
+	switch {
+	case c.policy == LRU:
+		c.lru[i] = c.tick
+		c.meta[i] &^= metaRrpvMask
+	case c.packed:
+		c.setMeta[set*c.stride+c.fpEnd] &^= 3 << (uint(w) * 2)
+	default:
+		c.meta[i] &^= metaRrpvMask
+	}
+	if write {
+		c.meta[i] |= metaDirty
+	}
+	return true
 }
 
 // Fill inserts the line for pa after a miss and returns the physical
@@ -261,137 +313,38 @@ func (c *Cache) fill(pa mem.PAddr, write bool, t mem.AccessType, prefetch, probe
 	if !probe {
 		c.tick++
 	}
-	set, tag := c.setOf(pa), c.tagOf(pa)
-	enc := tag<<1 | 1
+	set, enc := c.locate(pa)
 	base := set * c.ways
-	row := c.tags[base : base+c.ways : base+c.ways]
-	metaRow := c.meta[base : base+c.ways : base+c.ways]
-
-	// One pass over the set resolves presence, the first invalid way, and
-	// the policy's victim-selection input together: the LRU stamp of the
-	// oldest way, or (unpacked SRRIP) the maximum RRPV of the set. Packed
-	// SRRIP scans tags alone — its RRPVs live in one word per set.
-	invalid := -1
-	lruVictim := 0
-	oldest := ^uint64(0)
-	maxR := uint8(0)
-	switch {
-	case c.policy == LRU:
-		lruRow := c.lru[base : base+c.ways : base+c.ways]
-		for w := range row {
-			e := row[w]
-			if e == enc {
-				// Already present (e.g., race between prefetch and demand).
-				if write {
-					metaRow[w] |= metaDirty
-				}
-				return 0, false, true
-			}
-			if e == 0 {
-				if invalid < 0 {
-					invalid = w
-				}
-				continue
-			}
-			if invalid >= 0 {
-				continue
-			}
-			if s := lruRow[w]; s < oldest {
-				oldest = s
-				lruVictim = w
-			}
+	if w := c.find(set, enc); w >= 0 {
+		// Already present (e.g., race between prefetch and demand).
+		if write {
+			c.meta[base+w] |= metaDirty
 		}
-	case c.packed:
-		for w := range row {
-			e := row[w]
-			if e == enc {
-				if write {
-					metaRow[w] |= metaDirty
-				}
-				return 0, false, true
-			}
-			if e == 0 && invalid < 0 {
-				invalid = w
-			}
-		}
-	default:
-		for w := range row {
-			e := row[w]
-			if e == enc {
-				if write {
-					metaRow[w] |= metaDirty
-				}
-				return 0, false, true
-			}
-			if e == 0 {
-				if invalid < 0 {
-					invalid = w
-				}
-				continue
-			}
-			if r := metaRow[w] & metaRrpvMask >> metaRrpvShift; r > maxR {
-				maxR = r
-			}
-		}
+		return 0, false, true
 	}
 	if probe {
 		c.tick++
 	}
 
-	victim := -1
-	switch {
-	case invalid >= 0:
-		victim = base + invalid
-	case c.policy == LRU:
-		victim = base + lruVictim
-	case c.packed:
-		// Bit-parallel form of the textbook "age all until some way
-		// reaches srripMax" loop over the packed 2-bit fields: classify
-		// the maximum RRPV from the field bit planes, take the first way
-		// holding it, and age every field by the same deficit (no field
-		// can carry: all end at most at srripMax).
-		r := c.rrpv[set]
-		var age uint64
-		if f3 := r >> 1 & r & c.rrpvLo; f3 != 0 {
-			victim = base + bits.TrailingZeros64(f3)>>1
-		} else if hi := r & c.rrpvHi; hi != 0 {
-			victim = base + bits.TrailingZeros64(hi)>>1
-			age = 1
-		} else if r != 0 {
-			victim = base + bits.TrailingZeros64(r)>>1
-			age = 2
-		} else {
-			victim = base
-			age = 3
-		}
-		if age != 0 {
-			c.rrpv[set] = r + age*c.rrpvLo
-		}
-	default:
-		// Equivalent to the textbook "age all until some way reaches
-		// srripMax" loop: every way ages by the same deficit, and the
-		// victim is the first way that started at the maximum RRPV.
-		age := uint8(srripMax) - maxR
-		for w := range metaRow {
-			r := metaRow[w] & metaRrpvMask >> metaRrpvShift
-			if victim < 0 && r == maxR {
-				victim = base + w
-			}
-			if age > 0 {
-				metaRow[w] += age << metaRrpvShift
-			}
+	// The first invalid way if there is one, else the policy's victim.
+	o := set * c.stride
+	w := c.firstInvalid(o)
+	if w < 0 {
+		w = c.victim(base, o)
+		c.stats.Evictions++
+		if c.meta[base+w]&metaDirty != 0 {
+			c.stats.Writebacks++
+			wb = true
+			wbAddr = c.reconstruct(c.tags[base+w]>>1, set)
 		}
 	}
 
-	if c.tags[victim] != 0 {
-		c.stats.Evictions++
-		if c.meta[victim]&metaDirty != 0 {
-			c.stats.Writebacks++
-			wb = true
-			wbAddr = c.reconstruct(c.tags[victim]>>1, set)
-		}
-	}
+	victim := base + w
 	c.tags[victim] = enc
+	c.setMeta[o+w>>6] |= 1 << (w & 63)
+	fp := &c.setMeta[o+c.fpOff+w>>3]
+	sh := uint(w&7) * 8
+	*fp = *fp&^(0xff<<sh) | (enc>>1&0xff)<<sh
 	m := uint8(t) << metaTypeShift
 	if !c.packed {
 		m |= uint8(srripMax-1) << metaRrpvShift
@@ -401,8 +354,9 @@ func (c *Cache) fill(pa mem.PAddr, write bool, t mem.AccessType, prefetch, probe
 	}
 	c.meta[victim] = m
 	if c.packed {
-		sh := uint(victim-base) * 2
-		c.rrpv[set] = c.rrpv[set]&^(3<<sh) | uint64(srripMax-1)<<sh
+		r := &c.setMeta[o+c.fpEnd]
+		sh := uint(w) * 2
+		*r = *r&^(3<<sh) | uint64(srripMax-1)<<sh
 	}
 	if prefetch {
 		c.stats.PrefetchFills++
@@ -418,31 +372,87 @@ func (c *Cache) fill(pa mem.PAddr, write bool, t mem.AccessType, prefetch, probe
 	return wbAddr, wb, false
 }
 
+// victim returns the way a full set evicts — the first way holding the
+// oldest LRU stamp, or the first way at the set's maximum RRPV after
+// SRRIP aging — for the set whose ways start at base and whose record
+// starts at o.
+func (c *Cache) victim(base, o int) int {
+	switch {
+	case c.policy == LRU:
+		row := c.lru[base : base+c.ways]
+		v, oldest := 0, row[0]
+		for w, s := range row {
+			if s < oldest {
+				v, oldest = w, s
+			}
+		}
+		return v
+	case c.packed:
+		// Bit-parallel form of the textbook "age all until some way
+		// reaches srripMax" loop over the packed 2-bit fields: classify
+		// the maximum RRPV from the field bit planes, take the first way
+		// holding it, and age every field by the same deficit (no field
+		// can carry: all end at most at srripMax).
+		r := &c.setMeta[o+c.fpEnd]
+		if f3 := *r >> 1 & *r & c.rrpvLo; f3 != 0 {
+			return bits.TrailingZeros64(f3) >> 1
+		}
+		var v int
+		var age uint64
+		if hi := *r & c.rrpvHi; hi != 0 {
+			v, age = bits.TrailingZeros64(hi)>>1, 1
+		} else if *r != 0 {
+			v, age = bits.TrailingZeros64(*r)>>1, 2
+		} else {
+			v, age = 0, 3
+		}
+		*r += age * c.rrpvLo
+		return v
+	default:
+		// Equivalent to the textbook "age all until some way reaches
+		// srripMax" loop: every way ages by the same deficit, and the
+		// victim is the first way that started at the maximum RRPV.
+		row := c.meta[base : base+c.ways]
+		maxR := uint8(0)
+		for _, m := range row {
+			maxR = max(maxR, m&metaRrpvMask)
+		}
+		v := -1
+		for w, m := range row {
+			if v < 0 && m&metaRrpvMask == maxR {
+				v = w
+			}
+			row[w] = m + srripMax<<metaRrpvShift - maxR
+		}
+		return v
+	}
+}
+
 func (c *Cache) reconstruct(tag uint64, set int) mem.PAddr {
 	return mem.PAddr((tag<<c.setsShift + uint64(set)) << mem.CacheLineShift)
 }
 
 // Invalidate drops the line holding pa if present, returning whether it
-// was dirty.
+// was dirty. The way's fingerprint byte is left stale: a stale lane can
+// only raise a candidate that the way's zero tags entry then rejects.
 func (c *Cache) Invalidate(pa mem.PAddr) bool {
-	set, tag := c.setOf(pa), c.tagOf(pa)
-	enc := tag<<1 | 1
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == enc {
-			d := c.meta[base+w]&metaDirty != 0
-			c.tags[base+w] = 0
-			if c.policy == LRU {
-				c.lru[base+w] = 0
-			}
-			c.meta[base+w] = 0
-			if c.packed {
-				c.rrpv[set] &^= 3 << (uint(w) * 2)
-			}
-			return d
-		}
+	set, enc := c.locate(pa)
+	w := c.find(set, enc)
+	if w < 0 {
+		return false
 	}
-	return false
+	i, o := set*c.ways+w, set*c.stride
+	d := c.meta[i]&metaDirty != 0
+	c.tags[i] = 0
+	if c.policy == LRU {
+		c.lru[i] = 0
+	}
+	c.meta[i] = 0
+	c.setMeta[o+w>>6] &^= 1 << (w & 63)
+	if c.packed {
+		c.setMeta[o+c.fpEnd] &^= 3 << (uint(w) * 2)
+	}
+	return d
 }
 
 // OccupancyOf returns the number of valid lines whose last fill was of

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+
 	"repro/internal/dram"
 	"repro/internal/mem"
 	"repro/internal/recycle"
@@ -31,6 +33,27 @@ func DefaultHierarchyConfig() HierarchyConfig {
 		L3Size: 2 * mem.MB, L3Ways: 16, L3Latency: 35,
 		EnablePrefetch: true,
 	}
+}
+
+// Validate reports the first level whose geometry cannot be built: a
+// zero size or way count, a line count not divisible by the ways, or a
+// set count that is not a power of two.
+func (cfg HierarchyConfig) Validate() error {
+	for _, l := range [...]struct {
+		name string
+		size uint64
+		ways int
+	}{
+		{"L1I", cfg.L1ISize, cfg.L1Ways},
+		{"L1D", cfg.L1DSize, cfg.L1Ways},
+		{"L2", cfg.L2Size, cfg.L2Ways},
+		{"L3", cfg.L3Size, cfg.L3Ways},
+	} {
+		if _, err := geometry(l.size, l.ways); err != nil {
+			return fmt.Errorf("cache: %s: %w", l.name, err)
+		}
+	}
+	return nil
 }
 
 // Hierarchy composes L1I/L1D, a unified L2, a unified L3 and a DRAM

@@ -331,6 +331,9 @@ const batchKey = "core.batch"
 // relies on this and TestSweepReuseEquivalence locks it in. A nil pool
 // is exactly NewSystem.
 func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
+	if err := cfg.CacheCfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid cache config: %w", err)
+	}
 	if cfg.CoreCfg.Width == 0 {
 		cfg.CoreCfg = cpu.DefaultConfig()
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -71,10 +73,13 @@ func DefaultVirtualizedConfig() VirtualizedConfig {
 }
 
 // NewVirtualizedSystem wires guest and hypervisor kernels over a nested
-// MMU design.
-func NewVirtualizedSystem(cfg VirtualizedConfig) *VirtualizedSystem {
+// MMU design. It returns an error when the cache geometry is invalid.
+func NewVirtualizedSystem(cfg VirtualizedConfig) (*VirtualizedSystem, error) {
 	if cfg.GuestPhysBytes == 0 {
 		cfg = DefaultVirtualizedConfig()
+	}
+	if err := cfg.CacheCfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid cache config: %w", err)
 	}
 	v := &VirtualizedSystem{hostVABase: 0x2000_0000_0000, refPath: cfg.ReferencePath}
 
@@ -110,7 +115,7 @@ func NewVirtualizedSystem(cfg VirtualizedConfig) *VirtualizedSystem {
 	v.Guest.SetUnmapNotifier(func(pid int, va mem.VAddr, size mem.PageSize) {
 		v.MMU.Invalidate(va, size)
 	})
-	return v
+	return v, nil
 }
 
 // hostPT adapts the hypervisor's view (gPA -> hPA, demand-faulted) to

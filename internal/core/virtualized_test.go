@@ -13,7 +13,10 @@ func TestVirtualizedSystemRuns(t *testing.T) {
 	cfg := DefaultVirtualizedConfig()
 	cfg.GuestPhysBytes = 256 * mem.MB
 	cfg.HostPhysBytes = 512 * mem.MB
-	v := NewVirtualizedSystem(cfg)
+	v, err := NewVirtualizedSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	gf, hf, kinsts, ipc := v.Run(byName(t, "2D-Sum", tiny), 150_000)
 	if gf == 0 {
@@ -44,7 +47,10 @@ func TestVirtualizedNestedTLBEffect(t *testing.T) {
 	cfg := DefaultVirtualizedConfig()
 	cfg.GuestPhysBytes = 256 * mem.MB
 	cfg.HostPhysBytes = 512 * mem.MB
-	v := NewVirtualizedSystem(cfg)
+	v, err := NewVirtualizedSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	v.Run(byName(t, "2D-Sum", tiny), 150_000)
 	// Nested 2D walks must cost more than native ones: with 4K pages a
 	// radix-radix walk touches up to 4 guest steps × host translations.

@@ -22,7 +22,8 @@ func DefaultVirtualizedConfig() VirtualizedConfig {
 }
 
 // NewVirtualizedSystem wires guest and hypervisor kernels over a nested
-// MMU design per cfg.
-func NewVirtualizedSystem(cfg VirtualizedConfig) *VirtualizedSystem {
+// MMU design per cfg. It returns an error when the cache geometry is
+// invalid.
+func NewVirtualizedSystem(cfg VirtualizedConfig) (*VirtualizedSystem, error) {
 	return core.NewVirtualizedSystem(cfg)
 }
