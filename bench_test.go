@@ -430,15 +430,15 @@ func benchTraceReplay(b *testing.B, name string, ropts []virtuoso.RecordOption, 
 }
 
 // BenchmarkTraceReplay measures the default replay path: a v2
-// (seekable block-compressed) trace through OpenReplaySource — the
-// parallel block decoder on multi-core hosts, inline block decode on a
-// single core.
+// (seekable block-compressed) trace decoded inline, one block at a
+// time, on the simulating goroutine.
 func BenchmarkTraceReplay(b *testing.B) {
 	benchTraceReplay(b, "bench.trc", nil)
 }
 
 // BenchmarkTraceReplayV1 measures the legacy v1 gzip-enveloped format
-// through its streaming decoder — the before side of the v2 migration.
+// decoded inline, record by record — the before side of the v2
+// migration.
 func BenchmarkTraceReplayV1(b *testing.B) {
 	benchTraceReplay(b, "bench.trc.gz", []virtuoso.RecordOption{virtuoso.RecordFormatV1()})
 }

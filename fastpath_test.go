@@ -195,10 +195,10 @@ func TestFastPathEquivalenceReplay(t *testing.T) {
 	}
 	diffReports(t, fastRep, fastRep1)
 
-	// Replay the recorded traces under both loops and through every
-	// decode strategy — v2 (block decoder), v1 (streaming), a v1→v2
-	// conversion, and the shared decoded-trace store (cold, then from
-	// memory). Each must reproduce the reference replay byte for byte.
+	// Replay the recorded traces under both loops and from every kind
+	// of input — v2 blocks, v1 records, a v1→v2 conversion, and the
+	// shared decoded-trace store (cold, then from memory). Each must
+	// reproduce the reference replay byte for byte.
 	replay := func(name string, ref bool, extra ...virtuoso.Option) []byte {
 		opts := []virtuoso.Option{
 			virtuoso.WithScaledConfig(),

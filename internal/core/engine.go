@@ -803,18 +803,14 @@ func (s *System) makeFrontend(w *workloads.Workload) isa.Source {
 // (recorded traces replay unchanged).
 func (s *System) makeFrontendSeeded(w *workloads.Workload, salt uint64) isa.Source {
 	if s.Cfg.TracePath != "" {
-		// The fast lane picks the quickest decode strategy for the file
-		// and machine (parallel block decode for v2, decode-ahead ring
-		// for v1, inline on one CPU) — or streams from the shared
+		// Every replay decodes inline on the simulating goroutine,
+		// except that the fast lane streams from the shared
 		// decoded-trace store when the caller provides one. The
-		// reference path keeps the plain inline-decode source, so
-		// TestFastPathEquivalenceReplay also proves every variant
-		// stream-identical.
-		open := trace.MustOpenReplaySource
-		switch {
-		case s.Cfg.ReferencePath:
-			open = trace.MustOpenSource
-		case s.Cfg.TraceShared != nil:
+		// reference path always decodes inline, so
+		// TestFastPathEquivalenceReplay also proves the store
+		// stream-identical to the file.
+		open := trace.MustOpenSource
+		if s.Cfg.TraceShared != nil && !s.Cfg.ReferencePath {
 			open = s.Cfg.TraceShared.MustOpen
 		}
 		switch s.Cfg.Frontend {

@@ -18,11 +18,11 @@
 //	trailer — fixed-size locator for the index, magic "VTRX"
 //
 // Blocks are independently decodable, so a v2 file is seekable: whole-
-// file counts come from the index without touching the record section,
-// and a worker pool can inflate blocks out of order. A v1 file is a
-// single sequential record stream, optionally inside a whole-file gzip
-// envelope; readers accept both versions forever and sniff the leading
-// magic bytes rather than trusting the file extension.
+// file counts come from the index without touching the record section.
+// A v1 file is a single sequential record stream, optionally inside a
+// whole-file gzip envelope; readers accept both versions forever and
+// sniff the leading magic bytes rather than trusting the file
+// extension.
 //
 // Both the Writer and the Reader stream: neither ever materialises the
 // whole trace in memory, so multi-gigabyte traces cost at most a

@@ -3,17 +3,14 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/isa"
 )
@@ -52,7 +49,19 @@ func genInsts(n int) []isa.Inst {
 // writeTraceV2File writes insts to path in the v2 container.
 func writeTraceV2File(t *testing.T, path string, insts []isa.Inst) {
 	t.Helper()
-	w, err := Create(path)
+	writeTraceFile(t, Create, path, insts)
+}
+
+// writeTraceV1File writes insts to path in the v1 format, gzipped when
+// path ends in ".gz".
+func writeTraceV1File(t *testing.T, path string, insts []isa.Inst) {
+	t.Helper()
+	writeTraceFile(t, CreateV1, path, insts)
+}
+
+func writeTraceFile(t *testing.T, create func(string) (*Writer, error), path string, insts []isa.Inst) {
+	t.Helper()
+	w, err := create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +88,9 @@ func canonical(in isa.Inst) isa.Inst {
 }
 
 // TestV2RoundTripMultiBlock round-trips a stream spanning several
-// blocks, through the sequential reader and through every source
-// variant, and checks the index-backed Info agrees with a full scan.
+// blocks, through the sequential reader and through the replay source
+// one record and one batch at a time, and checks the index-backed Info
+// agrees with a full scan.
 func TestV2RoundTripMultiBlock(t *testing.T) {
 	const n = 3*blockRecords + 1234
 	insts := genInsts(n)
@@ -112,35 +122,22 @@ func TestV2RoundTripMultiBlock(t *testing.T) {
 	}
 	check("fileSource", drainSource(src))
 
-	rp, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := newParallelSource(path, rp, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("parallel", drainSource(ps))
-
-	// Batch reads must agree with single-record reads.
-	rb, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := newParallelSource(path, rb, 2)
+	// Batch reads must agree with single-record reads; 777 does not
+	// divide the block size, so batches straddle block boundaries.
+	sb, err := OpenSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var batched []isa.Inst
-	buf := make([]isa.Inst, 777)
+	buf := make([]isa.Inst, 1024)
 	for {
-		k := pb.NextBatch(buf)
+		k := sb.(isa.BatchSource).NextBatch(buf[:777])
 		if k == 0 {
 			break
 		}
 		batched = append(batched, buf[:k]...)
 	}
-	check("parallel batch", batched)
+	check("fileSource batch", batched)
 
 	info, err := ReadInfo(path)
 	if err != nil {
@@ -199,18 +196,6 @@ func TestV2EmptyTrace(t *testing.T) {
 		t.Errorf("empty trace decoded %d records", len(got))
 	}
 	r.Close()
-	rp, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := newParallelSource(path, rp, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := drainSource(ps); len(got) != 0 {
-		t.Errorf("empty trace parallel-decoded %d records", len(got))
-	}
-	ps.Close()
 }
 
 // TestV2GzipEnvelope decodes a gzip-wrapped v2 stream sequentially —
@@ -257,21 +242,7 @@ func TestConvert(t *testing.T) {
 	insts := genInsts(blockRecords + 4321)
 
 	v1 := filepath.Join(dir, "old.trc.gz")
-	w, err := CreateV1(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteHeader(testHeader()); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range insts {
-		if err := w.WriteInst(in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeTraceV1File(t, v1, insts)
 
 	v2 := filepath.Join(dir, "new.trc")
 	info, err := Convert(v1, v2)
@@ -331,19 +302,7 @@ func TestSniffingIgnoresExtension(t *testing.T) {
 
 	// A gzip-enveloped v1 trace named without ".gz" must still open…
 	misnamed := filepath.Join(dir, "actually-gzip.trc")
-	w, err := CreateV1(filepath.Join(dir, "tmp.trc.gz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteHeader(testHeader()); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range insts {
-		w.WriteInst(in)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeTraceV1File(t, filepath.Join(dir, "tmp.trc.gz"), insts)
 	if err := os.Rename(filepath.Join(dir, "tmp.trc.gz"), misnamed); err != nil {
 		t.Fatal(err)
 	}
@@ -358,16 +317,7 @@ func TestSniffingIgnoresExtension(t *testing.T) {
 
 	// …a raw v1 trace named ".gz" must also open…
 	misnamed2 := filepath.Join(dir, "actually-raw.trc.gz")
-	w2, err := CreateV1(filepath.Join(dir, "tmp2.trc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.WriteHeader(testHeader()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeTraceV1File(t, filepath.Join(dir, "tmp2.trc"), nil)
 	if err := os.Rename(filepath.Join(dir, "tmp2.trc"), misnamed2); err != nil {
 		t.Fatal(err)
 	}
@@ -420,19 +370,14 @@ func TestV2Corruption(t *testing.T) {
 		if _, err := ReadInfo(path); err != nil {
 			return err
 		}
-		// Index accepted: the parallel decoder must either replay
-		// byte-identically or report corruption; here we only require
-		// no panic-free divergence from the contract.
-		r, err := Open(path)
+		// Index accepted: the engine's replay source must either
+		// replay to the end or report corruption by its documented
+		// panic.
+		src, err := OpenSource(path)
 		if err != nil {
 			return err
 		}
-		defer r.Close()
-		ps, err := newParallelSource(path, r, 2)
-		if err != nil {
-			return err
-		}
-		defer ps.Close()
+		defer src.(io.Closer).Close()
 		var in isa.Inst
 		var perr error
 		func() {
@@ -441,7 +386,7 @@ func TestV2Corruption(t *testing.T) {
 					perr = fmt.Errorf("%w: %v", ErrCorrupt, p)
 				}
 			}()
-			for ps.Next(&in) {
+			for src.Next(&in) {
 			}
 		}()
 		return perr
@@ -492,94 +437,76 @@ func TestV2Corruption(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("payload flip: got %v, want ErrCorrupt", err)
 	}
-	// An index whose entry disagrees with the block header it points
-	// at: rebuild the trailer CRC so only the parallel path's
-	// cross-check can catch it.
-	c = append([]byte(nil), good...)
-	indexOff := binary.LittleEndian.Uint64(c[len(c)-trailerSize:])
-	idx := c[indexOff : uint64(len(c))-trailerSize]
-	// Flip a low bit mid-index (some entry field) and re-CRC.
-	idx[len(idx)/2] ^= 0x01
-	binary.LittleEndian.PutUint32(c[len(c)-trailerSize+12:], crc32.ChecksumIEEE(idx))
-	if err := tryFile(c); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("index mismatch: got %v, want ErrCorrupt", err)
-	}
 }
 
-// TestParallelSourceCloseMidStream closes the parallel source long
-// before exhaustion and requires every decode goroutine to stop — the
-// leak-checking satellite.
-func TestParallelSourceCloseMidStream(t *testing.T) {
+// TestSourceCloseMidStream closes replay sources long before
+// exhaustion: Close is idempotent, the closed source yields nothing
+// more, and no goroutine outlives it.
+func TestSourceCloseMidStream(t *testing.T) {
+	dir := t.TempDir()
 	insts := genInsts(4 * blockRecords)
-	path := filepath.Join(t.TempDir(), "leak.trc")
-	writeTraceV2File(t, path, insts)
+	v2 := filepath.Join(dir, "leak.trc")
+	writeTraceV2File(t, v2, insts)
+	v1 := filepath.Join(dir, "leak1.trc.gz")
+	writeTraceV1File(t, v1, insts[:8192])
 
 	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		r, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps, err := newParallelSource(path, r, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var in isa.Inst
-		for k := 0; k < 100; k++ {
-			if !ps.Next(&in) {
-				t.Fatal("stream ended early")
-			}
-		}
-		if err := ps.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ps.Close(); err != nil {
-			t.Fatal(err) // idempotent
-		}
-	}
-	// The same for the v1 prefetch ring.
-	v1 := filepath.Join(t.TempDir(), "leak1.trc")
-	wv1, err := CreateV1(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wv1.WriteHeader(testHeader()); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range insts[:8192] {
-		wv1.WriteInst(in)
-	}
-	if err := wv1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		src, err := OpenPrefetchSource(v1)
+	for _, path := range []string{v2, v1} {
+		src, err := OpenSource(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var in isa.Inst
 		for k := 0; k < 100; k++ {
 			if !src.Next(&in) {
-				t.Fatal("stream ended early")
+				t.Fatalf("%s: stream ended early", path)
 			}
 		}
-		if err := src.(io.Closer).Close(); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 2; i++ {
+			if err := src.(io.Closer).Close(); err != nil {
+				t.Fatalf("%s: Close #%d: %v", path, i+1, err)
+			}
+		}
+		if src.Next(&in) {
+			t.Errorf("%s: Next after Close returned a record", path)
+		}
+		if n := src.(isa.BatchSource).NextBatch(make([]isa.Inst, 8)); n != 0 {
+			t.Errorf("%s: NextBatch after Close returned %d records", path, n)
 		}
 	}
-	// Decoder goroutines park and exit asynchronously after Close
-	// returns only in failure modes; give stragglers a moment before
-	// declaring a leak.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before {
-			break
+	if g := runtime.NumGoroutine(); g != before {
+		t.Fatalf("goroutines: %d before, %d after", before, g)
+	}
+}
+
+// TestReplaySourceStartsNoGoroutines pins the single replay route:
+// even with CPUs to spare, opening and reading a trace through
+// OpenReplaySource decodes inline on the caller's goroutine.
+func TestReplaySourceStartsNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	dir := t.TempDir()
+	insts := genInsts(3*blockRecords + 5)
+	v2 := filepath.Join(dir, "multi.trc")
+	writeTraceV2File(t, v2, insts)
+	v1 := filepath.Join(dir, "old.trc")
+	writeTraceV1File(t, v1, insts[:4096])
+
+	before := runtime.NumGoroutine()
+	for _, path := range []string{v2, v1} {
+		src, err := OpenReplaySource(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		var in isa.Inst
+		for k := 0; k < 10; k++ {
+			if !src.Next(&in) {
+				t.Fatalf("%s: stream ended early", path)
+			}
 		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
+		if g := runtime.NumGoroutine(); g != before {
+			t.Fatalf("%s: %d goroutines while replaying, %d before", path, g, before)
+		}
+		src.(io.Closer).Close()
 	}
 }
 
@@ -689,19 +616,7 @@ func TestSharedStore(t *testing.T) {
 	// A v1 file is keyed by whole-file hash and shares across formats
 	// only with byte-identical files.
 	v1 := filepath.Join(dir, "old.trc.gz")
-	wv1, err := CreateV1(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wv1.WriteHeader(testHeader()); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range insts[:500] {
-		wv1.WriteInst(in)
-	}
-	if err := wv1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeTraceV1File(t, v1, insts[:500])
 	srcV1, err := s.Open(v1)
 	if err != nil {
 		t.Fatal(err)
@@ -791,44 +706,6 @@ func TestSharedStoreMultiBlockLargeFile(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("record %d: shared %+v, OpenSource %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestOpenReplaySourceVariants drives the dispatcher over both formats
-// and checks stream equality against the plain reader.
-func TestOpenReplaySourceVariants(t *testing.T) {
-	dir := t.TempDir()
-	insts := genInsts(blockRecords + 500)
-	v2 := filepath.Join(dir, "r.trc")
-	writeTraceV2File(t, v2, insts)
-	v1 := filepath.Join(dir, "r1.trc.gz")
-	w, err := CreateV1(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteHeader(testHeader()); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range insts {
-		w.WriteInst(in)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{v2, v1} {
-		src, err := OpenReplaySource(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drainSource(src)
-		if len(got) != len(insts) {
-			t.Fatalf("%s: got %d records, want %d", path, len(got), len(insts))
-		}
-		for i := range got {
-			if got[i] != canonical(insts[i]) {
-				t.Fatalf("%s: record %d diverged", path, i)
-			}
 		}
 	}
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI smoke for the VTRC v2 container: record a v1 trace, convert it to
-# v2, and prove the format change is invisible — v1 replay, v2 replay
-# (parallel block decode), and a shared-store multi-seed replay must
-# all be deterministic, and the second shared-store round must decode
-# zero blocks (every replay served from the warm store).
+# v2, and prove the format change is invisible — v1 replay, v2 replay,
+# and a shared-store multi-seed replay must all be deterministic, and
+# the second shared-store round must decode zero blocks (every replay
+# served from the warm store).
 #
 # Usage: bash scripts/trace_v2_ci.sh [workdir]
 set -euo pipefail

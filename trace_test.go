@@ -94,11 +94,10 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Replay runs: every format and decode strategy must reproduce the
-	// live Result bit for bit — v2 (block decoder), v1 plain and
-	// gzip-enveloped (streaming), the converted file, the reference
-	// (unbatched, inline-decode) loop, and the shared decoded-trace
-	// store, cold and warm.
+	// Replay runs: every format and both replay routes must reproduce
+	// the live Result bit for bit — v2, v1 plain and gzip-enveloped,
+	// the converted file, the reference (unbatched) loop, and the
+	// shared decoded-trace store, cold and warm.
 	store := virtuoso.NewTraceStore(0)
 	replays := []struct {
 		leg  string
