@@ -1,8 +1,11 @@
 package ext_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -442,6 +445,56 @@ func TestObserverDeterminism(t *testing.T) {
 		virtuoso.WithObserveInterval(10_000))
 	if a != b {
 		t.Error("observed multiprogrammed run differs from unobserved run")
+	}
+
+	// Recording runs the same loop: the observer fires, its Final
+	// snapshot is the returned Metrics, and neither the Result nor the
+	// trace bytes change.
+	dir := t.TempDir()
+	record := func(name string, opts ...virtuoso.Option) (virtuoso.Metrics, string, []byte) {
+		sess, err := virtuoso.Open(append(baseOpts(), append(opts, virtuoso.WithWorkload("XS"))...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		m, _, err := sess.Record(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.WallTime <= 0 {
+			t.Errorf("recording %s reported WallTime %v, want > 0", name, m.WallTime)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, resultJSON(t, sess.Result(m)), raw
+	}
+	_, plainRec, plainRaw := record("plain.trc")
+	var snaps []virtuoso.Snapshot
+	m, observedRec, observedRaw := record("observed.trc",
+		virtuoso.WithObserver(virtuoso.ObserverFunc(func(s virtuoso.Snapshot) { snaps = append(snaps, s) })),
+		virtuoso.WithObserveInterval(10_000))
+	if len(snaps) < 2 {
+		t.Fatalf("observer fired %d times during a recording, want interval snapshots plus a final one", len(snaps))
+	}
+	last := snaps[len(snaps)-1]
+	want := virtuoso.Snapshot{
+		Seq: last.Seq, Final: true,
+		AppInsts: m.AppInsts, KernelInsts: m.KernelInsts, Cycles: m.Cycles,
+		L2TLBMisses: m.L2TLBMisses, Walks: m.Walks, WalkCycles: m.WalkCycles,
+		MinorFaults: m.OS.MinorFaults, MajorFaults: m.OS.MajorFaults,
+		SwapIns: m.OS.SwapIns, SwapOuts: m.OS.SwapOuts, Collapses: m.OS.Collapses,
+		Promotions: m.OS.Promotions, Demotions: m.OS.Demotions,
+	}
+	if last != want {
+		t.Errorf("final recording snapshot does not match the returned metrics:\ngot:  %+v\nwant: %+v", last, want)
+	}
+	if plainRec != observedRec {
+		t.Errorf("observed recording differs from unobserved recording:\nplain:    %s\nobserved: %s", plainRec, observedRec)
+	}
+	if !bytes.Equal(plainRaw, observedRaw) {
+		t.Error("observed recording wrote a different trace than the unobserved one")
 	}
 }
 

@@ -466,6 +466,3 @@ func (c *Cache) OccupancyOf(t mem.AccessType) int {
 	}
 	return n
 }
-
-// ResetStats zeroes the cache statistics without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }

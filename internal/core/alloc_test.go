@@ -13,7 +13,7 @@ import (
 // over it — TLB lookups, page walks, cache and DRAM accesses, the
 // prefetchers — must not allocate at all. Page-table nodes and entries
 // come from arenas, prefetcher candidate buffers are reused, and the
-// run loop buffers live on the stack, so per-instruction allocations
+// frontend buffer lives on the System, so per-instruction allocations
 // are a regression this test catches.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()
@@ -62,9 +62,10 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRunLoopBatchZeroAllocs verifies the batched fast lane itself adds
-// no per-batch allocations: FillBatch into the stack buffer plus the
-// per-instruction dispatch sequence is allocation-free end to end.
+// TestRunLoopBatchZeroAllocs verifies the run loop at the fast lane's
+// batch length adds no per-batch allocations: FillBatch into the
+// system's frontend buffer plus the per-instruction dispatch sequence
+// is allocation-free end to end.
 func TestRunLoopBatchZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OSCfg.PhysBytes = 1 * mem.GB
@@ -86,7 +87,8 @@ func TestRunLoopBatchZeroAllocs(t *testing.T) {
 	src := &isa.SliceSource{S: stream}
 	avg := testing.AllocsPerRun(10, func() {
 		src.Reset()
-		s.runFast(src, 0)
+		f := frontend{src: src, buf: s.batchBuf(batchSize)}
+		s.drive(&f, noBound, noBound)
 	})
 	if avg != 0 {
 		t.Fatalf("batched run loop allocates %.1f times per pass (want 0)", avg)

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
@@ -172,13 +170,14 @@ type Config struct {
 	CtxSwitchCycles uint64
 	ASIDRetention   bool
 
-	// ReferencePath forces Run and RunMulti onto the unbatched
-	// per-instruction reference loops instead of the batched fast lane.
-	// Both paths produce byte-identical Results (the differential suite
-	// asserts it); the knob exists so the equivalence is testable and so
-	// a fast-lane regression can be bisected against the reference.
-	// Excluded from JSON so sweep-spec hashes are loop-implementation
-	// agnostic.
+	// ReferencePath sets the run loop's frontend batch length to one
+	// instruction (instead of batchSize) in Run, RunRecording and
+	// RunMulti, and makes trace replay decode the file inline instead of
+	// streaming from TraceShared. Both settings produce byte-identical
+	// Results (the differential suite asserts it); the knob exists so the
+	// equivalence is testable and so a fast-lane regression can be
+	// bisected against the reference. Excluded from JSON so sweep-spec
+	// hashes do not depend on it.
 	ReferencePath bool `json:"-"`
 
 	Seed uint64
@@ -249,15 +248,15 @@ type System struct {
 	cancelCheck func() bool
 	frontendTap func(isa.Inst)
 	interrupted bool
+	// polled counts instructions retired by drive, across calls, so the
+	// cancellation poll keeps its stride over short scheduling slices.
+	polled uint64
 
-	// stepIn and batch are reusable decode destinations for the run
-	// loops. Filling an instruction through the isa.Source interface
-	// makes the destination escape, so a per-call local would cost one
-	// heap allocation per RunSteps/runFast invocation; parking the
-	// scratch space on the (heap-resident) System keeps the steady
-	// state allocation-free (locked in by alloc_test.go).
-	stepIn isa.Inst
-	batch  []isa.Inst
+	// batch is the frontend buffer of Run, RunRecording and RunSteps.
+	// isa.FillBatch fills it through the isa.Source interface, so it
+	// escapes; parking it on the (heap-resident, pooled) System keeps
+	// the steady state allocation-free (locked in by alloc_test.go).
+	batch []isa.Inst
 
 	// Streaming observation (see observe.go). obsCtxSwitches mirrors the
 	// multiprogrammed scheduler's dispatch count so snapshots can report
@@ -278,19 +277,8 @@ const (
 	TextSegFileID           = 0xC0DE
 )
 
-// cancelStride is how many frontend instructions Run retires between
-// cancellation polls: rare enough to stay off the hot path, frequent
-// enough that a cancelled context stops a simulation within microseconds
-// of simulated work.
-const cancelStride = 1 << 13
-
-// batchSize is the fast lane's frontend read-ahead: large enough to
-// amortize the per-batch isa.Source dispatch to noise, small enough
-// that the buffer lives on the run loop's stack.
-const batchSize = 256
-
-// SetCancelCheck installs a cooperative cancellation poll: Run and
-// RunSteps call f periodically and stop early when it returns true.
+// SetCancelCheck installs a cooperative cancellation poll: every run
+// shape calls f periodically and stops early when it returns true.
 // Used by the sweep runner to honour context.Context cancellation
 // mid-simulation. Pass nil to remove the check.
 func (s *System) SetCancelCheck(f func() bool) { s.cancelCheck = f }
@@ -670,119 +658,6 @@ func (s *System) Mmap(length uint64, flags mimicos.MmapFlags) mem.VAddr {
 	return resp.MmapBase
 }
 
-// Run simulates the workload and returns the collected metrics.
-func (s *System) Run(w *workloads.Workload) Metrics {
-	if s.Cfg.TrackPFLatencies {
-		s.PFLatNs = stats.NewSeries(4096)
-		s.MajorPFLatNs = stats.NewSeries(256)
-	}
-
-	// Address-space setup (the exec/loader phase): functional only.
-	// The text segment backs instruction fetches at the workloads' PCs.
-	s.OS.Mmap(s.Proc.PID, TextSegBytes, mimicos.MmapFlags{
-		File: true, FileID: TextSegFileID, FixedAddr: TextSegBase,
-	})
-	w.Setup(s.OS, s.Proc.PID)
-	s.OS.Tracer.Begin() // drop setup streams
-
-	src := s.makeFrontend(w)
-	// Run owns the frontend it built: release sources backed by a file
-	// even when the instruction bound stops the run before EOF.
-	defer closeSource(src)
-
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	wallStart := time.Now()
-
-	s.runLoop(src, s.Cfg.MaxAppInsts)
-	if !s.interrupted {
-		// The closing snapshot reads the same counter state collect is
-		// about to package, so Final snapshot == Metrics exactly.
-		s.finishObserve()
-	}
-
-	wall := time.Since(wallStart)
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
-
-	return s.collect(w.Name(), wall, msBefore, msAfter)
-}
-
-// runLoop drives the core over src until exhaustion, the optional
-// instruction bound, or cancellation. It dispatches between the batched
-// fast lane and the per-instruction reference loop; both retire the
-// same instructions in the same order with identical per-instruction
-// bookkeeping, so Results are byte-identical (the differential suite
-// asserts it).
-func (s *System) runLoop(src isa.Source, max uint64) {
-	if s.Cfg.ReferencePath {
-		s.runReference(src, max)
-		return
-	}
-	s.runFast(src, max)
-}
-
-// runReference is the unbatched loop: one interface dispatch per
-// instruction. Kept verbatim as the semantic baseline the fast lane is
-// diffed against.
-func (s *System) runReference(src isa.Source, max uint64) {
-	var in isa.Inst
-	var polled uint64
-	for src.Next(&in) {
-		if s.frontendTap != nil {
-			s.frontendTap(in)
-		}
-		s.Core.Run(in)
-		if s.observer != nil {
-			s.maybeObserve()
-		}
-		if max > 0 && s.Core.Stats().AppInsts >= max {
-			break
-		}
-		if polled++; polled%cancelStride == 0 && s.Cancelled() {
-			s.interrupted = true
-			break
-		}
-	}
-}
-
-// runFast is the batched loop: instructions are pulled from the source
-// in blocks (one FillBatch call per batchSize instructions) into a
-// stack buffer, then retired with the exact per-instruction sequence of
-// runReference — tap, core, observe, bound check, cancellation poll.
-// When the bound or a cancel stops the run mid-batch, the remaining
-// read-ahead is discarded, matching the reference loop leaving the same
-// instructions unread in the source.
-func (s *System) runFast(src isa.Source, max uint64) {
-	if s.batch == nil {
-		s.batch = make([]isa.Inst, batchSize)
-	}
-	buf := s.batch
-	var polled uint64
-	for {
-		n := isa.FillBatch(src, buf)
-		if n == 0 {
-			return
-		}
-		for i := 0; i < n; i++ {
-			if s.frontendTap != nil {
-				s.frontendTap(buf[i])
-			}
-			s.Core.Run(buf[i])
-			if s.observer != nil {
-				s.maybeObserve()
-			}
-			if max > 0 && s.Core.Stats().AppInsts >= max {
-				return
-			}
-			if polled++; polled%cancelStride == 0 && s.Cancelled() {
-				s.interrupted = true
-				return
-			}
-		}
-	}
-}
-
 // makeFrontend adapts the workload source per the configured frontend.
 //
 // With TracePath set, the trace-driven frontends stream records from
@@ -906,68 +781,4 @@ func closeSource(src isa.Source) {
 	if c, ok := src.(io.Closer); ok {
 		c.Close()
 	}
-}
-
-// ResetStats zeroes every statistics counter in the system (functional
-// and microarchitectural state persists), establishing a steady-state
-// measurement window after warm-up.
-func (s *System) ResetStats() {
-	s.Core.ResetStats()
-	s.MMU.ResetStats()
-	s.Dram.ResetStats()
-	s.Hier.L1I.ResetStats()
-	s.Hier.L1D.ResetStats()
-	s.Hier.L2.ResetStats()
-	s.Hier.L3.ResetStats()
-	s.OS.ResetStats()
-	if s.Cfg.TrackPFLatencies {
-		s.PFLatNs = stats.NewSeries(4096)
-		s.MajorPFLatNs = stats.NewSeries(256)
-	}
-	s.swapDeviceCycles = 0
-}
-
-// RunSteps drives the system over src until it is exhausted or the core
-// has retired maxApp further application instructions (0 = no bound).
-// Used by experiments that interleave warm-up and measurement windows.
-func (s *System) RunSteps(src isa.Source, maxApp uint64) {
-	start := s.Core.Stats().AppInsts
-	in := &s.stepIn
-	var polled uint64
-	for src.Next(in) {
-		if s.frontendTap != nil {
-			s.frontendTap(*in)
-		}
-		s.Core.Run(*in)
-		if maxApp > 0 && s.Core.Stats().AppInsts-start >= maxApp {
-			return
-		}
-		if polled++; polled%cancelStride == 0 && s.Cancelled() {
-			s.interrupted = true
-			return
-		}
-	}
-}
-
-// Prepare performs the address-space setup for w without running it,
-// returning the instruction source. Callers then drive RunSteps and
-// Collect explicitly (warm-up/steady-state experiments).
-func (s *System) Prepare(w *workloads.Workload) isa.Source {
-	s.OS.Mmap(s.Proc.PID, TextSegBytes, mimicos.MmapFlags{
-		File: true, FileID: TextSegFileID, FixedAddr: TextSegBase,
-	})
-	w.Setup(s.OS, s.Proc.PID)
-	s.OS.Tracer.Begin()
-	if s.Cfg.TrackPFLatencies && s.PFLatNs == nil {
-		s.PFLatNs = stats.NewSeries(4096)
-		s.MajorPFLatNs = stats.NewSeries(256)
-	}
-	return s.makeFrontend(w)
-}
-
-// Collect gathers metrics after explicit RunSteps driving.
-func (s *System) Collect(w *workloads.Workload) Metrics {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return s.collect(w.Name(), 0, ms, ms)
 }

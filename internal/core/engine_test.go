@@ -1,10 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/mimicos"
+	"repro/internal/mmu"
 	"repro/internal/workloads"
 )
 
@@ -149,5 +153,54 @@ func TestMmapSyscallThroughChannel(t *testing.T) {
 	}
 	if s.OS.VMAOf(1, base) == nil {
 		t.Fatal("VMA not created")
+	}
+}
+
+// TestRunStepsNoReadAhead guards RunSteps' contract with caller-owned
+// sources: a bounded call must leave every instruction it did not
+// retire in the source. Two bounded calls followed by an unbounded one
+// on one source must retire exactly the instructions — and reach
+// exactly the core and MMU state — of a single unbounded call.
+func TestRunStepsNoReadAhead(t *testing.T) {
+	tiny := workloads.Params{Scale: 0.05}
+	const n = 60_000
+
+	type outcome struct {
+		retired isa.Stream
+		core    cpu.Stats
+		mmu     mmu.Stats
+	}
+	run := func(bounds ...uint64) outcome {
+		s := smallSystem(t, nil)
+		// Materialise a prefix of the workload's stream so both runs
+		// replay one slice through a batch-capable source.
+		gen := s.Prepare(byName(t, "2D-Sum", tiny))
+		stream := make(isa.Stream, n)
+		if got := isa.FillBatch(gen, stream); got != n {
+			t.Fatalf("workload produced %d instructions, want %d", got, n)
+		}
+		var o outcome
+		s.SetFrontendTap(func(in isa.Inst) { o.retired = append(o.retired, in) })
+		src := &isa.SliceSource{S: stream}
+		for _, b := range bounds {
+			s.RunSteps(src, b)
+		}
+		o.core, o.mmu = *s.Core.Stats(), *s.MMU.Stats()
+		return o
+	}
+	split := run(7_000, 13_000, 0)
+	whole := run(0)
+
+	if len(whole.retired) != n {
+		t.Fatalf("unbounded RunSteps retired %d of %d instructions", len(whole.retired), n)
+	}
+	if !slices.Equal(split.retired, whole.retired) {
+		t.Fatalf("split RunSteps retired a different stream: %d vs %d instructions", len(split.retired), len(whole.retired))
+	}
+	if split.core != whole.core {
+		t.Errorf("core stats differ:\nsplit: %+v\nwhole: %+v", split.core, whole.core)
+	}
+	if split.mmu != whole.mmu {
+		t.Errorf("MMU stats differ:\nsplit: %+v\nwhole: %+v", split.mmu, whole.mmu)
 	}
 }

@@ -10,9 +10,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -33,35 +31,11 @@ type Process struct {
 	OS     *mimicos.Process
 	Design mmu.Design
 
-	src      isa.Source
+	// fe reads the process's instruction source; its read-ahead
+	// persists across scheduling slices.
+	fe       frontend
 	finished bool
 	acc      procAccum
-
-	// Fast-lane read-ahead: instructions batched out of src, persisted
-	// across scheduling slices so a quantum boundary mid-batch loses
-	// nothing. Unused (nil) on the reference path.
-	buf    []isa.Inst
-	bufPos int
-	bufN   int
-}
-
-// next produces the process's next instruction, refilling the batch
-// buffer when drained. With a nil buffer (reference path) it is a plain
-// per-instruction source read.
-func (p *Process) next(in *isa.Inst) bool {
-	if p.buf == nil {
-		return p.src.Next(in)
-	}
-	if p.bufPos == p.bufN {
-		p.bufN = isa.FillBatch(p.src, p.buf)
-		p.bufPos = 0
-		if p.bufN == 0 {
-			return false
-		}
-	}
-	*in = p.buf[p.bufPos]
-	p.bufPos++
-	return true
 }
 
 // procAccum collects per-process deltas of the shared core/MMU counters
@@ -271,33 +245,37 @@ func (s *System) RunMulti(ws []*workloads.Workload) (MultiMetrics, error) {
 	// Finished processes close their sources (and nil them) at exit;
 	// this releases the rest when cancellation stops the schedule early
 	// or a frontend fails to open partway through the loop below
-	// (file-backed sources hold descriptors and decode goroutines).
+	// (file-backed sources hold descriptors).
 	defer func() {
 		for _, p := range s.procs {
-			if p.src != nil {
-				closeSource(p.src)
+			if p.fe.src != nil {
+				closeSource(p.fe.src)
 			}
 		}
 	}()
 	for _, p := range s.procs {
-		p.src = s.makeFrontendSeeded(p.W, frontendSalt(p.PID))
-		if !s.Cfg.ReferencePath {
-			p.buf = make([]isa.Inst, batchSize)
+		p.fe = frontend{
+			src: s.makeFrontendSeeded(p.W, frontendSalt(p.PID)),
+			buf: make([]isa.Inst, batchLen(s.Cfg.ReferencePath)),
 		}
 	}
 
 	mm := MultiMetrics{Mix: mix, Quantum: quantum, ASIDRetention: s.Cfg.ASIDRetention}
+	mm.Aggregate = s.measure(MixName(mix), func() { s.schedule(&mm, quantum, csCost) })
+	for _, p := range s.procs {
+		mm.Procs = append(mm.Procs, p.metrics())
+	}
+	return mm, nil
+}
 
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	wallStart := time.Now()
-
+// schedule runs the round-robin schedule until every process has
+// finished or the cancellation check fires. Each slice is one drive of
+// the process's frontend, bounded by the slice end and by what is left
+// of the process's instruction budget.
+func (s *System) schedule(mm *MultiMetrics, quantum, csCost uint64) {
 	maxPer := s.Cfg.MaxAppInsts
 	runnable := len(s.procs)
 	cur := -1
-	var polled uint64
-	var in isa.Inst
-sched:
 	for runnable > 0 {
 		// Round-robin: the next runnable process after the current one.
 		next := cur
@@ -322,62 +300,37 @@ sched:
 		}
 		cur = next
 
-		sliceEnd := s.Core.Now() + quantum
 		snapCore := *s.Core.Stats()
 		snapMMU := *s.MMU.Stats()
-		for {
-			if !p.next(&in) {
-				p.finished = true
-				break
-			}
-			s.Core.Run(in)
-			if s.observer != nil {
-				s.maybeObserve()
-			}
-			if maxPer > 0 && p.acc.appInsts+(s.Core.Stats().AppInsts-snapCore.AppInsts) >= maxPer {
-				p.finished = true
-				break
-			}
-			if s.Core.Now() >= sliceEnd {
-				break
-			}
-			if polled++; polled%cancelStride == 0 && s.Cancelled() {
-				s.interrupted = true
-				p.addSlice(snapCore, *s.Core.Stats(), snapMMU, *s.MMU.Stats())
-				break sched
-			}
+		appEnd := noBound
+		if maxPer > 0 {
+			// A process is reaped once its budget is spent, so a
+			// scheduled one always has some left.
+			appEnd = snapCore.AppInsts + maxPer - p.acc.appInsts
 		}
+		why := s.drive(&p.fe, appEnd, s.Core.Now()+quantum)
 		p.addSlice(snapCore, *s.Core.Stats(), snapMMU, *s.MMU.Stats())
-		if p.finished {
-			closeSource(p.src)
-			p.src = nil
-			// Exit and reap: VMAs torn down, frames freed, the ASID
-			// flushed hierarchy-wide (exit notifier) and recycled. In
-			// imitation mode the traced do_exit/teardown stream is
-			// injected like any other kernel work, so reaping a large
-			// address space costs real cycles (charged to the system,
-			// not the dead process's slices).
-			s.OS.ExitProcess(p.PID)
-			if s.Cfg.Mode == Imitation {
-				s.Core.RunStream(s.StreamChan.Deliver(s.OS.TakeStream()))
-			}
-			runnable--
+		switch why {
+		case stopCancel:
+			return
+		case stopSlice:
+			continue
 		}
+		p.finished = true
+		closeSource(p.fe.src)
+		p.fe.src = nil
+		// Exit and reap: VMAs torn down, frames freed, the ASID
+		// flushed hierarchy-wide (exit notifier) and recycled. In
+		// imitation mode the traced do_exit/teardown stream is
+		// injected like any other kernel work, so reaping a large
+		// address space costs real cycles (charged to the system,
+		// not the dead process's slices).
+		s.OS.ExitProcess(p.PID)
+		if s.Cfg.Mode == Imitation {
+			s.Core.RunStream(s.StreamChan.Deliver(s.OS.TakeStream()))
+		}
+		runnable--
 	}
-
-	if !s.interrupted {
-		s.finishObserve()
-	}
-
-	wall := time.Since(wallStart)
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
-
-	mm.Aggregate = s.collect(MixName(mix), wall, msBefore, msAfter)
-	for _, p := range s.procs {
-		mm.Procs = append(mm.Procs, p.metrics())
-	}
-	return mm, nil
 }
 
 // metrics packages the process's accumulated counters.

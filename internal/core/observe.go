@@ -55,10 +55,10 @@ func (s Snapshot) IPC() float64 {
 	return float64(s.AppInsts) / float64(s.Cycles)
 }
 
-// SetObserver installs a streaming observer: Run and RunMulti call f
-// with a Snapshot roughly every `every` application instructions (0 =
-// DefaultObserveEvery) and once more, with Final set, when the run
-// completes. Pass nil to remove. The callback runs on the simulation
+// SetObserver installs a streaming observer: Run, RunRecording and
+// RunMulti call f with a Snapshot roughly every `every` application
+// instructions (0 = DefaultObserveEvery) and once more, with Final set,
+// when the run completes. RunSteps emits the interval snapshots only. Pass nil to remove. The callback runs on the simulation
 // goroutine — keep it cheap, and do not touch the System from inside
 // it.
 func (s *System) SetObserver(f func(Snapshot), every uint64) {
@@ -72,7 +72,7 @@ func (s *System) SetObserver(f func(Snapshot), every uint64) {
 }
 
 // maybeObserve emits a snapshot when the run has crossed the next
-// observation threshold. Called from the run loops only when an
+// observation threshold. Called from the run loop only when an
 // observer is installed.
 func (s *System) maybeObserve() {
 	if s.Core.Stats().AppInsts < s.nextObserve {

@@ -11,8 +11,9 @@ import (
 // instruction into tw: the address space is set up first, the layout is
 // snapshotted into the trace header (minus the text segment, which
 // every run maps itself), and then the timed simulation proceeds with a
-// trace.Recorder installed as the frontend tap. The returned metrics
-// are those of the recording run, and replaying the written trace under
+// trace.Recorder installed as the frontend tap — through the same loop,
+// batch length, observer and timing as Run. The returned metrics are
+// those of the recording run, and replaying the written trace under
 // the same configuration reproduces them deterministically — that
 // equivalence is what makes recorded traces a drop-in substitute for
 // the live workload.
@@ -46,9 +47,9 @@ func (s *System) RunRecording(w *workloads.Workload, tw *trace.Writer) (Metrics,
 	rec := trace.NewRecorder(tw)
 	s.SetFrontendTap(rec.OnInst)
 	defer s.SetFrontendTap(nil)
-	s.RunSteps(src, s.Cfg.MaxAppInsts)
+	m := s.runPrepared(w.Name(), src)
 	if err := rec.Err(); err != nil {
 		return Metrics{}, fmt.Errorf("core: recording: %w", err)
 	}
-	return s.Collect(w), nil
+	return m, nil
 }

@@ -54,7 +54,7 @@ type VirtualizedConfig struct {
 	DramCfg        dram.Config
 	Seed           uint64
 
-	// ReferencePath forces Run onto the unbatched per-instruction loop,
+	// ReferencePath sets Run's frontend batch length to one instruction,
 	// mirroring Config.ReferencePath for the two-kernel system.
 	ReferencePath bool `json:"-"`
 }
@@ -193,30 +193,17 @@ func (v *VirtualizedSystem) Run(w *workloads.Workload, maxApp uint64) (guestFaul
 	v.Guest.Mmap(1, 32*mem.MB, mimicos.MmapFlags{File: true, FileID: 0xC0DE, FixedAddr: 0x400000})
 	w.Setup(v.Guest, 1)
 	v.Guest.Tracer.Begin()
-	src := w.Source(11)
-	if v.refPath {
-		var in isa.Inst
-		for src.Next(&in) {
+	f := frontend{src: w.Source(11), buf: make([]isa.Inst, batchLen(v.refPath))}
+	appEnd := noBound
+	if maxApp > 0 {
+		appEnd = maxApp
+	}
+run:
+	for f.refill() > 0 {
+		for _, in := range f.buf[:f.n] {
 			v.Core.Run(in)
-			if maxApp > 0 && v.Core.Stats().AppInsts >= maxApp {
-				break
-			}
-		}
-	} else {
-		// Batched fast lane, per-instruction semantics identical to the
-		// reference loop above (see System.runFast).
-		var buf [batchSize]isa.Inst
-	fill:
-		for {
-			n := isa.FillBatch(src, buf[:])
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				v.Core.Run(buf[i])
-				if maxApp > 0 && v.Core.Stats().AppInsts >= maxApp {
-					break fill
-				}
+			if v.Core.Stats().AppInsts >= appEnd {
+				break run
 			}
 		}
 	}

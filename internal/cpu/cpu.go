@@ -297,7 +297,3 @@ func (c *Core) resolveFault(va mem.VAddr, write bool) bool {
 	}
 	return c.fault(va, write)
 }
-
-// ResetStats zeroes the accumulated statistics (cycle accumulator keeps
-// advancing) so steady-state windows can be measured after warm-up.
-func (c *Core) ResetStats() { c.stats = Stats{} }

@@ -210,9 +210,6 @@ func (c *Controller) Access(pa mem.PAddr, write bool, t mem.AccessType, now uint
 // Stats returns a snapshot pointer of the controller statistics.
 func (c *Controller) Stats() *Stats { return &c.stats }
 
-// ResetStats zeroes accumulated statistics without disturbing bank state.
-func (c *Controller) ResetStats() { c.stats = Stats{} }
-
 // String summarises the controller state.
 func (c *Controller) String() string {
 	return fmt.Sprintf("dram{ch=%d banks=%d rowKB=%d hits=%.1f%%}",

@@ -777,16 +777,3 @@ func (p *Process) dropResident(va mem.VAddr) {
 // TakeStream returns the instruction stream recorded by the last kernel
 // operation (valid until the next operation).
 func (k *Kernel) TakeStream() isa.Stream { return k.Tracer.Take() }
-
-// ResetStats zeroes the kernel statistics — global and per-process —
-// so steady-state windows can be measured after warm-up (functional
-// state persists).
-func (k *Kernel) ResetStats() {
-	k.stats = Stats{}
-	for _, p := range k.procs {
-		p.Stat = Stats{}
-	}
-	if k.tiersEnabled() {
-		k.tiers.ResetStats()
-	}
-}

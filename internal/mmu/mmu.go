@@ -313,6 +313,3 @@ func (m *MMU) FlushAll() {
 	m.dtlb2m.InvalidateAll()
 	m.stlb.InvalidateAll()
 }
-
-// ResetStats zeroes the accumulated statistics (TLB contents persist).
-func (m *MMU) ResetStats() { m.stats = Stats{} }

@@ -383,12 +383,3 @@ func (m *Manager) Stats() []Stats {
 	}
 	return out
 }
-
-// ResetStats zeroes the per-tier counters (occupancy and residency are
-// functional state and persist) — the kernel's steady-state-window hook.
-func (m *Manager) ResetStats() {
-	for i := range m.tiers {
-		name := m.tiers[i].stats.Name
-		m.tiers[i].stats = Stats{Name: name}
-	}
-}

@@ -302,10 +302,11 @@ func WithCustomWorkload(w *Workload) Option {
 	}
 }
 
-// WithReferencePath forces runs onto the unbatched per-instruction
-// reference loop instead of the batched fast lane. Both produce
-// byte-identical Results; the knob exists so the equivalence is
-// testable and a fast-lane regression can be bisected.
+// WithReferencePath sets the run loop's frontend batch length to one
+// instruction instead of the fast lane's batch (see
+// Config.ReferencePath). Both produce byte-identical Results; the knob
+// exists so the equivalence is testable and a fast-lane regression can
+// be bisected.
 func WithReferencePath(on bool) Option {
 	return func(s *openState) error {
 		s.cfg.ReferencePath = on
@@ -390,7 +391,7 @@ func WithFrontend(f Frontend) Option {
 // WithObserver streams interval Snapshots of the run's counters to o:
 // one snapshot roughly every ObserveInterval application instructions
 // (default core's DefaultObserveEvery) and a closing one, with Final
-// set, when the run completes. Observation is read-only — an observed
+// set, when the run — Run, RunMulti or Record — completes. Observation is read-only — an observed
 // run produces byte-identical results to an unobserved one — which is
 // what makes progress bars, live dashboards, and early-abort heuristics
 // (cancel the context from outside when an observer spots a hopeless
