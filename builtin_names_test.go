@@ -15,7 +15,7 @@ func TestBuiltinNamesMatchCore(t *testing.T) {
 	designs := []virtuoso.DesignName{
 		virtuoso.DesignRadix, virtuoso.DesignECH, virtuoso.DesignHDC,
 		virtuoso.DesignHT, virtuoso.DesignUtopia, virtuoso.DesignRMM,
-		virtuoso.DesignMidgard, virtuoso.DesignDirectSeg,
+		virtuoso.DesignMidgard, virtuoso.DesignDirectSeg, virtuoso.DesignNested,
 	}
 	for _, d := range designs {
 		if !registry.BuiltinDesign(string(d)) {

@@ -85,7 +85,7 @@ func main() {
 	}
 	var (
 		workload   = flag.String("workload", "BFS", "workload name(s), comma-separated (-list to enumerate; registered names accepted)")
-		design     = flag.String("design", "radix", "translation design(s), comma-separated: radix|ech|hdc|ht|utopia|rmm|midgard|directseg, or a registered name")
+		design     = flag.String("design", "radix", "translation design(s), comma-separated: radix|ech|hdc|ht|utopia|rmm|midgard|directseg|nested, or a registered name")
 		policy     = flag.String("policy", "thp", "allocation policy(ies), comma-separated: bd|thp|cr-thp|ar-thp|utopia|eager, or a registered name")
 		mode       = flag.String("mode", "imitation", "OS methodology: imitation|emulation")
 		insts      = flag.Uint64("insts", 2_000_000, "max application instructions (0 = run to completion)")

@@ -59,7 +59,7 @@ type simFlags struct {
 }
 
 func addSimFlags(fs *flag.FlagSet, f *simFlags, seedDefault uint64, seedHelp string) {
-	fs.StringVar(&f.design, "design", "radix", "translation design: radix|ech|hdc|ht|utopia|rmm|midgard|directseg")
+	fs.StringVar(&f.design, "design", "radix", "translation design: radix|ech|hdc|ht|utopia|rmm|midgard|directseg|nested")
 	fs.StringVar(&f.policy, "policy", "thp", "allocation policy: bd|thp|cr-thp|ar-thp|utopia|eager")
 	fs.StringVar(&f.mode, "mode", "imitation", "OS methodology: imitation|emulation")
 	fs.Uint64Var(&f.insts, "insts", 2_000_000, "max application instructions (0 = run to completion)")

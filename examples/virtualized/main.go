@@ -1,8 +1,9 @@
-// Virtualized simulation (§6.1): Virtuoso spawns two MimicOS instances —
-// a guest kernel and a hypervisor — and the MMU performs two-dimensional
-// nested walks. Guest page faults run guest kernel code; backing a guest
-// frame for the first time raises an EPT violation handled by the
-// hypervisor kernel. Both instruction streams are injected into the core.
+// Virtualized simulation (§6.1): the nested design runs the workload in
+// a guest kernel on a MimicOS hypervisor, and the MMU performs
+// two-dimensional nested walks. Guest page faults run guest kernel
+// code; backing a guest frame for the first time raises an EPT
+// violation handled by the hypervisor kernel. Both instruction streams
+// are injected into the core.
 package main
 
 import (
@@ -14,26 +15,33 @@ import (
 )
 
 func main() {
-	cfg := virtuoso.DefaultVirtualizedConfig()
-	cfg.GuestPhysBytes = 512 * ext.MB
-	cfg.HostPhysBytes = 1 * ext.GB
+	// 512 MB of guest-physical memory; the hypervisor backs it with
+	// twice as much machine memory.
+	cfg := virtuoso.DefaultConfig()
+	cfg.OSCfg.PhysBytes = 512 * ext.MB
 
-	w, err := virtuoso.NamedWorkloadWith("Hadamard", virtuoso.WorkloadParams{Scale: 0.05})
+	sess, err := virtuoso.Open(
+		virtuoso.WithConfig(cfg),
+		virtuoso.WithDesign(virtuoso.DesignNested),
+		virtuoso.WithPolicy(virtuoso.PolicyBuddy),
+		virtuoso.WithWorkload("Hadamard"),
+		virtuoso.WithWorkloadScale(0.05),
+		virtuoso.WithMaxInstructions(500_000),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	v, err := virtuoso.NewVirtualizedSystem(cfg)
+	m, err := sess.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	gf, hf, kinsts, ipc := v.Run(w, 500_000)
 
 	fmt.Println("== Virtualized execution: guest Linux on a MimicOS hypervisor ==")
-	fmt.Printf("guest page faults     %d (guest kernel streams injected)\n", gf)
-	fmt.Printf("EPT violations        %d (hypervisor kernel streams injected)\n", hf)
-	fmt.Printf("kernel instructions   %d across both kernels\n", kinsts)
-	fmt.Printf("nested walk latency   %.1f cycles average\n", v.MMU.Stats().AvgWalkLatency())
-	fmt.Printf("guest IPC             %.3f\n", ipc)
+	fmt.Printf("guest page faults     %d (guest kernel streams injected)\n", m.MinorFaults+m.MajorFaults)
+	fmt.Printf("EPT violations        %d (hypervisor kernel streams injected)\n", m.HostFaults)
+	fmt.Printf("kernel instructions   %d across both kernels\n", m.KernelInsts)
+	fmt.Printf("nested walk latency   %.1f cycles average\n", m.AvgPTWLat)
+	fmt.Printf("guest IPC             %.3f\n", m.IPC)
 	fmt.Println("\nThe nested TLB and host-translation cache keep the 2D walk cost")
 	fmt.Println("far below the worst-case 24 accesses of radix-over-radix.")
 }

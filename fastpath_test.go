@@ -4,9 +4,10 @@ package virtuoso_test
 // batched/devirtualized/pooled hot-path optimization must produce
 // byte-identical Results to the unbatched per-instruction reference
 // loop (WithReferencePath). The matrix spans translation designs,
-// allocation policies, workloads, simulation modes, and all four run
-// shapes — single-process, multiprogrammed, virtualized, and trace
-// replay — comparing Report.CanonicalJSON of both paths.
+// allocation policies (nested translation included), workloads,
+// simulation modes, and all three run shapes — single-process,
+// multiprogrammed, and trace replay — comparing Report.CanonicalJSON of
+// both paths.
 
 import (
 	"bytes"
@@ -24,8 +25,8 @@ import (
 const fastpathInsts = 120_000
 
 // canonicalSingle runs one single-process configuration on the chosen
-// loop and returns the canonical report bytes.
-func canonicalSingle(t *testing.T, ref bool, opts ...virtuoso.Option) []byte {
+// loop and returns the canonical report bytes and the run's metrics.
+func canonicalSingle(t *testing.T, ref bool, opts ...virtuoso.Option) ([]byte, virtuoso.Metrics) {
 	t.Helper()
 	all := append([]virtuoso.Option{
 		virtuoso.WithScaledConfig(),
@@ -46,7 +47,17 @@ func canonicalSingle(t *testing.T, ref bool, opts ...virtuoso.Option) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	return data, m
+}
+
+// requireNestedFaults fails a nested-translation point that exercised
+// no guest fault or no EPT violation: its equivalence would be vacuous.
+func requireNestedFaults(t *testing.T, m virtuoso.Metrics) {
+	t.Helper()
+	if m.MinorFaults+m.MajorFaults == 0 || m.HostFaults == 0 {
+		t.Fatalf("nested run exercised no nested faults (guest %d, host %d); matrix point is vacuous",
+			m.MinorFaults+m.MajorFaults, m.HostFaults)
+	}
 }
 
 func diffReports(t *testing.T, fast, reference []byte) {
@@ -83,6 +94,7 @@ func TestFastPathEquivalence(t *testing.T) {
 		{"rmm/eager/RND", virtuoso.DesignRMM, virtuoso.PolicyEager, "RND", nil},
 		{"midgard/thp/BFS", virtuoso.DesignMidgard, virtuoso.PolicyTHP, "BFS", nil},
 		{"directseg/ar-thp/BFS", virtuoso.DesignDirectSeg, virtuoso.PolicyARTHP, "BFS", nil},
+		{"nested/bd/RND", virtuoso.DesignNested, virtuoso.PolicyBuddy, "RND", nil},
 		{"emulation/radix/bd/SEQ", virtuoso.DesignRadix, virtuoso.PolicyBuddy, "SEQ",
 			[]virtuoso.Option{virtuoso.WithMode(virtuoso.Emulation)}},
 		{"tiered/radix/bd/RND", virtuoso.DesignRadix, virtuoso.PolicyBuddy, "RND",
@@ -103,27 +115,39 @@ func TestFastPathEquivalence(t *testing.T) {
 				virtuoso.WithDesign(tc.design),
 				virtuoso.WithPolicy(tc.policy),
 			}, tc.extra...)
-			fast := canonicalSingle(t, false, opts...)
-			ref := canonicalSingle(t, true, opts...)
+			fast, m := canonicalSingle(t, false, opts...)
+			ref, _ := canonicalSingle(t, true, opts...)
 			diffReports(t, fast, ref)
+			if tc.design == virtuoso.DesignNested {
+				requireNestedFaults(t, m)
+			}
 		})
 	}
 }
 
 func TestFastPathEquivalenceMulti(t *testing.T) {
-	for _, retention := range []bool{false, true} {
-		name := "flush"
-		if retention {
-			name = "asid-retention"
-		}
-		t.Run(name, func(t *testing.T) {
+	cases := []struct {
+		name      string
+		design    virtuoso.DesignName
+		retention bool
+	}{
+		{"flush", virtuoso.DesignRadix, false},
+		{"asid-retention", virtuoso.DesignRadix, true},
+		// Two guest processes, each with its own nested TLB over the
+		// one hypervisor mapping.
+		{"nested", virtuoso.DesignNested, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var agg virtuoso.Metrics
 			run := func(ref bool) []byte {
 				sess, err := virtuoso.Open(
 					virtuoso.WithScaledConfig(),
 					tinyScale(),
 					virtuoso.WithProcesses("BFS", "RND"),
+					virtuoso.WithDesign(tc.design),
 					virtuoso.WithMaxInstructions(150_000),
-					virtuoso.WithASIDRetention(retention),
+					virtuoso.WithASIDRetention(tc.retention),
 					virtuoso.WithReferencePath(ref),
 				)
 				if err != nil {
@@ -133,6 +157,7 @@ func TestFastPathEquivalenceMulti(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				agg = mm.Aggregate
 				rep := &virtuoso.Report{Results: []virtuoso.Result{sess.MultiResult(mm)}, Points: 1}
 				data, err := rep.CanonicalJSON()
 				if err != nil {
@@ -141,6 +166,9 @@ func TestFastPathEquivalenceMulti(t *testing.T) {
 				return data
 			}
 			diffReports(t, run(false), run(true))
+			if tc.design == virtuoso.DesignNested {
+				requireNestedFaults(t, agg)
+			}
 		})
 	}
 }
@@ -235,32 +263,5 @@ func TestFastPathEquivalenceReplay(t *testing.T) {
 	st := store.Stats()
 	if st.Decodes != 1 || st.Hits != 1 {
 		t.Errorf("store replays: decodes=%d hits=%d, want 1/1", st.Decodes, st.Hits)
-	}
-}
-
-func TestFastPathEquivalenceVirtualized(t *testing.T) {
-	run := func(ref bool) (uint64, uint64, uint64, float64) {
-		cfg := virtuoso.DefaultVirtualizedConfig()
-		cfg.GuestPhysBytes = 256 << 20
-		cfg.HostPhysBytes = 512 << 20
-		cfg.ReferencePath = ref
-		v, err := virtuoso.NewVirtualizedSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := virtuoso.NamedWorkloadWith("2D-Sum", virtuoso.WorkloadParams{Scale: 0.02})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v.Run(w, 150_000)
-	}
-	fg, fh, fk, fipc := run(false)
-	rg, rh, rk, ripc := run(true)
-	if fg != rg || fh != rh || fk != rk || fipc != ripc {
-		t.Fatalf("virtualized fast path diverges: fast=(%d,%d,%d,%v) ref=(%d,%d,%d,%v)",
-			fg, fh, fk, fipc, rg, rh, rk, ripc)
-	}
-	if fg == 0 || fh == 0 {
-		t.Fatal("virtualized run exercised no nested faults; matrix point is vacuous")
 	}
 }

@@ -75,6 +75,9 @@ const (
 	DesignRMM       DesignName = "rmm"
 	DesignMidgard   DesignName = "midgard"
 	DesignDirectSeg DesignName = "directseg"
+	// DesignNested runs the workload in a guest on a MimicOS hypervisor
+	// with two-dimensional (nested) translation (§6.1; see nested.go).
+	DesignNested DesignName = "nested"
 )
 
 // PolicyName selects the physical memory allocation policy (§7.5).
@@ -227,6 +230,12 @@ type System struct {
 
 	FuncChan   *FunctionalChannel
 	StreamChan *StreamChannel
+
+	// host is the nested design's hypervisor kernel (nil for every
+	// other design); hostFaults counts the EPT violations it handled.
+	host       *mimicos.Kernel
+	hostPT     *hostPT
+	hostFaults uint64
 
 	// design is PID 1's translation design (the one the MMU starts on);
 	// procs/cur track the multiprogrammed process table during RunMulti
@@ -435,6 +444,9 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	s.Hier = cache.NewHierarchyWith(cfg.CacheCfg, s.Dram, pool)
 
 	// Translation design.
+	if cfg.Design == DesignNested {
+		s.buildHost(oscfg.PhysBytes, pool)
+	}
 	design, err := s.buildDesignFor(s.Proc)
 	if err != nil {
 		return nil, err
@@ -504,6 +516,9 @@ func (s *System) Recycle(pool *recycle.Pool) {
 	s.Hier.Recycle(pool)
 	s.MMU.Recycle(pool)
 	s.OS.Recycle(pool)
+	if s.host != nil {
+		s.host.Recycle(pool)
+	}
 	if s.batch != nil {
 		clear(s.batch)
 		pool.Give(batchKey, s.batch)
@@ -552,6 +567,8 @@ func (s *System) buildDesignFor(proc *mimicos.Process) (mmu.Design, error) {
 		return mmu.NewMidgardDesign(proc.Midgard, newRadix(), s.Hier, proc.ASID), nil
 	case DesignDirectSeg:
 		return &mmu.DirectSegDesign{Radix: newRadix()}, nil
+	case DesignNested:
+		return mmu.NewNestedDesign(proc.PT, s.hostPT, s.Hier), nil
 	default:
 		// Not a built-in: a design registered through the public
 		// extension API (repro/ext). Each process gets its own instance

@@ -42,6 +42,10 @@ type Metrics struct {
 	MinorFaults uint64
 	MajorFaults uint64
 	Segvs       uint64
+	// HostFaults counts the EPT violations the nested design's
+	// hypervisor kernel handled (always 0, and omitted from JSON, for
+	// every other design).
+	HostFaults uint64 `json:",omitempty"`
 
 	// PFLatNs is the per-minor-fault latency series in nanoseconds (nil
 	// unless tracked); MajorPFLatNs covers device-backed faults.
@@ -125,6 +129,7 @@ func (s *System) collect(name string, wall time.Duration, before, after runtime.
 		MinorFaults: os.MinorFaults,
 		MajorFaults: os.MajorFaults,
 		Segvs:       s.segvs + cs.SegvFaults,
+		HostFaults:  s.hostFaults,
 
 		PFLatNs:      s.PFLatNs,
 		MajorPFLatNs: s.MajorPFLatNs,

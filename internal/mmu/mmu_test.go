@@ -9,6 +9,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pagetable"
 	"repro/internal/phys"
+	"repro/internal/tlb"
 )
 
 func testEnv(t testing.TB) (*cache.Hierarchy, pagetable.FrameAllocator) {
@@ -139,6 +140,29 @@ func TestNestedTranslation(t *testing.T) {
 	r2 := d.TranslateMiss(gva, r.Lat)
 	if r2.Lat >= r.Lat {
 		t.Fatalf("nested TLB did not shortcut: %d vs %d", r2.Lat, r.Lat)
+	}
+}
+
+// TestNestedInvalidateHugePage unmaps a 2M guest page whose 4K
+// sub-pages sit in the nested TLB: every one must be dropped, and a
+// translation outside the page must survive.
+func TestNestedInvalidateHugePage(t *testing.T) {
+	h, _ := testEnv(t)
+	d := NewNestedDesign(nil, nil, h)
+	base := mem.VAddr(0x4000_0000)
+	outside := base + mem.VAddr(mem.Page2M.Bytes())
+	subs := []mem.VAddr{base, base + 0x1000, base + 0x5000, base + 0x10_0000, base + 0x1F_F000}
+	for i, va := range append(subs, outside) {
+		d.nestedTLB.Insert(tlb.Entry{VPN: mem.Page4K.VPN(va), Size: mem.Page4K, Frame: mem.PAddr(0x80_0000 + i*0x1000)})
+	}
+	d.Invalidate(base+0x3000, mem.Page2M)
+	for _, va := range subs {
+		if _, ok := d.nestedTLB.Lookup(va, 0); ok {
+			t.Errorf("stale nested TLB entry for %#x after the 2M unmap", va)
+		}
+	}
+	if _, ok := d.nestedTLB.Lookup(outside, 0); !ok {
+		t.Error("the 2M unmap dropped a translation outside the page")
 	}
 }
 

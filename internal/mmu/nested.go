@@ -15,8 +15,8 @@ import (
 // host-translation cache (gPA→hPA, the nested-PWC analogue) cut the
 // common case down, as in AMD NPT / VirTool's nested support.
 type NestedDesign struct {
-	Guest pagetable.PageTable // gVA -> gPA
-	Host  pagetable.PageTable // gPA -> hPA
+	Guest Walker // gVA -> gPA
+	Host  Walker // gPA -> hPA
 	Mem   Memory
 
 	nestedTLB *tlb.TLB       // gVA -> hPA (the paper's nested TLB [172])
@@ -27,8 +27,14 @@ type NestedDesign struct {
 	MaxSteps   uint64
 }
 
+// Walker is the one page-table operation the nested walker needs from
+// each dimension: a functional walk listing the hardware's accesses.
+type Walker interface {
+	Walk(va mem.VAddr) pagetable.WalkResult
+}
+
 // NewNestedDesign builds the 2D walker.
-func NewNestedDesign(guest, host pagetable.PageTable, m Memory) *NestedDesign {
+func NewNestedDesign(guest, host Walker, m Memory) *NestedDesign {
 	return &NestedDesign{
 		Guest:     guest,
 		Host:      host,
@@ -107,7 +113,8 @@ func (d *NestedDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 	return Result{PA: hpa, Size: mem.Page4K, Lat: lat}
 }
 
-// Invalidate implements Design.
+// Invalidate implements Design. The nested TLB caches 4K entries
+// only, so unmapping a larger guest page drops every entry under it.
 func (d *NestedDesign) Invalidate(va mem.VAddr, size mem.PageSize) {
-	d.nestedTLB.InvalidateVA(va, 0)
+	d.nestedTLB.InvalidateRange(size.PageBase(va), size.Bytes(), 0)
 }

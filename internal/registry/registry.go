@@ -34,6 +34,7 @@ var (
 	builtinDesigns = map[string]bool{
 		"radix": true, "ech": true, "hdc": true, "ht": true,
 		"utopia": true, "rmm": true, "midgard": true, "directseg": true,
+		"nested": true,
 	}
 	builtinPolicies = map[string]bool{
 		"bd": true, "thp": true, "cr-thp": true, "ar-thp": true,

@@ -208,6 +208,24 @@ func (t *TLB) InvalidateVA(va mem.VAddr, asid uint16) {
 	}
 }
 
+// InvalidateRange drops every entry of asid whose page overlaps
+// [start, start+bytes): the shootdown of one large page in a TLB that
+// may cache it as smaller pages. It scans every entry once, so its cost
+// does not grow with the range.
+func (t *TLB) InvalidateRange(start mem.VAddr, bytes uint64, asid uint16) {
+	lo, hi := uint64(start), uint64(start)+bytes
+	for i, m := range t.metas {
+		if m&1 == 0 || uint16(m>>8) != asid {
+			continue
+		}
+		ps := mem.PageSize(m >> 1 & 0x7f)
+		if va := t.vpns[i] << ps.Shift(); va < hi && va+ps.Bytes() > lo {
+			t.metas[i] = 0
+			t.stats.Shootdowns++
+		}
+	}
+}
+
 // InvalidateAll flushes the TLB.
 func (t *TLB) InvalidateAll() {
 	for i := range t.metas {

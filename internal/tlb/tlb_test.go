@@ -71,6 +71,28 @@ func TestTLBInvalidate(t *testing.T) {
 	}
 }
 
+// TestTLBInvalidateRange shoots down a 4K range: an entry of any size
+// overlapping it goes, entries beside it or of another ASID stay.
+func TestTLBInvalidateRange(t *testing.T) {
+	tl := New("t", 32, 4, 1, mem.Page4K, mem.Page2M)
+	huge := mem.VAddr(0x4000_0000)
+	in := huge + 0x5000
+	tl.Insert(Entry{VPN: mem.Page2M.VPN(huge), Size: mem.Page2M, ASID: 1})
+	tl.Insert(Entry{VPN: mem.Page4K.VPN(in), Size: mem.Page4K, ASID: 1})
+	tl.Insert(Entry{VPN: mem.Page4K.VPN(in + 0x1000), Size: mem.Page4K, ASID: 1})
+	tl.Insert(Entry{VPN: mem.Page4K.VPN(in), Size: mem.Page4K, ASID: 2})
+	tl.InvalidateRange(in, mem.Page4K.Bytes(), 1)
+	if tl.OccupancyASID(1) != 1 {
+		t.Fatalf("ASID 1 keeps %d entries, want only the neighbouring 4K page", tl.OccupancyASID(1))
+	}
+	if e, ok := tl.Lookup(in+0x1000, 1); !ok || e.Size != mem.Page4K {
+		t.Fatalf("neighbouring page lookup = %+v %v", e, ok)
+	}
+	if _, ok := tl.Lookup(in, 2); !ok {
+		t.Fatal("range shootdown dropped another ASID's entry")
+	}
+}
+
 func TestPWC(t *testing.T) {
 	p := NewPWC(1, 8, 2, 2)
 	va := mem.VAddr(0x7f12_3456_7000)

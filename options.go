@@ -29,12 +29,13 @@ type openState struct {
 }
 
 // KnownDesigns returns every selectable translation design name: the
-// eight built-ins followed by designs registered through the public
+// nine built-ins followed by designs registered through the public
 // extension API (repro/ext), sorted within each group.
 func KnownDesigns() []DesignName {
 	out := []DesignName{
 		DesignRadix, DesignECH, DesignHDC, DesignHT,
 		DesignUtopia, DesignRMM, DesignMidgard, DesignDirectSeg,
+		DesignNested,
 	}
 	for _, name := range registry.DesignNames() {
 		out = append(out, DesignName(name))
@@ -94,7 +95,8 @@ func ValidateTierSpecs(specs []TierSpec) error { return tier.ValidateSpecs(specs
 func RegisteredWorkloads() []string { return registry.WorkloadNames() }
 
 // ParseDesign validates a translation design name: a built-in ("radix",
-// "ech", "hdc", "ht", "utopia", "rmm", "midgard", "directseg") or one
+// "ech", "hdc", "ht", "utopia", "rmm", "midgard", "directseg",
+// "nested") or one
 // registered through the extension API.
 func ParseDesign(name string) (DesignName, error) {
 	for _, d := range KnownDesigns() {

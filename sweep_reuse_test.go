@@ -4,7 +4,8 @@ package virtuoso_test
 // machinery: per-worker System pooling (recycled arenas, SoA TLB/cache
 // state, free-page bitmaps) and the content-addressed point-result
 // cache must both be invisible in the results. The same grid — spanning
-// designs, policies, modes, and a multiprogrammed mix, so pooled
+// designs (nested translation's hypervisor kernel included), policies,
+// modes, and a multiprogrammed mix, so pooled
 // workers rebuild systems of different shapes back to back — runs
 // fresh (Sweep.NoReuse), pooled, and cache-answered, and all three
 // reports must match byte for byte under Report.CanonicalJSON.
@@ -18,7 +19,7 @@ import (
 )
 
 // reuseSweep is the equivalence grid: (BFS, RND, BFS+RND mix) ×
-// (radix, ech) × (thp, bd) = 12 points, with the radix/bd
+// (radix, ech, nested) × (thp, bd) = 18 points, with the radix/bd
 // single-workload points flipped to emulation mode by the Configure
 // hook so mode changes are part of the shapes a pooled worker cycles
 // through.
@@ -29,7 +30,7 @@ func reuseSweep() *virtuoso.Sweep {
 		Base:      base,
 		Workloads: []string{"BFS", "RND"},
 		Mixes:     [][]string{{"BFS", "RND"}},
-		Designs:   []virtuoso.DesignName{virtuoso.DesignRadix, virtuoso.DesignECH},
+		Designs:   []virtuoso.DesignName{virtuoso.DesignRadix, virtuoso.DesignECH, virtuoso.DesignNested},
 		Policies:  []virtuoso.PolicyName{virtuoso.PolicyTHP, virtuoso.PolicyBuddy},
 		Seeds:     []uint64{1},
 		Params:    virtuoso.WorkloadParams{Scale: 0.05},
@@ -53,7 +54,7 @@ func canonicalReport(t *testing.T, rep *virtuoso.Report) []byte {
 }
 
 func TestSweepReuseEquivalence(t *testing.T) {
-	const points = 12
+	const points = 18
 
 	// Reference: every point built from fresh allocations, as the
 	// runner always worked before pooling existed.

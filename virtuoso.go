@@ -37,7 +37,7 @@
 //	fmt.Println(report.GeomeanBy(virtuoso.ByDesign, func(r virtuoso.Result) float64 { return r.Metrics.IPC }))
 //
 // Use WithDesign / Sweep.Designs to study translation schemes (radix,
-// ech, hdc, ht, utopia, rmm, midgard, directseg), WithPolicy /
+// ech, hdc, ht, utopia, rmm, midgard, directseg, nested), WithPolicy /
 // Sweep.Policies for allocation policies (bd, thp, cr-thp, ar-thp,
 // utopia, eager), and WithMode to compare the imitation methodology
 // against fixed-latency emulation. Results marshal to JSON (see Result
@@ -212,6 +212,12 @@ const (
 	// DesignDirectSeg is direct segments: one large segment bypasses
 	// paging, a radix table covers the rest.
 	DesignDirectSeg = core.DesignDirectSeg
+	// DesignNested runs the workload in a guest on a MimicOS hypervisor
+	// kernel with two-dimensional (nested) translation and a nested TLB
+	// (§6.1). Metrics.HostFaults counts the hypervisor's EPT
+	// violations; the hypervisor backs the guest's physical memory with
+	// twice as much machine memory.
+	DesignNested = core.DesignNested
 )
 
 // Allocation policies (§7.5's policy axis).
