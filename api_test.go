@@ -92,6 +92,40 @@ func TestBadCacheGeometryIsAnError(t *testing.T) {
 	}
 }
 
+// TestBadTLBGeometryIsAnError: an unbuildable TLB or page-walk cache
+// fails Open and its sweep point with an error instead of dividing by
+// zero or panicking in the TLB constructor.
+func TestBadTLBGeometryIsAnError(t *testing.T) {
+	bad := virtuoso.ScaledConfig()
+	bad.MMUCfg.ITLBWays = 0
+	if _, err := virtuoso.Open(virtuoso.WithConfig(bad), tinyScale(), virtuoso.WithWorkload("JSON")); err == nil || !strings.Contains(err.Error(), "L1I-TLB") {
+		t.Fatalf("Open with ITLBWays = 0: err = %v, want an L1I-TLB geometry error", err)
+	}
+	bad = virtuoso.ScaledConfig()
+	bad.MMUCfg.PWCWays = 3
+	if _, err := virtuoso.Open(virtuoso.WithConfig(bad), tinyScale(), virtuoso.WithWorkload("JSON")); err == nil || !strings.Contains(err.Error(), "PWC") {
+		t.Fatalf("Open with 4 PWC entries over 3 ways: err = %v, want a PWC geometry error", err)
+	}
+
+	base := virtuoso.ScaledConfig()
+	base.MaxAppInsts = 20_000
+	sweep := &virtuoso.Sweep{
+		Base:      base,
+		Workloads: []string{"JSON"},
+		Seeds:     []uint64{1, 2},
+		Params:    virtuoso.WorkloadParams{Scale: 0.05},
+		Configure: func(cfg *virtuoso.Config, p virtuoso.Point) error {
+			if p.Seed == 2 {
+				cfg.MMUCfg.STLBWays = 3 // 128 entries do not split into 3 ways
+			}
+			return nil
+		},
+	}
+	if _, err := sweep.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "L2-STLB") {
+		t.Fatalf("sweep with a 3-way STLB point: err = %v, want an L2-STLB geometry error", err)
+	}
+}
+
 func TestParseHelpers(t *testing.T) {
 	if _, err := virtuoso.ParseMode("emulatoin"); err == nil {
 		t.Error("ParseMode accepted a typo")

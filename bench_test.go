@@ -380,13 +380,13 @@ func BenchmarkTieredMemory(b *testing.B) {
 }
 
 // benchTraceReplay is the shared harness of the trace-replay
-// benchmarks: one recorded trace (made outside the timed loop, in the
-// format ropts selects) replayed per iteration with the given extra
-// session options. Replay skips workload instruction generation, so
-// this isolates the decode + simulate path that ChampSim-style studies
-// pay per run.
-func benchTraceReplay(b *testing.B, name string, ropts []virtuoso.RecordOption, extra ...virtuoso.Option) {
-	path := filepath.Join(b.TempDir(), name)
+// benchmarks: one recorded v2 trace (made outside the timed loop, and
+// rewritten as v1 when v1 is set, gzip-enveloped) replayed per
+// iteration with the given extra session options. Replay skips
+// workload instruction generation, so this isolates the decode +
+// simulate path that ChampSim-style studies pay per run.
+func benchTraceReplay(b *testing.B, v1 bool, extra ...virtuoso.Option) {
+	path := filepath.Join(b.TempDir(), "bench.trc")
 	opts := []virtuoso.Option{
 		virtuoso.WithScaledConfig(),
 		virtuoso.WithDesign(virtuoso.DesignRadix),
@@ -401,8 +401,12 @@ func benchTraceReplay(b *testing.B, name string, ropts []virtuoso.RecordOption, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := rec.Record(path, ropts...); err != nil {
+	if _, _, err := rec.Record(path); err != nil {
 		b.Fatal(err)
+	}
+	if v1 {
+		writeV1Copy(b, path, path+".gz")
+		path += ".gz"
 	}
 	opts = append(opts, extra...)
 	replay := func() virtuoso.Metrics {
@@ -433,14 +437,14 @@ func benchTraceReplay(b *testing.B, name string, ropts []virtuoso.RecordOption, 
 // (seekable block-compressed) trace decoded inline, one block at a
 // time, on the simulating goroutine.
 func BenchmarkTraceReplay(b *testing.B) {
-	benchTraceReplay(b, "bench.trc", nil)
+	benchTraceReplay(b, false)
 }
 
 // BenchmarkTraceReplayV1 measures the legacy v1 gzip-enveloped format
 // decoded inline, record by record — the before side of the v2
 // migration.
 func BenchmarkTraceReplayV1(b *testing.B) {
-	benchTraceReplay(b, "bench.trc.gz", []virtuoso.RecordOption{virtuoso.RecordFormatV1()})
+	benchTraceReplay(b, true)
 }
 
 // BenchmarkTraceReplayShared measures warm replays through the shared
@@ -449,5 +453,5 @@ func BenchmarkTraceReplayV1(b *testing.B) {
 // in-memory records — the per-point cost the sweep path pays.
 func BenchmarkTraceReplayShared(b *testing.B) {
 	store := virtuoso.NewTraceStore(0)
-	benchTraceReplay(b, "bench.trc", nil, virtuoso.WithTraceStore(store))
+	benchTraceReplay(b, false, virtuoso.WithTraceStore(store))
 }

@@ -41,12 +41,15 @@
 // -design, and -policy, and appear in -list.
 //
 // The trace subcommand records and replays instruction traces (the
-// §6.2 trace-driven frontends; see docs/trace-format.md):
+// §6.2 trace-driven frontends; see docs/trace-format.md). Recording
+// writes the v2 container; a legacy v1 file replays as it is, or
+// convert rewrites it as v2:
 //
-//	virtuoso trace record -workload graphbig-bfs -o bfs.trc.gz
-//	virtuoso trace replay bfs.trc.gz
-//	virtuoso trace replay -memtrace -design ech bfs.trc.gz
-//	virtuoso trace info bfs.trc.gz
+//	virtuoso trace record -workload graphbig-bfs -o bfs.trc
+//	virtuoso trace replay bfs.trc
+//	virtuoso trace replay -memtrace -design ech bfs.trc
+//	virtuoso trace info bfs.trc
+//	virtuoso trace convert legacy-v1.trc.gz bfs.trc
 //
 // The sweep subcommand runs declarative JSON sweep specs with
 // deterministic sharding, durable checkpoint/resume, shard-merge

@@ -20,11 +20,10 @@ verbs:
   convert  SRC DST                  rewrite a trace into the current (v2) format
   info     FILE                     print a trace file's header, counts, and blocks
 
-Traces are written in the seekable block-compressed v2 format by
-default ("record -format v1" selects the legacy format, where a ".gz"
-extension picks the gzip envelope). Readers detect the format from the
-file's bytes, never its name. Run "virtuoso trace <verb> -h" for
-per-verb flags.
+Traces are written in the seekable block-compressed v2 format. Legacy
+v1 files (optionally gzip-enveloped) still replay, and convert turns
+them into v2. Readers detect the format from the file's bytes, never
+its name. Run "virtuoso trace <verb> -h" for per-verb flags.
 `
 
 // traceCmd dispatches the `virtuoso trace` subcommand.
@@ -101,21 +100,11 @@ func traceRecord(args []string) {
 	var f simFlags
 	workload := fs.String("workload", "", "workload to record (required; see virtuoso -list)")
 	out := fs.String("o", "", "output trace file (required)")
-	format := fs.String("format", "v2", "trace format: v2 (seekable block-compressed) or v1 (legacy; .gz compresses)")
 	addSimFlags(fs, &f, 1, "simulation seed (stored in the trace header)")
 	fs.Parse(args)
 	if *workload == "" || *out == "" {
 		fmt.Fprintln(os.Stderr, "virtuoso trace record: -workload and -o are required")
 		fs.Usage()
-		os.Exit(2)
-	}
-	var ropts []virtuoso.RecordOption
-	switch *format {
-	case "v2":
-	case "v1":
-		ropts = append(ropts, virtuoso.RecordFormatV1())
-	default:
-		fmt.Fprintf(os.Stderr, "virtuoso trace record: unknown -format %q (known: v1, v2)\n", *format)
 		os.Exit(2)
 	}
 
@@ -127,7 +116,7 @@ func traceRecord(args []string) {
 	)
 	sess, err := virtuoso.Open(opts...)
 	check(err)
-	m, info, err := sess.Record(*out, ropts...)
+	m, info, err := sess.Record(*out)
 	check(err)
 
 	st, err := os.Stat(*out)

@@ -19,7 +19,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "bfs.trc.gz")
+	path := filepath.Join(dir, "bfs.trc")
 
 	// Shared configuration: record and replay must agree on the system
 	// (design, policy, seed) for the runs to be comparable.

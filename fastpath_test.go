@@ -179,7 +179,7 @@ func TestFastPathEquivalenceReplay(t *testing.T) {
 	// Record the same workload under both loops: the trace files must be
 	// byte-identical (the frontend tap sees the same stream in the same
 	// order), and so must the recording runs' metrics.
-	record := func(ref bool, name string, ropts ...virtuoso.RecordOption) ([]byte, []byte) {
+	record := func(ref bool, name string) ([]byte, []byte) {
 		path := filepath.Join(dir, name)
 		sess, err := virtuoso.Open(
 			virtuoso.WithScaledConfig(),
@@ -191,7 +191,7 @@ func TestFastPathEquivalenceReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, _, err := sess.Record(path, ropts...)
+		m, _, err := sess.Record(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,15 +213,8 @@ func TestFastPathEquivalenceReplay(t *testing.T) {
 		t.Fatal("trace recorded through the fast lane differs from the reference recording")
 	}
 
-	// The same recording equivalence holds for the legacy v1 format —
-	// and the run's metrics are format-independent.
-	fastRep1, fastRaw1 := record(false, "fast1.trc", virtuoso.RecordFormatV1())
-	refRep1, refRaw1 := record(true, "ref1.trc", virtuoso.RecordFormatV1())
-	diffReports(t, fastRep1, refRep1)
-	if !bytes.Equal(fastRaw1, refRaw1) {
-		t.Fatal("v1 trace recorded through the fast lane differs from the reference recording")
-	}
-	diffReports(t, fastRep, fastRep1)
+	// The v1 input is a rewrite of the fast-lane recording.
+	writeV1Copy(t, filepath.Join(dir, "fast.trc"), filepath.Join(dir, "fast1.trc"))
 
 	// Replay the recorded traces under both loops and from every kind
 	// of input — v2 blocks, v1 records, a v1→v2 conversion, and the

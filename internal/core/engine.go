@@ -331,6 +331,9 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	if err := cfg.CacheCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid cache config: %w", err)
 	}
+	if err := cfg.MMUCfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid MMU config: %w", err)
+	}
 	if cfg.CoreCfg.Width == 0 {
 		cfg.CoreCfg = cpu.DefaultConfig()
 	}
@@ -540,10 +543,7 @@ func (s *System) ReleaseTransients() { s.OS.ReleaseStream() }
 // which is what a CR3 write switches between in RunMulti.
 func (s *System) buildDesignFor(proc *mimicos.Process) (mmu.Design, error) {
 	cfg := s.Cfg
-	pwcE, pwcW := cfg.MMUCfg.PWCEntries, cfg.MMUCfg.PWCWays
-	if pwcE == 0 {
-		pwcE, pwcW = 32, 4
-	}
+	pwcE, pwcW := cfg.MMUCfg.PWC()
 	newRadix := func() *mmu.RadixWalker {
 		return mmu.NewRadixWalkerSized(proc.PT, s.Hier, pwcE, pwcW)
 	}

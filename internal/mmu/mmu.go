@@ -10,6 +10,8 @@
 package mmu
 
 import (
+	"fmt"
+
 	"repro/internal/mem"
 	"repro/internal/recycle"
 	"repro/internal/tlb"
@@ -56,7 +58,8 @@ type Config struct {
 	// Scaled-down experiment configurations use this to preserve the
 	// paper's footprint-to-TLB-reach ratio for huge pages.
 	STLB4KOnly bool
-	// PWCEntries/PWCWays size the page-walk caches (0 = Table 4's 32/4).
+	// PWCEntries/PWCWays size the page-walk caches (0 = Table 4's 32/4,
+	// see PWC).
 	PWCEntries, PWCWays int
 }
 
@@ -71,6 +74,50 @@ func DefaultConfig() Config {
 		DTLBLat:     1,
 		STLBEntries: 2048, STLBWays: 16, STLBLat: 12,
 	}
+}
+
+// withDefaults applies the zero-means-default rule New builds by: a
+// zero ITLBEntries selects DefaultConfig's whole TLB hierarchy.
+func (c Config) withDefaults() Config {
+	if c.ITLBEntries == 0 {
+		return DefaultConfig()
+	}
+	return c
+}
+
+// PWC returns the page-walk-cache geometry: PWCEntries and PWCWays, or
+// Table 4's 32 entries, 4 ways when PWCEntries is zero.
+func (c Config) PWC() (entries, ways int) {
+	if c.PWCEntries == 0 {
+		return 32, 4
+	}
+	return c.PWCEntries, c.PWCWays
+}
+
+// Validate reports a TLB or page-walk-cache geometry that cannot be
+// built, so a bad configuration fails as an error before any system
+// exists instead of panicking (or dividing by zero) in a constructor.
+// Each TLB of the configuration New builds, and the PWC pair, needs
+// entries > 0, ways > 0 and entries divisible by ways.
+func (c Config) Validate() error {
+	t := c.withDefaults()
+	pwcEntries, pwcWays := c.PWC()
+	for _, g := range [...]struct {
+		name          string
+		entries, ways int
+	}{
+		{"L1I-TLB", t.ITLBEntries, t.ITLBWays},
+		{"L1D-TLB-4K", t.DTLB4KEntries, t.DTLB4KWays},
+		{"L1D-TLB-2M", t.DTLB2MEntries, t.DTLB2MWays},
+		{"L2-STLB", t.STLBEntries, t.STLBWays},
+		{"PWC", pwcEntries, pwcWays},
+	} {
+		if g.entries <= 0 || g.ways <= 0 || g.entries%g.ways != 0 {
+			return fmt.Errorf("mmu: %s: %d entries with %d ways: need entries > 0 and ways > 0, entries divisible by ways",
+				g.name, g.entries, g.ways)
+		}
+	}
+	return nil
 }
 
 // Stats aggregates MMU activity.
@@ -121,9 +168,7 @@ func New(cfg Config, design Design, asid uint16) *MMU {
 // NewWith is New drawing the TLB hierarchy's SoA arrays from pool (nil
 // pool = plain New).
 func NewWith(cfg Config, design Design, asid uint16, pool *recycle.Pool) *MMU {
-	if cfg.ITLBEntries == 0 {
-		cfg = DefaultConfig()
-	}
+	cfg = cfg.withDefaults()
 	stlbSizes := []mem.PageSize{mem.Page4K, mem.Page2M, mem.Page1G}
 	if cfg.STLB4KOnly {
 		stlbSizes = []mem.PageSize{mem.Page4K}

@@ -1,6 +1,7 @@
 package mmu
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -241,5 +242,41 @@ func TestSWTLBChargesRefill(t *testing.T) {
 	}
 	if sw.Refills != 1 {
 		t.Fatalf("refills = %d", sw.Refills)
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	valid := []func(*Config){
+		func(*Config) {},
+		func(c *Config) { *c = Config{} }, // zero selects DefaultConfig
+		func(c *Config) { *c = Config{PWCEntries: 4, PWCWays: 2} }, // default TLBs, sized PWCs
+		func(c *Config) { c.PWCWays = 3 },                          // ignored while PWCEntries is 0
+	}
+	for i, mod := range valid {
+		cfg := DefaultConfig()
+		mod(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("valid config %d: %v", i, err)
+		}
+	}
+	invalid := []struct {
+		want string
+		mod  func(*Config)
+	}{
+		{"L1I-TLB", func(c *Config) { c.ITLBWays = 0 }},
+		{"L1I-TLB", func(c *Config) { c.ITLBEntries = -8 }},
+		{"L1D-TLB-4K", func(c *Config) { c.DTLB4KEntries = 0 }},
+		{"L1D-TLB-2M", func(c *Config) { c.DTLB2MWays = -4 }},
+		{"L2-STLB", func(c *Config) { c.STLBWays = 3 }},
+		{"PWC", func(c *Config) { c.PWCEntries = 4 }}, // no ways
+		{"PWC", func(c *Config) { c.PWCEntries, c.PWCWays = 6, 4 }},
+	}
+	for i, tc := range invalid {
+		cfg := DefaultConfig()
+		tc.mod(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("invalid config %d: err = %v, want one naming %s", i, err, tc.want)
+		}
 	}
 }

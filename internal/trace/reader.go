@@ -34,25 +34,18 @@ type Reader struct {
 	gz   *gzip.Reader
 	br   *bufio.Reader
 
-	hdr      Header
-	version  int
-	prevPC   uint64
-	prevAddr uint64
-
-	records uint64
-	insts   uint64
-	memOps  uint64
+	hdr     Header
+	version int
+	codec
 
 	// v2 sequential-decode state: the current block's compressed and
 	// inflated payloads (reused across blocks), the cursor into the
-	// inflated bytes, and the per-block record/count bookkeeping used
-	// to cross-check the block header.
+	// inflated bytes, and the counts the stream reaches at the end of
+	// the current block according to its header.
 	comp      []byte
 	raw       []byte
 	rawPos    int
-	blkLeft   uint64
-	blkInsts  uint64
-	blkMemOps uint64
+	blkEnd    tally
 	blocks    uint64
 	rawBytes  uint64
 	compBytes uint64
@@ -193,155 +186,73 @@ func (r *Reader) readHeader() error {
 	return nil
 }
 
-// maxRecordBytes is the widest possible instruction record: the control
-// byte plus three maximum-length varints (pc delta, count, addr delta).
-const maxRecordBytes = 1 + 3*binary.MaxVarintLen64
-
 // Read decodes the next instruction record into out. It returns io.EOF
 // at a clean end of trace and an ErrCorrupt-wrapped error when the
 // stream ends mid-record or a record is malformed.
-//
-// The v1 fast path peeks a full worst-case record out of the buffer and
-// decodes it in place with the slice-based varint routines, consuming
-// it with one Discard — no per-byte interface dispatch, no allocation.
-// Near end of stream (or on a varint the window cannot resolve) it
-// falls back to readSlow, which consumes byte-at-a-time and reports
-// truncation precisely. Delta state is committed only after the whole
-// record decodes, so the fallback never sees half-applied deltas. The
-// v2 path decodes straight out of the current inflated block.
 func (r *Reader) Read(out *isa.Inst) error {
-	if r.version == Version2 {
-		return r.read2(out)
+	var one [1]isa.Inst
+	n, err := r.readBatch(one[:])
+	if n > 0 {
+		*out = one[0]
 	}
-	buf, err := r.br.Peek(maxRecordBytes)
-	if err != nil {
-		return r.readSlow(out)
-	}
-	ctrl := buf[0]
-	if ctrl&ctrlReserved != 0 {
-		return corruptf("record %d: reserved control bit set (%#02x)", r.records, ctrl)
-	}
-	*out = isa.Inst{Op: isa.Op(ctrl & ctrlOpMask), Phys: ctrl&ctrlPhys != 0, Count: 1}
-	n := 1
-	pc, addr := r.prevPC, r.prevAddr
-	if ctrl&ctrlHasPC != 0 {
-		d, k := binary.Varint(buf[n:])
-		if k <= 0 {
-			return r.readSlow(out)
-		}
-		n += k
-		pc += uint64(d)
-	}
-	out.PC = pc
-	if ctrl&ctrlHasCount != 0 {
-		c, k := binary.Uvarint(buf[n:])
-		if k <= 0 {
-			return r.readSlow(out)
-		}
-		if c < 2 || c > 1<<32-1 {
-			return corruptf("record %d: count %d out of range", r.records, c)
-		}
-		n += k
-		out.Count = uint32(c)
-	}
-	if ctrl&ctrlHasAddr != 0 {
-		if !out.Op.HasMemOperand() {
-			return corruptf("record %d: address on %v op", r.records, out.Op)
-		}
-		d, k := binary.Varint(buf[n:])
-		if k <= 0 {
-			return r.readSlow(out)
-		}
-		n += k
-		addr += uint64(d)
-		out.Addr = addr
-	} else if out.Op.HasMemOperand() {
-		return corruptf("record %d: %v op without address", r.records, out.Op)
-	}
-	r.br.Discard(n)
-	r.prevPC, r.prevAddr = pc, addr
-	r.records++
-	if out.Op != isa.OpDelay {
-		r.insts += out.N()
-	}
-	if out.Op.HasMemOperand() {
-		r.memOps += out.N()
-	}
-	return nil
+	return err
 }
 
-// read2 decodes the next record from the current v2 block, loading the
-// next block when the current one is drained. Record decoding mirrors
-// the v1 fast path but runs over a fully in-memory slice, so there is
-// no slow fallback: any short varint means a malformed block.
-func (r *Reader) read2(out *isa.Inst) error {
-	if r.blkLeft == 0 {
-		if err := r.loadBlock(); err != nil {
-			return err
+// readBatch decodes up to len(out) records and returns how many it
+// decoded, with the error that stopped it short (io.EOF at a clean end
+// of trace). Every record goes through decodeRecord: a v1 stream hands
+// it a Peek window of maxRecordBytes, consumed with one Discard — no
+// per-byte interface dispatch, no allocation — and a v2 stream hands it
+// the rest of the current inflated block.
+func (r *Reader) readBatch(out []isa.Inst) (int, error) {
+	if r.version == Version2 {
+		return r.readBlocks(out)
+	}
+	for i := range out {
+		// The window is short only at the end of the stream or behind
+		// a read error; a record cut off there does not decode.
+		buf, perr := r.br.Peek(maxRecordBytes)
+		if len(buf) == 0 && perr == io.EOF {
+			return i, io.EOF
+		}
+		n, err := r.decodeRecord(buf, &out[i])
+		if err != nil {
+			if perr != nil && perr != io.EOF {
+				err = corruptf("record %d: %v", r.records, perr)
+			}
+			return i, err
+		}
+		r.br.Discard(n)
+	}
+	return len(out), nil
+}
+
+// readBlocks is readBatch for v2: it decodes straight out of the
+// current inflated block, loading the next block when one is drained
+// and cross-checking each block against its header as it ends.
+func (r *Reader) readBlocks(out []isa.Inst) (int, error) {
+	n := 0
+	for n < len(out) {
+		if r.records == r.blkEnd.records {
+			if err := r.loadBlock(); err != nil {
+				return n, err
+			}
+		}
+		end := n + int(min(r.blkEnd.records-r.records, uint64(len(out)-n)))
+		for ; n < end; n++ {
+			k, err := r.decodeRecord(r.raw[r.rawPos:], &out[n])
+			if err != nil {
+				return n, err
+			}
+			r.rawPos += k
+		}
+		if r.records == r.blkEnd.records {
+			if err := r.finishBlock(); err != nil {
+				return n, err
+			}
 		}
 	}
-	buf := r.raw[r.rawPos:]
-	if len(buf) == 0 {
-		return corruptf("block %d: payload underruns its record count", r.blocks-1)
-	}
-	ctrl := buf[0]
-	if ctrl&ctrlReserved != 0 {
-		return corruptf("record %d: reserved control bit set (%#02x)", r.records, ctrl)
-	}
-	*out = isa.Inst{Op: isa.Op(ctrl & ctrlOpMask), Phys: ctrl&ctrlPhys != 0, Count: 1}
-	n := 1
-	pc, addr := r.prevPC, r.prevAddr
-	if ctrl&ctrlHasPC != 0 {
-		d, k := binary.Varint(buf[n:])
-		if k <= 0 {
-			return corruptf("record %d: truncated pc delta", r.records)
-		}
-		n += k
-		pc += uint64(d)
-	}
-	out.PC = pc
-	if ctrl&ctrlHasCount != 0 {
-		c, k := binary.Uvarint(buf[n:])
-		if k <= 0 {
-			return corruptf("record %d: truncated count", r.records)
-		}
-		if c < 2 || c > 1<<32-1 {
-			return corruptf("record %d: count %d out of range", r.records, c)
-		}
-		n += k
-		out.Count = uint32(c)
-	}
-	if ctrl&ctrlHasAddr != 0 {
-		if !out.Op.HasMemOperand() {
-			return corruptf("record %d: address on %v op", r.records, out.Op)
-		}
-		d, k := binary.Varint(buf[n:])
-		if k <= 0 {
-			return corruptf("record %d: truncated addr delta", r.records)
-		}
-		n += k
-		addr += uint64(d)
-		out.Addr = addr
-	} else if out.Op.HasMemOperand() {
-		return corruptf("record %d: %v op without address", r.records, out.Op)
-	}
-	r.rawPos += n
-	r.prevPC, r.prevAddr = pc, addr
-	r.records++
-	cnt := out.N()
-	if out.Op != isa.OpDelay {
-		r.insts += cnt
-		r.blkInsts += cnt
-	}
-	if out.Op.HasMemOperand() {
-		r.memOps += cnt
-		r.blkMemOps += cnt
-	}
-	r.blkLeft--
-	if r.blkLeft == 0 {
-		return r.finishBlock()
-	}
-	return nil
+	return n, nil
 }
 
 // finishBlock cross-checks a fully decoded block against its header:
@@ -353,9 +264,9 @@ func (r *Reader) finishBlock() error {
 	if r.rawPos != len(r.raw) {
 		return corruptf("block %d: %d trailing payload bytes", r.blocks-1, len(r.raw)-r.rawPos)
 	}
-	if r.blkInsts != 0 || r.blkMemOps != 0 {
+	if off := r.tally.since(r.blkEnd); off != (tally{}) {
 		return corruptf("block %d: decoded counts disagree with block header (insts off by %d, mem ops by %d)",
-			r.blocks-1, r.blkInsts, r.blkMemOps)
+			r.blocks-1, off.insts, off.memOps)
 	}
 	return nil
 }
@@ -436,74 +347,15 @@ func (r *Reader) loadBlock() error {
 		return corruptf("block %d: inflates past its declared raw length %d", r.blocks, rawLen)
 	}
 	r.rawPos = 0
-	r.blkLeft = nRec
 	// Per-block delta reset: each block decodes from a zero base, so
 	// blocks are independently decodable.
 	r.prevPC, r.prevAddr = 0, 0
-	// Decoded counts subtract from the declared ones; finishBlock
-	// requires both to land on exactly zero.
-	r.blkInsts = -nInsts
-	r.blkMemOps = -nMemOps
+	// finishBlock requires the decoded counts to land exactly on the
+	// declared ones.
+	r.blkEnd = tally{r.records + nRec, r.insts + nInsts, r.memOps + nMemOps}
 	r.blocks++
 	r.rawBytes += rawLen
 	r.compBytes += compLen
-	return nil
-}
-
-// readSlow is the byte-at-a-time v1 record decoder: the reference path
-// the Peek fast lane falls back to when fewer than maxRecordBytes
-// remain buffered (end of stream) or a varint fails to resolve in the
-// window.
-func (r *Reader) readSlow(out *isa.Inst) error {
-	ctrl, err := r.br.ReadByte()
-	if err == io.EOF {
-		return io.EOF
-	}
-	if err != nil {
-		return corruptf("record %d: %v", r.records, err)
-	}
-	if ctrl&ctrlReserved != 0 {
-		return corruptf("record %d: reserved control bit set (%#02x)", r.records, ctrl)
-	}
-	*out = isa.Inst{Op: isa.Op(ctrl & ctrlOpMask), Phys: ctrl&ctrlPhys != 0, Count: 1}
-	if ctrl&ctrlHasPC != 0 {
-		d, err := r.varint("pc delta")
-		if err != nil {
-			return err
-		}
-		r.prevPC += uint64(d)
-	}
-	out.PC = r.prevPC
-	if ctrl&ctrlHasCount != 0 {
-		c, err := r.uvarint("count")
-		if err != nil {
-			return err
-		}
-		if c < 2 || c > 1<<32-1 {
-			return corruptf("record %d: count %d out of range", r.records, c)
-		}
-		out.Count = uint32(c)
-	}
-	if ctrl&ctrlHasAddr != 0 {
-		if !out.Op.HasMemOperand() {
-			return corruptf("record %d: address on %v op", r.records, out.Op)
-		}
-		d, err := r.varint("addr delta")
-		if err != nil {
-			return err
-		}
-		r.prevAddr += uint64(d)
-		out.Addr = r.prevAddr
-	} else if out.Op.HasMemOperand() {
-		return corruptf("record %d: %v op without address", r.records, out.Op)
-	}
-	r.records++
-	if out.Op != isa.OpDelay {
-		r.insts += out.N()
-	}
-	if out.Op.HasMemOperand() {
-		r.memOps += out.N()
-	}
 	return nil
 }
 
@@ -532,14 +384,6 @@ func (r *Reader) Close() error {
 
 func (r *Reader) uvarint(what string) (uint64, error) {
 	v, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return 0, corruptf("%s: %v", what, eofErr(err))
-	}
-	return v, nil
-}
-
-func (r *Reader) varint(what string) (int64, error) {
-	v, err := binary.ReadVarint(r.br)
 	if err != nil {
 		return 0, corruptf("%s: %v", what, eofErr(err))
 	}

@@ -214,16 +214,16 @@ func decodeAll(path string) (Header, []isa.Inst, error) {
 			insts = make([]isa.Inst, 0, total)
 		}
 	}
-	var in isa.Inst
+	var batch [256]isa.Inst
 	for {
-		err := r.Read(&in)
+		n, err := r.readBatch(batch[:])
+		insts = append(insts, batch[:n]...)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return Header{}, nil, err
 		}
-		insts = append(insts, in)
 	}
 	return r.Header(), insts, nil
 }

@@ -45,45 +45,31 @@ func MustOpenSource(path string) isa.Source {
 	return s
 }
 
-// Next implements isa.Source.
+// Next implements isa.Source as a one-record NextBatch.
 func (s *fileSource) Next(out *isa.Inst) bool {
-	if s.done {
+	var one [1]isa.Inst
+	if s.NextBatch(one[:]) == 0 {
 		return false
 	}
-	err := s.r.Read(out)
-	if err == io.EOF {
-		s.done = true
-		s.r.Close()
-		return false
-	}
-	if err != nil {
-		s.r.Close()
-		panic(fmt.Sprintf("trace: %s: %v", s.path, err))
-	}
+	*out = one[0]
 	return true
 }
 
 // NextBatch implements isa.BatchSource: it decodes up to len(out)
-// records with direct (devirtualized) Reader calls, so batched replay
-// pays the isa.Source interface dispatch once per batch instead of
-// once per record.
+// records in one Reader call, so batched replay pays the isa.Source
+// interface dispatch once per batch instead of once per record. The
+// end of the stream closes the file; corruption panics.
 func (s *fileSource) NextBatch(out []isa.Inst) int {
 	if s.done {
 		return 0
 	}
-	n := 0
-	for n < len(out) {
-		err := s.r.Read(&out[n])
-		if err == io.EOF {
-			s.done = true
-			s.r.Close()
-			break
-		}
-		if err != nil {
-			s.r.Close()
-			panic(fmt.Sprintf("trace: %s: %v", s.path, err))
-		}
-		n++
+	n, err := s.r.readBatch(out)
+	if err == io.EOF {
+		s.done = true
+		s.r.Close()
+	} else if err != nil {
+		s.r.Close()
+		panic(fmt.Sprintf("trace: %s: %v", s.path, err))
 	}
 	return n
 }

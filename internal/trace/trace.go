@@ -65,17 +65,6 @@ const (
 	maxSegments = 1 << 20
 )
 
-// Instruction-record control-byte layout (see docs/trace-format.md):
-// low three bits hold the op, the upper bits are presence flags.
-const (
-	ctrlOpMask   = 0x07
-	ctrlPhys     = 1 << 3
-	ctrlHasCount = 1 << 4
-	ctrlHasPC    = 1 << 5
-	ctrlHasAddr  = 1 << 6
-	ctrlReserved = 1 << 7
-)
-
 // ErrCorrupt is wrapped by every decode error caused by malformed or
 // truncated trace data (as opposed to I/O failures).
 var ErrCorrupt = fmt.Errorf("trace: corrupt trace")

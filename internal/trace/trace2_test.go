@@ -79,10 +79,14 @@ func writeTraceFile(t *testing.T, create func(string) (*Writer, error), path str
 }
 
 // canonical maps a written record to the form the reader returns
-// (Count 0 canonicalised to 1).
+// (Count 0 canonicalised to 1, no address on ops without a memory
+// operand).
 func canonical(in isa.Inst) isa.Inst {
 	if in.Count == 0 {
 		in.Count = 1
+	}
+	if !in.Op.HasMemOperand() {
+		in.Addr = 0
 	}
 	return in
 }

@@ -28,7 +28,11 @@ import (
 //     own delta-decode state, and Close appends the block index and
 //     trailer that make the file seekable.
 //   - v1 (CreateV1, NewWriter): the legacy single sequential record
-//     stream, optionally inside a whole-file gzip envelope.
+//     stream, optionally inside a whole-file gzip envelope. Nothing
+//     public records v1 any more; these constructors remain for tests
+//     and benchmarks that need a v1 file to read or convert.
+//
+// Both versions encode every record with the same appendRecord.
 type Writer struct {
 	file *os.File
 	gz   *gzip.Writer
@@ -38,20 +42,14 @@ type Writer struct {
 	version    int
 	headerDone bool
 	closed     bool
-	prevPC     uint64
-	prevAddr   uint64
-
-	records  uint64
-	insts    uint64
-	memOps   uint64
+	codec
 	segments int
 
-	// v2 block state: the current block's encoded records and counts,
-	// the reusable compressor, and the accumulated index.
+	// v2 block state: the current block's encoded records, the counts
+	// at which it began, the reusable compressor, and the accumulated
+	// index.
 	blkRaw     []byte
-	blkRecords uint64
-	blkInsts   uint64
-	blkMemOps  uint64
+	blkStart   tally
 	comp       bytes.Buffer
 	fw         *flate.Writer
 	index      []blockInfo
@@ -60,7 +58,7 @@ type Writer struct {
 	indexBytes int
 	v2err      error
 
-	buf [binary.MaxVarintLen64]byte
+	buf [maxRecordBytes]byte
 }
 
 // Create opens path for writing and returns a v2 Writer over it. The
@@ -84,15 +82,10 @@ func CreateV1(path string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	w := NewWriter(f, Compressed(path))
+	w := NewWriter(f, strings.HasSuffix(path, ".gz"))
 	w.file = f
 	return w, nil
 }
-
-// Compressed reports whether path selects the gzip envelope for a v1
-// writer (a ".gz" extension). Readers do not consult the extension:
-// they sniff the file's leading magic bytes.
-func Compressed(path string) bool { return strings.HasSuffix(path, ".gz") }
 
 // NewWriter returns a v1 Writer over an arbitrary io.Writer, with or
 // without the gzip envelope. The caller owns the underlying writer;
@@ -158,101 +151,22 @@ func (w *Writer) WriteHeader(h Header) error {
 	return w.err()
 }
 
-// WriteInst appends one instruction record. Records are canonicalised:
-// a zero Count is stored as 1 (the two are semantically identical, see
-// isa.Inst.N) and the address field is stored only for ops that carry a
-// memory operand.
+// WriteInst appends one instruction record, encoded by appendRecord:
+// straight through to the stream for v1, into the current block for
+// v2, which is sealed when it reaches blockRecords records.
 func (w *Writer) WriteInst(in isa.Inst) error {
 	if !w.headerDone {
 		return fmt.Errorf("trace: WriteInst before WriteHeader")
 	}
-	if w.version == Version2 {
-		return w.writeInst2(in)
-	}
-	ctrl := uint8(in.Op) & ctrlOpMask
-	if in.Phys {
-		ctrl |= ctrlPhys
-	}
-	count := in.N()
-	if count > 1 {
-		ctrl |= ctrlHasCount
-	}
-	if in.PC != w.prevPC {
-		ctrl |= ctrlHasPC
-	}
-	hasAddr := in.Op.HasMemOperand()
-	if hasAddr {
-		ctrl |= ctrlHasAddr
-	}
-	if err := w.bw.WriteByte(ctrl); err != nil {
+	if w.version == Version1 {
+		_, err := w.bw.Write(w.appendRecord(w.buf[:0], in))
 		return err
 	}
-	if ctrl&ctrlHasPC != 0 {
-		w.varint(int64(in.PC - w.prevPC))
-		w.prevPC = in.PC
-	}
-	if ctrl&ctrlHasCount != 0 {
-		w.uvarint(count)
-	}
-	if hasAddr {
-		w.varint(int64(in.Addr - w.prevAddr))
-		w.prevAddr = in.Addr
-	}
-	w.records++
-	if in.Op != isa.OpDelay {
-		w.insts += count
-	}
-	if hasAddr {
-		w.memOps += count
-	}
-	return w.err()
-}
-
-// writeInst2 encodes one record into the current block's raw buffer
-// and seals the block when it reaches blockRecords records. The record
-// encoding is byte-identical to v1; only the framing differs.
-func (w *Writer) writeInst2(in isa.Inst) error {
 	if w.v2err != nil {
 		return w.v2err
 	}
-	ctrl := uint8(in.Op) & ctrlOpMask
-	if in.Phys {
-		ctrl |= ctrlPhys
-	}
-	count := in.N()
-	if count > 1 {
-		ctrl |= ctrlHasCount
-	}
-	if in.PC != w.prevPC {
-		ctrl |= ctrlHasPC
-	}
-	hasAddr := in.Op.HasMemOperand()
-	if hasAddr {
-		ctrl |= ctrlHasAddr
-	}
-	w.blkRaw = append(w.blkRaw, ctrl)
-	if ctrl&ctrlHasPC != 0 {
-		w.blkRaw = binary.AppendVarint(w.blkRaw, int64(in.PC-w.prevPC))
-		w.prevPC = in.PC
-	}
-	if ctrl&ctrlHasCount != 0 {
-		w.blkRaw = binary.AppendUvarint(w.blkRaw, count)
-	}
-	if hasAddr {
-		w.blkRaw = binary.AppendVarint(w.blkRaw, int64(in.Addr-w.prevAddr))
-		w.prevAddr = in.Addr
-	}
-	w.blkRecords++
-	w.records++
-	if in.Op != isa.OpDelay {
-		w.blkInsts += count
-		w.insts += count
-	}
-	if hasAddr {
-		w.blkMemOps += count
-		w.memOps += count
-	}
-	if w.blkRecords >= blockRecords {
+	w.blkRaw = w.appendRecord(w.blkRaw, in)
+	if w.records-w.blkStart.records >= blockRecords {
 		return w.flushBlock()
 	}
 	return nil
@@ -263,7 +177,8 @@ func (w *Writer) writeInst2(in isa.Inst) error {
 // index entry, and reset the per-block delta state so the next block
 // decodes from scratch.
 func (w *Writer) flushBlock() error {
-	if w.blkRecords == 0 {
+	blk := w.tally.since(w.blkStart)
+	if blk.records == 0 {
 		return nil
 	}
 	// The index needs the block's exact file offset; flushing the
@@ -293,9 +208,9 @@ func (w *Writer) flushBlock() error {
 		return err
 	}
 	crc := crc32.ChecksumIEEE(w.comp.Bytes())
-	w.uvarint(w.blkRecords)
-	w.uvarint(w.blkInsts)
-	w.uvarint(w.blkMemOps)
+	w.uvarint(blk.records)
+	w.uvarint(blk.insts)
+	w.uvarint(blk.memOps)
 	w.uvarint(uint64(len(w.blkRaw)))
 	w.uvarint(uint64(w.comp.Len()))
 	w.bw.Write(w.comp.Bytes())
@@ -304,9 +219,9 @@ func (w *Writer) flushBlock() error {
 	w.bw.Write(crcb[:])
 	w.index = append(w.index, blockInfo{
 		Off:     off,
-		Records: w.blkRecords,
-		Insts:   w.blkInsts,
-		MemOps:  w.blkMemOps,
+		Records: blk.records,
+		Insts:   blk.insts,
+		MemOps:  blk.memOps,
 		RawLen:  uint64(len(w.blkRaw)),
 		CompLen: uint64(w.comp.Len()),
 		CRC:     crc,
@@ -314,7 +229,7 @@ func (w *Writer) flushBlock() error {
 	w.rawBytes += uint64(len(w.blkRaw))
 	w.compBytes += uint64(w.comp.Len())
 	w.blkRaw = w.blkRaw[:0]
-	w.blkRecords, w.blkInsts, w.blkMemOps = 0, 0, 0
+	w.blkStart = w.tally
 	w.prevPC, w.prevAddr = 0, 0
 	return w.err()
 }
@@ -405,11 +320,6 @@ func (w *Writer) Close() error {
 
 func (w *Writer) uvarint(v uint64) {
 	n := binary.PutUvarint(w.buf[:], v)
-	w.bw.Write(w.buf[:n])
-}
-
-func (w *Writer) varint(v int64) {
-	n := binary.PutVarint(w.buf[:], v)
 	w.bw.Write(w.buf[:n])
 }
 

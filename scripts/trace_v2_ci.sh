@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# CI smoke for the VTRC v2 container: record a v1 trace, convert it to
-# v2, and prove the format change is invisible — v1 replay, v2 replay,
-# and a shared-store multi-seed replay must all be deterministic, and
-# the second shared-store round must decode zero blocks (every replay
-# served from the warm store).
+# CI smoke for the VTRC v2 container: convert the committed v1 fixture
+# (a gzip-enveloped BFS trace) to v2, and prove the format change is
+# invisible — v1 replay, v2 replay, and a shared-store multi-seed replay
+# must all be deterministic, and the second shared-store round must
+# decode zero blocks (every replay served from the warm store).
 #
 # Usage: bash scripts/trace_v2_ci.sh [workdir]
 set -euo pipefail
@@ -16,10 +16,9 @@ echo "trace-v2 smoke in $work"
 go build -o "$work/virtuoso" ./cmd/virtuoso
 v="$work/virtuoso"
 
-sim=(-workload BFS -scale 0.05 -insts 200000 -seed 7)
-
-# Record in the legacy v1 format (gzip envelope via the extension).
-"$v" trace record "${sim[@]}" -format v1 -o "$work/rec.trc.gz" > "$work/record.log"
+# Recording writes v2 only; the v1 side is the committed fixture (see
+# internal/trace/fixture_test.go for how it was made).
+cp internal/trace/testdata/bfs-v1.trc.gz "$work/rec.trc.gz"
 
 # Convert to v2; the summary must report the block-compressed format.
 "$v" trace convert -json "$work/rec.trc.gz" "$work/rec.trc" > "$work/convert.json"

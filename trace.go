@@ -133,27 +133,10 @@ func TraceWorkload(path string) (*Workload, error) {
 	return trace.NewWorkload(path)
 }
 
-// RecordOption adjusts how Session.Record writes its trace file.
-type RecordOption func(*recordOptions)
-
-type recordOptions struct {
-	v1 bool
-}
-
-// RecordFormatV1 makes Record write the legacy v1 streaming format (a
-// ".gz" extension then selects the gzip envelope) instead of the
-// default seekable block-compressed v2 container — for feeding tools
-// that predate v2. v1 files replay forever; ConvertTrace upgrades
-// them.
-func RecordFormatV1() RecordOption {
-	return func(o *recordOptions) { o.v1 = true }
-}
-
 // Record simulates the session's workload exactly like Run while
-// streaming every application instruction to a trace file at path. By
-// default the file is written in the seekable block-compressed v2
-// format (whatever the extension); RecordFormatV1 selects the legacy
-// format. The returned metrics are those of the recording run, and the
+// streaming every application instruction to a trace file at path, in
+// the seekable block-compressed v2 format whatever the extension. The
+// returned metrics are those of the recording run, and the
 // returned TraceInfo summarises the written file from the writer's own
 // counters — no re-read of the file. Replaying the file with WithTrace
 // under the same configuration and seed reproduces the metrics
@@ -161,11 +144,7 @@ func RecordFormatV1() RecordOption {
 //
 // Like Run, Record consumes the session. A partially written file is
 // removed on error.
-func (s *Session) Record(path string, ropts ...RecordOption) (Metrics, TraceInfo, error) {
-	var o recordOptions
-	for _, opt := range ropts {
-		opt(&o)
-	}
+func (s *Session) Record(path string) (Metrics, TraceInfo, error) {
 	if len(s.mix) > 0 {
 		return Metrics{}, TraceInfo{}, fmt.Errorf("virtuoso: multiprogrammed sessions cannot be recorded (a trace captures one address space)")
 	}
@@ -173,11 +152,7 @@ func (s *Session) Record(path string, ropts ...RecordOption) (Metrics, TraceInfo
 		return Metrics{}, TraceInfo{}, fmt.Errorf("virtuoso: session already run (sessions are single-use; Open a new one)")
 	}
 	s.ran = true
-	create := trace.Create
-	if o.v1 {
-		create = trace.CreateV1
-	}
-	tw, err := create(path)
+	tw, err := trace.Create(path)
 	if err != nil {
 		return Metrics{}, TraceInfo{}, err
 	}
@@ -200,7 +175,7 @@ func (s *Session) Record(path string, ropts ...RecordOption) (Metrics, TraceInfo
 		Records:        tw.Records(),
 		Instructions:   tw.Insts(),
 		MemOps:         tw.MemOps(),
-		Compressed:     tw.Version() == trace.Version2 || trace.Compressed(path),
+		Compressed:     true,
 		Version:        tw.Version(),
 		Blocks:         tw.Blocks(),
 		IndexBytes:     tw.IndexBytes(),

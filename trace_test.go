@@ -3,12 +3,16 @@ package virtuoso_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	virtuoso "repro"
+	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // traceTestOpts is the shared configuration of the recording and the
@@ -42,6 +46,41 @@ func resultJSON(t *testing.T, r virtuoso.Result) string {
 	return string(data)
 }
 
+// writeV1Copy rewrites the trace at src as a v1 file at dst, record by
+// record; a ".gz" dst gets the gzip envelope. Recording writes v2 only,
+// so this is how tests and benchmarks get a v1 file to replay.
+func writeV1Copy(tb testing.TB, src, dst string) {
+	tb.Helper()
+	r, err := trace.Open(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer r.Close()
+	w, err := trace.CreateV1(dst)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.WriteHeader(r.Header()); err != nil {
+		tb.Fatal(err)
+	}
+	var in isa.Inst
+	for {
+		err := r.Read(&in)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := w.WriteInst(in); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func TestReplayDeterminism(t *testing.T) {
 	dir := t.TempDir()
 
@@ -60,33 +99,25 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 	want := resultJSON(t, live.Result(mLive))
 
-	// Recording runs: same configuration, teeing the stream to disk in
-	// each on-disk format. The recording run's own metrics must match
-	// the live run regardless of what is written.
-	recordings := []struct {
-		name  string
-		ropts []virtuoso.RecordOption
-	}{
-		{"bfs.trc", nil}, // v2 (default)
-		{"bfs1.trc", []virtuoso.RecordOption{virtuoso.RecordFormatV1()}},    // v1 plain
-		{"bfs1.trc.gz", []virtuoso.RecordOption{virtuoso.RecordFormatV1()}}, // v1 gzip envelope
+	// Recording run: same configuration, teeing the stream to disk. The
+	// recording run's own metrics must match the live run. The v1
+	// files, plain and gzip-enveloped, are rewrites of the recording.
+	rec, err := virtuoso.Open(append(traceTestOpts(),
+		virtuoso.WithWorkloadScale(0.05),
+		virtuoso.WithWorkload("BFS"),
+	)...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, rc := range recordings {
-		rec, err := virtuoso.Open(append(traceTestOpts(),
-			virtuoso.WithWorkloadScale(0.05),
-			virtuoso.WithWorkload("BFS"),
-		)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mRec, _, err := rec.Record(filepath.Join(dir, rc.name), rc.ropts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := resultJSON(t, rec.Result(mRec)); got != want {
-			t.Errorf("%s: recording run diverged from live run:\n got %s\nwant %s", rc.name, got, want)
-		}
+	mRec, _, err := rec.Record(filepath.Join(dir, "bfs.trc"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got := resultJSON(t, rec.Result(mRec)); got != want {
+		t.Errorf("recording run diverged from live run:\n got %s\nwant %s", got, want)
+	}
+	writeV1Copy(t, filepath.Join(dir, "bfs.trc"), filepath.Join(dir, "bfs1.trc"))
+	writeV1Copy(t, filepath.Join(dir, "bfs.trc"), filepath.Join(dir, "bfs1.trc.gz"))
 
 	// A v1→v2 conversion preserves the stream, so its replay joins the
 	// matrix below.

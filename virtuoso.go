@@ -50,9 +50,9 @@
 // configuration that recorded it reproduces the recording run's Result
 // exactly:
 //
-//	m, info, err := sess.Record("bfs.trc.gz") // live run, stream teed to disk
-//	rep, err := virtuoso.Open(virtuoso.WithTrace("bfs.trc.gz"))
-//	m2, err := rep.Run()                      // identical metrics, no workload needed
+//	m, info, err := sess.Record("bfs.trc") // live run, stream teed to disk
+//	rep, err := virtuoso.Open(virtuoso.WithTrace("bfs.trc"))
+//	m2, err := rep.Run()                   // identical metrics, no workload needed
 //
 // Multiprogrammed runs — several workloads share one machine as
 // concurrent processes, each in its own address space, interleaved by
