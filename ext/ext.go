@@ -90,12 +90,14 @@ func (tr Tracer) Atomic(pa PAddr) { tr.t.Atomic(pa) }
 // Delay records a pipeline stall of the given cycles (device time).
 func (tr Tracer) Delay(cycles uint64) { tr.t.Delay(cycles) }
 
-// ZeroRange records clearing [pa, pa+bytes): one cache-line store per
-// 64 B — the dominant cost of huge-page allocation.
+// ZeroRange records clearing [pa, pa+bytes) — the dominant cost of
+// huge-page allocation — as one range record. The core executes it as
+// one cache-line store per 64 B.
 func (tr Tracer) ZeroRange(pa PAddr, bytes uint64) { tr.t.ZeroRange(pa, bytes) }
 
-// CopyRange records copying bytes from src to dst, one cache line at a
-// time.
+// CopyRange records copying bytes from src to dst as one range record
+// (a pair: source, then destination). The core executes it as a load
+// and a store per 64 B cache line.
 func (tr Tracer) CopyRange(dst, src PAddr, bytes uint64) { tr.t.CopyRange(dst, src, bytes) }
 
 // TouchObject records a read-modify access pattern over a kernel

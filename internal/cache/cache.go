@@ -88,9 +88,6 @@ func (s *Stats) HitRate() float64 {
 	return float64(h) / float64(h+m)
 }
 
-// MissesOf returns the miss count for one access type.
-func (s *Stats) MissesOf(t mem.AccessType) uint64 { return s.Misses[t] }
-
 // Cache is one set-associative cache level.
 type Cache struct {
 	name      string

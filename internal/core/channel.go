@@ -91,7 +91,11 @@ type StreamChannel struct {
 	Streams    uint64
 	Insts      uint64
 	MemOps     uint64
-	PeakStream uint64
+	PeakStream uint64 // largest stream, in instructions
+	// PeakRecords is the largest stream in records: the buffer one
+	// kernel event needs. Range records keep it small, since a 2 MB
+	// clear is one record however many instructions it stands for.
+	PeakRecords uint64
 }
 
 // Deliver accounts one kernel stream passing through the channel and
@@ -101,8 +105,7 @@ func (c *StreamChannel) Deliver(s isa.Stream) isa.Stream {
 	n := s.Instructions()
 	c.Insts += n
 	c.MemOps += s.MemOps()
-	if n > c.PeakStream {
-		c.PeakStream = n
-	}
+	c.PeakStream = max(c.PeakStream, n)
+	c.PeakRecords = max(c.PeakRecords, uint64(len(s)))
 	return s
 }

@@ -78,4 +78,21 @@ func TestStreamChannelAccounting(t *testing.T) {
 	if ch.PeakStream != 52 {
 		t.Fatalf("peak = %d", ch.PeakStream)
 	}
+
+	// Range records count the instructions they stand for: a 64-line
+	// clear and a 4-line copy pair are 72 memory instructions in three
+	// records.
+	r := isa.Stream{
+		{Op: isa.OpZeroLines, Count: 64, PC: 0x100, Addr: 0x10000, Phys: true},
+		{Op: isa.OpCopyLines, Count: 4, PC: 0x200, Addr: 0x20000, Phys: true},
+		{Op: isa.OpCopyDst, Count: 4, PC: 0x200, Addr: 0x30000, Phys: true},
+	}
+	ch.Deliver(r)
+	x := r.Expand()
+	if len(x) != 72 || x.Instructions() != 72 || x.MemOps() != 72 {
+		t.Fatalf("expansion: %d records, %d insts, %d mem ops", len(x), x.Instructions(), x.MemOps())
+	}
+	if ch.Streams != 3 || ch.Insts != 52+10+72 || ch.MemOps != 2+72 || ch.PeakStream != 72 || ch.PeakRecords != 3 {
+		t.Fatalf("range accounting: %+v", ch)
+	}
 }

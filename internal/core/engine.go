@@ -250,6 +250,10 @@ type System struct {
 	noise        *xrand.Rand
 	streamRing   []isa.Stream
 	ringPos      int
+	// expandStreams runs every injected kernel stream in its per-line
+	// form (isa.Stream.Expand) instead of with range records: the
+	// reference side of the differential test, never set otherwise.
+	expandStreams bool
 
 	swapDeviceCycles uint64
 	segvs            uint64
@@ -529,13 +533,10 @@ func (s *System) Recycle(pool *recycle.Pool) {
 	}
 }
 
-// ReleaseTransients donates process-global reusable buffers — today
-// the kernel tracer's event stream, a simulation's largest repeat
-// allocation — for adoption by future unpooled systems. Single-use
-// sessions call it once their run has finished; the system stays
-// usable (a later kernel event just regrows a buffer). Pooled systems
-// use Recycle, which harvests into the worker's pool instead.
-func (s *System) ReleaseTransients() { s.OS.ReleaseStream() }
+// ReleaseTransients is a no-op. Kernel events are a few records, so a
+// finished system holds no buffer worth handing on; it remains only
+// until the perfbench harness stops calling it.
+func (s *System) ReleaseTransients() {}
 
 // buildDesignFor constructs the configured translation design bound to
 // one process's page table and design state. Every process owns its own
@@ -623,15 +624,13 @@ func (s *System) handleFault(va mem.VAddr, write bool) bool {
 			s.PFLatNs.Add(s.Core.CyclesToNs(lat))
 		}
 	case Imitation:
-		stream := s.StreamChan.Deliver(s.OS.TakeStream())
 		if s.streamRing != nil {
-			// Online instrumentation retains translated code buffers.
-			cp := make(isa.Stream, len(stream))
-			copy(cp, stream)
-			s.streamRing[s.ringPos%len(s.streamRing)] = cp
+			// Online instrumentation retains translated code buffers,
+			// one record per executed instruction.
+			s.streamRing[s.ringPos%len(s.streamRing)] = s.OS.TakeStream().Expand()
 			s.ringPos++
 		}
-		spent := s.Core.RunStream(stream)
+		spent := s.inject(s.OS)
 		if s.Cfg.RefNoise {
 			spent += s.referenceNoise()
 		}
@@ -645,6 +644,17 @@ func (s *System) handleFault(va mem.VAddr, write bool) bool {
 	}
 	s.pfIdx++
 	return true
+}
+
+// inject delivers the stream kernel k recorded for its last event
+// through the instruction-stream channel and runs it on the core,
+// returning the cycles it consumed.
+func (s *System) inject(k *mimicos.Kernel) uint64 {
+	stream := k.TakeStream()
+	if s.expandStreams {
+		stream = stream.Expand()
+	}
+	return s.Core.RunStream(s.StreamChan.Deliver(stream))
 }
 
 // referenceNoise models the kernel activity a real machine interleaves
@@ -670,7 +680,7 @@ func (s *System) referenceNoise() uint64 {
 func (s *System) Mmap(length uint64, flags mimicos.MmapFlags) mem.VAddr {
 	resp := s.FuncChan.Call(Request{Kind: EvMmap, PID: s.Proc.PID, Length: length, Flags: flags})
 	if s.Cfg.Mode == Imitation {
-		s.Core.RunStream(s.StreamChan.Deliver(s.OS.TakeStream()))
+		s.inject(s.OS)
 	}
 	return resp.MmapBase
 }

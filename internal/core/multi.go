@@ -327,7 +327,7 @@ func (s *System) schedule(mm *MultiMetrics, quantum, csCost uint64) {
 		// not the dead process's slices).
 		s.OS.ExitProcess(p.PID)
 		if s.Cfg.Mode == Imitation {
-			s.Core.RunStream(s.StreamChan.Deliver(s.OS.TakeStream()))
+			s.inject(s.OS)
 		}
 		runnable--
 	}

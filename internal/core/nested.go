@@ -51,7 +51,7 @@ func (h *hostPT) Walk(gpa mem.VAddr) pagetable.WalkResult {
 		out := s.host.HandlePageFault(1, hva, true, s.Core.Now())
 		s.hostFaults++
 		if out.OK {
-			s.Core.RunStream(s.StreamChan.Deliver(s.host.TakeStream()))
+			s.inject(s.host)
 			w = h.proc.PT.Walk(hva)
 		}
 	}

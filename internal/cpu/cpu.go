@@ -81,6 +81,7 @@ type Core struct {
 	branchSeed uint64
 	kernelMode bool
 	stats      Stats
+	kernelTap  func(isa.Inst)
 
 	// KernelCodeBase is the physical region kernel code fetches hit.
 	KernelCodeBase mem.PAddr
@@ -97,6 +98,12 @@ func New(cfg Config, h *cache.Hierarchy, m *mmu.MMU) *Core {
 // SetFaultHandler installs the engine's page-fault callback.
 func (c *Core) SetFaultHandler(f FaultHandler) { c.fault = f }
 
+// SetKernelTap installs an observer invoked for every instruction of an
+// injected kernel stream, just before the core executes it. Range
+// records reach it line by line, as the core runs them. Pass nil to
+// remove it.
+func (c *Core) SetKernelTap(f func(isa.Inst)) { c.kernelTap = f }
+
 // Stats returns the core statistics (Cycles synced from the internal
 // accumulator).
 func (c *Core) Stats() *Stats {
@@ -107,17 +114,11 @@ func (c *Core) Stats() *Stats {
 // Now returns the current cycle.
 func (c *Core) Now() uint64 { return uint64(c.cycles) }
 
-// NsPerCycle returns nanoseconds per cycle at the configured frequency.
-func (c *Core) NsPerCycle() float64 { return 1.0 / c.cfg.FreqGHz }
-
 // CyclesToNs converts cycles to nanoseconds.
 func (c *Core) CyclesToNs(cy uint64) float64 { return float64(cy) / c.cfg.FreqGHz }
 
 // MMU returns the core's MMU.
 func (c *Core) MMU() *mmu.MMU { return c.mmu }
-
-// Hierarchy returns the core's cache hierarchy.
-func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
 
 // EnterKernel switches the pipeline to kernel-stream execution and
 // returns a function restoring the previous mode.
@@ -171,17 +172,46 @@ func (c *Core) Run(in isa.Inst) {
 }
 
 // RunStream executes a full instruction stream (injected kernel code),
-// returning the cycles it consumed.
+// returning the cycles it consumed. Range records run line by line,
+// exactly as their per-line form (isa.Stream.Expand) would.
 func (c *Core) RunStream(s isa.Stream) uint64 {
 	start := uint64(c.cycles)
 	restore := c.EnterKernel()
-	for _, in := range s {
-		c.Run(in)
+	for i := 0; i < len(s); i++ {
+		in := s[i]
+		switch in.Op {
+		case isa.OpZeroLines:
+			st := isa.Inst{Op: isa.OpStore, Phys: in.Phys, Count: 1, PC: in.PC, Addr: in.Addr}
+			for n := in.N(); n > 0; n-- {
+				c.runKernel(st)
+				st.PC, st.Addr = st.PC+4, st.Addr+mem.CacheLineBytes
+			}
+		case isa.OpCopyLines:
+			i++ // s[i] is the OpCopyDst record
+			ld := isa.Inst{Op: isa.OpLoad, Phys: in.Phys, Count: 1, PC: in.PC, Addr: in.Addr}
+			st := isa.Inst{Op: isa.OpStore, Phys: s[i].Phys, Count: 1, PC: in.PC + 4, Addr: s[i].Addr}
+			for n := in.N(); n > 0; n-- {
+				c.runKernel(ld)
+				c.runKernel(st)
+				ld.PC, ld.Addr = ld.PC+8, ld.Addr+mem.CacheLineBytes
+				st.PC, st.Addr = st.PC+8, st.Addr+mem.CacheLineBytes
+			}
+		default:
+			c.runKernel(in)
+		}
 	}
 	restore()
 	spent := uint64(c.cycles) - start
 	c.stats.FaultCycles += spent
 	return spent
+}
+
+// runKernel executes one instruction of an injected kernel stream.
+func (c *Core) runKernel(in isa.Inst) {
+	if c.kernelTap != nil {
+		c.kernelTap(in)
+	}
+	c.Run(in)
 }
 
 func (c *Core) instrFetch(in isa.Inst) {

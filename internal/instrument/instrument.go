@@ -8,10 +8,13 @@
 // instruction-stream channel, so OS routines are charged their real
 // latency and create real cache pollution and DRAM interference.
 //
-// The stream length is path-dependent by construction: a page fault that
-// zeroes a 2 MB page records 32768 cache-line stores, while a fault
-// served from the zero-page pool records a handful — reproducing the
-// heavy-tailed minor-fault latency distributions of Fig. 2.
+// The instruction count is path-dependent by construction: a page fault
+// that zeroes a 2 MB page runs 32768 cache-line stores, while a fault
+// served from the zero-page pool runs a handful — reproducing the
+// heavy-tailed minor-fault latency distributions of Fig. 2. Zeroing and
+// copying are recorded as range records (isa.OpZeroLines,
+// isa.OpCopyLines), so that 2 MB clear is one record in the stream and
+// the core expands it line by line when it executes it.
 package instrument
 
 import (
@@ -54,12 +57,18 @@ type routine struct {
 type frame struct {
 	start uint64   // t.insts at entry
 	pc    uint64   // the caller's PC, restored at exit
-	r     *routine // resolved once at Enter; memStat runs per kernel mem-op
+	r     *routine // resolved once at Enter; memStat runs per kernel memory record
 }
+
+// streamCap is the record capacity a new tracer preallocates. With
+// zeroing and copying as range records a fault is tens of records (at
+// most 38 on the scaled XS machine), so the buffer is allocated once;
+// only long reclaim scans regrow it.
+const streamCap = 64
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
-	t := &Tracer{stats: make(map[string]*routine)}
+	t := &Tracer{stream: make(isa.Stream, 0, streamCap), stats: make(map[string]*routine)}
 	t.exitFn = t.exit
 	return t
 }
@@ -70,30 +79,9 @@ func (t *Tracer) Begin() {
 	t.insts = 0
 }
 
-// Adopt replaces the tracer's stream storage with buf, truncated. The
-// buffer grows to the largest single kernel event (a 2 MB ZeroRange is
-// 32 Ki records), so recycling it across kernels avoids regrowing —
-// and re-copying — megabytes per simulation. Contents are irrelevant:
-// every record below len is overwritten by emit before a reader sees
-// it, and isa.Inst holds no pointers.
-func (t *Tracer) Adopt(buf isa.Stream) {
-	t.stream = buf[:0]
-}
-
-// Release surrenders the stream storage for recycling. The tracer must
-// not be used afterwards.
-func (t *Tracer) Release() isa.Stream {
-	buf := t.stream
-	t.stream = nil
-	return buf
-}
-
 // Take returns the recorded stream for the completed event. The returned
 // slice is valid until the next Begin; callers that retain it must copy.
 func (t *Tracer) Take() isa.Stream { return t.stream }
-
-// StreamInsts returns the dynamic instruction count of the current stream.
-func (t *Tracer) StreamInsts() uint64 { return t.insts }
 
 // TotalInsts returns the lifetime kernel instruction count.
 func (t *Tracer) TotalInsts() uint64 { return t.total }
@@ -175,14 +163,14 @@ func (t *Tracer) Branch(n uint32) {
 func (t *Tracer) Load(pa mem.PAddr) {
 	t.emit(isa.Inst{Op: isa.OpLoad, Count: 1, PC: t.pc, Addr: uint64(pa), Phys: true})
 	t.bumpPC(1)
-	t.memStat()
+	t.memStat(1)
 }
 
 // Store records a kernel store at physical address pa.
 func (t *Tracer) Store(pa mem.PAddr) {
 	t.emit(isa.Inst{Op: isa.OpStore, Count: 1, PC: t.pc, Addr: uint64(pa), Phys: true})
 	t.bumpPC(1)
-	t.memStat()
+	t.memStat(1)
 }
 
 // Atomic records a locked RMW at pa (spinlock acquisition, refcounts);
@@ -191,7 +179,7 @@ func (t *Tracer) Store(pa mem.PAddr) {
 func (t *Tracer) Atomic(pa mem.PAddr) {
 	t.emit(isa.Inst{Op: isa.OpAtomic, Count: 1, PC: t.pc, Addr: uint64(pa), Phys: true})
 	t.bumpPC(1)
-	t.memStat()
+	t.memStat(1)
 }
 
 // Delay records a pipeline stall of the given cycles (device time, e.g.,
@@ -214,31 +202,40 @@ func (t *Tracer) Magic() {
 	t.bumpPC(1)
 }
 
-func (t *Tracer) memStat() {
-	if n := len(t.frames); n > 0 {
-		t.frames[n-1].r.MemOps++
+// memStat charges n memory operations to the innermost routine.
+func (t *Tracer) memStat(n uint64) {
+	if k := len(t.frames); k > 0 {
+		t.frames[k-1].r.MemOps += n
 	}
 }
 
-// ZeroRange records clearing [pa, pa+bytes): one cache-line store per
-// 64 B plus loop overhead — the dominant cost of huge-page allocation.
+// ZeroRange records clearing [pa, pa+bytes) — the dominant cost of
+// huge-page allocation — as one isa.OpZeroLines record, which the core
+// executes as one cache-line store per 64 B, plus the loop overhead.
 func (t *Tracer) ZeroRange(pa mem.PAddr, bytes uint64) {
 	lines := bytes / mem.CacheLineBytes
-	for i := uint64(0); i < lines; i++ {
-		t.Store(pa + mem.PAddr(i*mem.CacheLineBytes))
+	if lines == 0 {
+		return
 	}
+	t.emit(isa.Inst{Op: isa.OpZeroLines, Count: uint32(lines), PC: t.pc, Addr: uint64(pa), Phys: true})
+	t.bumpPC(lines)
+	t.memStat(lines)
 	t.ALU(uint32(lines)) // loop counter + address generation
 }
 
-// CopyRange records copying bytes from src to dst, one cache line at a
-// time (khugepaged collapse, swap-in fill, CoW).
+// CopyRange records copying bytes from src to dst (khugepaged collapse,
+// swap-in fill, CoW) as one isa.OpCopyLines/isa.OpCopyDst pair, which
+// the core executes as a load and a store per 64 B cache line, plus the
+// loop overhead.
 func (t *Tracer) CopyRange(dst, src mem.PAddr, bytes uint64) {
 	lines := bytes / mem.CacheLineBytes
-	for i := uint64(0); i < lines; i++ {
-		off := mem.PAddr(i * mem.CacheLineBytes)
-		t.Load(src + off)
-		t.Store(dst + off)
+	if lines == 0 {
+		return
 	}
+	t.emit(isa.Inst{Op: isa.OpCopyLines, Count: uint32(lines), PC: t.pc, Addr: uint64(src), Phys: true})
+	t.emit(isa.Inst{Op: isa.OpCopyDst, Count: uint32(lines), PC: t.pc, Addr: uint64(dst), Phys: true})
+	t.bumpPC(2 * lines)
+	t.memStat(2 * lines)
 	t.ALU(uint32(lines))
 }
 

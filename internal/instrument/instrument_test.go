@@ -49,7 +49,7 @@ func TestZeroRangeEmitsLineStores(t *testing.T) {
 	tr.Begin()
 	tr.ZeroRange(0x10000, 2*mem.MB)
 	stores := uint64(0)
-	for _, in := range tr.Take() {
+	for _, in := range tr.Take().Expand() {
 		if in.Op == isa.OpStore {
 			stores += in.N()
 		}
@@ -64,7 +64,7 @@ func TestCopyRangePairsLoadsStores(t *testing.T) {
 	tr.Begin()
 	tr.CopyRange(0x2000, 0x1000, 4096)
 	var loads, stores uint64
-	for _, in := range tr.Take() {
+	for _, in := range tr.Take().Expand() {
 		switch in.Op {
 		case isa.OpLoad:
 			loads += in.N()
@@ -255,5 +255,63 @@ func TestEnterMatchesClosureReference(t *testing.T) {
 	}
 	if len(got.Stats()) != 8 {
 		t.Fatalf("script covered %d routines, want 8", len(got.Stats()))
+	}
+}
+
+// TestRangeRecordsExpandToLineRecords records one event twice: with
+// ZeroRange and CopyRange, and with the per-line loops they replace
+// (one Store per line; one Load and one Store per line). The range
+// form must be a handful of records whose expansion is exactly the
+// per-line stream, with the same routine statistics and final PC.
+func TestRangeRecordsExpandToLineRecords(t *testing.T) {
+	script := func(tr *Tracer, zero func(mem.PAddr, uint64), copyLines func(dst, src mem.PAddr, bytes uint64)) isa.Stream {
+		tr.Begin()
+		exit := tr.Enter("clear_page")
+		tr.ALU(3)
+		zero(0x10000, 4096)
+		zero(0x20000, 32) // under one line: nothing
+		inner := tr.Enter("copy_page")
+		copyLines(0x30000, 0x40000, 256)
+		inner()
+		tr.Store(0x50000)
+		exit()
+		return append(isa.Stream(nil), tr.Take()...)
+	}
+	got := NewTracer()
+	rangeForm := script(got, got.ZeroRange, got.CopyRange)
+	want := NewTracer()
+	lineForm := script(want,
+		func(pa mem.PAddr, bytes uint64) {
+			lines := bytes / mem.CacheLineBytes
+			for i := uint64(0); i < lines; i++ {
+				want.Store(pa + mem.PAddr(i*mem.CacheLineBytes))
+			}
+			want.ALU(uint32(lines))
+		},
+		func(dst, src mem.PAddr, bytes uint64) {
+			lines := bytes / mem.CacheLineBytes
+			for i := uint64(0); i < lines; i++ {
+				off := mem.PAddr(i * mem.CacheLineBytes)
+				want.Load(src + off)
+				want.Store(dst + off)
+			}
+			want.ALU(uint32(lines))
+		})
+
+	if len(rangeForm) != 11 {
+		t.Errorf("range form is %d records, want 11", len(rangeForm))
+	}
+	if !reflect.DeepEqual(rangeForm.Expand(), lineForm) {
+		t.Fatalf("expansion differs from the per-line stream:\n got %+v\nwant %+v", rangeForm.Expand(), lineForm)
+	}
+	if rangeForm.Instructions() != lineForm.Instructions() || rangeForm.MemOps() != lineForm.MemOps() {
+		t.Fatalf("counts: range %d insts / %d mem ops, per-line %d / %d",
+			rangeForm.Instructions(), rangeForm.MemOps(), lineForm.Instructions(), lineForm.MemOps())
+	}
+	if gs, ws := got.Stats(), want.Stats(); !reflect.DeepEqual(gs, ws) {
+		t.Fatalf("routine stats differ:\n got %+v\nwant %+v", gs, ws)
+	}
+	if got.TotalInsts() != want.TotalInsts() || got.pc != want.pc {
+		t.Fatalf("tracer state: insts %d/%d pc %#x/%#x", got.TotalInsts(), want.TotalInsts(), got.pc, want.pc)
 	}
 }

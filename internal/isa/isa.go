@@ -40,11 +40,23 @@ const (
 	// core model executes it in one cycle; the Virtuoso engine intercepts
 	// it to switch between application and kernel instruction streams.
 	OpMagic
-	numOps
-)
 
-// NumOps is the number of instruction classes.
-const NumOps = int(numOps)
+	// The range ops below stand for a run of per-line memory operations
+	// in one record. Only kernel streams carry them (see Stream.Expand);
+	// the trace codec cannot store them.
+
+	// OpZeroLines clears Count consecutive cache lines from Addr: line i
+	// is a store of Addr+64i at PC+4i.
+	OpZeroLines
+	// OpCopyLines copies Count consecutive cache lines from the source
+	// Addr to the destination in the OpCopyDst record that directly
+	// follows it: line i is a load of src+64i at PC+8i, then a store of
+	// dst+64i at PC+8i+4.
+	OpCopyLines
+	// OpCopyDst is the second record of an OpCopyLines pair. It carries
+	// the destination Addr and the same Count and Phys as its head.
+	OpCopyDst
+)
 
 func (o Op) String() string {
 	switch o {
@@ -64,16 +76,22 @@ func (o Op) String() string {
 		return "delay"
 	case OpMagic:
 		return "magic"
+	case OpZeroLines:
+		return "zero-lines"
+	case OpCopyLines:
+		return "copy-lines"
+	case OpCopyDst:
+		return "copy-dst"
 	}
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
 // HasMemOperand reports whether the op carries a memory address.
 func (o Op) HasMemOperand() bool {
-	return o == OpLoad || o == OpStore || o == OpAtomic
+	return o == OpLoad || o == OpStore || o == OpAtomic || o >= OpZeroLines
 }
 
-// IsWrite reports whether the op writes memory.
+// IsWrite reports whether a per-line memory op writes memory.
 func (o Op) IsWrite() bool { return o == OpStore || o == OpAtomic }
 
 // Inst is one synthetic instruction.
@@ -87,7 +105,7 @@ func (o Op) IsWrite() bool { return o == OpStore || o == OpAtomic }
 type Inst struct {
 	Op    Op
 	Phys  bool
-	Count uint32 // batch size for OpALU/OpFP/OpBranch; delay cycles for OpDelay; else 1
+	Count uint32 // batch size for OpALU/OpFP/OpBranch; delay cycles for OpDelay; lines for range ops; else 1
 	PC    uint64 // synthetic program counter (drives the IP-stride prefetcher)
 	Addr  uint64 // memory operand if Op.HasMemOperand()
 }
@@ -126,6 +144,41 @@ func (s Stream) MemOps() uint64 {
 		}
 	}
 	return n
+}
+
+// Expand returns the per-line form of s: a new stream in which every
+// range record is replaced by the loads and stores it stands for, and
+// every other record is copied as is. Both forms count the same
+// Instructions and MemOps, and the core executes them identically.
+func (s Stream) Expand() Stream {
+	n := len(s)
+	for _, in := range s {
+		if in.Op >= OpZeroLines {
+			n += int(in.N()) - 1 // a copy pair's two records add 2 per line
+		}
+	}
+	out := make(Stream, 0, n)
+	for i := 0; i < len(s); i++ {
+		in := s[i]
+		switch in.Op {
+		case OpZeroLines:
+			for j := uint64(0); j < in.N(); j++ {
+				out = append(out, Inst{Op: OpStore, Phys: in.Phys, Count: 1, PC: in.PC + 4*j, Addr: in.Addr + j*mem.CacheLineBytes})
+			}
+		case OpCopyLines:
+			i++
+			dst := s[i]
+			for j := uint64(0); j < in.N(); j++ {
+				off := j * mem.CacheLineBytes
+				out = append(out,
+					Inst{Op: OpLoad, Phys: in.Phys, Count: 1, PC: in.PC + 8*j, Addr: in.Addr + off},
+					Inst{Op: OpStore, Phys: dst.Phys, Count: 1, PC: in.PC + 8*j + 4, Addr: dst.Addr + off})
+			}
+		default:
+			out = append(out, in)
+		}
+	}
+	return out
 }
 
 // Source produces an instruction stream one instruction at a time; it is

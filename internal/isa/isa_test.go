@@ -1,7 +1,9 @@
 package isa
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -31,6 +33,48 @@ func TestOpClassification(t *testing.T) {
 	}
 	if OpLoad.IsWrite() || !OpStore.IsWrite() || !OpAtomic.IsWrite() {
 		t.Fatal("write classification wrong")
+	}
+	if !OpZeroLines.HasMemOperand() || !OpCopyLines.HasMemOperand() || !OpCopyDst.HasMemOperand() {
+		t.Fatal("range ops misclassified")
+	}
+}
+
+// TestInstSize pins the record size: kernel streams, trace batches and
+// the frontend buffer all hold Insts by value. A copy's second address
+// travels in its own OpCopyDst record rather than widening Inst.
+func TestInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n != 24 {
+		t.Fatalf("isa.Inst is %d bytes, want 24", n)
+	}
+}
+
+func TestExpandRangeRecords(t *testing.T) {
+	s := Stream{
+		ALU(2),
+		{Op: OpZeroLines, Phys: true, Count: 2, PC: 0x100, Addr: 0x1000},
+		{Op: OpCopyLines, Phys: true, Count: 2, PC: 0x200, Addr: 0x2000},
+		{Op: OpCopyDst, Phys: true, Count: 2, PC: 0x200, Addr: 0x8000},
+		{Op: OpDelay, Count: 7},
+	}
+	want := Stream{
+		ALU(2),
+		{Op: OpStore, Phys: true, Count: 1, PC: 0x100, Addr: 0x1000},
+		{Op: OpStore, Phys: true, Count: 1, PC: 0x104, Addr: 0x1040},
+		{Op: OpLoad, Phys: true, Count: 1, PC: 0x200, Addr: 0x2000},
+		{Op: OpStore, Phys: true, Count: 1, PC: 0x204, Addr: 0x8000},
+		{Op: OpLoad, Phys: true, Count: 1, PC: 0x208, Addr: 0x2040},
+		{Op: OpStore, Phys: true, Count: 1, PC: 0x20c, Addr: 0x8040},
+		{Op: OpDelay, Count: 7},
+	}
+	got := s.Expand()
+	if !reflect.DeepEqual(got, want) || cap(got) != len(want) {
+		t.Fatalf("Expand = %+v (cap %d), want %+v", got, cap(got), want)
+	}
+	if s.Instructions() != want.Instructions() || s.MemOps() != want.MemOps() {
+		t.Fatalf("range form counts %d/%d, per-line %d/%d", s.Instructions(), s.MemOps(), want.Instructions(), want.MemOps())
+	}
+	if OpZeroLines.String() != "zero-lines" || OpCopyDst.String() != "copy-dst" {
+		t.Fatal("range op names")
 	}
 }
 

@@ -71,9 +71,6 @@ func (s PageSize) String() string {
 // VPN returns the virtual page number of va at page size s.
 func (s PageSize) VPN(va VAddr) uint64 { return uint64(va) >> s.Shift() }
 
-// PFN returns the physical frame number of pa at page size s.
-func (s PageSize) PFN(pa PAddr) uint64 { return uint64(pa) >> s.Shift() }
-
 // PageBase returns the base virtual address of the page containing va.
 func (s PageSize) PageBase(va VAddr) VAddr { return va &^ VAddr(s.Mask()) }
 
@@ -133,6 +130,3 @@ func Line(a PAddr) PAddr { return a &^ (CacheLineBytes - 1) }
 
 // AlignUp rounds v up to the next multiple of align (a power of two).
 func AlignUp(v, align uint64) uint64 { return (v + align - 1) &^ (align - 1) }
-
-// AlignDown rounds v down to a multiple of align (a power of two).
-func AlignDown(v, align uint64) uint64 { return v &^ (align - 1) }

@@ -249,9 +249,6 @@ func (d *MidgardDesign) Invalidate(va mem.VAddr, size mem.PageSize) {
 	d.Backend.Invalidate(va, size)
 }
 
-// VLBStats exposes frontend VLB statistics (Fig. 17 analysis).
-func (d *MidgardDesign) VLBStats() (l1, l2 *tlb.Stats) { return d.l1vlb.Stats(), d.l2vlb.Stats() }
-
 // DirectSegDesign implements Direct Segments (Basu et al., ISCA'13): one
 // [Base, Limit) → Offset segment translates the primary heap without TLB
 // or walk; everything else falls back to radix.

@@ -214,13 +214,6 @@ func (m *MMU) translateMiss(va mem.VAddr, now uint64) Result {
 	return m.design.TranslateMiss(va, now)
 }
 
-// Design returns the installed translation design.
-func (m *MMU) Design() Design { return m.design }
-
-// ASID returns the address-space identifier lookups are currently
-// tagged with.
-func (m *MMU) ASID() uint16 { return m.asid }
-
 // SwitchContext installs the address-space context of the process being
 // scheduled onto the core: the ASID that tags TLB lookups and the
 // process's translation design (its page-table root, walk caches, and

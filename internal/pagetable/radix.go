@@ -283,6 +283,3 @@ func (r *Radix) MappedPages() uint64 { return r.pages }
 
 // MemFootprintBytes implements PageTable.
 func (r *Radix) MemFootprintBytes() uint64 { return r.nodes * 4 * mem.KB }
-
-// Nodes returns the number of allocated page-table frames.
-func (r *Radix) Nodes() uint64 { return r.nodes }

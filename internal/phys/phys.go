@@ -340,18 +340,6 @@ func (m *Mem) AllocLargestRange(minPages, maxPages uint64) (mem.PAddr, uint64, b
 	return pageAddr(bestBase), take, true
 }
 
-// LargestFreeRangePages reports the size of the largest free extent
-// without allocating. Used by fragmentation metrics for RMM (§7.6).
-func (m *Mem) LargestFreeRangePages() uint64 {
-	var best uint64
-	for _, length := range m.free {
-		if length > best {
-			best = length
-		}
-	}
-	return best
-}
-
 // Free returns pages frames starting at pa to the free pool, coalescing
 // with adjacent extents.
 func (m *Mem) Free(pa mem.PAddr, pages uint64) {

@@ -8,9 +8,9 @@ import (
 
 // Slab is the kernel's object allocator (Bonwick-style), backing
 // page-table frames and kernel metadata (VMA nodes, page-cache entries,
-// swap-cache entries). It carves 2 MB chunks out of physical memory and
-// serves fixed-size objects from per-size free lists — mirroring the
-// §5.1 flow in which MimicOS "requests new frames from the slab
+// swap-cache entries). It carves 2 MB chunks out of physical memory,
+// bump-allocates objects from them and recycles page-table frames —
+// mirroring the §5.1 flow in which MimicOS "requests new frames from the slab
 // allocator" during page-table construction.
 //
 // Objects have real physical addresses so the instrumentation layer can
@@ -21,7 +21,6 @@ type Slab struct {
 	chunkOff  uint64
 	chunkLen  uint64
 	freeFrame []mem.PAddr // recycled 4 KB PT frames
-	objFree   map[uint64][]mem.PAddr
 
 	// Stats
 	FramesAllocated uint64
@@ -32,7 +31,7 @@ type Slab struct {
 
 // NewSlab builds a slab allocator over m.
 func NewSlab(m *Mem) *Slab {
-	return &Slab{mem: m, objFree: make(map[uint64][]mem.PAddr)}
+	return &Slab{mem: m}
 }
 
 func (s *Slab) refill() bool {
@@ -79,19 +78,7 @@ func (s *Slab) AllocContig(pages, alignPages uint64) (mem.PAddr, bool) {
 // AllocObject returns the address of a kernel object of the given size
 // (rounded up to 64 B). ok=false indicates out-of-memory.
 func (s *Slab) AllocObject(size uint64) (mem.PAddr, bool) {
-	size = mem.AlignUp(size, mem.CacheLineBytes)
-	if fl := s.objFree[size]; len(fl) > 0 {
-		pa := fl[len(fl)-1]
-		s.objFree[size] = fl[:len(fl)-1]
-		return pa, true
-	}
-	return s.allocBytes(size)
-}
-
-// FreeObject recycles a kernel object of the given size.
-func (s *Slab) FreeObject(pa mem.PAddr, size uint64) {
-	size = mem.AlignUp(size, mem.CacheLineBytes)
-	s.objFree[size] = append(s.objFree[size], pa)
+	return s.allocBytes(mem.AlignUp(size, mem.CacheLineBytes))
 }
 
 func (s *Slab) allocBytes(size uint64) (mem.PAddr, bool) {

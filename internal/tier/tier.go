@@ -308,17 +308,6 @@ func (m *Manager) PickVictim(t int) (Page, bool) {
 	return Page{}, false
 }
 
-// Drop deletes the record covering va without migration accounting
-// (munmap / exit teardown). It reports whether a record existed.
-func (m *Manager) Drop(pid int, va mem.VAddr) bool {
-	pg, _, ok := m.Lookup(pid, va)
-	if !ok {
-		return false
-	}
-	_, _, ok = m.remove(pid, pg.VA)
-	return ok
-}
-
 // RemoveRange drops every record of pid inside [start, end) — the
 // munmap teardown path. The scan walks the tier slices (bounded by tier
 // capacity), not the index map, so removal order is deterministic.

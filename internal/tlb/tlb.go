@@ -112,9 +112,6 @@ func (t *TLB) Latency() uint64 { return t.latency }
 // Stats returns the accumulated statistics.
 func (t *TLB) Stats() *Stats { return &t.stats }
 
-// Entries returns the capacity.
-func (t *TLB) Entries() int { return t.sets * t.ways }
-
 func (t *TLB) setOf(vpn uint64) int { return int(vpn % uint64(t.sets)) }
 
 // Lookup probes the TLB for va and returns the matching entry.

@@ -175,3 +175,48 @@ func TestGoldenV2Layout(t *testing.T) {
 		t.Errorf("trailer magic %q", p[16:20])
 	}
 }
+
+// TestWriterRejectsUncarriableOps feeds every op the control byte's
+// three op bits cannot hold — the kernel-only range ops among them —
+// between the golden records. Each must be an error that writes
+// nothing: the files are byte-identical to the golden ones.
+func TestWriterRejectsUncarriableOps(t *testing.T) {
+	bad := []isa.Inst{
+		{Op: isa.OpZeroLines, Count: 64, PC: 0x400200, Addr: 0x1000, Phys: true},
+		{Op: isa.OpCopyLines, Count: 64, PC: 0x400200, Addr: 0x2000, Phys: true},
+		{Op: isa.OpCopyDst, Count: 64, PC: 0x400200, Addr: 0x3000, Phys: true},
+		{Op: isa.Op(8 + 4), Count: 1}, // an op number aliasing OpStore in three bits
+		{Op: isa.Op(255), Count: 1},
+	}
+	for _, v2 := range []bool{false, true} {
+		var want, got bytes.Buffer
+		mk := func(buf *bytes.Buffer) *Writer {
+			if v2 {
+				return NewWriterV2(buf)
+			}
+			return NewWriter(buf, false)
+		}
+		writeGolden(t, mk(&want), &want)
+
+		w := mk(&got)
+		if err := w.WriteHeader(goldenHeader()); err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range goldenInsts() {
+			for _, b := range bad {
+				if err := w.WriteInst(b); err == nil {
+					t.Fatalf("v2=%v: WriteInst(%v) succeeded", v2, b.Op)
+				}
+			}
+			if err := w.WriteInst(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if w.Records() != 3 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("v2=%v: %d records; rejected ops changed the file:\n got % x\nwant % x", v2, w.Records(), got.Bytes(), want.Bytes())
+		}
+	}
+}

@@ -58,7 +58,7 @@ type codec struct {
 // (the two are semantically identical, see isa.Inst.N) and the address
 // field is stored only for ops that carry a memory operand.
 func (c *codec) appendRecord(dst []byte, in isa.Inst) []byte {
-	ctrl := uint8(in.Op) & ctrlOpMask
+	ctrl := uint8(in.Op) // WriteInst has rejected ops above ctrlOpMask
 	if in.Phys {
 		ctrl |= ctrlPhys
 	}

@@ -153,10 +153,15 @@ func (w *Writer) WriteHeader(h Header) error {
 
 // WriteInst appends one instruction record, encoded by appendRecord:
 // straight through to the stream for v1, into the current block for
-// v2, which is sealed when it reaches blockRecords records.
+// v2, which is sealed when it reaches blockRecords records. An op the
+// control byte cannot carry (any range op) is an error, and nothing
+// is written.
 func (w *Writer) WriteInst(in isa.Inst) error {
 	if !w.headerDone {
 		return fmt.Errorf("trace: WriteInst before WriteHeader")
+	}
+	if uint8(in.Op) > ctrlOpMask {
+		return fmt.Errorf("trace: %v records cannot be stored", in.Op)
 	}
 	if w.version == Version1 {
 		_, err := w.bw.Write(w.appendRecord(w.buf[:0], in))

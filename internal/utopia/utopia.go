@@ -157,14 +157,6 @@ func (s *RestSeg) Evict(set uint64, way int) (uint64, bool) {
 	return vpn, true
 }
 
-// Utilization returns the fraction of frames in use.
-func (s *RestSeg) Utilization() float64 {
-	return float64(s.used) / float64(uint64(len(s.owner)))
-}
-
-// Frames returns the total frame count.
-func (s *RestSeg) Frames() uint64 { return uint64(len(s.owner)) }
-
 // System is the full Utopia configuration: one or more RestSegs (probed
 // in order) backed by a flexible segment managed by the conventional
 // allocator and radix page table.

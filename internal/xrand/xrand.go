@@ -30,9 +30,6 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	return r.Uint64() % n
 }
 
-// Intn returns a pseudo-random int in [0, n). n must be > 0.
-func (r *Rand) Intn(n int) int { return int(r.Uint64n(uint64(n))) }
-
 // Float64 returns a pseudo-random value in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -49,9 +46,4 @@ func Hash64(v, seed uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
-}
-
-// HashFloat returns Hash64 scaled into [0,1).
-func HashFloat(v, seed uint64) float64 {
-	return float64(Hash64(v, seed)>>11) / (1 << 53)
 }

@@ -157,7 +157,6 @@ func (s *Session) Record(path string) (Metrics, TraceInfo, error) {
 		return Metrics{}, TraceInfo{}, err
 	}
 	m, err := s.sys.RunRecording(s.w, tw)
-	s.sys.ReleaseTransients()
 	if cerr := tw.Close(); err == nil {
 		err = cerr
 	}
