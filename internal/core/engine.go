@@ -267,8 +267,9 @@ type System struct {
 
 	// batch is the frontend buffer of Run, RunRecording and RunSteps.
 	// isa.FillBatch fills it through the isa.Source interface, so it
-	// escapes; parking it on the (heap-resident, pooled) System keeps
-	// the steady state allocation-free (locked in by alloc_test.go).
+	// escapes; parking it on the heap-resident System keeps the steady
+	// state allocation-free (locked in by alloc_test.go). It is
+	// allocated once per System and not pooled.
 	batch []isa.Inst
 
 	// Streaming observation (see observe.go). obsCtxSwitches mirrors the
@@ -320,17 +321,14 @@ func (s *System) Interrupted() bool { return s.interrupted }
 // with a workload to simulate.
 func NewSystem(cfg Config) (*System, error) { return NewSystemPooled(cfg, nil) }
 
-// batchKey pools the fast lane's frontend read-ahead buffer.
-const batchKey = "core.batch"
-
 // NewSystemPooled is NewSystem drawing the system's large allocations —
-// cache and TLB SoA arrays, the free-page bitmap, page-table arena
-// chunks, the batch buffer — from pool. Construction logic is shared
-// with NewSystem (only memory provenance differs, and pooled slices are
-// scrubbed to fresh-make state), so a pooled system is deterministic
-// and byte-identical in its results to a fresh one; the sweep runner
-// relies on this and TestSweepReuseEquivalence locks it in. A nil pool
-// is exactly NewSystem.
+// cache SoA arrays, the free-page bitmap, page-table arena chunks —
+// from pool. Construction logic is shared with NewSystem (only memory
+// provenance differs, and pooled slices are scrubbed to fresh-make
+// state), so a pooled system is deterministic and byte-identical in its
+// results to a fresh one; the sweep runner relies on this and
+// TestSweepReuseEquivalence locks it in. A nil pool is exactly
+// NewSystem.
 func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	if err := cfg.CacheCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid cache config: %w", err)
@@ -342,9 +340,6 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 		cfg.CoreCfg = cpu.DefaultConfig()
 	}
 	s := &System{Cfg: cfg, noise: xrand.New(cfg.Seed ^ 0x0A15E)}
-	if b, ok := pool.Take(batchKey); ok {
-		s.batch = b.([]isa.Inst)
-	}
 	if cfg.WithDisk {
 		s.Disk = ssd.New(ssd.Config{})
 	}
@@ -459,7 +454,7 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 		return nil, err
 	}
 	s.design = design
-	s.MMU = mmu.NewWith(cfg.MMUCfg, design, s.Proc.ASID, pool)
+	s.MMU = mmu.New(cfg.MMUCfg, design, s.Proc.ASID)
 	s.Core = cpu.New(cfg.CoreCfg, s.Hier, s.MMU)
 
 	// Channels and callbacks.
@@ -511,25 +506,18 @@ func MustNewSystem(cfg Config) *System {
 }
 
 // Recycle harvests a retired system's large allocations into pool for
-// the next NewSystemPooled call: cache and TLB arrays, the free-page
-// bitmap and extent maps, surviving page-table arenas, and the batch
-// buffer. Call it only after Run/RunMulti returned and the Metrics have
-// been extracted — the system is unusable afterwards. A nil pool is a
-// no-op.
+// the next NewSystemPooled call: cache arrays, the free-page bitmap and
+// extent maps, and surviving page-table arenas. Call it only after
+// Run/RunMulti returned and the Metrics have been extracted — the
+// system is unusable afterwards. A nil pool is a no-op.
 func (s *System) Recycle(pool *recycle.Pool) {
 	if pool == nil {
 		return
 	}
 	s.Hier.Recycle(pool)
-	s.MMU.Recycle(pool)
 	s.OS.Recycle(pool)
 	if s.host != nil {
 		s.host.Recycle(pool)
-	}
-	if s.batch != nil {
-		clear(s.batch)
-		pool.Give(batchKey, s.batch)
-		s.batch = nil
 	}
 }
 

@@ -122,8 +122,8 @@ func (s *System) appEnd(max uint64) uint64 {
 }
 
 // batchBuf returns the system's frontend buffer cut to n instructions.
-// The buffer is pooled (see batchKey), so only a fresh system allocates
-// it, once.
+// The buffer is allocated on first use and kept for the system's
+// lifetime.
 func (s *System) batchBuf(n int) []isa.Inst {
 	if s.batch == nil {
 		s.batch = make([]isa.Inst, batchSize)

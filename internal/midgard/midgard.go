@@ -124,6 +124,3 @@ func (s *Space) pathTo(i int) []mem.PAddr {
 
 // VMACount returns the number of live VMAs (Fig. 18's census).
 func (s *Space) VMACount() int { return len(s.vmas) }
-
-// VMAs returns the VMAs sorted by start (not to be modified).
-func (s *Space) VMAs() []VMA { return s.vmas }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
-	"repro/internal/recycle"
 	"repro/internal/tlb"
 )
 
@@ -162,12 +161,6 @@ type MMU struct {
 
 // New builds an MMU over the given design.
 func New(cfg Config, design Design, asid uint16) *MMU {
-	return NewWith(cfg, design, asid, nil)
-}
-
-// NewWith is New drawing the TLB hierarchy's SoA arrays from pool (nil
-// pool = plain New).
-func NewWith(cfg Config, design Design, asid uint16, pool *recycle.Pool) *MMU {
 	cfg = cfg.withDefaults()
 	stlbSizes := []mem.PageSize{mem.Page4K, mem.Page2M, mem.Page1G}
 	if cfg.STLB4KOnly {
@@ -175,26 +168,14 @@ func NewWith(cfg Config, design Design, asid uint16, pool *recycle.Pool) *MMU {
 	}
 	m := &MMU{
 		cfg:    cfg,
-		itlb:   tlb.NewWith(pool, "L1I-TLB", cfg.ITLBEntries, cfg.ITLBWays, cfg.ITLBLat, mem.Page4K, mem.Page2M),
-		dtlb4k: tlb.NewWith(pool, "L1D-TLB-4K", cfg.DTLB4KEntries, cfg.DTLB4KWays, cfg.DTLBLat, mem.Page4K),
-		dtlb2m: tlb.NewWith(pool, "L1D-TLB-2M", cfg.DTLB2MEntries, cfg.DTLB2MWays, cfg.DTLBLat, mem.Page2M, mem.Page1G),
-		stlb:   tlb.NewWith(pool, "L2-STLB", cfg.STLBEntries, cfg.STLBWays, cfg.STLBLat, stlbSizes...),
+		itlb:   tlb.New("L1I-TLB", cfg.ITLBEntries, cfg.ITLBWays, cfg.ITLBLat, mem.Page4K, mem.Page2M),
+		dtlb4k: tlb.New("L1D-TLB-4K", cfg.DTLB4KEntries, cfg.DTLB4KWays, cfg.DTLBLat, mem.Page4K),
+		dtlb2m: tlb.New("L1D-TLB-2M", cfg.DTLB2MEntries, cfg.DTLB2MWays, cfg.DTLBLat, mem.Page2M, mem.Page1G),
+		stlb:   tlb.New("L2-STLB", cfg.STLBEntries, cfg.STLBWays, cfg.STLBLat, stlbSizes...),
 		asid:   asid,
 	}
 	m.setDesign(design)
 	return m
-}
-
-// Recycle hands the TLB arrays back to pool; the MMU must not be used
-// afterwards.
-func (m *MMU) Recycle(pool *recycle.Pool) {
-	if pool == nil {
-		return
-	}
-	m.itlb.Recycle(pool)
-	m.dtlb4k.Recycle(pool)
-	m.dtlb2m.Recycle(pool)
-	m.stlb.Recycle(pool)
 }
 
 // setDesign installs d and refreshes the devirtualized fast-path

@@ -73,6 +73,37 @@ func TestMMUShootdown(t *testing.T) {
 	}
 }
 
+// TestInvalidateASIDVA pins the cross-process shootdown: with TLB
+// entries retained across context switches, dropping one page of one
+// ASID leaves the same page of another ASID cached.
+func TestInvalidateASIDVA(t *testing.T) {
+	h, alloc := testEnv(t)
+	k := instrument.NopMem{}
+	va := mem.VAddr(0x50_0000)
+	ptA, ptB := pagetable.NewRadix(alloc), pagetable.NewRadix(alloc)
+	ptA.Insert(va, pagetable.Entry{Frame: 0xA0_0000, Size: mem.Page4K, Present: true}, k)
+	ptB.Insert(va, pagetable.Entry{Frame: 0xB0_0000, Size: mem.Page4K, Present: true}, k)
+	walkA, walkB := NewRadixWalker(ptA, h), NewRadixWalker(ptB, h)
+
+	m := New(DefaultConfig(), walkA, 1)
+	m.Translate(va, false, 0)
+	m.SwitchContext(2, walkB, false)
+	m.Translate(va, false, 100)
+	m.InvalidateASIDVA(1, va, mem.Page4K)
+
+	if r := m.Translate(va, false, 200); r.Fault || r.PA != 0xB0_0000 || r.Lat != m.cfg.DTLBLat {
+		t.Fatalf("ASID 2 after ASID 1's shootdown: %+v, want an L1 DTLB hit (lat %d) on 0xB00000", r, m.cfg.DTLBLat)
+	}
+	m.SwitchContext(1, walkA, false)
+	walks := m.Stats().Walks
+	if r := m.Translate(va, false, 300); r.Fault || r.PA != 0xA0_0000 || r.Lat <= m.cfg.DTLBLat {
+		t.Fatalf("ASID 1 after its shootdown: %+v, want a TLB miss on 0xA00000", r)
+	}
+	if got := m.Stats().Walks - walks; got != 1 {
+		t.Fatalf("ASID 1 after its shootdown walked %d times, want 1", got)
+	}
+}
+
 func TestPWCSkipsUpperLevels(t *testing.T) {
 	h, alloc := testEnv(t)
 	pt := pagetable.NewRadix(alloc)

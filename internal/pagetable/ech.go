@@ -345,17 +345,5 @@ func (p *ECH) Remove(va mem.VAddr, k instrument.KernelMem) (Entry, bool) {
 // MappedPages implements PageTable.
 func (p *ECH) MappedPages() uint64 { return p.pages }
 
-// MemFootprintBytes implements PageTable.
-func (p *ECH) MemFootprintBytes() uint64 {
-	var b uint64
-	for _, t := range p.tables {
-		b += t.cur.size * echWays * 8
-		if t.old != nil {
-			b += t.old.size * echWays * 8
-		}
-	}
-	return b
-}
-
 // Resizes returns the total resize count across sub-tables (test hook).
 func (p *ECH) Resizes() uint64 { return p.tables[0].Resizes + p.tables[1].Resizes }

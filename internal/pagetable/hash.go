@@ -211,8 +211,3 @@ func (p *HDC) Remove(va mem.VAddr, k instrument.KernelMem) (Entry, bool) {
 
 // MappedPages implements PageTable.
 func (p *HDC) MappedPages() uint64 { return p.pages }
-
-// MemFootprintBytes implements PageTable.
-func (p *HDC) MemFootprintBytes() uint64 {
-	return (p.sub[0].buckets + p.sub[1].buckets) * mem.CacheLineBytes
-}

@@ -226,10 +226,3 @@ func (p *HT) Remove(va mem.VAddr, k instrument.KernelMem) (Entry, bool) {
 
 // MappedPages implements PageTable.
 func (p *HT) MappedPages() uint64 { return p.pages }
-
-// MemFootprintBytes implements PageTable.
-func (p *HT) MemFootprintBytes() uint64 {
-	b := (p.sub[0].buckets + p.sub[1].buckets) * mem.CacheLineBytes
-	b += (p.sub[0].OverflowNodes + p.sub[1].OverflowNodes) * 4 * mem.KB
-	return b
-}

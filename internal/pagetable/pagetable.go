@@ -85,9 +85,6 @@ type PageTable interface {
 	Update(va mem.VAddr, e Entry, k instrument.KernelMem) bool
 	// MappedPages returns the number of live translations.
 	MappedPages() uint64
-	// MemFootprintBytes returns the physical memory consumed by the
-	// structure itself.
-	MemFootprintBytes() uint64
 }
 
 // ErrOutOfMemory is returned when the frame allocator is exhausted.

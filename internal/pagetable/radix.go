@@ -15,7 +15,6 @@ import (
 type Radix struct {
 	alloc  FrameAllocator
 	root   *radixNode
-	nodes  uint64
 	pages  uint64
 	ents   entryArena
 	narena nodeArena
@@ -114,7 +113,6 @@ func NewRadixWith(alloc FrameAllocator, pool *recycle.Pool) *Radix {
 		panic("pagetable: cannot allocate radix root")
 	}
 	r.root = r.narena.get(frame)
-	r.nodes = 1
 	return r
 }
 
@@ -221,7 +219,6 @@ func (r *Radix) Insert(va mem.VAddr, e Entry, k instrument.KernelMem) error {
 			}
 			child = r.narena.get(frame)
 			node.children[idx[level]] = child
-			r.nodes++
 			k.ALU(24) // slab fast path: freelist pop, frame init
 			k.Store(pteAddr(node, idx[level]))
 		}
@@ -280,6 +277,3 @@ func (r *Radix) findLeaf(va mem.VAddr) (*radixNode, int, bool) {
 
 // MappedPages implements PageTable.
 func (r *Radix) MappedPages() uint64 { return r.pages }
-
-// MemFootprintBytes implements PageTable.
-func (r *Radix) MemFootprintBytes() uint64 { return r.nodes * 4 * mem.KB }

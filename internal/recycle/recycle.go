@@ -1,9 +1,11 @@
 // Package recycle provides the per-worker object pools behind pooled
 // System construction (core.NewSystemPooled): a sweep worker keeps one
-// Pool and cycles the big simulator allocations — SoA TLB/cache arrays,
-// free-page bitmaps, page-table arena chunks, batch buffers — across
-// the points it runs instead of handing each point's ~megabytes of
-// setup state to the garbage collector.
+// Pool and cycles the big simulator allocations — cache SoA arrays,
+// free-page bitmaps and extent maps, radix page-table arena chunks —
+// across the points it runs instead of handing each point's ~megabytes
+// of setup state to the garbage collector. Only allocations a sweep
+// memory profile shows to matter are pooled; the rest (TLB arrays, the
+// frontend batch buffer) are allocated fresh per System.
 //
 // Determinism is by construction, not by protocol: a pooled slice is
 // scrubbed to zero when it enters the pool and is matched by exact
@@ -21,8 +23,6 @@
 // one worker, one pool.
 package recycle
 
-import "repro/internal/mem"
-
 // sliceCap bounds retained slices per (type, length) bucket; objCap
 // bounds retained objects per key. Both exist only to cap worker-lifetime
 // memory, not for correctness.
@@ -33,21 +33,17 @@ const (
 
 // Pool recycles simulator allocations across pooled System lifetimes.
 type Pool struct {
-	u64   map[int][][]uint64
-	u32   map[int][][]uint32
-	u8    map[int][][]uint8
-	paddr map[int][][]mem.PAddr
-	objs  map[string][]any
+	u64  map[int][][]uint64
+	u8   map[int][][]uint8
+	objs map[string][]any
 }
 
 // New returns an empty pool.
 func New() *Pool {
 	return &Pool{
-		u64:   map[int][][]uint64{},
-		u32:   map[int][][]uint32{},
-		u8:    map[int][][]uint8{},
-		paddr: map[int][][]mem.PAddr{},
-		objs:  map[string][]any{},
+		u64:  map[int][][]uint64{},
+		u8:   map[int][][]uint8{},
+		objs: map[string][]any{},
 	}
 }
 
@@ -91,23 +87,6 @@ func (p *Pool) PutUint64s(s []uint64) {
 	}
 }
 
-// Uint32s returns a zeroed []uint32 of length n, pooled when possible.
-func (p *Pool) Uint32s(n int) []uint32 {
-	if p != nil {
-		if s, ok := takeSlice(p.u32, n); ok {
-			return s
-		}
-	}
-	return make([]uint32, n)
-}
-
-// PutUint32s returns a slice to the pool (dropped when p is nil).
-func (p *Pool) PutUint32s(s []uint32) {
-	if p != nil {
-		giveSlice(p.u32, s)
-	}
-}
-
 // Uint8s returns a zeroed []uint8 of length n, pooled when possible.
 func (p *Pool) Uint8s(n int) []uint8 {
 	if p != nil {
@@ -122,23 +101,6 @@ func (p *Pool) Uint8s(n int) []uint8 {
 func (p *Pool) PutUint8s(s []uint8) {
 	if p != nil {
 		giveSlice(p.u8, s)
-	}
-}
-
-// PAddrs returns a zeroed []mem.PAddr of length n, pooled when possible.
-func (p *Pool) PAddrs(n int) []mem.PAddr {
-	if p != nil {
-		if s, ok := takeSlice(p.paddr, n); ok {
-			return s
-		}
-	}
-	return make([]mem.PAddr, n)
-}
-
-// PutPAddrs returns a slice to the pool (dropped when p is nil).
-func (p *Pool) PutPAddrs(s []mem.PAddr) {
-	if p != nil {
-		giveSlice(p.paddr, s)
 	}
 }
 

@@ -26,9 +26,6 @@ func (r Range) Translate(va mem.VAddr) mem.PAddr { return r.PBase + mem.PAddr(va
 // Contains reports whether va is inside the range.
 func (r Range) Contains(va mem.VAddr) bool { return va >= r.VStart && va < r.VEnd }
 
-// Pages returns the 4 KB page count of the range.
-func (r Range) Pages() uint64 { return uint64(r.VEnd-r.VStart) / (4 * mem.KB) }
-
 // KernelMem is the subset of the instrumentation interface the range
 // table needs to report its kernel-side accesses.
 type KernelMem interface {

@@ -33,9 +33,6 @@ func OpenCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // Path returns the entry file for key. Keys are Hash outputs
 // ("sj1-<hex>"), which are filename-safe by construction.
 func (c *Cache) Path(key string) string {

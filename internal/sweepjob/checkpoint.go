@@ -128,7 +128,6 @@ type Writer struct {
 	bw        *bufio.Writer
 	syncEvery int
 	pending   int
-	hdr       Header
 }
 
 // OpenWriter opens path for checkpointing, creating it with hdr when
@@ -159,14 +158,14 @@ func OpenWriter(path string, hdr Header, syncEvery int) (*Writer, map[int]json.R
 		if err != nil {
 			return nil, nil, err
 		}
-		return &Writer{f: f, bw: bufio.NewWriter(f), syncEvery: syncEvery, hdr: hdr}, recs, nil
+		return &Writer{f: f, bw: bufio.NewWriter(f), syncEvery: syncEvery}, recs, nil
 	}
 
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	w := &Writer{f: f, bw: bufio.NewWriter(f), syncEvery: syncEvery, hdr: hdr}
+	w := &Writer{f: f, bw: bufio.NewWriter(f), syncEvery: syncEvery}
 	line, err := json.Marshal(hdr)
 	if err != nil {
 		f.Close()
@@ -182,9 +181,6 @@ func OpenWriter(path string, hdr Header, syncEvery int) (*Writer, map[int]json.R
 	}
 	return w, done, nil
 }
-
-// Header returns the header the writer was opened with.
-func (w *Writer) Header() Header { return w.hdr }
 
 // Append persists one completed point. Calls must be serialised by the
 // caller (the sweep runner already serialises its progress path).

@@ -5,10 +5,7 @@
 // for Utopia's TAR/SF caches and ECH's cuckoo-walk caches).
 package tlb
 
-import (
-	"repro/internal/mem"
-	"repro/internal/recycle"
-)
+import "repro/internal/mem"
 
 // Entry is one cached translation.
 type Entry struct {
@@ -24,14 +21,6 @@ type Stats struct {
 	Misses     uint64
 	Fills      uint64
 	Shootdowns uint64
-}
-
-// HitRate returns the hit fraction.
-func (s *Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
 // TLB is a set-associative translation lookaside buffer. It may hold a
@@ -64,12 +53,6 @@ func packMeta(asid uint16, ps mem.PageSize) uint32 {
 // New builds a TLB with the given total entries and associativity
 // supporting the listed page sizes.
 func New(name string, entries, ways int, latency uint64, sizes ...mem.PageSize) *TLB {
-	return NewWith(nil, name, entries, ways, latency, sizes...)
-}
-
-// NewWith is New drawing the SoA entry arrays from pool (nil pool =
-// plain New).
-func NewWith(pool *recycle.Pool, name string, entries, ways int, latency uint64, sizes ...mem.PageSize) *TLB {
 	if len(sizes) == 0 {
 		sizes = []mem.PageSize{mem.Page4K}
 	}
@@ -83,24 +66,11 @@ func NewWith(pool *recycle.Pool, name string, entries, ways int, latency uint64,
 		ways:    ways,
 		latency: latency,
 		sizes:   sizes,
-		vpns:    pool.Uint64s(entries),
-		metas:   pool.Uint32s(entries),
-		frames:  pool.PAddrs(entries),
-		lru:     pool.Uint64s(entries),
+		vpns:    make([]uint64, entries),
+		metas:   make([]uint32, entries),
+		frames:  make([]mem.PAddr, entries),
+		lru:     make([]uint64, entries),
 	}
-}
-
-// Recycle hands the entry arrays back to pool; the TLB must not be
-// used afterwards.
-func (t *TLB) Recycle(pool *recycle.Pool) {
-	if pool == nil {
-		return
-	}
-	pool.PutUint64s(t.vpns)
-	pool.PutUint32s(t.metas)
-	pool.PutPAddrs(t.frames)
-	pool.PutUint64s(t.lru)
-	t.vpns, t.metas, t.frames, t.lru = nil, nil, nil, nil
 }
 
 // Name returns the TLB's name.
@@ -131,21 +101,6 @@ func (t *TLB) Lookup(va mem.VAddr, asid uint16) (Entry, bool) {
 	}
 	t.stats.Misses++
 	return Entry{}, false
-}
-
-// Probe checks presence without updating stats or recency.
-func (t *TLB) Probe(va mem.VAddr, asid uint16) bool {
-	for _, ps := range t.sizes {
-		vpn := ps.VPN(va)
-		base := t.setOf(vpn) * t.ways
-		want := packMeta(asid, ps)
-		for w := base; w < base+t.ways; w++ {
-			if t.vpns[w] == vpn && t.metas[w] == want {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Supports reports whether the TLB can hold entries of page size ps.

@@ -97,19 +97,9 @@ func pointKey(cfg Config, p Point, params WorkloadParams, label string) string {
 // targeted invalidation). It resolves p's config exactly as Run does,
 // including the Configure hook, and so can return that hook's error.
 func (s *Sweep) PointKey(p Point) (string, error) {
-	cfg := s.Base
-	cfg.Design = p.Design
-	cfg.Policy = p.Policy
-	cfg.Seed = p.Seed
-	cfg.OSCfg.Tiers = p.Tiers
-	cfg.OSCfg.TierPolicy = p.TierPolicy
-	if len(cfg.OSCfg.Tiers) == 0 {
-		cfg.OSCfg.TierPolicy = "" // flat cells ignore the policy axis, as Run does
-	}
-	if s.Configure != nil {
-		if err := s.Configure(&cfg, p); err != nil {
-			return "", err
-		}
+	cfg, err := s.pointConfig(p)
+	if err != nil {
+		return "", err
 	}
 	return pointKey(cfg, p, s.Params, s.Label), nil
 }

@@ -327,22 +327,9 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 			continue
 		}
 		p := pts[idx]
-		cfg := s.Base
-		cfg.Design = p.Design
-		cfg.Policy = p.Policy
-		cfg.Seed = p.Seed
-		cfg.OSCfg.Tiers = p.Tiers
-		cfg.OSCfg.TierPolicy = p.TierPolicy
-		if len(cfg.OSCfg.Tiers) == 0 {
-			// A flat cell of the tier axis ignores the policy axis: a
-			// migration policy is meaningless without tiers, and leaving
-			// it set would fail engine validation.
-			cfg.OSCfg.TierPolicy = ""
-		}
-		if s.Configure != nil {
-			if err := s.Configure(&cfg, p); err != nil {
-				return nil, fmt.Errorf("virtuoso: point %d (%s/%s/%s): %w", p.Index, p.Workload, p.Design, p.Policy, err)
-			}
+		cfg, err := s.pointConfig(p)
+		if err != nil {
+			return nil, fmt.Errorf("virtuoso: point %d (%s/%s/%s): %w", p.Index, p.Workload, p.Design, p.Policy, err)
 		}
 		var key string
 		if cache != nil {
@@ -504,6 +491,30 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 		return rep, fmt.Errorf("virtuoso: sweep cache %s: %w", s.Cache, cacheErr)
 	}
 	return rep, err
+}
+
+// pointConfig resolves point p's config: Base with p's axes applied,
+// then the Configure hook. Run and PointKey both resolve through it, so
+// a point's cache key always names the entry Run reads and writes.
+func (s *Sweep) pointConfig(p Point) (Config, error) {
+	cfg := s.Base
+	cfg.Design = p.Design
+	cfg.Policy = p.Policy
+	cfg.Seed = p.Seed
+	cfg.OSCfg.Tiers = p.Tiers
+	cfg.OSCfg.TierPolicy = p.TierPolicy
+	if len(cfg.OSCfg.Tiers) == 0 {
+		// A flat cell of the tier axis ignores the policy axis: a
+		// migration policy is meaningless without tiers, and leaving
+		// it set would fail engine validation.
+		cfg.OSCfg.TierPolicy = ""
+	}
+	if s.Configure != nil {
+		if err := s.Configure(&cfg, p); err != nil {
+			return Config{}, err
+		}
+	}
+	return cfg, nil
 }
 
 // buildResult echoes the executed config, not the grid point: the

@@ -1,9 +1,9 @@
 package virtuoso_test
 
 // Differential determinism harness for the sweep-scale reuse
-// machinery: per-worker System pooling (recycled arenas, SoA TLB/cache
-// state, free-page bitmaps) and the content-addressed point-result
-// cache must both be invisible in the results. The same grid — spanning
+// machinery: per-worker System pooling (recycled page-table arenas,
+// cache SoA arrays, free-page bitmaps) and the content-addressed
+// point-result cache must both be invisible in the results. The same grid — spanning
 // designs (nested translation's hypervisor kernel included), policies,
 // modes, and a multiprogrammed mix, so pooled
 // workers rebuild systems of different shapes back to back — runs
@@ -13,9 +13,12 @@ package virtuoso_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"os"
 	"testing"
 
 	virtuoso "repro"
+	"repro/internal/sweepjob"
 )
 
 // reuseSweep is the equivalence grid: (BFS, RND, BFS+RND mix) ×
@@ -156,5 +159,62 @@ func TestSweepCacheSharedAcrossGrids(t *testing.T) {
 		return r
 	}()) {
 		t.Fatal("cache-restored result differs from the originally simulated one")
+	}
+}
+
+// TestSweepPointKeyNamesWrittenEntry pins PointKey to Run: for every
+// point of a cached sweep, the key PointKey reports names an entry Run
+// actually wrote, holding that point's result. The Configure hook
+// changes each point's config, so a key resolved without it would name
+// no entry.
+func TestSweepPointKeyNamesWrittenEntry(t *testing.T) {
+	cacheDir := t.TempDir()
+	base := virtuoso.ScaledConfig()
+	base.MaxAppInsts = 60_000
+	s := &virtuoso.Sweep{
+		Base:      base,
+		Workloads: []string{"RND"},
+		Seeds:     []uint64{1, 2},
+		Params:    virtuoso.WorkloadParams{Scale: 0.05},
+		Cache:     cacheDir,
+		Configure: func(cfg *virtuoso.Config, p virtuoso.Point) error {
+			cfg.MaxAppInsts += p.Seed * 1000
+			return nil
+		},
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := sweepjob.OpenCache(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := s.Points()
+	if len(pts) != 2 {
+		t.Fatalf("sweep has %d points, want 2", len(pts))
+	}
+	for _, p := range pts {
+		key, err := s.PointKey(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, ok := cache.Get(key)
+		if !ok {
+			t.Fatalf("point %d: PointKey %s names no cache entry", p.Index, key)
+		}
+		var r virtuoso.Result
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Seed != p.Seed || r.Workload != p.Workload {
+			t.Fatalf("point %d: entry %s holds %s seed %d, want %s seed %d", p.Index, key, r.Workload, r.Seed, p.Workload, p.Seed)
+		}
+	}
+	entries, err := os.ReadDir(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(pts) {
+		t.Fatalf("cache holds %d entries, want %d", len(entries), len(pts))
 	}
 }

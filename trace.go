@@ -61,14 +61,7 @@ func ReadTraceInfo(path string) (TraceInfo, error) {
 	if err != nil {
 		return TraceInfo{}, err
 	}
-	ti := headerInfo(path, info.Header)
-	ti.Records, ti.Instructions, ti.MemOps = info.Records, info.Insts, info.MemOps
-	ti.Compressed = info.Compressed
-	ti.Version = info.Version
-	ti.Blocks = info.Blocks
-	ti.IndexBytes = info.IndexBytes
-	ti.RawBytes, ti.CompBytes = info.RawBytes, info.CompBytes
-	return ti, nil
+	return fileInfo(path, info), nil
 }
 
 // ReadTraceHeader validates a trace file and returns its header
@@ -100,14 +93,19 @@ func ConvertTrace(src, dst string) (TraceInfo, error) {
 	if err != nil {
 		return TraceInfo{}, err
 	}
-	ti := headerInfo(dst, info.Header)
+	return fileInfo(dst, info), nil
+}
+
+// fileInfo converts a trace file summary into a TraceInfo for path.
+func fileInfo(path string, info trace.Info) TraceInfo {
+	ti := headerInfo(path, info.Header)
 	ti.Records, ti.Instructions, ti.MemOps = info.Records, info.Insts, info.MemOps
 	ti.Compressed = info.Compressed
 	ti.Version = info.Version
 	ti.Blocks = info.Blocks
 	ti.IndexBytes = info.IndexBytes
 	ti.RawBytes, ti.CompBytes = info.RawBytes, info.CompBytes
-	return ti, nil
+	return ti
 }
 
 func headerInfo(path string, hdr trace.Header) TraceInfo {
