@@ -237,6 +237,10 @@ type System struct {
 	hostPT     *hostPT
 	hostFaults uint64
 
+	// pool is the worker pool the system was built from (nil for
+	// NewSystem); trace frontends park their read buffers in it.
+	pool *recycle.Pool
+
 	// design is PID 1's translation design (the one the MMU starts on);
 	// procs/cur track the multiprogrammed process table during RunMulti
 	// (nil/idle in single-workload runs).
@@ -339,7 +343,7 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	if cfg.CoreCfg.Width == 0 {
 		cfg.CoreCfg = cpu.DefaultConfig()
 	}
-	s := &System{Cfg: cfg, noise: xrand.New(cfg.Seed ^ 0x0A15E)}
+	s := &System{Cfg: cfg, noise: xrand.New(cfg.Seed ^ 0x0A15E), pool: pool}
 	if cfg.WithDisk {
 		s.Disk = ssd.New(ssd.Config{})
 	}
@@ -699,7 +703,7 @@ func (s *System) makeFrontendSeeded(w *workloads.Workload, salt uint64) isa.Sour
 		// reference path always decodes inline, so
 		// TestFastPathEquivalenceReplay also proves the store
 		// stream-identical to the file.
-		open := trace.MustOpenSource
+		open := func(path string) isa.Source { return trace.MustOpenSource(path, s.pool) }
 		if s.Cfg.TraceShared != nil && !s.Cfg.ReferencePath {
 			open = s.Cfg.TraceShared.MustOpen
 		}

@@ -32,15 +32,20 @@ const (
 	echMigratePerOp = 8
 )
 
+// cuckooSlot is one host-side nest slot. key is vpn+1, so the zero
+// slot is empty and a slot is 32 bytes.
 type cuckooSlot struct {
-	vpn  uint64
-	e    Entry
-	used bool
+	key uint64
+	e   Entry
 }
 
 type cuckooArray struct {
-	slots [][]cuckooSlot // [way][index]
-	base  []mem.PAddr    // physical base per way
+	// slots holds all ways, way-major (way w at [w*size, (w+1)*size)).
+	// It is allocated on the generation's first insert: until then
+	// every probe misses, though it still costs the walker and the
+	// kernel the same accesses at the reserved physical slots.
+	slots []cuckooSlot
+	base  [echWays]mem.PAddr // physical base per way
 	size  uint64
 	used  uint64
 	seeds [echWays]uint64
@@ -63,12 +68,12 @@ type cuckooTable struct {
 	Migrations uint64
 }
 
+// newCuckooArray reserves the generation's simulated frames now, so the
+// physical allocator sees every generation at construction; the host
+// slots wait for the first insert.
 func newCuckooArray(alloc FrameAllocator, size uint64, gen uint64) *cuckooArray {
 	a := &cuckooArray{size: size}
-	a.slots = make([][]cuckooSlot, echWays)
-	a.base = make([]mem.PAddr, echWays)
 	for w := 0; w < echWays; w++ {
-		a.slots[w] = make([]cuckooSlot, size)
 		pages := mem.AlignUp(size*8, 4*mem.KB) / (4 * mem.KB)
 		pa, ok := alloc.AllocContig(pages, 1)
 		if !ok {
@@ -88,31 +93,33 @@ func (a *cuckooArray) slotPA(way int, idx uint64) mem.PAddr {
 	return a.base[way] + mem.PAddr(idx*8)
 }
 
+// slot returns the host slot at (way, idx); the slots must exist.
+func (a *cuckooArray) slot(way int, idx uint64) *cuckooSlot {
+	return &a.slots[uint64(way)*a.size+idx]
+}
+
+// holds reports whether slot (way, idx) maps vpn.
+func (a *cuckooArray) holds(way int, idx, vpn uint64) bool {
+	return a.slots != nil && a.slot(way, idx).key == vpn+1
+}
+
 func newCuckooTable(alloc FrameAllocator, ps mem.PageSize) *cuckooTable {
 	return &cuckooTable{alloc: alloc, pageSize: ps, cur: newCuckooArray(alloc, echInitSlots, 0)}
 }
 
 // lookup returns the entry for vpn, recording each probed nest in steps.
 func (t *cuckooTable) lookup(vpn uint64, out *WalkResult) (Entry, bool) {
-	for w := 0; w < echWays; w++ {
-		i := t.cur.idx(w, vpn)
-		if out != nil {
-			out.push(t.cur.slotPA(w, i), 0)
+	for _, a := range [2]*cuckooArray{t.cur, t.old} {
+		if a == nil {
+			continue
 		}
-		s := &t.cur.slots[w][i]
-		if s.used && s.vpn == vpn {
-			return s.e, true
-		}
-	}
-	if t.old != nil {
 		for w := 0; w < echWays; w++ {
-			i := t.old.idx(w, vpn)
+			i := a.idx(w, vpn)
 			if out != nil {
-				out.push(t.old.slotPA(w, i), 0)
+				out.push(a.slotPA(w, i), 0)
 			}
-			s := &t.old.slots[w][i]
-			if s.used && s.vpn == vpn {
-				return s.e, true
+			if a.holds(w, i, vpn) {
+				return a.slot(w, i).e, true
 			}
 		}
 	}
@@ -122,21 +129,24 @@ func (t *cuckooTable) lookup(vpn uint64, out *WalkResult) (Entry, bool) {
 // insert places (vpn,e), cuckoo-kicking as needed; returns false if a
 // resize is required.
 func (a *cuckooArray) insert(vpn uint64, e Entry, k instrument.KernelMem, kicks *uint64) bool {
+	if a.slots == nil {
+		a.slots = make([]cuckooSlot, echWays*a.size)
+	}
 	cvpn, ce := vpn, e
 	way := int(vpn % echWays)
 	for kick := 0; kick <= echMaxKicks; kick++ {
 		// Probe all ways for a free slot or an existing mapping first.
 		for w := 0; w < echWays; w++ {
 			i := a.idx(w, cvpn)
-			s := &a.slots[w][i]
+			s := a.slot(w, i)
 			k.Load(a.slotPA(w, i))
-			if s.used && s.vpn == cvpn {
+			if s.key == cvpn+1 {
 				s.e = ce
 				k.Store(a.slotPA(w, i))
 				return true
 			}
-			if !s.used {
-				*s = cuckooSlot{vpn: cvpn, e: ce, used: true}
+			if s.key == 0 {
+				*s = cuckooSlot{key: cvpn + 1, e: ce}
 				a.used++
 				k.Store(a.slotPA(w, i))
 				return true
@@ -144,9 +154,9 @@ func (a *cuckooArray) insert(vpn uint64, e Entry, k instrument.KernelMem, kicks 
 		}
 		// All ways occupied: evict from the rotating way and re-place.
 		i := a.idx(way, cvpn)
-		s := &a.slots[way][i]
-		evVPN, evE := s.vpn, s.e
-		*s = cuckooSlot{vpn: cvpn, e: ce, used: true}
+		s := a.slot(way, i)
+		evVPN, evE := s.key-1, s.e
+		*s = cuckooSlot{key: cvpn + 1, e: ce}
 		k.Store(a.slotPA(way, i))
 		cvpn, ce = evVPN, evE
 		way = (way + 1) % echWays
@@ -160,15 +170,15 @@ func (a *cuckooArray) insert(vpn uint64, e Entry, k instrument.KernelMem, kicks 
 
 // remove deletes vpn, returning the old entry.
 func (t *cuckooTable) remove(vpn uint64, k instrument.KernelMem) (Entry, bool) {
-	for _, a := range []*cuckooArray{t.cur, t.old} {
+	for _, a := range [2]*cuckooArray{t.cur, t.old} {
 		if a == nil {
 			continue
 		}
 		for w := 0; w < echWays; w++ {
 			i := a.idx(w, vpn)
-			s := &a.slots[w][i]
 			k.Load(a.slotPA(w, i))
-			if s.used && s.vpn == vpn {
+			if a.holds(w, i, vpn) {
+				s := a.slot(w, i)
 				old := s.e
 				*s = cuckooSlot{}
 				a.used--
@@ -181,7 +191,8 @@ func (t *cuckooTable) remove(vpn uint64, k instrument.KernelMem) (Entry, bool) {
 }
 
 // migrateSome moves up to n entries from the old generation into the
-// current one (gradual resizing).
+// current one (gradual resizing). The old generation has host slots: a
+// generation is retired only once inserts have filled it.
 func (t *cuckooTable) migrateSome(n int, k instrument.KernelMem) {
 	for moved := 0; t.old != nil && moved < n; {
 		if t.oldPos >= t.old.size {
@@ -193,12 +204,11 @@ func (t *cuckooTable) migrateSome(n int, k instrument.KernelMem) {
 			}
 			continue
 		}
-		s := &t.old.slots[t.oldWay][t.oldPos]
-		if s.used {
+		if s := t.old.slot(t.oldWay, t.oldPos); s.key != 0 {
 			var kicks uint64
-			t.cur.insert(s.vpn, s.e, k, &kicks)
+			t.cur.insert(s.key-1, s.e, k, &kicks)
 			t.Kicks += kicks
-			s.used = false
+			s.key = 0
 			t.old.used--
 			moved++
 			t.Migrations++

@@ -27,7 +27,25 @@ type htNode struct {
 	next    *htNode
 }
 
+// htArena hands out htNodes from fixed-capacity chunks, so a table's
+// groups cost one host allocation per htChunk of them. Groups are never
+// freed within a table's lifetime, so the arena keeps only the chunk it
+// is filling; earlier chunks live on through the nodes that point into
+// them.
+type htArena struct{ chunk []htNode }
+
+const htChunk = 64
+
+func (a *htArena) get(pa mem.PAddr, next *htNode) *htNode {
+	if len(a.chunk) == cap(a.chunk) {
+		a.chunk = make([]htNode, 0, htChunk)
+	}
+	a.chunk = append(a.chunk, htNode{pa: pa, next: next})
+	return &a.chunk[len(a.chunk)-1]
+}
+
 type htTable struct {
+	nodes         htArena
 	alloc         FrameAllocator
 	pageSize      mem.PageSize
 	base          mem.PAddr
@@ -125,7 +143,7 @@ func (t *htTable) insert(vpn uint64, e Entry, k instrument.KernelMem) bool {
 			t.OverflowNodes++
 			k.ALU(24) // slab allocation
 		}
-		freeNode = &htNode{pa: pa, next: head}
+		freeNode = t.nodes.get(pa, head)
 		t.heads[b] = freeNode
 		freeIdx = 0
 	}

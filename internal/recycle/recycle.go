@@ -1,11 +1,15 @@
 // Package recycle provides the per-worker object pools behind pooled
 // System construction (core.NewSystemPooled): a sweep worker keeps one
-// Pool and cycles the big simulator allocations — cache SoA arrays,
-// free-page bitmaps and extent maps, radix page-table arena chunks —
-// across the points it runs instead of handing each point's ~megabytes
-// of setup state to the garbage collector. Only allocations a sweep
-// memory profile shows to matter are pooled; the rest (TLB arrays, the
-// frontend batch buffer) are allocated fresh per System.
+// Pool and cycles the big simulator allocations across the points it
+// runs instead of handing each point's ~megabytes of setup state to the
+// garbage collector. The kept keys are the physical free-page bitmaps
+// and extent maps, the cache SoA arrays, the radix page-table arena
+// chunks, and the trace-replay reader's buffers (key "trace.reader":
+// its 64 KiB read buffer, v2 block buffers and flate state, parked when
+// a point's trace source closes). Only allocations a sweep memory
+// profile shows to matter are pooled; the rest (TLB arrays, the
+// frontend batch buffer, ECH slot arrays) are allocated fresh per
+// System.
 //
 // Determinism is by construction, not by protocol: a pooled slice is
 // scrubbed to zero when it enters the pool and is matched by exact

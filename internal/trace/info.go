@@ -93,9 +93,9 @@ func ReadInfo(path string) (Info, error) {
 
 // ReadHeader opens path just far enough to validate and return its
 // header — the cheap existence/format check used before a replay run
-// starts.
+// starts. It reads through a small buffer, not a streaming one.
 func ReadHeader(path string) (Header, error) {
-	r, err := Open(path)
+	r, err := openFile(path, headerBufSize, nil)
 	if err != nil {
 		return Header{}, err
 	}

@@ -14,8 +14,32 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/recycle"
 	"repro/internal/workloads"
 )
+
+// Read buffer sizes: a streaming open reads the record section through
+// streamBufSize bytes of buffer; a header-only open (ReadHeader,
+// NewWorkload) stops after the header and needs only a small one.
+const (
+	streamBufSize = 64 << 10
+	headerBufSize = 4 << 10
+)
+
+// readerKey is the recycle.Pool key under which a closed streaming
+// Reader parks its buffers for the next pooled open on the same worker.
+const readerKey = "trace.reader"
+
+// readerBufs is the reusable state of a streaming Reader: the file's
+// read buffer, the v2 block buffers and the flate reader. Each is reset
+// or overwritten before it is read again — bufio.Reader.Reset, a full
+// io.ReadFull into the block buffers, flate.Resetter.Reset — so a
+// Reader built from parked buffers decodes exactly as a fresh one.
+type readerBufs struct {
+	br        *bufio.Reader
+	comp, raw []byte
+	fr        io.ReadCloser
+}
 
 // Reader streams a trace from an underlying reader: the header is
 // decoded eagerly by Open/NewReader (so a bad file fails fast, before a
@@ -33,6 +57,12 @@ type Reader struct {
 	file *os.File
 	gz   *gzip.Reader
 	br   *bufio.Reader
+	// in is the buffered reader over the caller's stream: br itself,
+	// or what the gzip envelope reads from. A pooled Reader parks it
+	// with the block buffers in pool when it closes.
+	in     *bufio.Reader
+	pool   *recycle.Pool
+	parked *readerBufs
 
 	hdr     Header
 	version int
@@ -58,12 +88,16 @@ type Reader struct {
 // format version are sniffed from the file's leading bytes; the file
 // extension is never consulted, so a misnamed file fails loudly with
 // ErrCorrupt instead of a confusing mid-stream error.
-func Open(path string) (*Reader, error) {
+func Open(path string) (*Reader, error) { return openFile(path, streamBufSize, nil) }
+
+// openFile is Open with a read buffer of bufSize bytes, drawing the
+// streaming buffers from pool (nil: allocate them).
+func openFile(path string, bufSize int, pool *recycle.Pool) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	r, err := NewReader(f)
+	r, err := newReader(f, bufSize, pool)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("trace: %s: %w", path, err)
@@ -76,9 +110,22 @@ func Open(path string) (*Reader, error) {
 // sniffing the gzip envelope and format version from the leading
 // bytes. The caller owns the underlying reader; Close releases only
 // what the Reader itself allocated.
-func NewReader(in io.Reader) (*Reader, error) {
-	r := &Reader{}
-	br := bufio.NewReaderSize(in, 1<<16)
+func NewReader(in io.Reader) (*Reader, error) { return newReader(in, streamBufSize, nil) }
+
+// newReader is NewReader with a read buffer of bufSize bytes. With a
+// pool it takes the buffers a closed Reader parked there (bufSize is
+// then streamBufSize, the size they were made at) and parks its own
+// when it closes.
+func newReader(in io.Reader, bufSize int, pool *recycle.Pool) (*Reader, error) {
+	r := &Reader{pool: pool}
+	if v, ok := pool.Take(readerKey); ok {
+		b := v.(*readerBufs)
+		b.br.Reset(in)
+		r.in, r.comp, r.raw, r.fr, r.parked = b.br, b.comp, b.raw, b.fr, b
+	} else {
+		r.in = bufio.NewReaderSize(in, bufSize)
+	}
+	br := r.in
 	lead, err := br.Peek(2)
 	if err != nil {
 		return nil, corruptf("short header: %v", eofErr(err))
@@ -89,7 +136,7 @@ func NewReader(in io.Reader) (*Reader, error) {
 			return nil, corruptf("gzip envelope: %v", err)
 		}
 		r.gz = gz
-		r.br = bufio.NewReaderSize(gz, 1<<16)
+		r.br = bufio.NewReaderSize(gz, bufSize)
 	} else {
 		r.br = br
 	}
@@ -368,7 +415,9 @@ func (r *Reader) Insts() uint64 { return r.insts }
 // MemOps returns the memory-operand instruction count decoded so far.
 func (r *Reader) MemOps() uint64 { return r.memOps }
 
-// Close releases the gzip envelope and the file, if Open opened one.
+// Close releases the gzip envelope and the file, if Open opened one. A
+// pooled Reader parks its buffers in its pool; it must not be read
+// again.
 func (r *Reader) Close() error {
 	var err error
 	if r.gz != nil {
@@ -378,6 +427,16 @@ func (r *Reader) Close() error {
 		if e := r.file.Close(); err == nil {
 			err = e
 		}
+	}
+	if r.pool != nil && r.in != nil {
+		b := r.parked
+		if b == nil {
+			b = &readerBufs{}
+		}
+		r.in.Reset(nil) // drop the closed file
+		*b = readerBufs{br: r.in, comp: r.comp, raw: r.raw, fr: r.fr}
+		r.pool.Give(readerKey, b)
+		r.in, r.br, r.comp, r.raw, r.fr, r.parked = nil, nil, nil, nil, nil, nil
 	}
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/isa"
+	"repro/internal/recycle"
 )
 
 // fileSource adapts a Reader to isa.Source for the engine's frontend.
@@ -23,8 +24,12 @@ type fileSource struct {
 // an independent reader — per-run cursors, nothing shared — so parallel
 // sweep points may replay one file concurrently. The source closes the
 // file when the stream is exhausted.
-func OpenSource(path string) (isa.Source, error) {
-	r, err := Open(path)
+func OpenSource(path string) (isa.Source, error) { return openSource(path, nil) }
+
+// openSource is OpenSource drawing the reader's buffers from pool and
+// parking them there again when the source closes (nil: no pooling).
+func openSource(path string, pool *recycle.Pool) (isa.Source, error) {
+	r, err := openFile(path, streamBufSize, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -35,10 +40,13 @@ func OpenSource(path string) (isa.Source, error) {
 // reader; the name stays because the benchmark drills call it.
 func OpenReplaySource(path string) (isa.Source, error) { return OpenSource(path) }
 
-// MustOpenSource is OpenSource, panicking on error. The engine uses it
-// after the configuration carrying the path has already been validated.
-func MustOpenSource(path string) isa.Source {
-	s, err := OpenSource(path)
+// MustOpenSource is OpenSource, panicking on error, with the reader's
+// buffers drawn from and parked back in pool (nil: no pooling). The
+// engine uses it after the configuration carrying the path has already
+// been validated, passing its worker's pool, so a sweep worker streams
+// every point through one set of read buffers.
+func MustOpenSource(path string, pool *recycle.Pool) isa.Source {
+	s, err := openSource(path, pool)
 	if err != nil {
 		panic(err)
 	}

@@ -19,12 +19,10 @@ import (
 // The file's header is decoded (and the whole path validated) here;
 // errors surface before any simulation starts.
 func NewWorkload(path string) (*workloads.Workload, error) {
-	r, err := Open(path)
+	hdr, err := ReadHeader(path)
 	if err != nil {
 		return nil, err
 	}
-	hdr := r.Header()
-	r.Close()
 
 	setup := func(w *workloads.Workload, k *mimicos.Kernel, pid int) {
 		for i, seg := range hdr.Layout {
@@ -38,7 +36,7 @@ func NewWorkload(path string) (*workloads.Workload, error) {
 	source := func(*workloads.Workload, uint64) isa.Source {
 		// The seed is ignored: a trace already fixes the instruction
 		// stream. Every run gets a fresh reader with its own cursor.
-		return MustOpenSource(path)
+		return MustOpenSource(path, nil)
 	}
 	return workloads.CustomSource(hdr.Workload, hdr.Class, hdr.Footprint, setup, source), nil
 }

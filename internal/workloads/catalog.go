@@ -275,49 +275,38 @@ func LongSuiteWith(p Params) []*Workload {
 // LongSuite is LongSuiteWith at the library defaults.
 func LongSuite() []*Workload { return LongSuiteWith(Params{}) }
 
-func bc(p Params) *Workload  { return graph(p, "BC", p.sz(384*mem.MB), 0.75, 4, false, 147) }
-func bfs(p Params) *Workload { return graph(p, "BFS", p.sz(320*mem.MB), 0.65, 3, false, 6) }
-func cc(p Params) *Workload  { return graph(p, "CC", p.sz(320*mem.MB), 0.6, 4, false, 6) }
-func gc(p Params) *Workload  { return graph(p, "GC", p.sz(256*mem.MB), 0.6, 5, false, 6) }
-func kc(p Params) *Workload  { return graph(p, "KC", p.sz(256*mem.MB), 0.7, 4, false, 6) }
-func pr(p Params) *Workload  { return graph(p, "PR", p.sz(384*mem.MB), 0.55, 6, false, 6) }
-func sp(p Params) *Workload  { return graph(p, "SSSP", p.sz(320*mem.MB), 0.8, 3, true, 6) }
-func tc(p Params) *Workload  { return graph(p, "TC", p.sz(256*mem.MB), 0.7, 5, false, 6) }
-func xs(p Params) *Workload  { return hpc(p, "XS", p.sz(320*mem.MB), 8, false) }
-func rnd(p Params) *Workload { return hpc(p, "RND", p.sz(256*mem.MB), 1, true) }
-
-// BC is GraphBIG betweenness centrality: one huge VMA plus ~147 small
+// bc is GraphBIG betweenness centrality: one huge VMA plus ~147 small
 // auxiliary VMAs (Fig. 18), highly irregular.
-func BC() *Workload { return bc(Params{}.resolve()) }
+func bc(p Params) *Workload { return graph(p, "BC", p.sz(384*mem.MB), 0.75, 4, false, 147) }
 
-// BFS is breadth-first search: frontier-driven, moderately irregular.
-func BFS() *Workload { return bfs(Params{}.resolve()) }
+// bfs is breadth-first search: frontier-driven, moderately irregular.
+func bfs(p Params) *Workload { return graph(p, "BFS", p.sz(320*mem.MB), 0.65, 3, false, 6) }
 
-// CC is connected components.
-func CC() *Workload { return cc(Params{}.resolve()) }
+// cc is connected components.
+func cc(p Params) *Workload { return graph(p, "CC", p.sz(320*mem.MB), 0.6, 4, false, 6) }
 
-// GC is graph coloring.
-func GC() *Workload { return gc(Params{}.resolve()) }
+// gc is graph coloring.
+func gc(p Params) *Workload { return graph(p, "GC", p.sz(256*mem.MB), 0.6, 5, false, 6) }
 
-// KC is k-core decomposition.
-func KC() *Workload { return kc(Params{}.resolve()) }
+// kc is k-core decomposition.
+func kc(p Params) *Workload { return graph(p, "KC", p.sz(256*mem.MB), 0.7, 4, false, 6) }
 
-// PR is PageRank: alternating sequential and random phases.
-func PR() *Workload { return pr(Params{}.resolve()) }
+// pr is PageRank: alternating sequential and random phases.
+func pr(p Params) *Workload { return graph(p, "PR", p.sz(384*mem.MB), 0.55, 6, false, 6) }
 
-// SP is single-source shortest path: pointer-chase heavy (the Fig. 3
+// sp is single-source shortest path: pointer-chase heavy (the Fig. 3
 // outlier).
-func SP() *Workload { return sp(Params{}.resolve()) }
+func sp(p Params) *Workload { return graph(p, "SSSP", p.sz(320*mem.MB), 0.8, 3, true, 6) }
 
-// TC is triangle counting.
-func TC() *Workload { return tc(Params{}.resolve()) }
+// tc is triangle counting.
+func tc(p Params) *Workload { return graph(p, "TC", p.sz(256*mem.MB), 0.7, 5, false, 6) }
 
-// XS is XSBench, the Monte Carlo neutron-transport kernel.
-func XS() *Workload { return xs(Params{}.resolve()) }
+// xs is XSBench, the Monte Carlo neutron-transport kernel.
+func xs(p Params) *Workload { return hpc(p, "XS", p.sz(320*mem.MB), 8, false) }
 
-// RND is GUPS randacc: random read-modify-writes, the worst-case fault
+// rnd is GUPS randacc: random read-modify-writes, the worst-case fault
 // and TLB stressor (used for Fig. 11's worst-case overheads).
-func RND() *Workload { return rnd(Params{}.resolve()) }
+func rnd(p Params) *Workload { return hpc(p, "RND", p.sz(256*mem.MB), 1, true) }
 
 // Mix extras ----------------------------------------------------------------
 //
@@ -354,9 +343,6 @@ func seqW(p Params) *Workload {
 	return w
 }
 
-// SEQ is the sequential-streaming extra at the library defaults.
-func SEQ() *Workload { return seqW(Params{}.resolve()) }
-
 // ExtraSuite returns the mix-extra workloads at the library defaults.
 func ExtraSuite() []*Workload { return extrasWith(Params{}.resolve()) }
 
@@ -391,52 +377,40 @@ func ShortSuiteWith(p Params) []*Workload {
 // ShortSuite is ShortSuiteWith at the library defaults.
 func ShortSuite() []*Workload { return ShortSuiteWith(Params{}) }
 
-func jsonW(p Params) *Workload   { return faas("JSON", p.sz(24*mem.MB), 10, 64*1024) }
-func aes(p Params) *Workload     { return faas("AES", p.sz(16*mem.MB), 18, 96*1024) }
-func imgres(p Params) *Workload  { return faas("IMG-RES", p.sz(32*mem.MB), 8, 128*1024) }
-func wcnt(p Params) *Workload    { return faas("WCNT", p.sz(24*mem.MB), 6, 96*1024) }
-func db(p Params) *Workload      { return faas("DB", p.sz(32*mem.MB), 7, 128*1024) }
-func llama(p Params) *Workload   { return llm("Llama-2-7B", p.sz(96*mem.MB), p.sz(48*mem.MB), 12) }
-func bagel(p Params) *Workload   { return llm("Bagel-2.8B", p.sz(48*mem.MB), p.sz(32*mem.MB), 12) }
+// jsonW is FaaS JSON deserialisation.
+func jsonW(p Params) *Workload { return faas("JSON", p.sz(24*mem.MB), 10, 64*1024) }
+
+// aes is FaaS AES encryption.
+func aes(p Params) *Workload { return faas("AES", p.sz(16*mem.MB), 18, 96*1024) }
+
+// imgres is FaaS image resizing.
+func imgres(p Params) *Workload { return faas("IMG-RES", p.sz(32*mem.MB), 8, 128*1024) }
+
+// wcnt is FaaS word count.
+func wcnt(p Params) *Workload { return faas("WCNT", p.sz(24*mem.MB), 6, 96*1024) }
+
+// db is a FaaS database filter query.
+func db(p Params) *Workload { return faas("DB", p.sz(32*mem.MB), 7, 128*1024) }
+
+// llama models Llama-2-7B short-prompt inference (llama.cpp).
+func llama(p Params) *Workload { return llm("Llama-2-7B", p.sz(96*mem.MB), p.sz(48*mem.MB), 12) }
+
+// bagel models Bagel-2.8B inference.
+func bagel(p Params) *Workload { return llm("Bagel-2.8B", p.sz(48*mem.MB), p.sz(32*mem.MB), 12) }
+
+// mistral models Mistral-7B inference.
 func mistral(p Params) *Workload { return llm("Mistral-7B", p.sz(96*mem.MB), p.sz(48*mem.MB), 12) }
+
+// transp3D is the 3D matrix transposition kernel.
 func transp3D(p Params) *Workload {
 	return image("3D-Transp", p.sz(24*mem.MB), 4*mem.KB+64, 2)
 }
+
+// hadamard is the 3D Hadamard product.
 func hadamard(p Params) *Workload { return image("Hadamard", p.sz(24*mem.MB), 64, 2) }
-func sum2D(p Params) *Workload    { return image("2D-Sum", p.sz(16*mem.MB), 64, 2) }
 
-// JSON is FaaS JSON deserialisation.
-func JSON() *Workload { return jsonW(Params{}.resolve()) }
-
-// AES is FaaS AES encryption.
-func AES() *Workload { return aes(Params{}.resolve()) }
-
-// IMGRES is FaaS image resizing.
-func IMGRES() *Workload { return imgres(Params{}.resolve()) }
-
-// WCNT is FaaS word count.
-func WCNT() *Workload { return wcnt(Params{}.resolve()) }
-
-// DB is a FaaS database filter query.
-func DB() *Workload { return db(Params{}.resolve()) }
-
-// Llama models Llama-2-7B short-prompt inference (llama.cpp).
-func Llama() *Workload { return llama(Params{}.resolve()) }
-
-// Bagel models Bagel-2.8B inference.
-func Bagel() *Workload { return bagel(Params{}.resolve()) }
-
-// Mistral models Mistral-7B inference.
-func Mistral() *Workload { return mistral(Params{}.resolve()) }
-
-// Transp3D is the 3D matrix transposition kernel.
-func Transp3D() *Workload { return transp3D(Params{}.resolve()) }
-
-// Hadamard is the 3D Hadamard product.
-func Hadamard() *Workload { return hadamard(Params{}.resolve()) }
-
-// Sum2D is the 2D matrix sum.
-func Sum2D() *Workload { return sum2D(Params{}.resolve()) }
+// sum2D is the 2D matrix sum.
+func sum2D(p Params) *Workload { return image("2D-Sum", p.sz(16*mem.MB), 64, 2) }
 
 // ByNameWith returns the named workload from either suite (or the mix
 // extras), built with explicit parameters — the race-free lookup

@@ -2,27 +2,31 @@ package virtuoso_test
 
 // Differential determinism harness for the sweep-scale reuse
 // machinery: per-worker System pooling (recycled page-table arenas,
-// cache SoA arrays, free-page bitmaps) and the content-addressed
-// point-result cache must both be invisible in the results. The same grid — spanning
-// designs (nested translation's hypervisor kernel included), policies,
-// modes, and a multiprogrammed mix, so pooled
-// workers rebuild systems of different shapes back to back — runs
-// fresh (Sweep.NoReuse), pooled, and cache-answered, and all three
-// reports must match byte for byte under Report.CanonicalJSON.
+// cache SoA arrays, free-page bitmaps, trace read buffers) and the
+// content-addressed point-result cache must both be invisible in the
+// results. Three grids (38 points) run fresh (Sweep.NoReuse), pooled,
+// and cache-answered, and all three reports of each must match byte
+// for byte under Report.CanonicalJSON: catalog grids spanning every
+// built-in page-table design (nested translation's hypervisor kernel
+// included), policies, modes, and a multiprogrammed mix, so pooled
+// workers rebuild systems of different shapes back to back; and a
+// trace-replay grid, so pooled workers stream point after point
+// through one set of read buffers.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 
 	virtuoso "repro"
 	"repro/internal/sweepjob"
 )
 
-// reuseSweep is the equivalence grid: (BFS, RND, BFS+RND mix) ×
-// (radix, ech, nested) × (thp, bd) = 18 points, with the radix/bd
+// reuseSweep is the catalog equivalence grid: (BFS, RND, BFS+RND mix)
+// × (radix, ech, nested) × (thp, bd) = 18 points, with the radix/bd
 // single-workload points flipped to emulation mode by the Configure
 // hook so mode changes are part of the shapes a pooled worker cycles
 // through.
@@ -47,6 +51,47 @@ func reuseSweep() *virtuoso.Sweep {
 	}
 }
 
+// reuseHashedSweep is the catalog grid over the global hashed tables:
+// (BFS, RND) × (hdc, ht) × (thp, bd) = 8 points. It has no mix: each
+// process of a mix sizes its own global table from physical memory, and
+// the second one finds no contiguous region left for it.
+func reuseHashedSweep() *virtuoso.Sweep {
+	sw := reuseSweep()
+	sw.Mixes = nil
+	sw.Designs = []virtuoso.DesignName{virtuoso.DesignHDC, virtuoso.DesignHT}
+	return sw
+}
+
+// reuseTraceSweep is the trace-replay equivalence grid over the v2
+// trace at path: (radix, ech, ht) × (thp, bd) × seeds (1, 2) = 12
+// points on two workers. Seed-1 points stop at their instruction bound,
+// so the engine closes their source mid-stream; seed-2 points replay
+// the whole trace and close it at end of stream. Both paths park the
+// read buffers for the worker's next point.
+func reuseTraceSweep(path string) *virtuoso.Sweep {
+	base := virtuoso.ScaledConfig()
+	base.MaxAppInsts = 100_000
+	return &virtuoso.Sweep{
+		Base:      base,
+		Workloads: []string{"BFS"},
+		Designs:   []virtuoso.DesignName{virtuoso.DesignRadix, virtuoso.DesignECH, virtuoso.DesignHT},
+		Policies:  []virtuoso.PolicyName{virtuoso.PolicyTHP, virtuoso.PolicyBuddy},
+		Seeds:     []uint64{1, 2},
+		Parallel:  2,
+		WorkloadFactory: func(virtuoso.Point) (*virtuoso.Workload, error) {
+			return virtuoso.TraceWorkload(path)
+		},
+		Configure: func(cfg *virtuoso.Config, p virtuoso.Point) error {
+			cfg.TracePath = path
+			cfg.Frontend = virtuoso.FrontendTrace
+			if p.Seed == 2 {
+				cfg.MaxAppInsts = 0
+			}
+			return nil
+		},
+	}
+}
+
 func canonicalReport(t *testing.T, rep *virtuoso.Report) []byte {
 	t.Helper()
 	data, err := rep.CanonicalJSON()
@@ -57,11 +102,33 @@ func canonicalReport(t *testing.T, rep *virtuoso.Report) []byte {
 }
 
 func TestSweepReuseEquivalence(t *testing.T) {
-	const points = 18
+	t.Run("catalog", func(t *testing.T) { checkReuseEquivalence(t, reuseSweep, 18) })
+	t.Run("hashed", func(t *testing.T) { checkReuseEquivalence(t, reuseHashedSweep, 8) })
+	t.Run("trace", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "bfs.trc")
+		rec, err := virtuoso.Open(append(traceTestOpts(),
+			virtuoso.WithWorkloadScale(0.05),
+			virtuoso.WithWorkload("BFS"),
+		)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, info, err := rec.Record(path); err != nil {
+			t.Fatal(err)
+		} else if info.Version != 2 {
+			t.Fatalf("recorded trace is v%d, want v2", info.Version)
+		}
+		checkReuseEquivalence(t, func() *virtuoso.Sweep { return reuseTraceSweep(path) }, 12)
+	})
+}
 
+// checkReuseEquivalence runs the grid mk builds fresh, pooled and
+// cache-answered, and requires the three canonical reports to match.
+func checkReuseEquivalence(t *testing.T, mk func() *virtuoso.Sweep, points int) {
+	t.Helper()
 	// Reference: every point built from fresh allocations, as the
 	// runner always worked before pooling existed.
-	fresh := reuseSweep()
+	fresh := mk()
 	fresh.NoReuse = true
 	freshRep, err := fresh.Run(context.Background())
 	if err != nil {
@@ -76,7 +143,7 @@ func TestSweepReuseEquivalence(t *testing.T) {
 	// allocations into the next point, across the grid's mixed shapes.
 	// This run also warms the result cache.
 	cacheDir := t.TempDir()
-	pooled := reuseSweep()
+	pooled := mk()
 	pooled.Cache = cacheDir
 	pooledRep, err := pooled.Run(context.Background())
 	if err != nil {
@@ -89,7 +156,7 @@ func TestSweepReuseEquivalence(t *testing.T) {
 
 	// Cached: the same grid against the warm cache must simulate
 	// nothing and still produce the identical report.
-	cached := reuseSweep()
+	cached := mk()
 	cached.Cache = cacheDir
 	cachedRep, err := cached.Run(context.Background())
 	if err != nil {
