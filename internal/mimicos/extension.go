@@ -20,7 +20,7 @@ func (k *Kernel) AllocBuddy4K(tr *instrument.Tracer) (mem.PAddr, bool) {
 
 // ZeroPoolPop returns a pre-zeroed 2 MB frame if one is ready (the
 // "is there a zero 2MB page?" step of the THP fault flow).
-func (k *Kernel) ZeroPoolPop() (mem.PAddr, bool) { return k.popZeroPool() }
+func (k *Kernel) ZeroPoolPop() (mem.PAddr, bool) { return popFrame(&k.zeroPool) }
 
 // NoteTHPCandidate registers the 2 MB region containing va as a
 // khugepaged collapse candidate — what the built-in THP policy does

@@ -42,15 +42,13 @@ func (k *Kernel) HandlePageFault(pid int, va mem.VAddr, write bool, now uint64) 
 	vma := k.findVMA(p, va, tr)
 	if vma == nil {
 		tr.ALU(120) // bad-area path, signal delivery setup
-		k.stats.SegvFaults++
-		p.Stat.SegvFaults++
 		exit()
-		return FaultOutcome{OK: false}
+		return k.segv(p)
 	}
 
 	// Page in hugetlbfs? (explicit huge-page VMAs bypass the normal path).
 	if vma.HugeTLB {
-		out := k.hugetlbFault(p, vma, va, tr)
+		out := k.hugetlbFault(p, va, tr)
 		k.postFault(p, tr, now)
 		exit()
 		return out
@@ -84,7 +82,7 @@ func (k *Kernel) HandlePageFault(pid int, va mem.VAddr, write bool, now uint64) 
 	if e, ok := p.PT.Lookup(key); ok && e.Swapped {
 		// 6: swapped-out anonymous page: consult the swap cache and
 		// read the slot back from disk.
-		out = k.swapInFault(p, vma, va, key, e, tr, now)
+		out = k.swapInFault(p, va, key, e, tr, now)
 	} else if pg, t, ok := k.tierLookup(p, va); ok {
 		// Slow-tier page (unmapped): this access is the promotion hint
 		// fault — migrate it back to DRAM.
@@ -108,17 +106,12 @@ func (k *Kernel) HandlePageFault(pid int, va mem.VAddr, write bool, now uint64) 
 
 // translationKey maps va into the key space the page table is indexed
 // by: the virtual address itself, or the Midgard intermediate address
-// when an intermediate address space is active.
+// when an intermediate address space is active, whose lookup is charged.
 func (k *Kernel) translationKey(p *Process, va mem.VAddr, tr *instrument.Tracer) mem.VAddr {
-	if p.Midgard == nil {
-		return va
+	if p.Midgard != nil {
+		tr.ALU(20)
 	}
-	mv, ok := p.Midgard.Find(va, nil)
-	tr.ALU(20)
-	if !ok {
-		return va
-	}
-	return mem.VAddr(mv.Translate(va))
+	return k.keyForNoCharge(p, va)
 }
 
 // anonFault services an anonymous-memory fault through the active
@@ -128,16 +121,14 @@ func (k *Kernel) anonFault(p *Process, vma *VMA, va mem.VAddr, key mem.VAddr, wr
 	defer exit()
 	tr.ALU(90)
 
-	frame, size, prezeroed, restseg, ok := k.policy.AllocAnon(k, p, vma, va, tr, now)
-	if !ok {
-		// Out of physical memory: reclaim (demotion or swap), retry once.
-		k.reclaim(p, tr, now)
+	var frame mem.PAddr
+	var size mem.PageSize
+	var prezeroed, restseg bool
+	if !k.allocWithReclaim(p, tr, now, true, func() (ok bool) {
 		frame, size, prezeroed, restseg, ok = k.policy.AllocAnon(k, p, vma, va, tr, now)
-		if !ok {
-			k.stats.SegvFaults++
-			p.Stat.SegvFaults++
-			return FaultOutcome{OK: false}
-		}
+		return ok
+	}) {
+		return k.segv(p)
 	}
 
 	if !prezeroed {
@@ -146,34 +137,22 @@ func (k *Kernel) anonFault(p *Process, vma *VMA, va mem.VAddr, key mem.VAddr, wr
 		zexit()
 	}
 
-	base := size.PageBase(va)
-	keyBase := key - (va - base)
+	rp := residentPage{VA: size.PageBase(va), Size: size, Frame: frame, RestSeg: restseg, Heat: k.touchHeat(0)}
+	var out FaultOutcome
 	if restseg {
 		// Utopia RestSeg mappings bypass the page table: translation is
 		// set-index plus tag match, which is the whole point (§7.5).
 		// Invalidate any negative SF/TAR state cached by the MMU.
 		tr.ALU(20)
-		k.notifyUnmap(p.PID, base, size)
-	} else {
-		tr.Atomic(k.lk.pt)
-		if err := p.PT.Insert(keyBase, pagetable.Entry{
-			Frame: frame, Size: size, Present: true, Writable: true, Dirty: write, Accessed: true,
-		}, tr); err != nil {
-			k.stats.SegvFaults++
-			p.Stat.SegvFaults++
-			return FaultOutcome{OK: false}
-		}
+		k.notifyUnmap(p.PID, rp.VA, size)
+		out = k.account(p, rp, false, nil)
+	} else if out = k.installPage(p, key-(va-rp.VA), rp, write, false, tr, nil); !out.OK {
+		return k.segv(p)
 	}
 	if size == mem.Page4K {
 		vma.region4K[uint64(mem.Page2M.PageBase(va))]++
 	}
-	p.RSS += size.Bytes()
-	p.addResident(residentPage{VA: base, Size: size, Frame: frame, RestSeg: restseg, Heat: k.touchHeat(0)})
-	k.stats.MinorFaults++
-	p.Stat.MinorFaults++
-	k.stats.FaultsBySize[size]++
-	p.Stat.FaultsBySize[size]++
-	return FaultOutcome{OK: true, Frame: frame, Size: size}
+	return out
 }
 
 // fileFault services a file-backed (or DAX) fault: 1 GB mapping when the
@@ -194,62 +173,33 @@ func (k *Kernel) fileFault(p *Process, vma *VMA, va mem.VAddr, key mem.VAddr, tr
 		gexit()
 		if ok {
 			dev := k.fetchFromPageCache(p, vma, va, frame, mem.Page1G, tr, now)
-			base := mem.Page1G.PageBase(va)
-			keyBase := key - (va - base)
-			tr.Atomic(k.lk.pt)
-			if err := p.PT.Insert(keyBase, pagetable.Entry{
-				Frame: frame, Size: mem.Page1G, Present: true, Writable: true, Accessed: true,
-			}, tr); err == nil {
-				p.RSS += mem.Page1G.Bytes()
-				p.addResident(residentPage{VA: base, Size: mem.Page1G, Frame: frame, Heat: k.touchHeat(0)})
-				k.stats.MinorFaults++
-				p.Stat.MinorFaults++
-				k.stats.OneGigFaults++
-				p.Stat.OneGigFaults++
-				k.stats.FaultsBySize[mem.Page1G]++
-				p.Stat.FaultsBySize[mem.Page1G]++
-				return FaultOutcome{OK: true, Frame: frame, Size: mem.Page1G, Major: dev > 0, DeviceCycles: dev}
+			rp := residentPage{VA: mem.Page1G.PageBase(va), Size: mem.Page1G, Frame: frame, Heat: k.touchHeat(0)}
+			if out := k.installPage(p, key-(va-rp.VA), rp, false, false, tr, func(s *Stats) { s.OneGigFaults++ }); out.OK {
+				out.Major, out.DeviceCycles = dev > 0, dev
+				return out
 			}
 			k.Phys.Free(frame, mem.Page1G.Bytes()/(4*mem.KB))
 		}
 		// Conditions not met: fall through to smaller pages.
 	}
 
-	frame, ok := k.allocBuddy4K(tr)
-	if !ok {
-		k.reclaim(p, tr, now)
+	var frame mem.PAddr
+	if !k.allocWithReclaim(p, tr, now, true, func() (ok bool) {
 		frame, ok = k.allocBuddy4K(tr)
-		if !ok {
-			k.stats.SegvFaults++
-			p.Stat.SegvFaults++
-			return FaultOutcome{OK: false}
-		}
+		return ok
+	}) {
+		return k.segv(p)
 	}
 	dev := k.fetchFromPageCache(p, vma, va, frame, mem.Page4K, tr, now)
 
-	base := mem.Page4K.PageBase(va)
-	keyBase := key - (va - base)
-	tr.Atomic(k.lk.pt)
-	if err := p.PT.Insert(keyBase, pagetable.Entry{
-		Frame: frame, Size: mem.Page4K, Present: true, Writable: true, Accessed: true,
-	}, tr); err != nil {
-		k.stats.SegvFaults++
-		p.Stat.SegvFaults++
-		return FaultOutcome{OK: false}
+	rp := residentPage{VA: mem.Page4K.PageBase(va), Size: mem.Page4K, Frame: frame, Heat: k.touchHeat(0)}
+	out := k.installPage(p, key-(va-rp.VA), rp, false, dev > 0, tr, nil)
+	if !out.OK {
+		return k.segv(p)
 	}
 	vma.region4K[uint64(mem.Page2M.PageBase(va))]++
-	p.RSS += 4 * mem.KB
-	p.addResident(residentPage{VA: base, Size: mem.Page4K, Frame: frame, Heat: k.touchHeat(0)})
-	if dev > 0 {
-		k.stats.MajorFaults++
-		p.Stat.MajorFaults++
-	} else {
-		k.stats.MinorFaults++
-		p.Stat.MinorFaults++
-	}
-	k.stats.FaultsBySize[mem.Page4K]++
-	p.Stat.FaultsBySize[mem.Page4K]++
-	return FaultOutcome{OK: true, Frame: frame, Size: mem.Page4K, Major: dev > 0, DeviceCycles: dev}
+	out.DeviceCycles = dev
+	return out
 }
 
 // fetchFromPageCache resolves file data for [va, va+size): a page-cache
@@ -264,8 +214,7 @@ func (k *Kernel) fetchFromPageCache(p *Process, vma *VMA, va mem.VAddr, frame me
 	tr.Load(k.lk.lru)
 
 	if _, hit := k.pageCache[keyObj]; hit || k.Cfg.PrepopulatePageCache {
-		k.stats.PageCacheHits++
-		p.Stat.PageCacheHits++
+		k.count(p, func(s *Stats) { s.PageCacheHits++ })
 		k.pageCache[keyObj] = frame
 		// Mapping a cached page: no copy for DAX; copy a page otherwise
 		// is avoided by mapping the cache page itself (we model the
@@ -273,8 +222,7 @@ func (k *Kernel) fetchFromPageCache(p *Process, vma *VMA, va mem.VAddr, frame me
 		tr.ALU(40)
 		return 0
 	}
-	k.stats.PageCacheMisses++
-	p.Stat.PageCacheMisses++
+	k.count(p, func(s *Stats) { s.PageCacheMisses++ })
 	var dev uint64 = 174_000 // stand-in when no disk is attached (~60µs)
 	if k.Disk != nil {
 		dev = k.Disk.Read(uint64(vma.FileID)<<32+filePage*4096, size.Bytes(), now)
@@ -288,37 +236,77 @@ func (k *Kernel) fetchFromPageCache(p *Process, vma *VMA, va mem.VAddr, frame me
 }
 
 // hugetlbFault serves a fault in a hugetlbfs VMA from the reserved pool.
-func (k *Kernel) hugetlbFault(p *Process, vma *VMA, va mem.VAddr, tr *instrument.Tracer) FaultOutcome {
+func (k *Kernel) hugetlbFault(p *Process, va mem.VAddr, tr *instrument.Tracer) FaultOutcome {
 	exit := tr.Enter("hugetlb_fault")
 	defer exit()
 	tr.ALU(150)
-	frame, ok := k.hugetlbPop()
+	frame, ok := popFrame(&k.hugetlbPool)
 	if !ok {
-		k.stats.SegvFaults++
-		p.Stat.SegvFaults++
-		return FaultOutcome{OK: false}
+		return k.segv(p)
 	}
 	zexit := tr.Enter("clear_huge_page")
 	tr.ZeroRange(frame, mem.Page2M.Bytes())
 	zexit()
-	base := mem.Page2M.PageBase(va)
+	rp := residentPage{VA: mem.Page2M.PageBase(va), Size: mem.Page2M, Frame: frame, Heat: k.touchHeat(0)}
+	out := k.installPage(p, rp.VA, rp, false, false, tr, func(s *Stats) { s.HugeTLBFaults++ })
+	if !out.OK {
+		return k.segv(p)
+	}
+	return out
+}
+
+// segv counts a SIGSEGV against p and returns the failed outcome.
+func (k *Kernel) segv(p *Process) FaultOutcome {
+	k.count(p, func(s *Stats) { s.SegvFaults++ })
+	return FaultOutcome{OK: false}
+}
+
+// allocWithReclaim runs alloc, a frame allocation that reports whether
+// it succeeded. When it fails and reclaim is set, physical memory is
+// out: the kernel reclaims (demotion or swap) and retries once.
+func (k *Kernel) allocWithReclaim(p *Process, tr *instrument.Tracer, now uint64, reclaim bool, alloc func() bool) bool {
+	if alloc() {
+		return true
+	}
+	if !reclaim {
+		return false
+	}
+	k.reclaim(p, tr, now)
+	return alloc()
+}
+
+// installPage maps rp under the page-table lock with a present,
+// writable PTE at key, then accounts it. The outcome is not OK, and
+// nothing is accounted, when the page table refuses the entry; the
+// caller decides what becomes of the frame.
+func (k *Kernel) installPage(p *Process, key mem.VAddr, rp residentPage, dirty, major bool, tr *instrument.Tracer, more func(*Stats)) FaultOutcome {
 	tr.Atomic(k.lk.pt)
-	if err := p.PT.Insert(base, pagetable.Entry{
-		Frame: frame, Size: mem.Page2M, Present: true, Writable: true, Accessed: true,
+	if err := p.PT.Insert(key, pagetable.Entry{
+		Frame: rp.Frame, Size: rp.Size, Present: true, Writable: true, Dirty: dirty, Accessed: true,
 	}, tr); err != nil {
-		k.stats.SegvFaults++
-		p.Stat.SegvFaults++
 		return FaultOutcome{OK: false}
 	}
-	p.RSS += mem.Page2M.Bytes()
-	p.addResident(residentPage{VA: base, Size: mem.Page2M, Frame: frame, Heat: k.touchHeat(0)})
-	k.stats.MinorFaults++
-	p.Stat.MinorFaults++
-	k.stats.HugeTLBFaults++
-	p.Stat.HugeTLBFaults++
-	k.stats.FaultsBySize[mem.Page2M]++
-	p.Stat.FaultsBySize[mem.Page2M]++
-	return FaultOutcome{OK: true, Frame: frame, Size: mem.Page2M}
+	return k.account(p, rp, major, more)
+}
+
+// account charges a page a fault has just mapped: p's RSS and resident
+// list, one minor or major fault of the page's size, and the handler's
+// own counters (more, if non-nil).
+func (k *Kernel) account(p *Process, rp residentPage, major bool, more func(*Stats)) FaultOutcome {
+	p.RSS += rp.Size.Bytes()
+	p.addResident(rp)
+	k.count(p, func(s *Stats) {
+		if major {
+			s.MajorFaults++
+		} else {
+			s.MinorFaults++
+		}
+		s.FaultsBySize[rp.Size]++
+		if more != nil {
+			more(s)
+		}
+	})
+	return FaultOutcome{OK: true, Frame: rp.Frame, Size: rp.Size, Major: major}
 }
 
 // postFault runs the deferred work attached to fault handling: reclaim
@@ -335,7 +323,7 @@ func (k *Kernel) postFault(p *Process, tr *instrument.Tracer, now uint64) {
 		k.directReclaim(p, tr, now)
 	}
 	if n := k.Cfg.KhugeEveryNFaults; n > 0 && k.faultCount%n == 0 {
-		k.khuge.scan(tr, now)
+		k.khuge.scan(tr)
 	}
 	k.refillZeroPool(tr)
 	if k.Cfg.FullKernel {
@@ -362,24 +350,15 @@ func (k *Kernel) refillZeroPool(tr *instrument.Tracer) {
 	}
 }
 
-// popZeroPool returns a pre-zeroed 2MB frame if one is ready.
-func (k *Kernel) popZeroPool() (mem.PAddr, bool) {
-	if n := len(k.zeroPool); n > 0 {
-		f := k.zeroPool[n-1]
-		k.zeroPool = k.zeroPool[:n-1]
-		return f, true
-	}
-	return 0, false
-}
-
-// hugetlb pool -------------------------------------------------------------
-
-func (k *Kernel) hugetlbPop() (mem.PAddr, bool) {
-	if len(k.hugetlbPool) == 0 {
+// popFrame takes the last frame off a frame pool: the pre-zeroed 2MB
+// pool or the hugetlbfs reserve.
+func popFrame(pool *[]mem.PAddr) (mem.PAddr, bool) {
+	n := len(*pool)
+	if n == 0 {
 		return 0, false
 	}
-	f := k.hugetlbPool[len(k.hugetlbPool)-1]
-	k.hugetlbPool = k.hugetlbPool[:len(k.hugetlbPool)-1]
+	f := (*pool)[n-1]
+	*pool = (*pool)[:n-1]
 	return f, true
 }
 

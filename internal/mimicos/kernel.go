@@ -404,6 +404,13 @@ func (k *Kernel) notifyUnmap(pid int, va mem.VAddr, size mem.PageSize) {
 // Stats returns the kernel statistics.
 func (k *Kernel) Stats() *Stats { return &k.stats }
 
+// count charges one kernel event: f applies it to the kernel totals and
+// to p, the process that owns the affected pages.
+func (k *Kernel) count(p *Process, f func(*Stats)) {
+	f(&k.stats)
+	f(&p.Stat)
+}
+
 // Process returns the process with the given PID, or nil.
 func (k *Kernel) Process(pid int) *Process { return k.procs[pid] }
 
@@ -539,8 +546,7 @@ func (k *Kernel) ExitProcess(pid int) {
 	}
 	delete(k.procs, pid)
 	k.freeASIDs = append(k.freeASIDs, p.ASID)
-	k.stats.Exits++
-	p.Stat.Exits++
+	k.count(p, func(s *Stats) { s.Exits++ })
 	exit()
 	notify := k.exitNotify
 	k.mu.Unlock()
@@ -603,8 +609,7 @@ func (k *Kernel) Mmap(pid int, length uint64, flags MmapFlags) mem.VAddr {
 	copy(p.VMAs[i+1:], p.VMAs[i:])
 	p.VMAs[i] = v
 	tr.TouchObject(v.KAddr, 1, 2)
-	k.stats.MmapCalls++
-	p.Stat.MmapCalls++
+	k.count(p, func(s *Stats) { s.MmapCalls++ })
 
 	if p.Midgard != nil {
 		p.Midgard.AddVMA(v.Start, v.End, tr)
@@ -643,8 +648,7 @@ func (k *Kernel) Munmap(pid int, va mem.VAddr, length uint64) {
 	if p.RMM != nil {
 		p.RMM.Remove(va, end, tr)
 	}
-	k.stats.MunmapCalls++
-	p.Stat.MunmapCalls++
+	k.count(p, func(s *Stats) { s.MunmapCalls++ })
 	exit()
 }
 

@@ -56,7 +56,7 @@ func (kh *khugepaged) noteCandidate(pid int, vma *VMA, va mem.VAddr) {
 // promoted while another is the one faulting. Collapse statistics are
 // attributed to the process that owns the region, not the one whose
 // fault drove the scan clock.
-func (kh *khugepaged) scan(tr *instrument.Tracer, now uint64) {
+func (kh *khugepaged) scan(tr *instrument.Tracer) {
 	k := kh.k
 	n := k.Cfg.KhugeScanRegions
 	if n == 0 || len(kh.queue) == 0 {
@@ -80,7 +80,7 @@ func (kh *khugepaged) scan(tr *instrument.Tracer, now uint64) {
 		if owner == nil {
 			continue // process exited; drop its candidate
 		}
-		if kh.tryCollapse(owner, cand, tr, now) {
+		if kh.tryCollapse(owner, cand, tr) {
 			continue
 		}
 		// Transient failure (few pages yet, no 2MB block free): keep the
@@ -109,7 +109,7 @@ func (kh *khugepaged) dropPID(pid int) {
 // tryCollapse performs the Fig. 6 checks and the collapse copy; it
 // reports whether the candidate is finished (collapsed or permanently
 // ineligible).
-func (kh *khugepaged) tryCollapse(p *Process, cand khugeCand, tr *instrument.Tracer, now uint64) bool {
+func (kh *khugepaged) tryCollapse(p *Process, cand khugeCand, tr *instrument.Tracer) bool {
 	k := kh.k
 	regionBase := mem.VAddr(cand.key.region)
 	vma := cand.vma
@@ -135,15 +135,13 @@ func (kh *khugepaged) tryCollapse(p *Process, cand khugeCand, tr *instrument.Tra
 			// region ineligible: collapsing would zero-fill the hole and
 			// leave the tier copy to be promoted over the huge mapping.
 			if k.tiersEnabled() && k.tiers.Contains(p.PID, va) {
-				k.stats.CollapseAborts++
-				p.Stat.CollapseAborts++
+				k.count(p, func(s *Stats) { s.CollapseAborts++ })
 				return true
 			}
 			continue
 		}
 		if e.Swapped || e.Size != mem.Page4K {
-			k.stats.CollapseAborts++
-			p.Stat.CollapseAborts++
+			k.count(p, func(s *Stats) { s.CollapseAborts++ })
 			return true // permanently ineligible in this state
 		}
 		if e.Present {
@@ -156,16 +154,14 @@ func (kh *khugepaged) tryCollapse(p *Process, cand khugeCand, tr *instrument.Tra
 	// permissive; we require at least 64 present pages to make the copy
 	// worthwhile, mirroring common tuning).
 	if present < 64 {
-		k.stats.CollapseAborts++
-		p.Stat.CollapseAborts++
+		k.count(p, func(s *Stats) { s.CollapseAborts++ })
 		return false // too sparse for now; rescan later
 	}
 
 	tr.Atomic(k.lk.buddy)
 	huge, ok := k.Phys.Alloc2M()
 	if !ok {
-		k.stats.CollapseAborts++
-		p.Stat.CollapseAborts++
+		k.count(p, func(s *Stats) { s.CollapseAborts++ })
 		return false // retry once contiguity reappears
 	}
 
@@ -205,8 +201,6 @@ func (kh *khugepaged) tryCollapse(p *Process, cand khugeCand, tr *instrument.Tra
 	p.RSS += 2 * mem.MB
 	p.addResident(residentPage{VA: regionBase, Size: mem.Page2M, Frame: huge, Heat: k.touchHeat(0)})
 	tr.ALU(160) // mmu_notifier, deferred split queue, stats
-	k.stats.Collapses++
-	p.Stat.Collapses++
-	_ = now
+	k.count(p, func(s *Stats) { s.Collapses++ })
 	return true
 }

@@ -35,7 +35,7 @@ func TestKhugepagedCrossProcessAttribution(t *testing.T) {
 	// Scan on process 1's clock (tryCollapse charges work to the current
 	// stream, exactly as a fault-driven scan would).
 	k.Tracer.Begin()
-	k.khuge.scan(k.Tracer, 0)
+	k.khuge.scan(k.Tracer)
 
 	if k.Stats().Collapses != 1 {
 		t.Fatalf("global collapses = %d, want 1", k.Stats().Collapses)
@@ -72,7 +72,7 @@ func TestExitDropsKhugeCandidates(t *testing.T) {
 		t.Fatalf("%d khugepaged candidates survive process exit", n)
 	}
 	k.Tracer.Begin()
-	k.khuge.scan(k.Tracer, 0) // must not panic on the reaped process
+	k.khuge.scan(k.Tracer) // must not panic on the reaped process
 }
 
 // TestExitFreesSwapSlots ensures a process exiting with pages still

@@ -3,7 +3,6 @@ package mimicos
 import (
 	"repro/internal/instrument"
 	"repro/internal/mem"
-	"repro/internal/pagetable"
 	"repro/internal/rmm"
 	"repro/internal/utopia"
 )
@@ -45,25 +44,22 @@ func (*LinuxTHPPolicy) AllocAnon(k *Kernel, p *Process, vma *VMA, va mem.VAddr, 
 	if vma.coversRegion(va) && vma.region4K[region] == 0 {
 		exit := tr.Enter("do_huge_pmd_anonymous_page")
 		tr.ALU(160) // THP eligibility: vma flags, alignment, khugepaged hints
-		if frame, ok := k.popZeroPool(); ok {
+		if frame, ok := popFrame(&k.zeroPool); ok {
 			tr.ALU(40)
 			exit()
-			k.stats.THPPoolHits++
-			p.Stat.THPPoolHits++
+			k.count(p, func(s *Stats) { s.THPPoolHits++ })
 			return frame, mem.Page2M, true, false, true
 		}
 		tr.Atomic(k.lk.buddy)
 		tr.TouchObject(k.lk.buddy, 3, 1) // compound-page freelist scan
 		if frame, ok := k.Phys.Alloc2M(); ok {
 			exit()
-			k.stats.THPDirectZero++
-			p.Stat.THPDirectZero++
+			k.count(p, func(s *Stats) { s.THPDirectZero++ })
 			return frame, mem.Page2M, false, false, true
 		}
 		tr.ALU(220) // failed compaction probe
 		exit()
-		k.stats.THPFallback4K++
-		p.Stat.THPFallback4K++
+		k.count(p, func(s *Stats) { s.THPFallback4K++ })
 		k.khuge.noteCandidate(p.PID, vma, va)
 	}
 	frame, ok := k.allocBuddy4K(tr)
@@ -102,8 +98,7 @@ func (rp *ReservationTHPPolicy) AllocAnon(k *Kernel, p *Process, vma *VMA, va me
 		if base, ok := k.Phys.Alloc2M(); ok {
 			res = &reservation{base: base}
 			vma.reservations[region] = res
-			k.stats.Reservations++
-			p.Stat.Reservations++
+			k.count(p, func(s *Stats) { s.Reservations++ })
 		}
 		exit()
 	}
@@ -162,8 +157,7 @@ func (rp *ReservationTHPPolicy) upgrade(k *Kernel, p *Process, vma *VMA, regionB
 	vma.region4K[uint64(regionBase)] = 0
 	res.upgraded = true
 	res.count = 512
-	k.stats.Upgrades++
-	p.Stat.Upgrades++
+	k.count(p, func(s *Stats) { s.Upgrades++ })
 	// The caller installs the 2MB PTE and resident entry.
 }
 
@@ -240,10 +234,9 @@ func (up *UtopiaPolicy) allocInSeg(k *Kernel, p *Process, seg *utopia.RestSeg, v
 	}
 	// Fig. 20 configuration: the set is full — evict a victim to swap
 	// even though other physical memory may be free.
-	way, victimVPN := seg.VictimOf(vpn)
+	way, _ := seg.VictimOf(vpn)
 	if evicted, ok := seg.Evict(set, way); ok {
 		victimVA := mem.VAddr(evicted << seg.PageSize.Shift())
-		_ = victimVPN
 		k.swapOutPage(p, victimVA, seg.PageSize, tr, now, true)
 	}
 	if way, ok := seg.Alloc(vpn); ok {
@@ -319,5 +312,4 @@ var (
 	_ AllocPolicy = (*ReservationTHPPolicy)(nil)
 	_ AllocPolicy = (*UtopiaPolicy)(nil)
 	_ AllocPolicy = (*EagerPolicy)(nil)
-	_             = pagetable.Entry{}
 )

@@ -58,34 +58,19 @@ func (k *Kernel) swapOutPage(p *Process, va mem.VAddr, size mem.PageSize, tr *in
 	if (!ok || !e.Present) && !fromRestSeg {
 		return false
 	}
-	slot, sok := k.swap.allocSlot()
+	slot, sok := k.writeSwap(p, size, tr, now)
 	if !sok {
 		return false
 	}
 
-	var dev uint64 = 1_015_000 // stand-in program latency (~350 µs)
-	if k.Disk != nil {
-		dev = k.Disk.Write(slot*4096, size.Bytes(), now)
-	}
-	tr.Delay(dev)
-	k.stats.SwapCycles += dev
-	p.Stat.SwapCycles += dev
-	k.stats.SwapOuts++
-	p.Stat.SwapOuts++
-
+	// A mapped page's PTE becomes the swap entry. RestSeg pages have no
+	// PTE, so one is inserted for the next fault to find the slot.
+	swp := pagetable.Entry{Size: size, Swapped: true, SwapSlot: slot}
 	if ok {
-		p.PT.Update(key, pagetable.Entry{
-			Size: size, Swapped: true, SwapSlot: slot,
-		}, tr)
-	} else {
-		// RestSeg pages have no PTE; install a swap entry so the next
-		// fault finds the slot.
-		if err := p.PT.Insert(key, pagetable.Entry{
-			Size: size, Swapped: true, SwapSlot: slot,
-		}, tr); err != nil {
-			k.swap.freeSlot(slot)
-			return false
-		}
+		p.PT.Update(key, swp, tr)
+	} else if err := p.PT.Insert(key, swp, tr); err != nil {
+		k.swap.freeSlot(slot)
+		return false
 	}
 	p.noteSwapSlot(slot)
 	k.notifyUnmap(p.PID, va, size)
@@ -102,39 +87,44 @@ func (k *Kernel) swapOutPage(p *Process, va mem.VAddr, size mem.PageSize, tr *in
 	return true
 }
 
+// writeSwap takes a swap slot for a page of the given size and writes
+// the page out: the device program time goes into the stream and is
+// counted, with the swap-out, against p. It reports false when the swap
+// file is full.
+func (k *Kernel) writeSwap(p *Process, size mem.PageSize, tr *instrument.Tracer, now uint64) (uint64, bool) {
+	slot, ok := k.swap.allocSlot()
+	if !ok {
+		return 0, false
+	}
+	var dev uint64 = 1_015_000 // stand-in program latency (~350 µs)
+	if k.Disk != nil {
+		dev = k.Disk.Write(slot*4096, size.Bytes(), now)
+	}
+	tr.Delay(dev)
+	k.count(p, func(s *Stats) { s.SwapCycles += dev; s.SwapOuts++ })
+	return slot, true
+}
+
 // swapInFault services a fault on a swapped PTE: read the slot from disk
 // into a fresh frame and restore the mapping (§5.1 step 6).
-func (k *Kernel) swapInFault(p *Process, vma *VMA, va mem.VAddr, key mem.VAddr, e pagetable.Entry, tr *instrument.Tracer, now uint64) FaultOutcome {
+func (k *Kernel) swapInFault(p *Process, va mem.VAddr, key mem.VAddr, e pagetable.Entry, tr *instrument.Tracer, now uint64) FaultOutcome {
 	exit := tr.Enter("swap_in")
 	defer exit()
 	tr.Atomic(k.lk.swap)
 	tr.ALU(260) // swap cache lookup, readahead setup
 	tr.TouchObject(k.swap.kaddr, 2, 0)
 
-	size := e.Size
 	var frame mem.PAddr
-	var ok, restseg bool
-	if k.Utopia != nil {
-		if seg := k.Utopia.SegFor(size); seg != nil {
-			vpn := size.VPN(va)
-			if way, aok := seg.Alloc(vpn); aok {
-				frame, ok, restseg = seg.FramePA(seg.SetOf(vpn), way), true, true
-			}
-		}
-	}
-	if !ok {
-		if size == mem.Page2M {
-			frame, ok = k.Phys.Alloc2M()
-		}
-		if !ok {
-			frame, ok = k.Phys.Alloc4K()
-			size = mem.Page4K
-		}
-	}
-	if !ok {
-		k.stats.SegvFaults++
-		p.Stat.SegvFaults++
-		return FaultOutcome{OK: false}
+	var size mem.PageSize
+	var restseg bool
+	// Reclaim is off here, so a swap-in that finds no free frame is a
+	// SIGSEGV. Turning it on is ROADMAP item 9 step 3, a fix that
+	// changes results.
+	if !k.allocWithReclaim(p, tr, now, false, func() (ok bool) {
+		frame, size, restseg, ok = k.swapInFrame(va, e.Size)
+		return ok
+	}) {
+		return k.segv(p)
 	}
 
 	var dev uint64 = 174_000
@@ -142,8 +132,7 @@ func (k *Kernel) swapInFault(p *Process, vma *VMA, va mem.VAddr, key mem.VAddr, 
 		dev = k.Disk.Read(e.SwapSlot*4096, size.Bytes(), now)
 	}
 	tr.Delay(dev)
-	k.stats.SwapCycles += dev
-	p.Stat.SwapCycles += dev
+	k.count(p, func(s *Stats) { s.SwapCycles += dev })
 	// Fill the frame from the bounce buffer.
 	tr.CopyRange(frame, k.swap.kaddr, size.Bytes())
 
@@ -162,15 +151,31 @@ func (k *Kernel) swapInFault(p *Process, vma *VMA, va mem.VAddr, key mem.VAddr, 
 	}
 	k.swap.freeSlot(e.SwapSlot)
 	p.dropSwapSlot(e.SwapSlot)
-	p.RSS += size.Bytes()
-	p.addResident(residentPage{VA: base, Size: size, Frame: frame, RestSeg: restseg, Heat: k.touchHeat(0)})
-	k.stats.MajorFaults++
-	p.Stat.MajorFaults++
-	k.stats.SwapIns++
-	p.Stat.SwapIns++
-	k.stats.FaultsBySize[size]++
-	p.Stat.FaultsBySize[size]++
-	return FaultOutcome{OK: true, Frame: frame, Size: size, Major: true, DeviceCycles: dev}
+	out := k.account(p, residentPage{VA: base, Size: size, Frame: frame, RestSeg: restseg, Heat: k.touchHeat(0)},
+		true, func(s *Stats) { s.SwapIns++ })
+	out.DeviceCycles = dev
+	return out
+}
+
+// swapInFrame allocates the frame a swapped page of the given size
+// returns to: its RestSeg way under Utopia, else a buddy frame of the
+// same size, else a 4K frame (the page comes back split).
+func (k *Kernel) swapInFrame(va mem.VAddr, size mem.PageSize) (mem.PAddr, mem.PageSize, bool, bool) {
+	if k.Utopia != nil {
+		if seg := k.Utopia.SegFor(size); seg != nil {
+			vpn := size.VPN(va)
+			if way, aok := seg.Alloc(vpn); aok {
+				return seg.FramePA(seg.SetOf(vpn), way), size, true, true
+			}
+		}
+	}
+	if size == mem.Page2M {
+		if frame, ok := k.Phys.Alloc2M(); ok {
+			return frame, size, false, true
+		}
+	}
+	frame, ok := k.Phys.Alloc4K()
+	return frame, mem.Page4K, false, ok
 }
 
 // directReclaim evicts a batch of resident pages when memory is above the
@@ -183,8 +188,7 @@ func (k *Kernel) directReclaim(p *Process, tr *instrument.Tracer, now uint64) {
 	defer exit()
 	tr.Atomic(k.lk.lru)
 	tr.ALU(420) // shrink_lruvec scan setup
-	k.stats.ReclaimRuns++
-	p.Stat.ReclaimRuns++
+	k.count(p, func(s *Stats) { s.ReclaimRuns++ })
 
 	const batch = 16
 	evicted := 0

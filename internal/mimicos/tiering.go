@@ -92,50 +92,30 @@ func (k *Kernel) tierPromoteFault(p *Process, va mem.VAddr, key mem.VAddr, pg ti
 	tr.ALU(220) // hint-fault bookkeeping, migration target setup
 	tr.TouchObject(k.tierKaddr[t], 2, 0)
 
-	frame, ok := k.Phys.Alloc4K()
-	if !ok {
-		// DRAM full: demote something, then retry once.
-		k.tierReclaim(p, tr, now)
+	// DRAM full: demote something, then retry once.
+	var frame mem.PAddr
+	if !k.allocWithReclaim(p, tr, now, true, func() (ok bool) {
 		frame, ok = k.Phys.Alloc4K()
-		if !ok {
-			k.stats.SegvFaults++
-			p.Stat.SegvFaults++
-			return FaultOutcome{OK: false}
-		}
+		return ok
+	}) {
+		return k.segv(p)
 	}
 
-	spec := k.tiers.Spec(t)
-	cost := spec.ReadCost(pg.Size.Bytes())
+	cost := k.tiers.Spec(t).ReadCost(pg.Size.Bytes())
 	tr.Delay(cost)
 	k.tiers.AddReadCycles(t, cost)
-	k.stats.MigrationCycles += cost
-	p.Stat.MigrationCycles += cost
+	k.count(p, func(s *Stats) { s.MigrationCycles += cost })
 	// Fill the frame through the tier bounce buffer.
 	tr.CopyRange(frame, k.tierKaddr[t], pg.Size.Bytes())
 
-	keyBase := key - (va - pg.VA)
-	tr.Atomic(k.lk.pt)
-	if err := p.PT.Insert(keyBase, pagetable.Entry{
-		Frame: frame, Size: pg.Size, Present: true, Writable: true, Accessed: true,
-	}, tr); err != nil {
+	rp := residentPage{VA: pg.VA, Size: pg.Size, Frame: frame, Heat: k.tiers.Policy().Touch(pg.Heat)}
+	out := k.installPage(p, key-(va-pg.VA), rp, false, false, tr, func(s *Stats) { s.Promotions++ })
+	if !out.OK {
 		k.Phys.Free(frame, pg.Size.Bytes()/(4*mem.KB))
-		k.stats.SegvFaults++
-		p.Stat.SegvFaults++
-		return FaultOutcome{OK: false}
+		return k.segv(p)
 	}
 	k.tiers.Promote(p.PID, pg.VA)
-	p.RSS += pg.Size.Bytes()
-	p.addResident(residentPage{
-		VA: pg.VA, Size: pg.Size, Frame: frame,
-		Heat: k.tiers.Policy().Touch(pg.Heat),
-	})
-	k.stats.Promotions++
-	p.Stat.Promotions++
-	k.stats.MinorFaults++
-	p.Stat.MinorFaults++
-	k.stats.FaultsBySize[pg.Size]++
-	p.Stat.FaultsBySize[pg.Size]++
-	return FaultOutcome{OK: true, Frame: frame, Size: pg.Size}
+	return out
 }
 
 // tierReclaim is the tier-aware replacement for directReclaim: cold 4K
@@ -150,8 +130,7 @@ func (k *Kernel) tierReclaim(p *Process, tr *instrument.Tracer, now uint64) {
 	defer exit()
 	tr.Atomic(k.lk.lru)
 	tr.ALU(420) // shrink_lruvec scan setup
-	k.stats.ReclaimRuns++
-	p.Stat.ReclaimRuns++
+	k.count(p, func(s *Stats) { s.ReclaimRuns++ })
 
 	pol := k.tiers.Policy()
 	const batch = 16
@@ -215,12 +194,10 @@ func (k *Kernel) demotePage(p *Process, rp residentPage, tr *instrument.Tracer, 
 	if e, ok := p.PT.Lookup(key); !ok || !e.Present {
 		return false
 	}
-	spec := k.tiers.Spec(t)
-	cost := spec.WriteCost(rp.Size.Bytes())
+	cost := k.tiers.Spec(t).WriteCost(rp.Size.Bytes())
 	tr.Delay(cost)
 	k.tiers.AddWriteCycles(t, cost)
-	k.stats.MigrationCycles += cost
-	p.Stat.MigrationCycles += cost
+	k.count(p, func(s *Stats) { s.MigrationCycles += cost })
 	// Copy down through the tier bounce buffer.
 	tr.CopyRange(k.tierKaddr[t], rp.Frame, rp.Size.Bytes())
 
@@ -233,8 +210,7 @@ func (k *Kernel) demotePage(p *Process, rp residentPage, tr *instrument.Tracer, 
 	k.tiers.Insert(t, tier.Page{
 		PID: p.PID, VA: rp.VA, Size: rp.Size, Heat: pol.Decay(rp.Heat),
 	})
-	k.stats.Demotions++
-	p.Stat.Demotions++
+	k.count(p, func(s *Stats) { s.Demotions++ })
 	return true
 }
 
@@ -265,14 +241,12 @@ func (k *Kernel) tierMakeRoom(t int, n uint64, tr *instrument.Tracer, now uint64
 			exit := tr.Enter("tier_cascade")
 			tr.Atomic(k.lk.lru)
 			tr.ALU(160) // migration descriptor move between tier lists
-			src, dst := k.tiers.Spec(t), k.tiers.Spec(t+1)
-			rc := src.ReadCost(pg.Size.Bytes())
-			wc := dst.WriteCost(pg.Size.Bytes())
+			rc := k.tiers.Spec(t).ReadCost(pg.Size.Bytes())
+			wc := k.tiers.Spec(t + 1).WriteCost(pg.Size.Bytes())
 			tr.Delay(rc + wc)
 			k.tiers.AddReadCycles(t, rc)
 			k.tiers.AddWriteCycles(t+1, wc)
-			k.stats.MigrationCycles += rc + wc
-			vp.Stat.MigrationCycles += rc + wc
+			k.count(vp, func(s *Stats) { s.MigrationCycles += rc + wc })
 			tr.CopyRange(k.tierKaddr[t+1], k.tierKaddr[t], pg.Size.Bytes())
 			k.tiers.Evict(pg.PID, pg.VA)
 			k.tiers.Insert(t+1, pg)
@@ -295,19 +269,10 @@ func (k *Kernel) swapOutTierPage(vp *Process, pg tier.Page, tr *instrument.Trace
 	tr.ALU(240) // swap cache insert, writeback setup
 	tr.TouchObject(k.swap.kaddr, 2, 1)
 
-	slot, ok := k.swap.allocSlot()
+	slot, ok := k.writeSwap(vp, pg.Size, tr, now)
 	if !ok {
 		return false
 	}
-	var dev uint64 = 1_015_000 // stand-in program latency (~350 µs)
-	if k.Disk != nil {
-		dev = k.Disk.Write(slot*4096, pg.Size.Bytes(), now)
-	}
-	tr.Delay(dev)
-	k.stats.SwapCycles += dev
-	vp.Stat.SwapCycles += dev
-	k.stats.SwapOuts++
-	vp.Stat.SwapOuts++
 
 	tr.Atomic(k.lk.pt)
 	if err := vp.PT.Insert(k.keyForNoCharge(vp, pg.VA), pagetable.Entry{
