@@ -3,6 +3,7 @@ package virtuoso_test
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -36,6 +37,38 @@ func TestOpenErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestNonFiniteParamsRejected: NaN passes every `x < lo || x > hi`
+// range check, so each scale and fragmentation check must reject NaN
+// and ±Inf explicitly instead of running a degenerate workload.
+func TestNonFiniteParamsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		opt  virtuoso.Option
+	}{
+		{"scale NaN", virtuoso.WithWorkloadScale(nan)},
+		{"scale +Inf", virtuoso.WithWorkloadScale(inf)},
+		{"fragmentation NaN", virtuoso.WithFragmentation(nan)},
+	} {
+		if _, err := virtuoso.Open(virtuoso.WithWorkload("BFS"), tc.opt); err == nil {
+			t.Errorf("Open with %s succeeded, want an error", tc.name)
+		}
+	}
+	for _, scale := range []float64{nan, inf, -inf} {
+		if _, err := virtuoso.NamedWorkloadWith("BFS", virtuoso.WorkloadParams{Scale: scale}); err == nil {
+			t.Errorf("NamedWorkloadWith(Scale: %v) succeeded, want an error", scale)
+		}
+	}
+	for _, sp := range []virtuoso.SweepSpec{
+		{Workloads: []string{"BFS"}, Frag: &nan},
+		{Workloads: []string{"BFS"}, SwapThreshold: &nan},
+	} {
+		if _, err := sp.Sweep(); err == nil {
+			t.Errorf("SweepSpec %+v built a sweep, want an error", sp)
+		}
 	}
 }
 

@@ -67,6 +67,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -153,7 +154,7 @@ func main() {
 			check(fmt.Errorf("%w (try -list)", err))
 		}
 	}
-	if *frag < 0 || *frag > 1 {
+	if !(*frag >= 0 && *frag <= 1) {
 		check(fmt.Errorf("virtuoso: -frag %v out of range [0, 1]", *frag))
 	}
 	tierSpecs, err := parseTierSpecs(*tiers)
@@ -443,6 +444,7 @@ func parseTierSpecs(s string) ([]virtuoso.TierSpec, error) {
 // parseSize parses a byte count with an optional K/M/G suffix.
 func parseSize(s string) (uint64, error) {
 	s = strings.TrimSpace(s)
+	orig := s
 	mult := uint64(1)
 	switch {
 	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
@@ -455,6 +457,9 @@ func parseSize(s string) (uint64, error) {
 	v, err := strconv.ParseUint(s, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad size %q", s)
+	}
+	if v > math.MaxUint64/mult {
+		return 0, fmt.Errorf("size %q overflows 64 bits", orig)
 	}
 	return v * mult, nil
 }

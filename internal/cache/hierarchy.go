@@ -216,8 +216,7 @@ func (h *Hierarchy) prefetchFillL2(la mem.PAddr, t mem.AccessType, now uint64) {
 }
 
 // AccessPTE performs a page-table access on behalf of the hardware walker.
-// PTEs are cacheable in the data caches (Table 2's "TLB entries stored in
-// data caches" schemes extend this path).
+// PTEs are cacheable in the data caches.
 func (h *Hierarchy) AccessPTE(pa mem.PAddr, write bool, now uint64) uint64 {
 	return h.Access(pa, write, mem.ATPTE, 0, now)
 }

@@ -105,11 +105,6 @@ type Config struct {
 	Mode     Mode
 	Frontend Frontend
 
-	// Emulation-mode first-order latencies (baseline Sniper uses a fixed
-	// PTW latency; ChampSim a fixed page-fault latency — §2.1).
-	FixedPTWLat   uint64
-	FixedFaultLat uint64
-
 	Design DesignName
 	Policy PolicyName
 
@@ -121,7 +116,6 @@ type Config struct {
 	MMUCfg   mmu.Config
 	DramCfg  dram.Config
 	OSCfg    mimicos.Config
-	WithDisk bool
 
 	// FragFree2M initialises physical-memory fragmentation as the
 	// fraction of 2MB blocks left *free*. The paper states fragmentation
@@ -154,9 +148,6 @@ type Config struct {
 	// the §7.2 validation experiments.
 	RefNoise bool
 
-	// TrackPFLatencies records a per-fault latency series (Figs. 2, 9, 16).
-	TrackPFLatencies bool
-
 	// RetainKernelStreams keeps injected streams in a ring buffer,
 	// modelling online binary instrumentation's memory cost (Fig. 11:
 	// Sniper/ChampSim vs Ramulator/gem5).
@@ -186,6 +177,14 @@ type Config struct {
 	Seed uint64
 }
 
+// Emulation-mode first-order latencies, in cycles (§2.1): baseline
+// Sniper charges every page walk the average PTW latency measured on the
+// real system, and ChampSim every page fault a fixed ~2 µs.
+const (
+	emulationPTWLat   = 60
+	emulationFaultLat = 5800
+)
+
 // Multiprogramming defaults: a ~34 µs time slice at the Table 4 clock —
 // short relative to real CFS slices, proportional to the experiments'
 // ~100× scaled-down footprints — and a ~1.5 µs switch cost
@@ -198,19 +197,17 @@ const (
 // DefaultConfig returns the Table 4 baseline Virtuoso+Sniper system.
 func DefaultConfig() Config {
 	return Config{
-		Mode:             Imitation,
-		Frontend:         FrontendExec,
-		Design:           DesignRadix,
-		Policy:           PolicyTHP,
-		CoreCfg:          cpu.DefaultConfig(),
-		CacheCfg:         cache.DefaultHierarchyConfig(),
-		MMUCfg:           mmu.DefaultConfig(),
-		DramCfg:          dram.DDR4_2400(),
-		OSCfg:            mimicos.DefaultConfig(),
-		WithDisk:         true,
-		FragFree2M:       0.20,
-		TrackPFLatencies: true,
-		Seed:             1,
+		Mode:       Imitation,
+		Frontend:   FrontendExec,
+		Design:     DesignRadix,
+		Policy:     PolicyTHP,
+		CoreCfg:    cpu.DefaultConfig(),
+		CacheCfg:   cache.DefaultHierarchyConfig(),
+		MMUCfg:     mmu.DefaultConfig(),
+		DramCfg:    dram.DDR4_2400(),
+		OSCfg:      mimicos.DefaultConfig(),
+		FragFree2M: 0.20,
+		Seed:       1,
 	}
 }
 
@@ -343,10 +340,7 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	if cfg.CoreCfg.Width == 0 {
 		cfg.CoreCfg = cpu.DefaultConfig()
 	}
-	s := &System{Cfg: cfg, noise: xrand.New(cfg.Seed ^ 0x0A15E), pool: pool}
-	if cfg.WithDisk {
-		s.Disk = ssd.New(ssd.Config{})
-	}
+	s := &System{Cfg: cfg, Disk: ssd.New(ssd.Config{}), noise: xrand.New(cfg.Seed ^ 0x0A15E), pool: pool}
 
 	// OS first: it owns physical memory.
 	oscfg := cfg.OSCfg
@@ -541,11 +535,7 @@ func (s *System) buildDesignFor(proc *mimicos.Process) (mmu.Design, error) {
 		return mmu.NewRadixWalkerSized(proc.PT, s.Hier, pwcE, pwcW)
 	}
 	if cfg.Mode == Emulation {
-		lat := cfg.FixedPTWLat
-		if lat == 0 {
-			lat = 60 // the average real-system PTW latency baseline Sniper uses
-		}
-		return &mmu.FixedWalker{PT: proc.PT, Lat: lat}, nil
+		return &mmu.FixedWalker{PT: proc.PT, Lat: emulationPTWLat}, nil
 	}
 	switch cfg.Design {
 	case DesignRadix, "":
@@ -607,13 +597,9 @@ func (s *System) handleFault(va mem.VAddr, write bool) bool {
 
 	switch s.Cfg.Mode {
 	case Emulation:
-		lat := s.Cfg.FixedFaultLat
-		if lat == 0 {
-			lat = 5800 // ~2 µs fixed fault cost (ChampSim-style)
-		}
-		s.Core.StallFault(lat)
+		s.Core.StallFault(emulationFaultLat)
 		if s.PFLatNs != nil {
-			s.PFLatNs.Add(s.Core.CyclesToNs(lat))
+			s.PFLatNs.Add(s.Core.CyclesToNs(emulationFaultLat))
 		}
 	case Imitation:
 		if s.streamRing != nil {

@@ -70,8 +70,6 @@ func TestEmulationModeInjectsNothing(t *testing.T) {
 
 	s := smallSystem(t, func(c *Config) {
 		c.Mode = Emulation
-		c.FixedPTWLat = 60
-		c.FixedFaultLat = 5800
 	})
 	m := s.Run(byName(t, "2D-Sum", tiny))
 	if m.KernelInsts != 0 {

@@ -188,7 +188,7 @@ func (s *System) Prepare(w *workloads.Workload) isa.Source {
 	})
 	w.Setup(s.OS, s.Proc.PID)
 	s.OS.Tracer.Begin() // drop setup streams
-	if s.Cfg.TrackPFLatencies && s.PFLatNs == nil {
+	if s.PFLatNs == nil {
 		s.PFLatNs = stats.NewSeries(4096)
 		s.MajorPFLatNs = stats.NewSeries(256)
 	}

@@ -47,8 +47,8 @@ type Metrics struct {
 	// every other design).
 	HostFaults uint64 `json:",omitempty"`
 
-	// PFLatNs is the per-minor-fault latency series in nanoseconds (nil
-	// unless tracked); MajorPFLatNs covers device-backed faults.
+	// PFLatNs is the per-minor-fault latency series in nanoseconds;
+	// MajorPFLatNs covers device-backed faults.
 	PFLatNs      *stats.Series
 	MajorPFLatNs *stats.Series
 
@@ -144,9 +144,7 @@ func (s *System) collect(name string, wall time.Duration, before, after runtime.
 
 		WallTime: wall,
 	}
-	if s.Disk != nil {
-		m.SwapDev = *s.Disk.Stats()
-	}
+	m.SwapDev = *s.Disk.Stats()
 	if cs.AppInsts > 0 {
 		m.L2TLBMPKI = float64(ms.L2TLBMisses) / float64(cs.AppInsts) * 1000
 	}

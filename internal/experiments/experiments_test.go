@@ -133,3 +133,25 @@ func TestMultiprogShape(t *testing.T) {
 }
 
 var _ = core.DefaultConfig
+
+// TestStaticTables runs the two tables no sweep produces. Table 3's
+// line counter reads 0 for a file that is missing, so a renamed source
+// file would otherwise go unnoticed.
+func TestStaticTables(t *testing.T) {
+	seen := map[string]bool{}
+	for _, r := range Table2().Rows {
+		if seen[r.Label] {
+			t.Errorf("table2: duplicate row %q", r.Label)
+		}
+		seen[r.Label] = true
+	}
+	tb := Table3()
+	if len(tb.Rows) == 0 {
+		t.Fatal("table3: no rows")
+	}
+	for _, r := range tb.Rows {
+		if r.Cells[0] <= 0 {
+			t.Errorf("table3: %q counts %v lines; was its file renamed?", r.Label, r.Cells[0])
+		}
+	}
+}

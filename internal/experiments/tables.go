@@ -32,14 +32,6 @@ func Table2() *Table {
 		"Midgard intermediate address space",
 		"Direct segments",
 		"Nested (2D) translation for virtualization",
-		"Software-managed TLB",
-		"Part-of-memory TLB (POM-TLB)",
-		"TLB prefetching (distance/agile-style)",
-		"Page-size prediction",
-		"TLB entries in data caches (Victima-style)",
-		"Memory tagging / Mondrian-style protection domains (PLB + permission trie)",
-		"Expressive Memory (XMem) attribute table",
-		"Virtual Block Interface (VBI) block translation",
 		"Swap + swap cache + kswapd-style reclaim",
 		"Page cache with prepopulation",
 		"khugepaged collapse daemon",

@@ -52,12 +52,10 @@ func Fig08(o Opts) *Table {
 
 		base := BaseConfig(o)
 		base.MaxAppInsts = 0
+		// Emulation mode charges baseline Sniper's fixed PTW latency:
+		// the *average* latency measured on the real system (§7.2), one
+		// number for all workloads, which is exactly why it mistracks.
 		base.Mode = core.Emulation
-		// Baseline Sniper's fixed PTW latency is the *average* latency
-		// measured on the real system (§7.2) — one number for all
-		// workloads, which is exactly why it mistracks.
-		base.FixedPTWLat = 60
-		base.FixedFaultLat = 5800
 		jobs = append(jobs, job{base, named(o, w)})
 	}
 	ms := runAll(o, jobs)

@@ -52,8 +52,7 @@ type Config struct {
 	ZeroPoolCap    int // pre-zeroed 2MB pages kept ready (0 disables)
 	ZeroPoolRefill int // pages zeroed per background tick
 
-	Enable1G         bool
-	HugeTLB2MReserve int // hugetlbfs reserved 2MB pages
+	Enable1G bool
 
 	SwapBytes     uint64  // swap space (Table 4: 4 GB)
 	SwapThreshold float64 // reclaim watermark (Table 4: 90%)

@@ -198,84 +198,6 @@ func TestNestedInvalidateHugePage(t *testing.T) {
 	}
 }
 
-func TestPOMTLBCachesWalks(t *testing.T) {
-	h, alloc := testEnv(t)
-	pt := pagetable.NewRadix(alloc)
-	pt.Insert(0x7000, pagetable.Entry{Frame: 0xD000, Size: mem.Page4K, Present: true}, instrument.NopMem{})
-	d := NewPOMTLB(NewRadixWalker(pt, h), h, 0x1000_0000, 1<<20)
-	r1 := d.TranslateMiss(0x7000, 0)
-	r2 := d.TranslateMiss(0x7000, r1.Lat)
-	if d.Hits != 1 || d.Misses != 1 {
-		t.Fatalf("pom stats: hits=%d misses=%d", d.Hits, d.Misses)
-	}
-	if r2.PA != r1.PA {
-		t.Fatalf("pom PA mismatch: %x vs %x", r2.PA, r1.PA)
-	}
-	d.Invalidate(0x7000, mem.Page4K)
-	d.TranslateMiss(0x7000, r2.Lat)
-	if d.Misses != 2 {
-		t.Fatal("invalidate did not drop the POM entry")
-	}
-}
-
-func TestTLBPrefetchOnStride(t *testing.T) {
-	h, alloc := testEnv(t)
-	pt := pagetable.NewRadix(alloc)
-	k := instrument.NopMem{}
-	for i := 0; i < 32; i++ {
-		pt.Insert(mem.VAddr(i)<<12, pagetable.Entry{Frame: mem.PAddr(i+1) << 12, Size: mem.Page4K, Present: true}, k)
-	}
-	d := NewPrefetchDesign(NewRadixWalker(pt, h), 2)
-	for i := 0; i < 8; i++ {
-		d.TranslateMiss(mem.VAddr(i)<<12, uint64(i*100))
-	}
-	if d.Issued == 0 {
-		t.Fatal("stride-1 VPN stream issued no TLB prefetches")
-	}
-	if d.BufferHits == 0 {
-		t.Fatal("prefetched entries never hit")
-	}
-}
-
-func TestSizePrediction(t *testing.T) {
-	h, alloc := testEnv(t)
-	pt := pagetable.NewRadix(alloc)
-	k := instrument.NopMem{}
-	pt.Insert(0x8000, pagetable.Entry{Frame: 0xE000, Size: mem.Page4K, Present: true}, k)
-	d := NewSizePredictDesign(NewRadixWalker(pt, h))
-	d.TranslateMiss(0x8000, 0) // trains
-	d.TranslateMiss(0x8000, 100)
-	if d.Correct == 0 {
-		t.Fatal("repeat access not predicted")
-	}
-}
-
-func TestVictimaCachesTranslations(t *testing.T) {
-	h, alloc := testEnv(t)
-	pt := pagetable.NewRadix(alloc)
-	pt.Insert(0x9000, pagetable.Entry{Frame: 0xF000, Size: mem.Page4K, Present: true}, instrument.NopMem{})
-	d := NewVictimaDesign(NewRadixWalker(pt, h), h, 0x2000_0000)
-	d.TranslateMiss(0x9000, 0)
-	d.TranslateMiss(0x9000, 500)
-	if d.Hits != 1 {
-		t.Fatalf("victima hits = %d", d.Hits)
-	}
-}
-
-func TestSWTLBChargesRefill(t *testing.T) {
-	h, alloc := testEnv(t)
-	pt := pagetable.NewRadix(alloc)
-	pt.Insert(0xA000, pagetable.Entry{Frame: 0x1000, Size: mem.Page4K, Present: true}, instrument.NopMem{})
-	sw := &SWTLBDesign{Inner: NewRadixWalker(pt, h)}
-	got := sw.TranslateMiss(0xA000, 0)
-	if got.Lat < 120 {
-		t.Fatalf("software refill not charged: lat=%d", got.Lat)
-	}
-	if sw.Refills != 1 {
-		t.Fatalf("refills = %d", sw.Refills)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	valid := []func(*Config){
 		func(*Config) {},

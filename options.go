@@ -2,6 +2,7 @@ package virtuoso
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/registry"
@@ -338,7 +339,7 @@ func WithMaxInstructions(n uint64) Option {
 // (Table 4's baseline is 0.80). Must be in [0, 1].
 func WithFragmentation(frag float64) Option {
 	return func(s *openState) error {
-		if frag < 0 || frag > 1 {
+		if !(frag >= 0 && frag <= 1) {
 			return fmt.Errorf("virtuoso: fragmentation %v out of range [0, 1]", frag)
 		}
 		s.cfg.FragFree2M = 1 - frag
@@ -353,8 +354,8 @@ func WithFragmentation(frag float64) Option {
 // concurrently.
 func WithWorkloadScale(scale float64) Option {
 	return func(s *openState) error {
-		if scale <= 0 {
-			return fmt.Errorf("virtuoso: workload scale %v must be positive", scale)
+		if !(scale > 0) || math.IsInf(scale, 1) {
+			return fmt.Errorf("virtuoso: workload scale %v must be positive and finite", scale)
 		}
 		s.params.Scale = scale
 		return nil

@@ -200,7 +200,7 @@ func (sp *SweepSpec) Sweep() (*Sweep, error) {
 		base.MaxAppInsts = *sp.MaxAppInsts
 	}
 	if sp.Frag != nil {
-		if *sp.Frag < 0 || *sp.Frag > 1 {
+		if !(*sp.Frag >= 0 && *sp.Frag <= 1) {
 			return nil, fmt.Errorf("virtuoso: spec frag %v out of range [0, 1]", *sp.Frag)
 		}
 		base.FragFree2M = 1 - *sp.Frag
@@ -222,7 +222,7 @@ func (sp *SweepSpec) Sweep() (*Sweep, error) {
 		base.OSCfg.SwapBytes = sp.SwapBytes
 	}
 	if sp.SwapThreshold != nil {
-		if *sp.SwapThreshold <= 0 || *sp.SwapThreshold > 1 {
+		if !(*sp.SwapThreshold > 0 && *sp.SwapThreshold <= 1) {
 			return nil, fmt.Errorf("virtuoso: spec swap_threshold %v out of range (0, 1]", *sp.SwapThreshold)
 		}
 		base.OSCfg.SwapThreshold = *sp.SwapThreshold

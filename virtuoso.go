@@ -3,7 +3,7 @@
 // Imitation-based Operating System Simulation Methodology" (ASPLOS'25).
 //
 // A Virtuoso system couples an architectural simulator (core model, cache
-// hierarchy, DRAM, optional SSD) with MimicOS, a lightweight userspace
+// hierarchy, DRAM, SSD) with MimicOS, a lightweight userspace
 // kernel imitating Linux memory management. OS events raised by the
 // simulated workload (page faults, mmap) cross a functional channel to
 // MimicOS; the instruction stream of the kernel routine that served each
@@ -95,6 +95,7 @@ package virtuoso
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -494,10 +495,10 @@ func NamedMixWith(names []string, p WorkloadParams) ([]*Workload, error) {
 
 // validateParams rejects parameter values that would silently build a
 // nonsensical workload (a negative scale wraps the footprint conversion
-// into exabytes).
+// into exabytes; a NaN one builds an empty footprint).
 func validateParams(p WorkloadParams) error {
-	if p.Scale < 0 {
-		return fmt.Errorf("virtuoso: workload scale %v must not be negative", p.Scale)
+	if !(p.Scale >= 0) || math.IsInf(p.Scale, 1) {
+		return fmt.Errorf("virtuoso: workload scale %v must be finite and not negative", p.Scale)
 	}
 	if p.LongIters < 0 {
 		return fmt.Errorf("virtuoso: workload iterations %d must not be negative", p.LongIters)
