@@ -13,6 +13,9 @@
 // Grid-valued flags (-workload, -design, -policy, -seeds) accept
 // comma-separated lists; when the grid has more than one point the
 // sweep runs on a bounded worker pool and prints one row per point.
+// The grid flags fill a virtuoso.SweepSpec (docs/sweep-service.md maps
+// each flag to its spec key), and SweepSpec.Sweep checks and builds the
+// grid exactly as it does for `virtuoso sweep run -spec`.
 //
 // With -multi the -workload list becomes one multiprogrammed run
 // instead of a grid axis: every named workload is a concurrent process
@@ -87,30 +90,9 @@ func main() {
 		sweepCmd(os.Args[2:])
 		return
 	}
-	var (
-		workload   = flag.String("workload", "BFS", "workload name(s), comma-separated (-list to enumerate; registered names accepted)")
-		design     = flag.String("design", "radix", "translation design(s), comma-separated: radix|ech|hdc|ht|utopia|rmm|midgard|directseg|nested, or a registered name")
-		policy     = flag.String("policy", "thp", "allocation policy(ies), comma-separated: bd|thp|cr-thp|ar-thp|utopia|eager, or a registered name")
-		mode       = flag.String("mode", "imitation", "OS methodology: imitation|emulation")
-		insts      = flag.Uint64("insts", 2_000_000, "max application instructions (0 = run to completion)")
-		scale      = flag.Float64("scale", 0.25, "workload footprint scale")
-		frag       = flag.Float64("frag", 0.80, "fragmentation level (fraction of 2MB blocks unavailable)")
-		seeds      = flag.String("seeds", "1", "simulation seed(s), comma-separated")
-		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		jsonOut    = flag.Bool("json", false, "emit results as JSON")
-		list       = flag.Bool("list", false, "list workloads, designs, and policies, then exit")
-		multi      = flag.Bool("multi", false, "run the -workload list as one multiprogrammed mix (concurrent processes)")
-		quantum    = flag.Uint64("quantum", 0, "scheduler time slice in simulated cycles (0 = default; -multi only)")
-		asidRet    = flag.Bool("asid-retention", false, "retain TLB entries across context switches by ASID tag instead of flushing (-multi only)")
-		tiers      = flag.String("tiers", "", "slow memory tiers, comma-separated name:bytes:readLat:writeLat[:bytesPerCycle] (e.g. cxl:64M:600:900:8,nvm:1G:2500:8000:2)")
-		tierPolicy = flag.String("tier-policy", "", "tier migration policy(ies), comma-separated: hotcold|clock, or a registered name (requires -tiers)")
-		progress   = flag.Bool("progress", false, "stream live per-point progress snapshots to stderr while simulating")
-		shard      = flag.String("shard", "", "run only a deterministic slice of the grid, as i/N (shard files merge with `virtuoso sweep merge`)")
-		ckpt       = flag.String("checkpoint", "", "JSONL checkpoint file: persist per-point results as they land and resume from it on restart")
-	)
-	flag.Parse()
-
-	if *list {
+	cli, err := parseFlags(os.Args[1:])
+	check(err)
+	if cli.list {
 		fmt.Println("long-running:")
 		for _, w := range virtuoso.LongRunningSuite() {
 			fmt.Printf("  %-12s footprint=%dMB\n", w.Name(), w.FootprintBytes()>>20)
@@ -135,109 +117,25 @@ func main() {
 		return
 	}
 
-	// Validate every name up front: unknown designs, policies, or modes
-	// are hard errors, not silently-accepted defaults.
-	designs, err := parseDesigns(*design)
+	sweep, err := cli.spec.Sweep()
 	check(err)
-	policies, err := parsePolicies(*policy)
-	check(err)
-	m, err := virtuoso.ParseMode(*mode)
-	check(err)
-	seedList, err := parseSeeds(*seeds)
-	check(err)
-	workloadList := splitList(*workload)
-	for _, w := range workloadList {
-		// Validate with the run's construction parameters: a registered
-		// workload's constructor sees the same params the sweep points
-		// will build with, not zero-valued defaults.
-		if _, err := virtuoso.NamedWorkloadWith(w, virtuoso.WorkloadParams{Scale: *scale}); err != nil {
-			check(fmt.Errorf("%w (try -list)", err))
-		}
+	if cli.spec.Label == naturalPoliciesLabel {
+		sweep.Configure = naturalPolicy
 	}
-	if !(*frag >= 0 && *frag <= 1) {
-		check(fmt.Errorf("virtuoso: -frag %v out of range [0, 1]", *frag))
-	}
-	tierSpecs, err := parseTierSpecs(*tiers)
-	check(err)
-	var tierPolicies []string
-	for _, name := range splitList(*tierPolicy) {
-		p, err := virtuoso.ParseTierPolicy(name)
-		check(err)
-		tierPolicies = append(tierPolicies, p)
-	}
-	if len(tierPolicies) > 0 && len(tierSpecs) == 0 {
-		check(fmt.Errorf("virtuoso: -tier-policy set without -tiers"))
-	}
-
-	base := virtuoso.ScaledConfig()
-	base.Mode = m
-	base.MaxAppInsts = *insts
-	base.FragFree2M = 1 - *frag
-	base.QuantumCycles = *quantum
-	base.ASIDRetention = *asidRet
-
-	// -policy was left at its default: pair designs with their natural
-	// policies (utopia wants its own allocator, RMM eager paging).
-	policyFlagSet := false
-	flag.Visit(func(f *flag.Flag) { policyFlagSet = policyFlagSet || f.Name == "policy" })
-
-	// -multi turns the workload list into one multiprogrammed mix; the
-	// other axes (designs, policies, seeds) still expand the grid.
-	gridWorkloads := workloadList
-	var mixes [][]string
-	if *multi {
-		gridWorkloads = nil
-		mixes = [][]string{workloadList}
-	}
-
-	sweep := &virtuoso.Sweep{
-		Base:         base,
-		Workloads:    gridWorkloads,
-		Mixes:        mixes,
-		Designs:      designs,
-		Policies:     policies,
-		Seeds:        seedList,
-		TierPolicies: tierPolicies,
-		Params:       virtuoso.WorkloadParams{Scale: *scale},
-		Parallel:     *parallel,
-		Configure: func(cfg *virtuoso.Config, p virtuoso.Point) error {
-			if policyFlagSet {
-				return nil
-			}
-			switch cfg.Design {
-			case virtuoso.DesignUtopia:
-				cfg.Policy = virtuoso.PolicyUtopia
-			case virtuoso.DesignRMM:
-				cfg.Policy = virtuoso.PolicyEager
-			}
-			return nil
-		},
-		Checkpoint: *ckpt,
-	}
-	if len(tierSpecs) > 0 {
-		sweep.TierSpecs = [][]virtuoso.TierSpec{tierSpecs}
-	}
-	sweep.Shard, err = virtuoso.ParseShard(*shard)
-	check(err)
-	// The natural-policy Configure hook changes results in a way the
-	// declarative spec fields cannot express, so salt the spec hash with
-	// it: a checkpoint written under the pairing cannot be resumed by a
-	// run without it, and vice versa.
-	if !policyFlagSet {
-		sweep.Label = "cli-natural-policies"
-	}
+	sweep.Checkpoint = cli.checkpoint
 
 	// -progress streams interval snapshots from inside each running
 	// point — the Observer API driving a live progress display. Points
 	// run concurrently, so one mutex serialises the stderr lines.
-	if *progress {
+	if cli.progress {
 		var mu sync.Mutex
+		insts := *cli.spec.MaxAppInsts
 		sweep.Observe = func(p virtuoso.Point) virtuoso.Observer {
 			label := fmt.Sprintf("%s/%s/%s seed=%d", p.Workload, p.Design, p.Policy, p.Seed)
 			// -insts bounds each process individually, while the
 			// snapshot counters aggregate the whole mix: scale the
 			// denominator, and clamp since workloads may finish early.
-			bound := *insts * uint64(max(1, len(p.Mix)))
+			bound := insts * uint64(max(1, len(p.Mix)))
 			return virtuoso.ObserverFunc(func(s virtuoso.Snapshot) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -256,8 +154,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	points := sweep.Points()
-	if len(points) > 1 && !*jsonOut {
+	if len(sweep.Points()) > 1 && !cli.json {
 		sweep.Progress = func(ev virtuoso.SweepEvent) {
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s/%s/%s seed=%d\n",
 				ev.Done, ev.Total, ev.Point.Workload, ev.Point.Design, ev.Point.Policy, ev.Point.Seed)
@@ -273,7 +170,7 @@ func main() {
 	}
 
 	switch {
-	case *jsonOut:
+	case cli.json:
 		data, err := report.JSON()
 		check(err)
 		fmt.Println(string(data))
@@ -284,6 +181,95 @@ func main() {
 	default:
 		printGrid(report)
 	}
+}
+
+// naturalPoliciesLabel salts the spec hash of a grid run with
+// naturalPolicy: the pairing changes results in a way the declarative
+// spec fields cannot express, so a checkpoint written under it cannot
+// be resumed by a run without it, and vice versa.
+const naturalPoliciesLabel = "cli-natural-policies"
+
+// naturalPolicy is the Configure hook used when -policy is left at its
+// default: it pairs each design with its natural allocation policy
+// (utopia wants its own allocator, RMM eager paging).
+func naturalPolicy(cfg *virtuoso.Config, _ virtuoso.Point) error {
+	switch cfg.Design {
+	case virtuoso.DesignUtopia:
+		cfg.Policy = virtuoso.PolicyUtopia
+	case virtuoso.DesignRMM:
+		cfg.Policy = virtuoso.PolicyEager
+	}
+	return nil
+}
+
+// cliFlags is the parsed top-level command line. The grid flags fill
+// spec, so SweepSpec.Sweep checks them exactly as it checks a JSON
+// spec; the rest select output and the hooks a spec cannot express.
+type cliFlags struct {
+	spec                 virtuoso.SweepSpec
+	list, json, progress bool
+	checkpoint           string
+}
+
+// parseFlags parses the top-level command line (os.Args[1:]). It
+// checks only flag syntax — lists, seeds, tier entries — and leaves
+// every name, range, and axis combination to SweepSpec.Sweep.
+func parseFlags(args []string) (*cliFlags, error) {
+	c := &cliFlags{}
+	sp := &c.spec
+	fs := flag.NewFlagSet("virtuoso", flag.ExitOnError)
+	workload := fs.String("workload", "BFS", "workload name(s), comma-separated (-list to enumerate; registered names accepted)")
+	design := fs.String("design", "radix", "translation design(s), comma-separated: radix|ech|hdc|ht|utopia|rmm|midgard|directseg|nested, or a registered name")
+	policy := fs.String("policy", "thp", "allocation policy(ies), comma-separated: bd|thp|cr-thp|ar-thp|utopia|eager, or a registered name")
+	fs.StringVar(&sp.Mode, "mode", "imitation", "OS methodology: imitation|emulation")
+	sp.MaxAppInsts = fs.Uint64("insts", 2_000_000, "max application instructions (0 = run to completion)")
+	fs.Float64Var(&sp.Scale, "scale", 0.25, "workload footprint scale")
+	sp.Frag = fs.Float64("frag", 0.80, "fragmentation level (fraction of 2MB blocks unavailable)")
+	seeds := fs.String("seeds", "1", "simulation seed(s), comma-separated")
+	fs.IntVar(&sp.Parallel, "parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+	fs.BoolVar(&c.json, "json", false, "emit results as JSON")
+	fs.BoolVar(&c.list, "list", false, "list workloads, designs, and policies, then exit")
+	multi := fs.Bool("multi", false, "run the -workload list as one multiprogrammed mix (concurrent processes)")
+	fs.Uint64Var(&sp.Quantum, "quantum", 0, "scheduler time slice in simulated cycles (0 = default; -multi only)")
+	fs.BoolVar(&sp.ASIDRetention, "asid-retention", false, "retain TLB entries across context switches by ASID tag instead of flushing (-multi only)")
+	tiers := fs.String("tiers", "", "slow memory tiers, comma-separated name:bytes:readLat:writeLat[:bytesPerCycle] (e.g. cxl:64M:600:900:8,nvm:1G:2500:8000:2)")
+	tierPolicy := fs.String("tier-policy", "", "tier migration policy(ies), comma-separated: hotcold|clock, or a registered name (requires -tiers)")
+	fs.BoolVar(&c.progress, "progress", false, "stream live per-point progress snapshots to stderr while simulating")
+	fs.StringVar(&sp.Shard, "shard", "", "run only a deterministic slice of the grid, as i/N (shard files merge with `virtuoso sweep merge`)")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "JSONL checkpoint file: persist per-point results as they land and resume from it on restart")
+	fs.Parse(args)
+	if c.list {
+		return c, nil
+	}
+
+	var err error
+	if sp.Seeds, err = parseSeeds(*seeds); err != nil {
+		return nil, err
+	}
+	tierSpecs, err := parseTierSpecs(*tiers)
+	if err != nil {
+		return nil, err
+	}
+	if len(tierSpecs) > 0 {
+		sp.TierSpecs = [][]virtuoso.TierSpec{tierSpecs}
+	}
+	// -multi turns the workload list into one multiprogrammed mix; the
+	// other axes (designs, policies, seeds) still expand the grid.
+	if *multi {
+		sp.Mixes = [][]string{splitList(*workload)}
+	} else {
+		sp.Workloads = splitList(*workload)
+	}
+	sp.Designs = splitList(*design)
+	sp.Policies = splitList(*policy)
+	sp.TierPolicies = splitList(*tierPolicy)
+	sp.Label = naturalPoliciesLabel
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "policy" {
+			sp.Label = "" // an explicit -policy turns the pairing off
+		}
+	})
+	return c, nil
 }
 
 // printMulti renders one multiprogrammed run: the scheduler summary, a
@@ -383,30 +369,6 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseDesigns(s string) ([]virtuoso.DesignName, error) {
-	var out []virtuoso.DesignName
-	for _, part := range splitList(s) {
-		d, err := virtuoso.ParseDesign(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-func parsePolicies(s string) ([]virtuoso.PolicyName, error) {
-	var out []virtuoso.PolicyName
-	for _, part := range splitList(s) {
-		p, err := virtuoso.ParsePolicy(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // parseTierSpecs parses the -tiers flag: a comma-separated list of
 // name:bytes:readLat:writeLat[:bytesPerCycle] entries ordered fastest
 // to slowest, e.g. "cxl:64M:600:900:8,nvm:1G:2500:8000:2".
@@ -434,9 +396,6 @@ func parseTierSpecs(s string) ([]virtuoso.TierSpec, error) {
 			}
 		}
 		out = append(out, spec)
-	}
-	if err := virtuoso.ValidateTierSpecs(out); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

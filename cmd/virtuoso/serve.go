@@ -29,6 +29,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -194,10 +195,19 @@ func (s *sweepServer) submit(spec *virtuoso.SweepSpec, raw []byte) (*sweepJob, e
 	return j, nil
 }
 
+// jobHash matches a job key: a spec hash as sweepjob.Hash writes it.
+var jobHash = regexp.MustCompile(`^sj1-[0-9a-f]{32}$`)
+
 // lookup finds a job by spec hash, reviving it from the persisted spec
 // after a server restart (the checkpoint makes revival cheap: finished
 // points restore from disk).
 func (s *sweepServer) lookup(hash string) (*sweepJob, error) {
+	// The hash names files under s.dir: admit only the form
+	// sweepjob.Hash produces, so a URL like /sweeps/../x cannot reach
+	// outside it.
+	if !jobHash.MatchString(hash) {
+		return nil, fmt.Errorf("unknown sweep %q", hash)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j, ok := s.jobs[hash]; ok {

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -278,5 +281,73 @@ func TestServeListsJobs(t *testing.T) {
 	}
 	if !strings.HasPrefix(list[0].SpecHash, "sj1-") {
 		t.Fatalf("job list spec hash %q not in sj1- form", list[0].SpecHash)
+	}
+}
+
+// TestServeRejectsPathTraversal: the attach URL's hash names files in
+// the state directory, so anything but a spec hash is a 404 — a
+// "../name" path must not read, run, or checkpoint a spec outside it.
+func TestServeRejectsPathTraversal(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "jobs")
+	outside := `{"workloads": ["JSON"], "scale": 0.05, "max_app_insts": 1000}`
+	if err := os.WriteFile(filepath.Join(root, "outside.spec.json"), []byte(outside), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newSweepServer(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.cancel()
+
+	for _, path := range []string{"/sweeps/../outside", "/sweeps/..%2Foutside", "/sweeps/sj1-0123", "/sweeps/SJ1-0123456789ABCDEF0123456789ABCDEF"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+		cancel()
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, rec.Code)
+		}
+	}
+	if len(srv.jobs) != 0 {
+		t.Errorf("rejected paths started %d jobs", len(srv.jobs))
+	}
+	if _, err := os.Stat(filepath.Join(root, "outside.ckpt.jsonl")); err == nil {
+		t.Error("a checkpoint was written outside the state directory")
+	}
+}
+
+// TestServeRejectsInvalidSpec: a spec SweepSpec.Sweep rejects — here an
+// unknown workload and a negative scale — is a 400 before any job
+// starts, not a job that fails at its first point.
+func TestServeRejectsInvalidSpec(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := newSweepServer(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.cancel()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, spec := range []string{
+		`{"workloads": ["no-such-workload"], "max_app_insts": 1000}`,
+		`{"mixes": [["JSON", "no-such-workload"]], "max_app_insts": 1000}`,
+		`{"workloads": ["JSON"], "scale": -1, "max_app_insts": 1000}`,
+	} {
+		resp, err := http.Post(ts.URL+"/", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", spec, resp.StatusCode)
+		}
+	}
+	if len(srv.jobs) != 0 {
+		t.Errorf("invalid specs started %d jobs", len(srv.jobs))
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("invalid specs left %d files in the state directory", len(files))
 	}
 }

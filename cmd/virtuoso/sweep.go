@@ -59,15 +59,6 @@ func loadSpec(path string) (*virtuoso.SweepSpec, error) {
 	return virtuoso.ParseSweepSpec(data)
 }
 
-// writeOut writes data to path, or stdout when path is empty.
-func writeOut(path string, data []byte) error {
-	if path == "" {
-		_, err := os.Stdout.Write(append(data, '\n'))
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 func sweepRunCmd(args []string) {
 	fs := flag.NewFlagSet("sweep run", flag.ExitOnError)
 	var (
@@ -120,14 +111,7 @@ func sweepRunCmd(args []string) {
 			len(report.Results), report.FromCheckpoint, report.FromCache, report.Executed)
 	}
 	if report != nil {
-		var data []byte
-		if *canonical {
-			data, err = report.CanonicalJSON()
-		} else {
-			data, err = report.JSON()
-		}
-		check(err)
-		check(writeOut(*out, data))
+		check(emitReport(report, *canonical, *out))
 	}
 	if runErr != nil {
 		if report != nil && sweep.Checkpoint != "" {
@@ -150,14 +134,7 @@ func sweepMergeCmd(args []string) {
 	}
 	report, err := virtuoso.MergeCheckpoints(fs.Args()...)
 	check(err)
-	var data []byte
-	if *canonical {
-		data, err = report.CanonicalJSON()
-	} else {
-		data, err = report.JSON()
-	}
-	check(err)
-	check(writeOut(*out, data))
+	check(emitReport(report, *canonical, *out))
 }
 
 func sweepHashCmd(args []string) {

@@ -6,8 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	virtuoso "repro"
 )
@@ -67,27 +65,17 @@ func addSimFlags(fs *flag.FlagSet, f *simFlags, seedDefault uint64, seedHelp str
 	fs.Uint64Var(&f.seed, "seed", seedDefault, seedHelp)
 }
 
-// options converts the shared flags into session options.
+// options converts the shared flags into session options; Open checks
+// the design, policy, and fragmentation values.
 func (f *simFlags) options() ([]virtuoso.Option, error) {
-	design, err := virtuoso.ParseDesign(f.design)
-	if err != nil {
-		return nil, err
-	}
-	policy, err := virtuoso.ParsePolicy(f.policy)
-	if err != nil {
-		return nil, err
-	}
 	mode, err := virtuoso.ParseMode(f.mode)
 	if err != nil {
 		return nil, err
 	}
-	if f.frag < 0 || f.frag > 1 {
-		return nil, fmt.Errorf("virtuoso: -frag %v out of range [0, 1]", f.frag)
-	}
 	return []virtuoso.Option{
 		virtuoso.WithScaledConfig(),
-		virtuoso.WithDesign(design),
-		virtuoso.WithPolicy(policy),
+		virtuoso.WithDesign(virtuoso.DesignName(f.design)),
+		virtuoso.WithPolicy(virtuoso.PolicyName(f.policy)),
 		virtuoso.WithMode(mode),
 		virtuoso.WithMaxInstructions(f.insts),
 		virtuoso.WithFragmentation(f.frag),
@@ -268,25 +256,19 @@ func traceReplay(args []string) {
 // parseReplaySeeds expands a comma-separated seed list; 0 entries
 // resolve to the recorded seed.
 func parseReplaySeeds(list string, recorded uint64) ([]uint64, error) {
-	var out []uint64
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		v, err := strconv.ParseUint(tok, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("virtuoso trace replay: bad -seeds entry %q: %v", tok, err)
-		}
-		if v == 0 {
-			v = recorded
-		}
-		out = append(out, v)
+	seeds, err := parseSeeds(list)
+	if err != nil {
+		return nil, err
 	}
-	if len(out) == 0 {
+	if len(seeds) == 0 {
 		return nil, fmt.Errorf("virtuoso trace replay: -seeds is empty")
 	}
-	return out, nil
+	for i, v := range seeds {
+		if v == 0 {
+			seeds[i] = recorded
+		}
+	}
+	return seeds, nil
 }
 
 // emitReport writes rep as (canonical or indented) JSON to path, or to

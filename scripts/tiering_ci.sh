@@ -76,6 +76,7 @@ if "$v" -workload RND -tier-policy clock 2> "$work/err2.log"; then
   echo "ERROR: -tier-policy without -tiers accepted" >&2
   exit 1
 fi
+grep -q 'tier_policies without tier_specs' "$work/err2.log" || { echo "ERROR: -tier-policy without -tiers rejection lacks cause" >&2; cat "$work/err2.log" >&2; exit 1; }
 sed -i 's/"tier_policies": \["hotcold", "clock"\]/"tier_policies": ["lru-misspelt"]/' "$work/spec.json"
 if "$v" sweep run -spec "$work/spec.json" -o /dev/null 2> "$work/err3.log"; then
   echo "ERROR: unknown tier policy accepted in spec" >&2

@@ -183,7 +183,10 @@ func ParseSweepSpec(data []byte) (*SweepSpec, error) {
 }
 
 // Sweep materialises the spec into a runnable Sweep, validating every
-// name (designs, policies, mode, shard) up front.
+// name (workloads, mix members, designs, policies, tier policies,
+// mode, shard), range, and axis combination up front, so a bad spec
+// fails before any point starts. The top-level virtuoso command builds
+// its grids through it too.
 func (sp *SweepSpec) Sweep() (*Sweep, error) {
 	base := ScaledConfig()
 	if sp.FullScale {
@@ -228,44 +231,52 @@ func (sp *SweepSpec) Sweep() (*Sweep, error) {
 		base.OSCfg.SwapThreshold = *sp.SwapThreshold
 	}
 
-	var designs []DesignName
-	for _, d := range sp.Designs {
-		dn, err := ParseDesign(d)
-		if err != nil {
-			return nil, err
-		}
-		designs = append(designs, dn)
+	designs, err := parseNames(sp.Designs, ParseDesign)
+	if err != nil {
+		return nil, err
 	}
-	var policies []PolicyName
-	for _, p := range sp.Policies {
-		pn, err := ParsePolicy(p)
-		if err != nil {
-			return nil, err
-		}
-		policies = append(policies, pn)
+	policies, err := parseNames(sp.Policies, ParsePolicy)
+	if err != nil {
+		return nil, err
 	}
 	for i, specs := range sp.TierSpecs {
 		if err := ValidateTierSpecs(specs); err != nil {
 			return nil, fmt.Errorf("virtuoso: spec tier_specs[%d]: %w", i, err)
 		}
 	}
-	var tierPolicies []string
-	for _, tp := range sp.TierPolicies {
-		name, err := ParseTierPolicy(tp)
-		if err != nil {
-			return nil, err
-		}
-		tierPolicies = append(tierPolicies, name)
+	tierPolicies, err := parseNames(sp.TierPolicies, ParseTierPolicy)
+	if err != nil {
+		return nil, err
 	}
 	if len(tierPolicies) > 0 && len(sp.TierSpecs) == 0 && len(base.OSCfg.Tiers) == 0 {
 		return nil, fmt.Errorf("virtuoso: sweep spec sets tier_policies without tier_specs")
+	}
+	if len(sp.Workloads) == 0 && len(sp.Mixes) == 0 {
+		return nil, fmt.Errorf("virtuoso: sweep spec selects no workloads or mixes")
+	}
+	// Build every workload with the points' construction params, so an
+	// unknown name or a registered constructor's error fails here, not
+	// at the first point.
+	params := WorkloadParams{Scale: sp.Scale, LongIters: sp.LongIters}
+	if err := validateParams(params); err != nil {
+		return nil, err
+	}
+	for _, w := range sp.Workloads {
+		if _, err := NamedWorkloadWith(w, params); err != nil {
+			return nil, err
+		}
+	}
+	for _, mix := range sp.Mixes {
+		if _, err := NamedMixWith(mix, params); err != nil {
+			return nil, err
+		}
 	}
 	shard, err := ParseShard(sp.Shard)
 	if err != nil {
 		return nil, err
 	}
 
-	s := &Sweep{
+	return &Sweep{
 		Base:         base,
 		Workloads:    sp.Workloads,
 		Mixes:        sp.Mixes,
@@ -274,14 +285,24 @@ func (sp *SweepSpec) Sweep() (*Sweep, error) {
 		TierSpecs:    sp.TierSpecs,
 		TierPolicies: tierPolicies,
 		Seeds:        sp.Seeds,
-		Params:       WorkloadParams{Scale: sp.Scale, LongIters: sp.LongIters},
+		Params:       params,
 		Parallel:     sp.Parallel,
 		Shard:        shard,
 		Cache:        sp.Cache,
 		Label:        sp.Label,
+	}, nil
+}
+
+// parseNames validates and converts each name with parse, failing on
+// the first bad one.
+func parseNames[T any](names []string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, name := range names {
+		v, err := parse(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
 	}
-	if len(s.Workloads) == 0 && len(s.Mixes) == 0 {
-		return nil, fmt.Errorf("virtuoso: sweep spec selects no workloads or mixes")
-	}
-	return s, nil
+	return out, nil
 }

@@ -194,26 +194,11 @@ type Sweep struct {
 // Points expands the grid in deterministic order: workloads (then
 // mixes) outermost, then designs, policies, and seeds.
 func (s *Sweep) Points() []Point {
-	designs := s.Designs
-	if len(designs) == 0 {
-		designs = []DesignName{s.Base.Design}
-	}
-	policies := s.Policies
-	if len(policies) == 0 {
-		policies = []PolicyName{s.Base.Policy}
-	}
-	seeds := s.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{s.Base.Seed}
-	}
-	tierSpecs := s.TierSpecs
-	if len(tierSpecs) == 0 {
-		tierSpecs = [][]TierSpec{s.Base.OSCfg.Tiers}
-	}
-	tierPolicies := s.TierPolicies
-	if len(tierPolicies) == 0 {
-		tierPolicies = []string{s.Base.OSCfg.TierPolicy}
-	}
+	designs := axisOr(s.Designs, s.Base.Design)
+	policies := axisOr(s.Policies, s.Base.Policy)
+	seeds := axisOr(s.Seeds, s.Base.Seed)
+	tierSpecs := axisOr(s.TierSpecs, s.Base.OSCfg.Tiers)
+	tierPolicies := axisOr(s.TierPolicies, s.Base.OSCfg.TierPolicy)
 	type wl struct {
 		name string
 		mix  []string
@@ -243,6 +228,15 @@ func (s *Sweep) Points() []Point {
 		}
 	}
 	return pts
+}
+
+// axisOr returns axis, or the one-cell axis holding the base value
+// when axis is empty.
+func axisOr[T any](axis []T, base T) []T {
+	if len(axis) == 0 {
+		return []T{base}
+	}
+	return axis
 }
 
 // Run executes the grid — or, with Shard set, this shard's slice of it

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -305,5 +306,31 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 	empty := &virtuoso.SweepSpec{Seeds: []uint64{1}}
 	if _, err := empty.Sweep(); err == nil {
 		t.Error("workload-less spec accepted")
+	}
+}
+
+// TestSweepSpecRejectsBadWorkloads: SweepSpec.Sweep checks workload
+// names and construction params before any point runs, so `sweep run`
+// and `sweep serve` refuse such specs up front.
+func TestSweepSpecRejectsBadWorkloads(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		spec virtuoso.SweepSpec
+	}{
+		{"unknown workload", virtuoso.SweepSpec{Workloads: []string{"BFS", "no-such-workload"}}},
+		{"empty mix", virtuoso.SweepSpec{Mixes: [][]string{{}}}},
+		{"unknown mix member", virtuoso.SweepSpec{Mixes: [][]string{{"BFS", "no-such-workload"}}}},
+		{"NaN scale", virtuoso.SweepSpec{Workloads: []string{"BFS"}, Scale: nan}},
+		{"negative scale", virtuoso.SweepSpec{Workloads: []string{"BFS"}, Scale: -0.5}},
+		{"negative long_iters", virtuoso.SweepSpec{Workloads: []string{"BFS"}, LongIters: -1}},
+	} {
+		if _, err := tc.spec.Sweep(); err == nil {
+			t.Errorf("%s: spec built a sweep, want an error", tc.name)
+		}
+	}
+	ok := virtuoso.SweepSpec{Workloads: []string{"BFS"}, Mixes: [][]string{{"RND", "SEQ"}}, Scale: 0.05, LongIters: 2}
+	if _, err := ok.Sweep(); err != nil {
+		t.Errorf("valid spec rejected: %v", err)
 	}
 }
