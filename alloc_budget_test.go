@@ -89,3 +89,63 @@ func TestReplayPointAllocBudget(t *testing.T) {
 		t.Errorf("warm pass made %d allocations, budget %d", mallocs, replayPassMallocsBudget)
 	}
 }
+
+// Host allocation budget of one os-pressure-style mix (four processes
+// at workload scale 0.02, 400k instructions each, on 10 MB of DRAM over
+// 2 MB CXL and 4 MB NVM tiers that cascade into swap), about 1.25× what
+// the run allocates: 4.92 MB on Go 1.24 linux/amd64. The run makes
+// ~35k faults, ~33k demotions and ~26k promotions, each of which adds a
+// resident-list entry, and most a latency sample. Lists grown by
+// append's ~1.25× steps re-copied themselves on the way and took the run
+// to 9.90 MB.
+const pressureMixBytesBudget = 6_150_000
+
+// TestPressureAllocBudget holds one multiprogrammed run under memory
+// pressure to its host allocation budget. Every fault, demotion and
+// promotion adds a resident-list entry and a latency sample, so lists
+// that re-copy themselves as they grow show up here first. The mix
+// runs twice and the second run is measured, after package-level pools
+// are warm.
+func TestPressureAllocBudget(t *testing.T) {
+	cfg := virtuoso.ScaledConfig()
+	cfg.Policy = virtuoso.PolicyBuddy
+	cfg.MaxAppInsts = 400_000
+	cfg.OSCfg.PhysBytes = 10 << 20
+	cfg.OSCfg.SwapBytes = 512 << 20
+	cfg.OSCfg.SwapThreshold = 0.5
+	cfg.OSCfg.Tiers = []virtuoso.TierSpec{
+		{Name: "cxl", Bytes: 2 << 20, ReadLat: 600, WriteLat: 900, BytesPerCycle: 8},
+		{Name: "nvm", Bytes: 4 << 20, ReadLat: 2500, WriteLat: 8000, BytesPerCycle: 2},
+	}
+	run := func() virtuoso.MultiMetrics {
+		sess, err := virtuoso.Open(virtuoso.WithConfig(cfg),
+			virtuoso.WithWorkloadParams(virtuoso.WorkloadParams{Scale: 0.02}),
+			virtuoso.WithProcesses("RND", "SEQ", "BFS", "XS"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mm, err := sess.RunMulti()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mm
+	}
+
+	run()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mm := run()
+	runtime.ReadMemStats(&after)
+	ev := mm.Aggregate.OS
+	if ev.Demotions == 0 || ev.Promotions == 0 || ev.SwapOuts == 0 {
+		t.Fatalf("mix under-pressured: demotions %d, promotions %d, swap-outs %d; all must be > 0",
+			ev.Demotions, ev.Promotions, ev.SwapOuts)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("pressure mix: %d bytes in %d allocations (%d faults, %d demotions, %d promotions, %d swap-outs)",
+		bytes, after.Mallocs-before.Mallocs, ev.MinorFaults+ev.MajorFaults, ev.Demotions, ev.Promotions, ev.SwapOuts)
+	if bytes > pressureMixBytesBudget {
+		t.Errorf("pressure mix allocated %d bytes, budget %d", bytes, pressureMixBytesBudget)
+	}
+}

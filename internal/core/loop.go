@@ -189,8 +189,8 @@ func (s *System) Prepare(w *workloads.Workload) isa.Source {
 	w.Setup(s.OS, s.Proc.PID)
 	s.OS.Tracer.Begin() // drop setup streams
 	if s.PFLatNs == nil {
-		s.PFLatNs = stats.NewSeries(4096)
-		s.MajorPFLatNs = stats.NewSeries(256)
+		s.PFLatNs = stats.NewSeries(0)
+		s.MajorPFLatNs = stats.NewSeries(0)
 	}
 	return s.makeFrontend(w)
 }

@@ -217,8 +217,8 @@ func (s *System) RunMulti(ws []*workloads.Workload) (MultiMetrics, error) {
 	if csCost == 0 {
 		csCost = DefaultCtxSwitchCost
 	}
-	s.PFLatNs = stats.NewSeries(4096)
-	s.MajorPFLatNs = stats.NewSeries(256)
+	s.PFLatNs = stats.NewSeries(0)
+	s.MajorPFLatNs = stats.NewSeries(0)
 
 	mix := make([]string, len(ws))
 	for i, w := range ws {

@@ -98,17 +98,48 @@ func DefaultConfig() Config {
 	}
 }
 
-// residentPage tracks one resident mapping for reclaim.
+// residentPage tracks one resident mapping for reclaim. The field
+// order packs it into 24 bytes.
 type residentPage struct {
-	VA      mem.VAddr
-	Size    mem.PageSize
-	Frame   mem.PAddr
-	RestSeg bool // frame belongs to a Utopia RestSeg (not buddy-owned)
-	Dead    bool
+	VA    mem.VAddr
+	Frame mem.PAddr
 	// Heat is the migration policy's hot/cold estimate, updated on the
 	// faults that map the page and decayed by the access-bit sampling
 	// scans. Unused (zero) when no slow tiers are configured.
-	Heat uint32
+	Heat    uint32
+	Size    mem.PageSize
+	RestSeg bool // frame belongs to a Utopia RestSeg (not buddy-owned)
+	Dead    bool
+}
+
+// residentChunk is the number of entries in one residentList chunk.
+const residentChunk = 1024
+
+// residentList is an append-only list of resident entries addressed by
+// plain int positions. It is stored in fixed chunks held by pointer, so
+// neither a push nor growth of the chunk index copies an entry, and a
+// pointer from at stays valid for the list's lifetime.
+type residentList struct {
+	chunks []*[residentChunk]residentPage
+	n      int
+}
+
+func (l *residentList) len() int { return l.n }
+
+// at returns the entry at position i (0 <= i < len).
+func (l *residentList) at(i int) *residentPage {
+	return &l.chunks[i/residentChunk][i%residentChunk]
+}
+
+// push appends rp and returns its position.
+func (l *residentList) push(rp residentPage) int {
+	i := l.n
+	if i == len(l.chunks)*residentChunk {
+		l.chunks = append(l.chunks, new([residentChunk]residentPage))
+	}
+	*l.at(i) = rp
+	l.n++
+	return i
 }
 
 // VMA is a virtual memory area (§5.1's find_vma target).
@@ -177,7 +208,7 @@ type Process struct {
 	Stat Stats
 
 	RSS         uint64 // resident bytes
-	resident    []residentPage
+	resident    residentList
 	residentIdx map[mem.VAddr]int
 	clockHand   int
 	sampleHand  int // access-bit sampling clock (tiered memory)
@@ -496,8 +527,8 @@ func (k *Kernel) ExitProcess(pid int) {
 	// once per VMA for nothing. No per-page unmap notifications either:
 	// the exit notifier's ASID-wide flush covers the TLBs in one sweep,
 	// and the per-process design state dies with the process.
-	for i := range p.resident {
-		rp := &p.resident[i]
+	for i, n := 0, p.resident.len(); i < n; i++ {
+		rp := p.resident.at(i)
 		if rp.Dead {
 			continue
 		}
@@ -655,8 +686,8 @@ func (k *Kernel) Munmap(pid int, va mem.VAddr, length uint64) {
 // by the translation key (the Midgard intermediate address when an
 // intermediate address space is active), not the virtual address.
 func (k *Kernel) teardownVMA(p *Process, v *VMA, tr *instrument.Tracer) {
-	for i := range p.resident {
-		rp := &p.resident[i]
+	for i, n := 0, p.resident.len(); i < n; i++ {
+		rp := p.resident.at(i)
 		if rp.Dead || !v.Contains(rp.VA) {
 			continue
 		}
@@ -729,16 +760,15 @@ func (k *Kernel) VMAOf(pid int, va mem.VAddr) *VMA {
 // addResident records a resident mapping for reclaim bookkeeping.
 func (p *Process) addResident(rp residentPage) {
 	if idx, ok := p.residentIdx[rp.VA]; ok {
-		p.resident[idx] = rp
+		*p.resident.at(idx) = rp
 		return
 	}
-	p.residentIdx[rp.VA] = len(p.resident)
-	p.resident = append(p.resident, rp)
+	p.residentIdx[rp.VA] = p.resident.push(rp)
 }
 
 func (p *Process) dropResident(va mem.VAddr) {
 	if idx, ok := p.residentIdx[va]; ok {
-		p.resident[idx].Dead = true
+		p.resident.at(idx).Dead = true
 		delete(p.residentIdx, va)
 	}
 }

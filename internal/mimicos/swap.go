@@ -77,7 +77,7 @@ func (k *Kernel) swapOutPage(p *Process, va mem.VAddr, size mem.PageSize, tr *in
 	tr.ALU(60) // TLB shootdown IPI bookkeeping
 
 	if idx, ok := p.residentIdx[va]; ok {
-		rp := p.resident[idx]
+		rp := p.resident.at(idx)
 		if !fromRestSeg && !rp.RestSeg {
 			k.Phys.Free(rp.Frame, size.Bytes()/(4*mem.KB))
 		}
@@ -181,7 +181,7 @@ func (k *Kernel) swapInFrame(va mem.VAddr, size mem.PageSize) (mem.PAddr, mem.Pa
 // directReclaim evicts a batch of resident pages when memory is above the
 // watermark (Table 4: 90%), clock-scanning the resident list.
 func (k *Kernel) directReclaim(p *Process, tr *instrument.Tracer, now uint64) {
-	if k.Cfg.SwapBytes == 0 || len(p.resident) == 0 {
+	if k.Cfg.SwapBytes == 0 || p.resident.len() == 0 {
 		return
 	}
 	exit := tr.Enter("direct_reclaim")
@@ -193,11 +193,11 @@ func (k *Kernel) directReclaim(p *Process, tr *instrument.Tracer, now uint64) {
 	const batch = 16
 	evicted := 0
 	scanned := 0
-	for evicted < batch && scanned < 4*len(p.resident) {
-		if p.clockHand >= len(p.resident) {
+	for evicted < batch && scanned < 4*p.resident.len() {
+		if p.clockHand >= p.resident.len() {
 			p.clockHand = 0
 		}
-		rp := p.resident[p.clockHand]
+		rp := *p.resident.at(p.clockHand)
 		p.clockHand++
 		scanned++
 		if rp.Dead {

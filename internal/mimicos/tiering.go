@@ -123,7 +123,7 @@ func (k *Kernel) tierPromoteFault(p *Process, va mem.VAddr, key mem.VAddr, pg ti
 // are not migrated — they keep the legacy direct swap-out, and only on
 // the desperate pass, since splitting is not modeled.
 func (k *Kernel) tierReclaim(p *Process, tr *instrument.Tracer, now uint64) {
-	if len(p.resident) == 0 {
+	if p.resident.len() == 0 {
 		return
 	}
 	exit := tr.Enter("tier_reclaim")
@@ -137,14 +137,14 @@ func (k *Kernel) tierReclaim(p *Process, tr *instrument.Tracer, now uint64) {
 	evicted := 0
 	for pass := 0; pass < 2 && evicted < batch; pass++ {
 		scanned := 0
-		for evicted < batch && scanned < 2*len(p.resident) {
-			if p.clockHand >= len(p.resident) {
+		for evicted < batch && scanned < 2*p.resident.len() {
+			if p.clockHand >= p.resident.len() {
 				p.clockHand = 0
 			}
 			idx := p.clockHand
 			p.clockHand++
 			scanned++
-			rp := p.resident[idx]
+			rp := *p.resident.at(idx)
 			if rp.Dead || rp.RestSeg {
 				continue
 			}
@@ -156,7 +156,7 @@ func (k *Kernel) tierReclaim(p *Process, tr *instrument.Tracer, now uint64) {
 				}
 			} else if pass == 0 && !pol.Victim(rp.Heat, 0) {
 				// Spared: second chance, decay in place.
-				p.resident[idx].Heat = pol.Decay(rp.Heat)
+				p.resident.at(idx).Heat = pol.Decay(rp.Heat)
 				continue
 			} else if k.demotePage(p, rp, tr, now) {
 				evicted++
@@ -291,7 +291,7 @@ func (k *Kernel) swapOutTierPage(vp *Process, pg tier.Page, tr *instrument.Trace
 // resident list is scanned and each page's heat decays (pages kept hot
 // by faults — mappings and promotions — out-earn the decay).
 func (k *Kernel) tierSample(p *Process, tr *instrument.Tracer) {
-	if len(p.resident) == 0 {
+	if p.resident.len() == 0 {
 		return
 	}
 	exit := tr.Enter("tier_scan")
@@ -300,14 +300,14 @@ func (k *Kernel) tierSample(p *Process, tr *instrument.Tracer) {
 	pol := k.tiers.Policy()
 	const window = 64
 	limit := window
-	if limit > len(p.resident) {
-		limit = len(p.resident)
+	if limit > p.resident.len() {
+		limit = p.resident.len()
 	}
 	for i := 0; i < limit; i++ {
-		if p.sampleHand >= len(p.resident) {
+		if p.sampleHand >= p.resident.len() {
 			p.sampleHand = 0
 		}
-		rp := &p.resident[p.sampleHand]
+		rp := p.resident.at(p.sampleHand)
 		p.sampleHand++
 		if i%8 == 0 {
 			tr.Load(k.lk.pt)

@@ -57,7 +57,7 @@ type chip struct {
 type Device struct {
 	cfg   Config
 	chips []chip
-	cache map[uint64]uint64 // flash page -> lru stamp
+	cache map[uint64]uint64 // flash page -> lru stamp; nil until the first read
 	tick  uint64
 	stats Stats
 }
@@ -92,7 +92,6 @@ func New(cfg Config) *Device {
 	return &Device{
 		cfg:   cfg,
 		chips: make([]chip, cfg.Channels*cfg.ChipsPerCh),
-		cache: make(map[uint64]uint64, cfg.CacheLines),
 	}
 }
 
@@ -107,6 +106,9 @@ func (d *Device) chipOf(page uint64) *chip {
 }
 
 func (d *Device) cacheTouch(page uint64) {
+	if d.cache == nil {
+		d.cache = make(map[uint64]uint64, d.cfg.CacheLines)
+	}
 	d.tick++
 	if len(d.cache) >= d.cfg.CacheLines {
 		if _, ok := d.cache[page]; !ok {

@@ -59,26 +59,6 @@ func (s *Summary) Variance() float64 {
 // StdDev returns the population standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Merge folds other into s.
-func (s *Summary) Merge(other *Summary) {
-	if other.N == 0 {
-		return
-	}
-	if s.N == 0 {
-		*s = *other
-		return
-	}
-	if other.Min < s.Min {
-		s.Min = other.Min
-	}
-	if other.Max > s.Max {
-		s.Max = other.Max
-	}
-	s.N += other.N
-	s.Sum += other.Sum
-	s.Sum2 += other.Sum2
-}
-
 // Series retains every observation, supporting exact percentile queries,
 // distribution summaries, and similarity metrics. Use for bounded sample
 // counts (e.g., per-fault latencies).
@@ -90,8 +70,18 @@ type Series struct {
 // NewSeries returns a Series with capacity hint n.
 func NewSeries(n int) *Series { return &Series{vals: make([]float64, 0, n)} }
 
-// Add appends one observation.
+// minSeriesCap is the capacity of a Series' first growth.
+const minSeriesCap = 256
+
+// Add appends one observation. A full series doubles its capacity
+// (append grows large slices by only ~1.25×, re-copying a long series
+// many times over).
 func (s *Series) Add(v float64) {
+	if len(s.vals) == cap(s.vals) {
+		grown := make([]float64, len(s.vals), max(minSeriesCap, 2*cap(s.vals)))
+		copy(grown, s.vals)
+		s.vals = grown
+	}
 	s.vals = append(s.vals, v)
 	s.sorted = false
 }

@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -127,5 +130,49 @@ func TestLogHistogram(t *testing.T) {
 	h.Add(1000)
 	if h.N != 3 || h.Bucket(0) != 1 || h.Bucket(1) != 1 || h.Bucket(9) != 1 {
 		t.Fatalf("histogram: %+v", h.Counts[:12])
+	}
+}
+
+// TestSeriesGrowthMatchesAppend checks that a Series grown by Add's
+// doubling reads back exactly like one whose values were appended to a
+// plain slice, on both sides of the first growth step.
+func TestSeriesGrowthMatchesAppend(t *testing.T) {
+	for _, n := range []int{0, 1, minSeriesCap - 1, minSeriesCap, minSeriesCap + 1, 5000} {
+		s := NewSeries(0)
+		var ref []float64
+		for i := 0; i < n; i++ {
+			v := float64((i*7919)%1009) + 0.25
+			s.Add(v)
+			ref = append(ref, v)
+		}
+		want := &Series{vals: ref}
+		if !slices.Equal(s.Values(), ref) {
+			t.Fatalf("n=%d: Values differ from the appended reference", n)
+		}
+		if s.Len() != n || s.Sum() != want.Sum() {
+			t.Fatalf("n=%d: len %d sum %v, want %d %v", n, s.Len(), s.Sum(), n, want.Sum())
+		}
+		got, err := s.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			wantJSON = []byte("[]")
+		}
+		if !bytes.Equal(got, wantJSON) {
+			t.Fatalf("n=%d: MarshalJSON = %.40s, want %.40s", n, got, wantJSON)
+		}
+		for _, p := range []float64{0, 25, 50, 99, 100} {
+			if g, w := s.Percentile(p), want.Percentile(p); g != w {
+				t.Fatalf("n=%d: p%v = %v, want %v", n, p, g, w)
+			}
+		}
+	}
+	if got, _ := (&Series{}).MarshalJSON(); string(got) != "[]" {
+		t.Fatalf("zero Series marshals as %s, want []", got)
 	}
 }

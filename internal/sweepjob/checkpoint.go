@@ -199,9 +199,6 @@ func (w *Writer) Append(index int, result json.RawMessage) error {
 	return nil
 }
 
-// Sync flushes buffered records to stable storage immediately.
-func (w *Writer) Sync() error { return w.sync() }
-
 func (w *Writer) sync() error {
 	w.pending = 0
 	if err := w.bw.Flush(); err != nil {

@@ -35,9 +35,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
-func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
-
 // Hash64 deterministically mixes v with seed; useful for stateless
 // per-index decisions (e.g., which 2 MB blocks to break when initialising
 // fragmentation).
