@@ -14,14 +14,15 @@ import (
 
 // Host allocation budget of one warm pass over two replay points (an
 // ech/bd and an ht/thp point of a 100k-instruction BFS replay), about
-// 1.25× what the pass allocates: 1.42 MB in ~400 allocations on Go 1.24
+// 1.25× what the pass allocates: 623 KB in ~400 allocations on Go 1.24
 // linux/amd64. A sweep point should allocate only the host memory it
-// uses: ECH slots when a generation is first inserted into, HT groups
-// from chunks, a small buffer for header-only opens, and the worker's
-// parked read buffers for the streaming open. Eagerly allocated ECH
-// slots and per-open 64 KiB buffers took the pass to 3.54 MB.
+// uses: ECH slot pages when they are first written, HT groups from
+// chunks, a small buffer for header-only opens, and the worker's parked
+// read buffers for the streaming open. A dense slot array per ECH
+// generation took the pass to 1.28 MB; eagerly allocated ECH slots and
+// per-open 64 KiB buffers took it to 3.54 MB.
 const (
-	replayPassBytesBudget   = 1_770_000
+	replayPassBytesBudget   = 778_000
 	replayPassMallocsBudget = 500
 )
 
@@ -92,13 +93,15 @@ func TestReplayPointAllocBudget(t *testing.T) {
 
 // Host allocation budget of one os-pressure-style mix (four processes
 // at workload scale 0.02, 400k instructions each, on 10 MB of DRAM over
-// 2 MB CXL and 4 MB NVM tiers that cascade into swap), about 1.25× what
-// the run allocates: 4.92 MB on Go 1.24 linux/amd64. The run makes
+// 2 MB CXL and 4 MB NVM tiers that cascade into swap), about 1.15× what
+// the run allocates: 4.18 MB on Go 1.24 linux/amd64 (1.25× would let
+// the 4.92 MB of full radix nodes below through). The run makes
 // ~35k faults, ~33k demotions and ~26k promotions, each of which adds a
-// resident-list entry, and most a latency sample. Lists grown by
-// append's ~1.25× steps re-copied themselves on the way and took the run
-// to 9.90 MB.
-const pressureMixBytesBudget = 6_150_000
+// resident-list entry, and most a latency sample. Radix nodes that each
+// carried both a children and a leaf array took the run to 4.92 MB;
+// lists grown by append's ~1.25× steps re-copied themselves on the way
+// and took it to 9.90 MB.
+const pressureMixBytesBudget = 4_800_000
 
 // TestPressureAllocBudget holds one multiprogrammed run under memory
 // pressure to its host allocation budget. Every fault, demotion and
@@ -147,5 +150,50 @@ func TestPressureAllocBudget(t *testing.T) {
 		bytes, after.Mallocs-before.Mallocs, ev.MinorFaults+ev.MajorFaults, ev.Demotions, ev.Promotions, ev.SwapOuts)
 	if bytes > pressureMixBytesBudget {
 		t.Errorf("pressure mix allocated %d bytes, budget %d", bytes, pressureMixBytesBudget)
+	}
+}
+
+// Host allocation budget of one exec-xs-style run (catalog XS at
+// workload scale 0.1 on the scaled radix + THP machine, to completion),
+// about 1.25× what the run allocates: 370 KB on Go 1.24 linux/amd64.
+// Radix nodes made 32 at a time, each carrying both a children and a
+// leaf array, took the run to 602 KB.
+const execRunBytesBudget = 462_000
+
+// TestExecAllocBudget holds one execution-driven Open+Run to its host
+// allocation budget. The session's setup (phys maps, caches, TLBs, the
+// page table) dominates, so a table that allocates for capacity it
+// never maps shows up here. The run repeats and the second is measured.
+func TestExecAllocBudget(t *testing.T) {
+	cfg := virtuoso.ScaledConfig()
+	cfg.Design = virtuoso.DesignRadix
+	cfg.Policy = virtuoso.PolicyTHP
+	run := func() virtuoso.Metrics {
+		sess, err := virtuoso.Open(virtuoso.WithConfig(cfg),
+			virtuoso.WithWorkloadParams(virtuoso.WorkloadParams{Scale: 0.1}),
+			virtuoso.WithWorkload("XS"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sess.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	run()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := run()
+	runtime.ReadMemStats(&after)
+	if m.AppInsts == 0 || m.Segvs != 0 {
+		t.Fatalf("exec run retired %d instructions with %d segvs", m.AppInsts, m.Segvs)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("exec run: %d bytes in %d allocations (%d app instructions)", bytes, after.Mallocs-before.Mallocs, m.AppInsts)
+	if bytes > execRunBytesBudget {
+		t.Errorf("exec run allocated %d bytes, budget %d", bytes, execRunBytesBudget)
 	}
 }

@@ -30,6 +30,7 @@ const (
 	echMaxKicks     = 16
 	echLoadFactor   = 0.6
 	echMigratePerOp = 8
+	echPageSlots    = 512 // host slots per page: 16 KiB
 )
 
 // cuckooSlot is one host-side nest slot. key is vpn+1, so the zero
@@ -40,11 +41,13 @@ type cuckooSlot struct {
 }
 
 type cuckooArray struct {
-	// slots holds all ways, way-major (way w at [w*size, (w+1)*size)).
-	// It is allocated on the generation's first insert: until then
-	// every probe misses, though it still costs the walker and the
-	// kernel the same accesses at the reserved physical slots.
-	slots []cuckooSlot
+	// pages holds all ways, way-major (way w at slots [w*size,
+	// (w+1)*size)), in pages of echPageSlots. The directory is made on
+	// the generation's first insert and each page on the first write
+	// into it; a slot on an absent page is empty. Probes of absent
+	// slots still cost the walker and the kernel the same accesses at
+	// the reserved physical slots.
+	pages []*[echPageSlots]cuckooSlot
 	base  [echWays]mem.PAddr // physical base per way
 	size  uint64
 	used  uint64
@@ -53,7 +56,6 @@ type cuckooArray struct {
 	// Orphan entry displaced by a failed insert (resolved by resize).
 	orphanVPN uint64
 	orphanE   Entry
-	hasOrphan bool
 }
 
 type cuckooTable struct {
@@ -70,7 +72,7 @@ type cuckooTable struct {
 
 // newCuckooArray reserves the generation's simulated frames now, so the
 // physical allocator sees every generation at construction; the host
-// slots wait for the first insert.
+// slot pages wait for their first write.
 func newCuckooArray(alloc FrameAllocator, size uint64, gen uint64) *cuckooArray {
 	a := &cuckooArray{size: size}
 	for w := 0; w < echWays; w++ {
@@ -93,14 +95,36 @@ func (a *cuckooArray) slotPA(way int, idx uint64) mem.PAddr {
 	return a.base[way] + mem.PAddr(idx*8)
 }
 
-// slot returns the host slot at (way, idx); the slots must exist.
-func (a *cuckooArray) slot(way int, idx uint64) *cuckooSlot {
-	return &a.slots[uint64(way)*a.size+idx]
+// page returns the page holding slot (way, idx), or nil if it is
+// absent. Every generation's size is a multiple of echPageSlots, so a
+// page never straddles two ways and idx%echPageSlots is the in-page
+// offset.
+func (a *cuckooArray) page(way int, idx uint64) *[echPageSlots]cuckooSlot {
+	if a.pages == nil {
+		return nil
+	}
+	return a.pages[(uint64(way)*a.size+idx)/echPageSlots]
 }
 
-// holds reports whether slot (way, idx) maps vpn.
-func (a *cuckooArray) holds(way int, idx, vpn uint64) bool {
-	return a.slots != nil && a.slot(way, idx).key == vpn+1
+// at returns the slot at (way, idx); a slot on an absent page is empty.
+func (a *cuckooArray) at(way int, idx uint64) cuckooSlot {
+	if p := a.page(way, idx); p != nil {
+		return p[idx%echPageSlots]
+	}
+	return cuckooSlot{}
+}
+
+// slot returns the slot at (way, idx) for writing, making its page (and
+// the page directory) if absent. Every slot write goes through here.
+func (a *cuckooArray) slot(way int, idx uint64) *cuckooSlot {
+	if a.pages == nil {
+		a.pages = make([]*[echPageSlots]cuckooSlot, echWays*a.size/echPageSlots)
+	}
+	p := &a.pages[(uint64(way)*a.size+idx)/echPageSlots]
+	if *p == nil {
+		*p = new([echPageSlots]cuckooSlot)
+	}
+	return &(*p)[idx%echPageSlots]
 }
 
 func newCuckooTable(alloc FrameAllocator, ps mem.PageSize) *cuckooTable {
@@ -118,8 +142,8 @@ func (t *cuckooTable) lookup(vpn uint64, out *WalkResult) (Entry, bool) {
 			if out != nil {
 				out.push(a.slotPA(w, i), 0)
 			}
-			if a.holds(w, i, vpn) {
-				return a.slot(w, i).e, true
+			if s := a.at(w, i); s.key == vpn+1 {
+				return s.e, true
 			}
 		}
 	}
@@ -129,24 +153,21 @@ func (t *cuckooTable) lookup(vpn uint64, out *WalkResult) (Entry, bool) {
 // insert places (vpn,e), cuckoo-kicking as needed; returns false if a
 // resize is required.
 func (a *cuckooArray) insert(vpn uint64, e Entry, k instrument.KernelMem, kicks *uint64) bool {
-	if a.slots == nil {
-		a.slots = make([]cuckooSlot, echWays*a.size)
-	}
 	cvpn, ce := vpn, e
 	way := int(vpn % echWays)
 	for kick := 0; kick <= echMaxKicks; kick++ {
 		// Probe all ways for a free slot or an existing mapping first.
 		for w := 0; w < echWays; w++ {
 			i := a.idx(w, cvpn)
-			s := a.slot(w, i)
+			key := a.at(w, i).key
 			k.Load(a.slotPA(w, i))
-			if s.key == cvpn+1 {
-				s.e = ce
+			if key == cvpn+1 {
+				a.slot(w, i).e = ce
 				k.Store(a.slotPA(w, i))
 				return true
 			}
-			if s.key == 0 {
-				*s = cuckooSlot{key: cvpn + 1, e: ce}
+			if key == 0 {
+				*a.slot(w, i) = cuckooSlot{key: cvpn + 1, e: ce}
 				a.used++
 				k.Store(a.slotPA(w, i))
 				return true
@@ -164,7 +185,7 @@ func (a *cuckooArray) insert(vpn uint64, e Entry, k instrument.KernelMem, kicks 
 	}
 	// Failed after max kicks: put the displaced entry back is impossible
 	// without loss, so signal resize; caller re-inserts the orphan.
-	a.orphanVPN, a.orphanE, a.hasOrphan = cvpn, ce, true
+	a.orphanVPN, a.orphanE = cvpn, ce
 	return false
 }
 
@@ -177,13 +198,11 @@ func (t *cuckooTable) remove(vpn uint64, k instrument.KernelMem) (Entry, bool) {
 		for w := 0; w < echWays; w++ {
 			i := a.idx(w, vpn)
 			k.Load(a.slotPA(w, i))
-			if a.holds(w, i, vpn) {
-				s := a.slot(w, i)
-				old := s.e
-				*s = cuckooSlot{}
+			if old := a.at(w, i); old.key == vpn+1 {
+				*a.slot(w, i) = cuckooSlot{}
 				a.used--
 				k.Store(a.slotPA(w, i))
-				return old, true
+				return old.e, true
 			}
 		}
 	}
@@ -191,8 +210,8 @@ func (t *cuckooTable) remove(vpn uint64, k instrument.KernelMem) (Entry, bool) {
 }
 
 // migrateSome moves up to n entries from the old generation into the
-// current one (gradual resizing). The old generation has host slots: a
-// generation is retired only once inserts have filled it.
+// current one (gradual resizing). Absent pages hold only empty slots,
+// so the scan steps over them whole.
 func (t *cuckooTable) migrateSome(n int, k instrument.KernelMem) {
 	for moved := 0; t.old != nil && moved < n; {
 		if t.oldPos >= t.old.size {
@@ -202,6 +221,10 @@ func (t *cuckooTable) migrateSome(n int, k instrument.KernelMem) {
 				t.old = nil // migration complete
 				break
 			}
+			continue
+		}
+		if t.old.page(t.oldWay, t.oldPos) == nil {
+			t.oldPos += echPageSlots - t.oldPos%echPageSlots
 			continue
 		}
 		if s := t.old.slot(t.oldWay, t.oldPos); s.key != 0 {

@@ -17,86 +17,111 @@ type Radix struct {
 	root   *radixNode
 	pages  uint64
 	ents   entryArena
-	narena nodeArena
+	nodes  arena[radixNode]
+	kids   arena[[512]*radixNode]
+	leaves arena[[512]*Entry]
 }
 
+// radixNode is one simulated 4 KB table node. Its host arrays are made
+// with the first child or leaf it gets, so PML4 and PDPT nodes carry
+// only children, PT nodes only leaves, and a PD node leaves only when
+// it maps 2 MB pages. A nil array reads as empty.
 type radixNode struct {
 	frame    mem.PAddr
-	children [512]*radixNode // interior
-	entries  [512]*Entry     // leaves at any level (1GB/2MB/4KB)
+	children *[512]*radixNode // interior
+	entries  *[512]*Entry     // leaves at any level (1GB/2MB/4KB)
 }
 
-// entryArena hands out *Entry values from fixed-capacity chunks with a
-// freelist, so steady-state fault handling (map page, later unmap)
-// recycles entries instead of allocating one per mapped page. Chunks
-// are append-only and never grown, so handed-out pointers stay valid.
-type entryArena struct {
-	chunks [][]Entry
-	freel  []*Entry
-	pool   *recycle.Pool
+func (n *radixNode) child(i int) *radixNode {
+	if n.children == nil {
+		return nil
+	}
+	return n.children[i]
 }
 
-const entryChunk = 512
+func (n *radixNode) leaf(i int) *Entry {
+	if n.entries == nil {
+		return nil
+	}
+	return n.entries[i]
+}
 
-// Pool keys for recycled arena chunks. A recycled chunk is truncated to
-// length zero with its capacity scrubbed, and get() writes the full
-// element value on append, so reuse is equivalent to a fresh make.
-const (
-	entChunkKey  = "pagetable.radix.entchunk"
-	nodeChunkKey = "pagetable.radix.nodechunk"
-)
+// arena hands out zeroed *T values from chunks that are never regrown,
+// so handed-out pointers stay valid. Chunks start at min elements and
+// double up to max. When pool holds a chunk under key, it is taken
+// instead of a fresh one: a parked chunk has length zero and a scrubbed
+// capacity, so reuse is equivalent to a fresh make.
+type arena[T any] struct {
+	chunks   [][]T
+	pool     *recycle.Pool
+	key      string
+	min, max int
+}
 
-func (a *entryArena) grow() {
-	if c, ok := a.pool.Take(entChunkKey); ok {
-		a.chunks = append(a.chunks, c.([]Entry))
+func (a *arena[T]) get() *T {
+	n := len(a.chunks)
+	if n == 0 || len(a.chunks[n-1]) == cap(a.chunks[n-1]) {
+		a.grow()
+		n++
+	}
+	c := &a.chunks[n-1]
+	*c = (*c)[:len(*c)+1]
+	return &(*c)[len(*c)-1]
+}
+
+func (a *arena[T]) grow() {
+	if c, ok := a.pool.Take(a.key); ok {
+		a.chunks = append(a.chunks, c.([]T))
 		return
 	}
-	a.chunks = append(a.chunks, make([]Entry, 0, entryChunk))
+	size := a.min
+	if n := len(a.chunks); n > 0 {
+		size = min(2*cap(a.chunks[n-1]), a.max)
+	}
+	a.chunks = append(a.chunks, make([]T, 0, size))
+}
+
+// recycle scrubs the used part of every chunk and parks the chunks in
+// pool under the arena's key.
+func (a *arena[T]) recycle(pool *recycle.Pool) {
+	for _, c := range a.chunks {
+		clear(c)
+		pool.Give(a.key, c[:0])
+	}
+	a.chunks = nil
+}
+
+// entryArena recycles *Entry values through a freelist, so steady-state
+// fault handling (map page, later unmap) reuses entries instead of
+// allocating one per mapped page.
+type entryArena struct {
+	arena[Entry]
+	freel []*Entry
 }
 
 func (a *entryArena) get(e Entry) *Entry {
+	var p *Entry
 	if n := len(a.freel); n > 0 {
-		p := a.freel[n-1]
+		p = a.freel[n-1]
 		a.freel = a.freel[:n-1]
-		*p = e
-		return p
+	} else {
+		p = a.arena.get()
 	}
-	if len(a.chunks) == 0 || len(a.chunks[len(a.chunks)-1]) == entryChunk {
-		a.grow()
-	}
-	c := &a.chunks[len(a.chunks)-1]
-	*c = append(*c, e)
-	return &(*c)[len(*c)-1]
+	*p = e
+	return p
 }
 
 func (a *entryArena) put(p *Entry) { a.freel = append(a.freel, p) }
 
-// nodeArena batches radixNode allocations; nodes are never reclaimed
-// within a process lifetime (Linux defers PT reclamation too), so no
-// freelist is needed.
-type nodeArena struct {
-	chunks [][]radixNode
-	pool   *recycle.Pool
-}
-
-const nodeChunk = 32
-
-func (a *nodeArena) grow() {
-	if c, ok := a.pool.Take(nodeChunkKey); ok {
-		a.chunks = append(a.chunks, c.([]radixNode))
-		return
-	}
-	a.chunks = append(a.chunks, make([]radixNode, 0, nodeChunk))
-}
-
-func (a *nodeArena) get(frame mem.PAddr) *radixNode {
-	if len(a.chunks) == 0 || len(a.chunks[len(a.chunks)-1]) == nodeChunk {
-		a.grow()
-	}
-	c := &a.chunks[len(a.chunks)-1]
-	*c = append(*c, radixNode{frame: frame})
-	return &(*c)[len(*c)-1]
-}
+// Pool keys for recycled arena chunks: entries, and the children and
+// leaf arrays of nodes. Node headers (24 B each) are not pooled; nodes
+// are never reclaimed within a process lifetime (Linux defers PT
+// reclamation too), so their arena needs no freelist.
+const (
+	entChunkKey  = "pagetable.radix.entchunk"
+	kidsChunkKey = "pagetable.radix.kidschunk"
+	leafChunkKey = "pagetable.radix.leafchunk"
+)
 
 // NewRadix builds an empty radix table; the root frame is allocated
 // immediately (as the kernel does for a new mm_struct).
@@ -105,36 +130,38 @@ func NewRadix(alloc FrameAllocator) *Radix { return NewRadixWith(alloc, nil) }
 // NewRadixWith is NewRadix drawing arena chunks from pool (nil pool =
 // plain NewRadix).
 func NewRadixWith(alloc FrameAllocator, pool *recycle.Pool) *Radix {
-	r := &Radix{alloc: alloc}
-	r.ents.pool = pool
-	r.narena.pool = pool
+	r := &Radix{
+		alloc:  alloc,
+		ents:   entryArena{arena: arena[Entry]{pool: pool, key: entChunkKey, min: 512, max: 512}},
+		nodes:  arena[radixNode]{min: 32, max: 32},
+		kids:   arena[[512]*radixNode]{pool: pool, key: kidsChunkKey, min: 4, max: 32},
+		leaves: arena[[512]*Entry]{pool: pool, key: leafChunkKey, min: 4, max: 32},
+	}
 	frame, ok := alloc.AllocFrame()
 	if !ok {
 		panic("pagetable: cannot allocate radix root")
 	}
-	r.root = r.narena.get(frame)
+	r.root = r.newNode(frame)
 	return r
 }
 
-// Recycle hands the table's arena chunks back to pool, scrubbed to
-// their empty state. The table must not be used afterwards.
+func (r *Radix) newNode(frame mem.PAddr) *radixNode {
+	n := r.nodes.get()
+	n.frame = frame
+	return n
+}
+
+// Recycle hands the table's entry chunks and node-array chunks back to
+// pool, scrubbed to their empty state. The table must not be used
+// afterwards.
 func (r *Radix) Recycle(pool *recycle.Pool) {
 	if pool == nil {
 		return
 	}
-	for _, c := range r.ents.chunks {
-		c = c[:cap(c)]
-		clear(c)
-		pool.Give(entChunkKey, c[:0])
-	}
-	for _, c := range r.narena.chunks {
-		c = c[:cap(c)]
-		clear(c)
-		pool.Give(nodeChunkKey, c[:0])
-	}
-	r.ents = entryArena{}
-	r.narena = nodeArena{}
-	r.root = nil
+	r.ents.recycle(pool)
+	r.kids.recycle(pool)
+	r.leaves.recycle(pool)
+	*r = Radix{}
 }
 
 // Kind implements PageTable.
@@ -162,12 +189,12 @@ func (r *Radix) Walk(va mem.VAddr) WalkResult {
 	for level := 0; level < 4; level++ {
 		pa := pteAddr(node, idx[level])
 		out.push(pa, 4-level)
-		if e := node.entries[idx[level]]; e != nil {
+		if e := node.leaf(idx[level]); e != nil {
 			out.Entry = *e
 			out.Found = true
 			return out
 		}
-		child := node.children[idx[level]]
+		child := node.child(idx[level])
 		if child == nil {
 			return out // not mapped: fault after this access
 		}
@@ -178,18 +205,11 @@ func (r *Radix) Walk(va mem.VAddr) WalkResult {
 
 // Lookup implements PageTable.
 func (r *Radix) Lookup(va mem.VAddr) (Entry, bool) {
-	idx := indices(va)
-	node := r.root
-	for level := 0; level < 4; level++ {
-		if e := node.entries[idx[level]]; e != nil {
-			return *e, true
-		}
-		node = node.children[idx[level]]
-		if node == nil {
-			return Entry{}, false
-		}
+	node, idx, ok := r.findLeaf(va)
+	if !ok {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	return *node.entries[idx], true
 }
 
 func leafDepth(s mem.PageSize) int {
@@ -211,23 +231,29 @@ func (r *Radix) Insert(va mem.VAddr, e Entry, k instrument.KernelMem) error {
 	node := r.root
 	for level := 0; level < depth; level++ {
 		k.Load(pteAddr(node, idx[level]))
-		child := node.children[idx[level]]
+		child := node.child(idx[level])
 		if child == nil {
 			frame, ok := r.alloc.AllocFrame()
 			if !ok {
 				return ErrOutOfMemory{What: "radix node"}
 			}
-			child = r.narena.get(frame)
+			child = r.newNode(frame)
+			if node.children == nil {
+				node.children = r.kids.get()
+			}
 			node.children[idx[level]] = child
 			k.ALU(24) // slab fast path: freelist pop, frame init
 			k.Store(pteAddr(node, idx[level]))
 		}
 		node = child
 	}
-	if old := node.entries[idx[depth]]; old != nil {
+	if old := node.leaf(idx[depth]); old != nil {
 		*old = e
 	} else {
 		r.pages++
+		if node.entries == nil {
+			node.entries = r.leaves.get()
+		}
 		node.entries[idx[depth]] = r.ents.get(e)
 	}
 	k.Store(pteAddr(node, idx[depth]))
@@ -264,10 +290,10 @@ func (r *Radix) findLeaf(va mem.VAddr) (*radixNode, int, bool) {
 	idx := indices(va)
 	node := r.root
 	for level := 0; level < 4; level++ {
-		if node.entries[idx[level]] != nil {
+		if node.leaf(idx[level]) != nil {
 			return node, idx[level], true
 		}
-		node = node.children[idx[level]]
+		node = node.child(idx[level])
 		if node == nil {
 			return nil, 0, false
 		}

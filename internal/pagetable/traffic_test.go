@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/phys"
+	"repro/internal/recycle"
 	"repro/internal/xrand"
 )
 
@@ -97,6 +98,155 @@ func echTraffic(l *trafficLog) {
 	l.put('P', uint64(fp))
 }
 
+// echSparseTraffic drives ECH the way a THP point does: a few 4K and
+// 2M inserts, walks and removes, so most of each generation's slots are
+// never written. Both tables then resize, and the gradual migration
+// scans old generations that are almost all empty.
+func echSparseTraffic(l *trafficLog) {
+	alloc := phys.NewSlab(phys.New(512 * mem.MB))
+	pt := NewECH(alloc)
+	rng := xrand.New(0x5EC)
+	var vas []mem.VAddr
+	for i := 0; i < 40; i++ {
+		va := mem.VAddr(rng.Uint64n(1<<36)) &^ 0xfff
+		vas = append(vas, va)
+		pt.Insert(va, Entry{Frame: mem.PAddr(i+1) << 12, Size: mem.Page4K, Present: true}, l)
+		l.walk(pt, va)
+		l.walk(pt, va+0x1000)
+	}
+	for i := uint64(0); i < 6; i++ {
+		va := mem.VAddr(0x40_0000_0000 + i*2*mem.MB)
+		pt.Insert(va, Entry{Frame: mem.PAddr(0x8000_0000 + i*2*mem.MB), Size: mem.Page2M, Present: true}, l)
+		l.walk(pt, va+0x3000)
+	}
+	for i := 0; i < len(vas); i += 5 {
+		pt.Remove(vas[i], l)
+		l.walk(pt, vas[i])
+		pt.Remove(vas[i], l)
+	}
+	for _, t := range pt.tables {
+		t.resize(l)
+	}
+	// Migration runs a few entries per insert across mostly absent
+	// slots; walks and removes see both generations meanwhile.
+	for i := 0; i < 24; i++ {
+		va := mem.VAddr(rng.Uint64n(1<<36)) &^ 0xfff
+		pt.Insert(va, Entry{Frame: mem.PAddr(i+100) << 12, Size: mem.Page4K, Present: true}, l)
+		l.walk(pt, va)
+		l.walk(pt, vas[(i*7)%len(vas)])
+		if i%4 == 0 {
+			pt.Remove(vas[(i*3+1)%len(vas)], l)
+		}
+		pt.Update(vas[(i*5+2)%len(vas)], Entry{Frame: mem.PAddr(i+200) << 12, Size: mem.Page4K, Present: true, Dirty: true}, l)
+	}
+	pt.Insert(0x40_0000_0000+8*mem.MB, Entry{Frame: 0x9000_0000, Size: mem.Page2M, Present: true}, l)
+	// A second resize finishes the first migration synchronously.
+	pt.tables[0].resize(l)
+	for _, va := range vas {
+		l.walk(pt, va)
+	}
+	l.put('R', pt.Resizes())
+	l.put('M', pt.MappedPages())
+	l.put('G', pt.tables[0].Migrations+pt.tables[1].Migrations)
+	fp, _ := alloc.AllocFrame()
+	l.put('P', uint64(fp))
+}
+
+// radixTraffic drives a radix table from pool through 4K, 2M and 1G
+// inserts (dense runs, sparse pages, a PD that holds a 2M leaf beside a
+// PT), an overwriting insert, updates and removes, and walks of
+// unmapped and partially mapped addresses, then recycles it into pool.
+func radixTraffic(l *trafficLog, pool *recycle.Pool) {
+	alloc := phys.NewSlab(phys.New(512 * mem.MB))
+	pt := NewRadixWith(alloc, pool)
+	e4 := func(i uint64) Entry { return Entry{Frame: mem.PAddr(i+1) << 12, Size: mem.Page4K, Present: true} }
+	check := func(va mem.VAddr) {
+		l.walk(pt, va)
+		e, ok := pt.Lookup(va)
+		if ok {
+			l.put('Q', uint64(e.Frame))
+		} else {
+			l.put('q', 0)
+		}
+	}
+	// A dense 4K run across three PT nodes.
+	dense := mem.VAddr(0x7f12_3450_0000)
+	for i := uint64(0); i < 1200; i++ {
+		must(pt.Insert(dense+mem.VAddr(i*4*mem.KB), e4(i), l))
+	}
+	// Sparse 4K pages, one per 2 MB, and one per 1 GB.
+	for i := uint64(0); i < 40; i++ {
+		must(pt.Insert(mem.VAddr(0x10_0000_0000+i*2*mem.MB+0x5000), e4(5000+i), l))
+		must(pt.Insert(mem.VAddr(0x200_0000_0000+i*mem.GB), e4(6000+i), l))
+	}
+	// 2M leaves, and a PD holding a 2M leaf in one slot and a PT in
+	// the next.
+	for i := uint64(0); i < 48; i++ {
+		must(pt.Insert(mem.VAddr(0x40_0000_0000+i*2*mem.MB), Entry{Frame: mem.PAddr(0x8000_0000 + i*2*mem.MB), Size: mem.Page2M, Present: true}, l))
+	}
+	mixed := mem.VAddr(0x50_0000_0000)
+	must(pt.Insert(mixed, Entry{Frame: 0x4000_0000, Size: mem.Page2M, Present: true}, l))
+	must(pt.Insert(mixed+2*mem.MB+0x3000, e4(7000), l))
+	// 1G leaves.
+	for i := uint64(0); i < 3; i++ {
+		must(pt.Insert(mem.VAddr(0x300_0000_0000+i*mem.GB), Entry{Frame: mem.PAddr(i+1) * mem.GB, Size: mem.Page1G, Present: true}, l))
+	}
+	// An overwriting insert, updates, and an update of an unmapped page.
+	must(pt.Insert(dense+5*4*mem.KB, e4(9999), l))
+	l.put('U', boolBit(pt.Update(dense+7*4*mem.KB, Entry{Frame: 0x1234_5000, Size: mem.Page4K, Present: true, Dirty: true}, l)))
+	l.put('U', boolBit(pt.Update(mixed+0x1000, Entry{Frame: 0x4020_0000, Size: mem.Page2M, Present: true, Dirty: true}, l)))
+	l.put('U', boolBit(pt.Update(0x66_0000_0000, e4(1), l)))
+	// Removes, including a 2M leaf, a 1G leaf and an unmapped page.
+	for i := uint64(0); i < 1200; i += 9 {
+		_, ok := pt.Remove(dense+mem.VAddr(i*4*mem.KB), l)
+		l.put('D', boolBit(ok))
+	}
+	for _, va := range []mem.VAddr{0x40_0000_0000 + 6*mem.MB, 0x300_0000_0000 + mem.GB, 0x66_0000_0000} {
+		_, ok := pt.Remove(va, l)
+		l.put('D', boolBit(ok))
+	}
+	// A 4K page where a 2M leaf was removed.
+	must(pt.Insert(0x40_0000_0000+6*mem.MB+0x2000, e4(8000), l))
+	// Walks: mapped, removed, and unmapped at every level.
+	for i := uint64(0); i < 1210; i += 7 {
+		check(dense + mem.VAddr(i*4*mem.KB))
+	}
+	for _, va := range []mem.VAddr{
+		0x7f12_3450_0000 - 4*mem.KB,   // PT exists, entry below the run empty
+		0x7f12_4000_0000,              // PDPT exists, PDPT slot empty
+		0x7f80_0000_0000,              // PML4 slot empty
+		0x10_0000_0000 + 0x6000,       // PT exists, entry empty
+		0x10_0000_0000 + 100*2*mem.MB, // PD exists, PD slot empty
+		0x40_0000_0000 + 6*mem.MB,     // removed 2M leaf, now a PT
+		0x40_0000_0000 + 5*mem.MB,     // inside a 2M leaf
+		mixed + 0x1fff,                // 2M leaf of the mixed PD
+		mixed + 2*mem.MB + 0x3000,     // 4K page of the mixed PD
+		mixed + 4*mem.MB,              // empty slot of the mixed PD
+		0x300_0000_0000 + 0x12345,     // inside a 1G leaf
+		0x300_0000_0000 + mem.GB,      // removed 1G leaf
+		0x200_0000_0000 + 3*mem.GB,    // sparse page
+	} {
+		check(va)
+	}
+	l.put('M', pt.MappedPages())
+	fp, _ := alloc.AllocFrame()
+	l.put('P', uint64(fp))
+	pt.Recycle(pool)
+}
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // htTraffic drives a small HT into long chains of overflow groups, then
 // removes, re-inserts into the freed slots and walks.
 func htTraffic(l *trafficLog) {
@@ -135,24 +285,35 @@ func htTraffic(l *trafficLog) {
 }
 
 // TestPageTableKernelTrafficPinned pins the simulated memory traffic of
-// the hashed page tables: the kernel loads, stores and ALU charges of
-// their updates and the step addresses of their hardware walks. A
-// change to how the host stores the tables (lazy slot arrays, slot
-// layout, node arenas) must leave every digest unchanged.
+// the page tables: the kernel loads, stores and ALU charges of their
+// updates and the step addresses of their hardware walks. A change to
+// how the host stores the tables (lazy or paged slot arrays, slot
+// layout, node arenas, pooled node arrays) must leave every digest
+// unchanged. The radix sequence runs twice on one pool, the second time
+// on the arrays the first recycled, and both runs must match the pin.
 func TestPageTableKernelTrafficPinned(t *testing.T) {
+	unpooled := func(run func(*trafficLog)) func(*trafficLog, *recycle.Pool) {
+		return func(l *trafficLog, _ *recycle.Pool) { run(l) }
+	}
 	for _, tc := range []struct {
-		name string
-		run  func(*trafficLog)
-		want string
+		name   string
+		run    func(*trafficLog, *recycle.Pool)
+		passes int
+		want   string
 	}{
-		{"ech", echTraffic, "b57ba63b928bdd10b6c7a648af98ecef9425c73757e87e1499c0766e495854c3"},
-		{"ht", htTraffic, "003e28fccb4aa87909de81b26771c3392340fe40464d212b49223af2779ed3a8"},
+		{"ech", unpooled(echTraffic), 1, "b57ba63b928bdd10b6c7a648af98ecef9425c73757e87e1499c0766e495854c3"},
+		{"ech-sparse", unpooled(echSparseTraffic), 1, "2554b577a8146fb77559f5ba28bd53e8a95e4a3aac464ef8673638cdfb9eeabf"},
+		{"ht", unpooled(htTraffic), 1, "003e28fccb4aa87909de81b26771c3392340fe40464d212b49223af2779ed3a8"},
+		{"radix", radixTraffic, 2, "9dde95777e0b67c8a037bef361b7fe67915dd112e098eb08a984c0dade1c13ce"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			l := &trafficLog{h: sha256.New()}
-			tc.run(l)
-			if got := hex.EncodeToString(l.h.Sum(nil)); got != tc.want {
-				t.Errorf("kernel traffic digest = %s, want %s", got, tc.want)
+			pool := recycle.New()
+			for pass := 1; pass <= tc.passes; pass++ {
+				l := &trafficLog{h: sha256.New()}
+				tc.run(l, pool)
+				if got := hex.EncodeToString(l.h.Sum(nil)); got != tc.want {
+					t.Errorf("pass %d: kernel traffic digest = %s, want %s", pass, got, tc.want)
+				}
 			}
 		})
 	}

@@ -2,14 +2,16 @@
 // System construction (core.NewSystemPooled): a sweep worker keeps one
 // Pool and cycles the big simulator allocations across the points it
 // runs instead of handing each point's ~megabytes of setup state to the
-// garbage collector. The kept keys are the physical free-page bitmaps
-// and extent maps, the cache SoA arrays, the radix page-table arena
-// chunks, and the trace-replay reader's buffers (key "trace.reader":
-// its 64 KiB read buffer, v2 block buffers and flate state, parked when
-// a point's trace source closes). Only allocations a sweep memory
-// profile shows to matter are pooled; the rest (TLB arrays, the
-// frontend batch buffer, ECH slot arrays) are allocated fresh per
-// System.
+// garbage collector. The kept allocations are the physical free-page
+// bitmaps and extent maps, the cache SoA arrays, the radix page table's
+// arena chunks (keys "pagetable.radix.entchunk" for entries,
+// "pagetable.radix.kidschunk" for node children arrays and
+// "pagetable.radix.leafchunk" for node leaf arrays), and the
+// trace-replay reader's buffers (key "trace.reader": its 64 KiB read
+// buffer, v2 block buffers and flate state, parked when a point's trace
+// source closes). Only allocations a sweep memory profile shows to
+// matter are pooled; the rest (TLB arrays, the frontend batch buffer,
+// radix node headers, ECH slot pages) are allocated fresh per System.
 //
 // Determinism is by construction, not by protocol: a pooled slice is
 // scrubbed to zero when it enters the pool and is matched by exact
