@@ -12,18 +12,20 @@ import (
 	"repro/internal/recycle"
 )
 
-// Host allocation budget of one warm pass over two replay points (an
-// ech/bd and an ht/thp point of a 100k-instruction BFS replay), about
-// 1.25× what the pass allocates: 623 KB in ~400 allocations on Go 1.24
-// linux/amd64. A sweep point should allocate only the host memory it
-// uses: ECH slot pages when they are first written, HT groups from
-// chunks, a small buffer for header-only opens, and the worker's parked
-// read buffers for the streaming open. A dense slot array per ECH
-// generation took the pass to 1.28 MB; eagerly allocated ECH slots and
-// per-open 64 KiB buffers took it to 3.54 MB.
+// Host allocation budget of one warm pass over three replay points (an
+// ech/bd, an ht/thp and an ht/bd point of a 100k-instruction BFS
+// replay), about 1.25× what the pass allocates: 556 KB in ~560
+// allocations on Go 1.24 linux/amd64. A sweep point should allocate
+// only the host memory it uses: ECH slot pages when they are first
+// written, HT groups and bucket heads, resident lists and their index
+// from the worker's pool, a small buffer for header-only opens, and the
+// worker's parked read buffers for the streaming open. Building the HT
+// and resident state fresh for every point took the pass to 952 KB; a
+// dense slot array per ECH generation and eagerly allocated ECH slots
+// cost more still.
 const (
-	replayPassBytesBudget   = 778_000
-	replayPassMallocsBudget = 500
+	replayPassBytesBudget   = 696_000
+	replayPassMallocsBudget = 700
 )
 
 // TestReplayPointAllocBudget runs the replay points the way a sweep
@@ -56,6 +58,7 @@ func TestReplayPointAllocBudget(t *testing.T) {
 		}{
 			{virtuoso.DesignECH, virtuoso.PolicyBuddy},
 			{virtuoso.DesignHT, virtuoso.PolicyTHP},
+			{virtuoso.DesignHT, virtuoso.PolicyBuddy},
 		} {
 			cfg := base
 			cfg.Design, cfg.Policy = p.design, p.policy

@@ -118,11 +118,20 @@ const residentChunk = 1024
 // residentList is an append-only list of resident entries addressed by
 // plain int positions. It is stored in fixed chunks held by pointer, so
 // neither a push nor growth of the chunk index copies an entry, and a
-// pointer from at stays valid for the list's lifetime.
+// pointer from at stays valid for the list's lifetime. Chunks come from
+// pool when it holds one (nil pool = always fresh).
 type residentList struct {
 	chunks []*[residentChunk]residentPage
 	n      int
+	pool   *recycle.Pool
 }
+
+// Pool keys for a process's resident bookkeeping: list chunks, and the
+// VA → position index map.
+const (
+	residentChunkKey = "mimicos.resident.chunk"
+	residentIdxKey   = "mimicos.resident.idx"
+)
 
 func (l *residentList) len() int { return l.n }
 
@@ -135,11 +144,25 @@ func (l *residentList) at(i int) *residentPage {
 func (l *residentList) push(rp residentPage) int {
 	i := l.n
 	if i == len(l.chunks)*residentChunk {
-		l.chunks = append(l.chunks, new([residentChunk]residentPage))
+		c, ok := l.pool.Take(residentChunkKey)
+		if !ok {
+			c = new([residentChunk]residentPage)
+		}
+		l.chunks = append(l.chunks, c.(*[residentChunk]residentPage))
 	}
 	*l.at(i) = rp
 	l.n++
 	return i
+}
+
+// recycle scrubs the used entries of every chunk and parks the chunks
+// in pool. The list is empty afterwards.
+func (l *residentList) recycle(pool *recycle.Pool) {
+	for i, c := range l.chunks {
+		clear(c[:min(residentChunk, l.n-i*residentChunk)])
+		pool.Give(residentChunkKey, c)
+	}
+	*l = residentList{}
 }
 
 // VMA is a virtual memory area (§5.1's find_vma target).
@@ -285,6 +308,7 @@ type Kernel struct {
 	Tracer *instrument.Tracer
 
 	procs     map[int]*Process
+	reaped    []*Process // exited processes, kept for Recycle
 	nextASID  uint16
 	freeASIDs []uint16 // released by exited processes, recycled LIFO
 
@@ -306,9 +330,10 @@ type Kernel struct {
 	unmapNotify func(pid int, va mem.VAddr, size mem.PageSize)
 	exitNotify  func(pid int, asid uint16)
 
-	// pool, when non-nil, recycles page-table arena chunks across
-	// pooled kernel lifetimes (NewWith); construction-only, never
-	// consulted on simulation paths.
+	// pool, when non-nil, supplies page-table storage and resident
+	// bookkeeping when a process or table grows, and receives it back
+	// in Recycle (NewWith). Reuse is invisible in the results: whatever
+	// it hands out is scrubbed to its fresh state.
 	pool *recycle.Pool
 
 	// Utopia is set when the utopia design is active; allocation and
@@ -381,20 +406,32 @@ func NewWith(cfg Config, disk *ssd.Device, pool *recycle.Pool) *Kernel {
 	return k
 }
 
-// Recycle harvests the kernel's large allocations — the phys map and
-// the page tables of still-live processes — into pool. The kernel must
-// not be used afterwards.
+// Recycle harvests the kernel's large allocations — the phys map, and
+// the page tables and resident bookkeeping of every process it ran,
+// live or exited — into pool. The kernel must not be used afterwards.
 func (k *Kernel) Recycle(pool *recycle.Pool) {
 	if pool == nil {
 		return
 	}
 	for _, p := range k.procs {
-		if r, ok := p.PT.(recycle.Recycler); ok {
-			r.Recycle(pool)
-		}
+		p.recycle(pool)
 	}
-	k.procs = nil
+	for _, p := range k.reaped {
+		p.recycle(pool)
+	}
+	k.procs, k.reaped = nil, nil
 	k.Phys.Recycle(pool)
+}
+
+// recycle hands the process's page table, resident list and resident
+// index to pool, scrubbed.
+func (p *Process) recycle(pool *recycle.Pool) {
+	if r, ok := p.PT.(recycle.Recycler); ok {
+		r.Recycle(pool)
+	}
+	p.resident.recycle(pool)
+	recycle.PutMap(pool, residentIdxKey, p.residentIdx)
+	p.PT, p.residentIdx = nil, nil
 }
 
 // kalloc allocates a kernel object, panicking on OOM (init-time only).
@@ -452,9 +489,9 @@ func (k *Kernel) newPageTable() pagetable.PageTable {
 	case PTECH:
 		return pagetable.NewECH(k.Slab)
 	case PTHDC:
-		return pagetable.NewHDC(k.Slab, tableBytesFor(k.Cfg.PhysBytes))
+		return pagetable.NewHDCWith(k.Slab, tableBytesFor(k.Cfg.PhysBytes), k.pool)
 	case PTHT:
-		return pagetable.NewHT(k.Slab, tableBytesFor(k.Cfg.PhysBytes))
+		return pagetable.NewHTWith(k.Slab, tableBytesFor(k.Cfg.PhysBytes), k.pool)
 	default:
 		panic(fmt.Sprintf("mimicos: unknown page table kind %q", k.Cfg.PTKind))
 	}
@@ -496,7 +533,8 @@ func (k *Kernel) CreateProcess(pid int) *Process {
 		PID:         pid,
 		ASID:        asid,
 		PT:          k.newPageTable(),
-		residentIdx: make(map[mem.VAddr]int),
+		resident:    residentList{pool: k.pool},
+		residentIdx: recycle.Map[mem.VAddr, int](k.pool, residentIdxKey),
 		nextMmap:    0x0000_1000_0000_0000,
 	}
 	k.procs[pid] = p
@@ -565,16 +603,13 @@ func (k *Kernel) ExitProcess(pid int) {
 		}
 	}
 	k.khuge.dropPID(pid)
-	// Pooled kernels harvest the dead process's page-table arenas now
-	// (scrubbed in Recycle), so its chunks seed the next process's
-	// table instead of becoming garbage.
-	if k.pool != nil {
-		if r, ok := p.PT.(recycle.Recycler); ok {
-			r.Recycle(k.pool)
-		}
-		p.PT = nil
-	}
+	// The process leaves the table but not the kernel: its page table
+	// and resident bookkeeping go to the pool in Recycle, once no
+	// design state can read them any more.
 	delete(k.procs, pid)
+	if k.pool != nil {
+		k.reaped = append(k.reaped, p)
+	}
 	k.freeASIDs = append(k.freeASIDs, p.ASID)
 	k.count(p, func(s *Stats) { s.Exits++ })
 	exit()

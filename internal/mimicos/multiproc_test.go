@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/recycle"
 )
 
 // TestKhugepagedCrossProcessAttribution drives the collapse daemon on
@@ -126,5 +127,67 @@ func TestASIDRecycling(t *testing.T) {
 	}
 	if k.Stats().Exits != 1 {
 		t.Fatalf("exit count %d, want 1", k.Stats().Exits)
+	}
+}
+
+// TestRecycleHarvestsExitedProcesses checks that a pooled kernel hands
+// the page tables and resident bookkeeping of exited processes to the
+// pool in Recycle, as it does for live ones, and not before: at exit
+// the design state may still read the table.
+func TestRecycleHarvestsExitedProcesses(t *testing.T) {
+	for _, tc := range []struct {
+		kind     PTKind
+		chunkKey string // the table's arena chunk key
+	}{
+		{PTRadix, "pagetable.radix.entchunk"},
+		{PTHT, "pagetable.ht.nodechunk"},
+		{PTHDC, "pagetable.hdc.clusterchunk"},
+	} {
+		t.Run(string(tc.kind), func(t *testing.T) {
+			pool := recycle.New()
+			cfg := DefaultConfig()
+			cfg.PhysBytes = 256 * mem.MB
+			cfg.PTKind = tc.kind
+			k := NewWith(cfg, nil, pool)
+			count := func(key string) int {
+				n := 0
+				for {
+					if _, ok := pool.Take(key); !ok {
+						return n
+					}
+					n++
+				}
+			}
+			var vas [3]mem.VAddr
+			for pid := 1; pid <= 3; pid++ {
+				k.CreateProcess(pid)
+				vas[pid-1] = k.Mmap(pid, 256*mem.KB, MmapFlags{Anon: true})
+				for off := uint64(0); off < 256*mem.KB; off += 4 * mem.KB {
+					if out := k.HandlePageFault(pid, vas[pid-1]+mem.VAddr(off), true, 0); !out.OK {
+						t.Fatalf("pid %d: fault at +%#x failed", pid, off)
+					}
+				}
+			}
+			p1 := k.Process(1)
+			k.ExitProcess(1)
+			k.ExitProcess(2)
+			if n := count(residentChunkKey) + count(residentIdxKey) + count(tc.chunkKey); n != 0 {
+				t.Fatalf("exit gave %d objects to the pool; want none before Recycle", n)
+			}
+			if w := p1.PT.Walk(vas[0]); w.Found || p1.PT.MappedPages() != 0 {
+				t.Fatalf("exited process's table: walk found %v, %d pages mapped; want an empty, readable table",
+					w.Found, p1.PT.MappedPages())
+			}
+			k.Recycle(pool)
+			if got := count(residentChunkKey); got != 3 {
+				t.Errorf("pool holds %d resident chunks after Recycle, want 3 (two exited processes, one live)", got)
+			}
+			if got := count(residentIdxKey); got != 3 {
+				t.Errorf("pool holds %d resident index maps after Recycle, want 3", got)
+			}
+			if got := count(tc.chunkKey); got < 3 {
+				t.Errorf("pool holds %d %s chunks after Recycle, want at least 3", got, tc.chunkKey)
+			}
+		})
 	}
 }

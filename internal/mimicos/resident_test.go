@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"repro/internal/mem"
+	"repro/internal/recycle"
 )
 
 // TestResidentPageSize guards the field order that packs a resident
@@ -80,5 +81,93 @@ func TestDropResidentMarksDead(t *testing.T) {
 	p.addResident(residentPage{VA: 0x1000, Size: mem.Page4K})
 	if idx := p.residentIdx[0x1000]; idx != 2 || p.resident.at(2).Dead {
 		t.Fatalf("re-added VA at position %d (dead %v), want a live entry at 2", idx, p.resident.at(idx).Dead)
+	}
+}
+
+// TestResidentReuseMatchesFresh builds one process's resident list and
+// index from a pool that a previous process recycled into, and another
+// from fresh allocations, drives both through the same sequence, and
+// requires them to agree on every position, entry and index key. The
+// previous process leaves entries and keys the sequence never writes,
+// so a chunk or map handed back unscrubbed shows up as a stale entry or
+// a stale key.
+func TestResidentReuseMatchesFresh(t *testing.T) {
+	pool := recycle.New()
+	newProc := func(pool *recycle.Pool) *Process {
+		return &Process{
+			resident:    residentList{pool: pool},
+			residentIdx: recycle.Map[mem.VAddr, int](pool, residentIdxKey),
+		}
+	}
+	prev := newProc(pool)
+	for i := 0; i < 3*residentChunk+17; i++ {
+		prev.addResident(residentPage{VA: mem.VAddr(0x9000_0000 + i<<12), Frame: mem.PAddr(i + 1), Heat: 9, Size: mem.Page4K, RestSeg: true})
+	}
+	prev.dropResident(0x9000_0000)
+	prevChunks := map[*[residentChunk]residentPage]bool{}
+	for _, c := range prev.resident.chunks {
+		prevChunks[c] = true
+	}
+	prev.recycle(pool)
+
+	reused, fresh := newProc(pool), newProc(nil)
+	var posReused, posFresh []int
+	seq := func(p *Process, pos *[]int) {
+		for i := 0; i < 2*residentChunk+5; i++ {
+			va := mem.VAddr(0x1000_0000 + i<<12)
+			if i%3 == 0 {
+				va = mem.VAddr(0x9000_0000 + i<<12) // a VA the previous process held
+			}
+			p.addResident(residentPage{VA: va, Frame: mem.PAddr(i + 100), Size: mem.Page4K})
+			*pos = append(*pos, p.residentIdx[va])
+		}
+		// In-place overwrite, dead marking, and a re-add after a drop.
+		p.addResident(residentPage{VA: 0x1000_1000, Frame: 0x77, Heat: 3, Size: mem.Page2M})
+		p.dropResident(0x1000_2000)
+		p.dropResident(0x9000_3000)
+		p.addResident(residentPage{VA: 0x9000_3000, Frame: 0x88, Size: mem.Page4K})
+		*pos = append(*pos, p.residentIdx[0x9000_3000])
+	}
+	seq(reused, &posReused)
+	seq(fresh, &posFresh)
+
+	for _, c := range reused.resident.chunks {
+		if !prevChunks[c] {
+			t.Fatal("reused process allocated a fresh chunk while the pool held recycled ones")
+		}
+	}
+	if len(posReused) != len(posFresh) {
+		t.Fatalf("%d positions reused, %d fresh", len(posReused), len(posFresh))
+	}
+	for i := range posFresh {
+		if posReused[i] != posFresh[i] {
+			t.Fatalf("step %d: reused position %d, fresh %d", i, posReused[i], posFresh[i])
+		}
+	}
+	if reused.resident.len() != fresh.resident.len() {
+		t.Fatalf("reused list holds %d entries, fresh %d", reused.resident.len(), fresh.resident.len())
+	}
+	for i := 0; i < fresh.resident.len(); i++ {
+		if *reused.resident.at(i) != *fresh.resident.at(i) {
+			t.Fatalf("entry %d: reused %+v, fresh %+v", i, *reused.resident.at(i), *fresh.resident.at(i))
+		}
+	}
+	// Past the end, the reused chunk must read as zero, as the fresh one does.
+	n := fresh.resident.len()
+	for i := n; i < len(fresh.resident.chunks)*residentChunk; i++ {
+		if *reused.resident.at(i) != (residentPage{}) {
+			t.Fatalf("slot %d past the end holds stale %+v", i, *reused.resident.at(i))
+		}
+	}
+	if len(reused.residentIdx) != len(fresh.residentIdx) {
+		t.Fatalf("reused index holds %d keys, fresh %d", len(reused.residentIdx), len(fresh.residentIdx))
+	}
+	for va, idx := range fresh.residentIdx {
+		if got, ok := reused.residentIdx[va]; !ok || got != idx {
+			t.Fatalf("index[%#x]: reused %d (present %v), fresh %d", va, got, ok, idx)
+		}
+	}
+	if _, ok := reused.residentIdx[0x9000_0000+mem.VAddr(3*residentChunk)<<12]; ok {
+		t.Fatal("reused index holds a key only the previous process mapped")
 	}
 }

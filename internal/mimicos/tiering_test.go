@@ -205,3 +205,132 @@ func TestFlatConfigHasNoTierSideEffects(t *testing.T) {
 		t.Fatalf("flat config assigns heat %d", h)
 	}
 }
+
+// wedgeKernel builds a kernel with a 4-page CXL tier over an NVM tier
+// of nvmBytes and a one-slot swap file, one process with an unfaulted
+// anonymous VMA, and helpers: demote records an unmapped page in tier
+// t, and where reports 't' for a tier-resident page and 's' for a
+// swapped one, failing the test for a page in both places or neither.
+func wedgeKernel(t *testing.T, nvmBytes uint64) (k *Kernel, demote func(tier int) mem.VAddr, where func(mem.VAddr) byte) {
+	t.Helper()
+	k = New(Config{
+		PhysBytes:     32 * mem.MB,
+		PTKind:        PTRadix,
+		SwapBytes:     4 * mem.KB,
+		SwapThreshold: 0.5,
+		Tiers: []tier.Spec{
+			{Name: "cxl", Bytes: 16 * mem.KB, ReadLat: 600, WriteLat: 900, BytesPerCycle: 8},
+			{Name: "nvm", Bytes: nvmBytes, ReadLat: 2500, WriteLat: 8000, BytesPerCycle: 2},
+		},
+	}, nil)
+	p := k.CreateProcess(1)
+	next := k.Mmap(1, 64*mem.KB, MmapFlags{Anon: true})
+	demote = func(t int) mem.VAddr {
+		va := next
+		next += 4 * mem.KB
+		k.tiers.Insert(t, tier.Page{PID: 1, VA: va, Size: mem.Page4K})
+		return va
+	}
+	where = func(va mem.VAddr) byte {
+		t.Helper()
+		_, _, inTier := k.tiers.Lookup(1, va)
+		e, mapped := p.PT.Lookup(va)
+		switch {
+		case inTier && mapped:
+			t.Fatalf("page %#x both tier-resident and mapped (%+v)", va, e)
+		case inTier:
+			return 't'
+		case mapped && e.Swapped && !e.Present:
+			return 's'
+		}
+		t.Fatalf("page %#x lost: no tier record, no swap entry", va)
+		return 0
+	}
+	return k, demote, where
+}
+
+// makeRoomFailsInPlace fills the CXL tier again and requires
+// tierMakeRoom to fail with swap full, leaving every page in vas where
+// it was.
+func makeRoomFailsInPlace(t *testing.T, k *Kernel, vas []mem.VAddr, where func(mem.VAddr) byte) {
+	t.Helper()
+	before := make([]byte, len(vas))
+	for i, va := range vas {
+		before[i] = where(va)
+	}
+	used0, used1, pages, outs := k.tiers.UsedBytes(0), k.tiers.UsedBytes(1), k.TierPageCount(), k.Stats().SwapOuts
+	if k.tierMakeRoom(0, 4*mem.KB, k.Tracer, 0) {
+		t.Fatal("tierMakeRoom succeeded with every level below CXL full")
+	}
+	for i, va := range vas {
+		if got := where(va); got != before[i] {
+			t.Fatalf("page %#x moved from %c to %c in a failed make-room", va, before[i], got)
+		}
+	}
+	if k.tiers.UsedBytes(0) != used0 || k.tiers.UsedBytes(1) != used1 || k.TierPageCount() != pages {
+		t.Fatalf("tiers changed in a failed make-room: CXL %d -> %d bytes, NVM %d -> %d bytes, %d -> %d pages",
+			used0, k.tiers.UsedBytes(0), used1, k.tiers.UsedBytes(1), pages, k.TierPageCount())
+	}
+	if k.Stats().SwapOuts != outs || k.swap.used != 1 {
+		t.Fatalf("swap-outs %d -> %d, swap slots used %d in a failed make-room", outs, k.Stats().SwapOuts, k.swap.used)
+	}
+}
+
+// TestTierMakeRoomWedged drives tierMakeRoom's wedged-hierarchy
+// branches directly, on a full 4-page CXL tier and a one-slot swap.
+//
+// Over an NVM tier too small to take a 4K page, the cascade cannot go
+// down, so the CXL victim goes to swap instead. Over a full one-page
+// NVM tier, the NVM victim goes to swap and the CXL victim cascades
+// into its place. In both, once swap is full too, the call fails and
+// no page moves or is lost.
+func TestTierMakeRoomWedged(t *testing.T) {
+	t.Run("nvm-too-small", func(t *testing.T) {
+		k, demote, where := wedgeKernel(t, 2*mem.KB)
+		var vas []mem.VAddr
+		for i := 0; i < 4; i++ {
+			vas = append(vas, demote(0))
+		}
+		if !k.tierMakeRoom(0, 4*mem.KB, k.Tracer, 0) {
+			t.Fatal("tierMakeRoom failed with swap free")
+		}
+		if !k.tiers.HasRoom(0, 4*mem.KB) || k.tiers.UsedBytes(1) != 0 {
+			t.Fatalf("CXL %d bytes, NVM %d bytes; want room in CXL and nothing in NVM",
+				k.tiers.UsedBytes(0), k.tiers.UsedBytes(1))
+		}
+		p := k.Process(1)
+		if st := k.Stats(); st.SwapOuts != 1 || p.Stat.SwapOuts != 1 || len(p.swapSlots) != 1 {
+			t.Fatalf("swap-outs: kernel %d, process %d, slots noted %d; want 1 each",
+				st.SwapOuts, p.Stat.SwapOuts, len(p.swapSlots))
+		}
+		swapped := 0
+		for _, va := range vas {
+			if where(va) == 's' {
+				swapped++
+			}
+		}
+		if swapped != 1 {
+			t.Fatalf("%d pages swapped, want 1", swapped)
+		}
+		vas = append(vas, demote(0))
+		makeRoomFailsInPlace(t, k, vas, where)
+	})
+	t.Run("all-full", func(t *testing.T) {
+		k, demote, where := wedgeKernel(t, 4*mem.KB)
+		var vas []mem.VAddr
+		for i := 0; i < 4; i++ {
+			vas = append(vas, demote(0))
+		}
+		nvmPage := demote(1)
+		vas = append(vas, nvmPage)
+		if !k.tierMakeRoom(0, 4*mem.KB, k.Tracer, 0) {
+			t.Fatal("tierMakeRoom failed with swap free")
+		}
+		if where(nvmPage) != 's' || k.tiers.UsedBytes(1) != 4*mem.KB || !k.tiers.HasRoom(0, 4*mem.KB) {
+			t.Fatalf("NVM page in %c, NVM %d bytes, CXL %d bytes; want the NVM page swapped and a CXL page cascaded into NVM",
+				where(nvmPage), k.tiers.UsedBytes(1), k.tiers.UsedBytes(0))
+		}
+		vas = append(vas, demote(0))
+		makeRoomFailsInPlace(t, k, vas, where)
+	})
+}

@@ -3,6 +3,7 @@ package pagetable
 import (
 	"repro/internal/instrument"
 	"repro/internal/mem"
+	"repro/internal/recycle"
 	"repro/internal/xrand"
 )
 
@@ -12,7 +13,9 @@ import (
 // 8 PTEs for 8 consecutive virtual pages. A walk hashes the cluster VPN
 // and probes linearly — one memory access in the common case, which is
 // why HDC both shortens walks (Fig. 13) and reduces DRAM row-buffer
-// conflicts (Fig. 14) relative to radix.
+// conflicts (Fig. 14) relative to radix. On the host, clusters come
+// from arena chunks and the slot maps are plain maps, all of which a
+// pooled table (NewHDCWith) takes from and gives back to a recycle.Pool.
 type HDC struct {
 	sub   [2]*hdcTable // 4K, 2M
 	pages uint64
@@ -27,7 +30,17 @@ type hdcCluster struct {
 	n       int
 }
 
+// Pool keys for a table's clusters (arena chunks of 16 doubling to 64;
+// clusters are never freed within a table's lifetime) and its two slot
+// maps.
+const (
+	hdcClusterChunkKey = "pagetable.hdc.clusterchunk"
+	hdcSlotToKey       = "pagetable.hdc.slotto"
+	hdcClusterSlotKey  = "pagetable.hdc.clusterslot"
+)
+
 type hdcTable struct {
+	clusters arena[hdcCluster]
 	pageSize mem.PageSize
 	base     mem.PAddr
 	buckets  uint64
@@ -40,19 +53,20 @@ type hdcTable struct {
 	Lookups     uint64
 }
 
-func newHDCTable(alloc FrameAllocator, ps mem.PageSize, tableBytes uint64) *hdcTable {
+func newHDCTable(alloc FrameAllocator, ps mem.PageSize, tableBytes uint64, pool *recycle.Pool) *hdcTable {
 	pages := tableBytes / (4 * mem.KB)
 	base, ok := alloc.AllocContig(pages, 512)
 	if !ok {
 		panic("pagetable: cannot allocate HDC table")
 	}
 	return &hdcTable{
+		clusters:    arena[hdcCluster]{pool: pool, key: hdcClusterChunkKey, min: 16, max: 64},
 		pageSize:    ps,
 		base:        base,
 		buckets:     tableBytes / mem.CacheLineBytes,
 		seed:        0xD0C5EED ^ uint64(ps),
-		slotTo:      make(map[uint64]*hdcCluster),
-		clusterSlot: make(map[uint64]uint64),
+		slotTo:      recycle.Map[uint64, *hdcCluster](pool, hdcSlotToKey),
+		clusterSlot: recycle.Map[uint64, uint64](pool, hdcClusterSlotKey),
 	}
 }
 
@@ -96,7 +110,8 @@ func (t *hdcTable) findOrCreate(cvpn uint64, k instrument.KernelMem) *hdcCluster
 			return c
 		}
 		if !occupied {
-			c = &hdcCluster{cvpn: cvpn}
+			c = t.clusters.get()
+			c.cvpn = cvpn
 			t.slotTo[s] = c
 			t.clusterSlot[cvpn] = s
 			return c
@@ -104,16 +119,32 @@ func (t *hdcTable) findOrCreate(cvpn uint64, k instrument.KernelMem) *hdcCluster
 	}
 }
 
-// NewHDC builds the 4 GB global open-addressing table (split between the
-// 4 KB and 2 MB page sizes, probed after perfect page-size resolution).
-func NewHDC(alloc FrameAllocator, tableBytes uint64) *HDC {
+// NewHDCWith builds the global open-addressing table (4 GB when
+// tableBytes is 0, split between the 4 KB and 2 MB page sizes, probed
+// after perfect page-size resolution), drawing cluster chunks and slot
+// maps from pool (nil pool = fresh allocations).
+func NewHDCWith(alloc FrameAllocator, tableBytes uint64, pool *recycle.Pool) *HDC {
 	if tableBytes == 0 {
 		tableBytes = 4 * mem.GB
 	}
 	return &HDC{sub: [2]*hdcTable{
-		newHDCTable(alloc, mem.Page4K, tableBytes*7/8),
-		newHDCTable(alloc, mem.Page2M, tableBytes/8),
+		newHDCTable(alloc, mem.Page4K, tableBytes*7/8, pool),
+		newHDCTable(alloc, mem.Page2M, tableBytes/8, pool),
 	}}
+}
+
+// Recycle hands the table's cluster chunks and slot maps back to pool,
+// scrubbed to their empty state. The table must not be used afterwards.
+func (p *HDC) Recycle(pool *recycle.Pool) {
+	if pool == nil {
+		return
+	}
+	for _, t := range p.sub {
+		t.clusters.recycle(pool)
+		recycle.PutMap(pool, hdcSlotToKey, t.slotTo)
+		recycle.PutMap(pool, hdcClusterSlotKey, t.clusterSlot)
+	}
+	*p = HDC{}
 }
 
 // Kind implements PageTable.

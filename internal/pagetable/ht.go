@@ -3,6 +3,7 @@ package pagetable
 import (
 	"repro/internal/instrument"
 	"repro/internal/mem"
+	"repro/internal/recycle"
 	"repro/internal/xrand"
 )
 
@@ -10,7 +11,9 @@ import (
 // "4 GB; Chain Table; 8 PTEs/entry"): a global bucket array where each
 // bucket holds a PTE group of 8 translations, with overflow groups
 // chained through slab-allocated nodes. Walks are one access in the
-// common case plus one per chain hop.
+// common case plus one per chain hop. On the host, groups come from
+// arena chunks and the bucket heads from a map, both of which a pooled
+// table (NewHTWith) takes from and gives back to a recycle.Pool.
 type HT struct {
 	sub   [2]*htTable
 	pages uint64
@@ -27,25 +30,15 @@ type htNode struct {
 	next    *htNode
 }
 
-// htArena hands out htNodes from fixed-capacity chunks, so a table's
-// groups cost one host allocation per htChunk of them. Groups are never
-// freed within a table's lifetime, so the arena keeps only the chunk it
-// is filling; earlier chunks live on through the nodes that point into
-// them.
-type htArena struct{ chunk []htNode }
-
-const htChunk = 64
-
-func (a *htArena) get(pa mem.PAddr, next *htNode) *htNode {
-	if len(a.chunk) == cap(a.chunk) {
-		a.chunk = make([]htNode, 0, htChunk)
-	}
-	a.chunk = append(a.chunk, htNode{pa: pa, next: next})
-	return &a.chunk[len(a.chunk)-1]
-}
+// Pool keys for a table's groups (arena chunks of 64; groups are never
+// freed within a table's lifetime) and its bucket-head maps.
+const (
+	htNodeChunkKey = "pagetable.ht.nodechunk"
+	htHeadsKey     = "pagetable.ht.heads"
+)
 
 type htTable struct {
-	nodes         htArena
+	nodes         arena[htNode]
 	alloc         FrameAllocator
 	pageSize      mem.PageSize
 	base          mem.PAddr
@@ -57,19 +50,20 @@ type htTable struct {
 	OverflowNodes uint64
 }
 
-func newHTTable(alloc FrameAllocator, ps mem.PageSize, tableBytes uint64) *htTable {
+func newHTTable(alloc FrameAllocator, ps mem.PageSize, tableBytes uint64, pool *recycle.Pool) *htTable {
 	pages := tableBytes / (4 * mem.KB)
 	base, ok := alloc.AllocContig(pages, 512)
 	if !ok {
 		panic("pagetable: cannot allocate HT table")
 	}
 	return &htTable{
+		nodes:    arena[htNode]{pool: pool, key: htNodeChunkKey, min: 64, max: 64},
 		alloc:    alloc,
 		pageSize: ps,
 		base:     base,
 		buckets:  tableBytes / mem.CacheLineBytes,
 		seed:     0xC4A12 ^ uint64(ps),
-		heads:    make(map[uint64]*htNode),
+		heads:    recycle.Map[uint64, *htNode](pool, htHeadsKey),
 	}
 }
 
@@ -143,7 +137,8 @@ func (t *htTable) insert(vpn uint64, e Entry, k instrument.KernelMem) bool {
 			t.OverflowNodes++
 			k.ALU(24) // slab allocation
 		}
-		freeNode = t.nodes.get(pa, head)
+		freeNode = t.nodes.get()
+		freeNode.pa, freeNode.next = pa, head
 		t.heads[b] = freeNode
 		freeIdx = 0
 	}
@@ -155,15 +150,31 @@ func (t *htTable) insert(vpn uint64, e Entry, k instrument.KernelMem) bool {
 	return true
 }
 
-// NewHT builds the 4 GB chained hash table.
-func NewHT(alloc FrameAllocator, tableBytes uint64) *HT {
+// NewHTWith builds the chained hash table (4 GB when tableBytes is 0),
+// drawing group chunks and bucket-head maps from pool (nil pool = fresh
+// allocations).
+func NewHTWith(alloc FrameAllocator, tableBytes uint64, pool *recycle.Pool) *HT {
 	if tableBytes == 0 {
 		tableBytes = 4 * mem.GB
 	}
 	return &HT{sub: [2]*htTable{
-		newHTTable(alloc, mem.Page4K, tableBytes*7/8),
-		newHTTable(alloc, mem.Page2M, tableBytes/8),
+		newHTTable(alloc, mem.Page4K, tableBytes*7/8, pool),
+		newHTTable(alloc, mem.Page2M, tableBytes/8, pool),
 	}}
+}
+
+// Recycle hands the table's group chunks and bucket-head maps back to
+// pool, scrubbed to their empty state. The table must not be used
+// afterwards.
+func (p *HT) Recycle(pool *recycle.Pool) {
+	if pool == nil {
+		return
+	}
+	for _, t := range p.sub {
+		t.nodes.recycle(pool)
+		recycle.PutMap(pool, htHeadsKey, t.heads)
+	}
+	*p = HT{}
 }
 
 // Kind implements PageTable.

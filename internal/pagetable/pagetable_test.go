@@ -20,8 +20,8 @@ func allDesigns(t testing.TB) map[string]PageTable {
 	return map[string]PageTable{
 		"radix": NewRadix(alloc),
 		"ech":   NewECH(alloc),
-		"hdc":   NewHDC(alloc, 16*mem.MB),
-		"ht":    NewHT(alloc, 16*mem.MB),
+		"hdc":   NewHDCWith(alloc, 16*mem.MB, nil),
+		"ht":    NewHTWith(alloc, 16*mem.MB, nil),
 	}
 }
 
@@ -176,7 +176,7 @@ func TestECHElasticResize(t *testing.T) {
 }
 
 func TestHDCCollisionProbing(t *testing.T) {
-	pt := NewHDC(newAlloc(t), 16*mem.MB)
+	pt := NewHDCWith(newAlloc(t), 16*mem.MB, nil)
 	k := instrument.NopMem{}
 	// Many inserts: collisions must still resolve correctly.
 	for i := uint64(0); i < 20000; i++ {
@@ -192,7 +192,7 @@ func TestHDCCollisionProbing(t *testing.T) {
 }
 
 func TestHTChaining(t *testing.T) {
-	pt := NewHT(newAlloc(t), 16*mem.MB)
+	pt := NewHTWith(newAlloc(t), 16*mem.MB, nil)
 	k := instrument.NopMem{}
 	for i := uint64(0); i < 30000; i++ {
 		pt.Insert(mem.VAddr(i*4096), Entry{Frame: mem.PAddr(i * 4096), Size: mem.Page4K, Present: true}, k)

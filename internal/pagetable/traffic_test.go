@@ -247,11 +247,12 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
-// htTraffic drives a small HT into long chains of overflow groups, then
-// removes, re-inserts into the freed slots and walks.
-func htTraffic(l *trafficLog) {
+// htTraffic drives a small HT from pool into long chains of overflow
+// groups, then removes, re-inserts into the freed slots and walks, and
+// finally recycles the table into pool.
+func htTraffic(l *trafficLog, pool *recycle.Pool) {
 	alloc := phys.NewSlab(phys.New(512 * mem.MB))
-	pt := NewHT(alloc, 64*mem.KB)
+	pt := NewHTWith(alloc, 64*mem.KB, pool)
 	rng := xrand.New(0x47)
 	const n = 12000
 	vas := make([]mem.VAddr, n)
@@ -282,6 +283,80 @@ func htTraffic(l *trafficLog) {
 	l.put('H', pt.sub[0].ChainHops)
 	fp, _ := alloc.AllocFrame()
 	l.put('P', uint64(fp))
+	pt.Recycle(pool)
+}
+
+// hdcTraffic drives a small HDC from pool: dense runs that fill
+// clusters, scattered pages that each open a cluster and lengthen the
+// probe sequences, updates, removes and re-inserts into emptied
+// clusters, 2M pages, and walks and lookups of mapped, removed and
+// unmapped pages. It then recycles the table into pool.
+func hdcTraffic(l *trafficLog, pool *recycle.Pool) {
+	alloc := phys.NewSlab(phys.New(512 * mem.MB))
+	// 56 KiB of 4K buckets (896 slots) and 8 KiB of 2M buckets (128).
+	pt := NewHDCWith(alloc, 64*mem.KB, pool)
+	rng := xrand.New(0x4DC)
+	e4 := func(i uint64) Entry { return Entry{Frame: mem.PAddr(i+1) << 12, Size: mem.Page4K, Present: true} }
+	check := func(va mem.VAddr) {
+		l.walk(pt, va)
+		e, ok := pt.Lookup(va)
+		if ok {
+			l.put('Q', uint64(e.Frame))
+		} else {
+			l.put('q', 0)
+		}
+	}
+	dense := mem.VAddr(0x7f12_3450_0000)
+	for i := uint64(0); i < 600; i++ {
+		must(pt.Insert(dense+mem.VAddr(i*4*mem.KB), e4(i), l))
+	}
+	// 600 scattered pages: with the 75 dense clusters they fill most of
+	// the 896 slots, so late inserts probe far from home.
+	vas := make([]mem.VAddr, 600)
+	for i := range vas {
+		vas[i] = mem.VAddr(rng.Uint64n(1<<36)) &^ 0xfff
+		must(pt.Insert(vas[i], e4(1000+uint64(i)), l))
+		if i%37 == 0 {
+			check(vas[i])
+			check(vas[i] ^ 0x1000)
+		}
+	}
+	for i := 0; i < len(vas); i += 5 {
+		_, ok := pt.Remove(vas[i], l)
+		l.put('D', boolBit(ok))
+	}
+	for i := uint64(0); i < 600; i += 11 {
+		_, ok := pt.Remove(dense+mem.VAddr(i*4*mem.KB), l)
+		l.put('D', boolBit(ok))
+	}
+	for i := 0; i < len(vas); i += 10 {
+		must(pt.Insert(vas[i], e4(5000+uint64(i)), l))
+		l.put('U', boolBit(pt.Update(vas[i+1], Entry{Frame: mem.PAddr(i+9) << 12, Size: mem.Page4K, Present: true, Dirty: true}, l)))
+	}
+	l.put('U', boolBit(pt.Update(0x66_0000_0000, e4(1), l)))
+	for i := uint64(0); i < 24; i++ {
+		va := mem.VAddr(0x40_0000_0000 + i*2*mem.MB)
+		must(pt.Insert(va, Entry{Frame: mem.PAddr(0x8000_0000 + i*2*mem.MB), Size: mem.Page2M, Present: true}, l))
+		check(va + 0x5000)
+		if i%4 == 0 {
+			_, ok := pt.Remove(va, l)
+			l.put('D', boolBit(ok))
+			check(va)
+		}
+	}
+	for i := 0; i < len(vas); i += 3 {
+		check(vas[i])
+	}
+	for i := uint64(0); i < 610; i += 7 {
+		check(dense + mem.VAddr(i*4*mem.KB))
+	}
+	check(0x66_0000_0000)
+	l.put('M', pt.MappedPages())
+	l.put('B', pt.sub[0].Probes)
+	l.put('L', pt.sub[0].Lookups)
+	fp, _ := alloc.AllocFrame()
+	l.put('P', uint64(fp))
+	pt.Recycle(pool)
 }
 
 // TestPageTableKernelTrafficPinned pins the simulated memory traffic of
@@ -289,8 +364,9 @@ func htTraffic(l *trafficLog) {
 // updates and the step addresses of their hardware walks. A change to
 // how the host stores the tables (lazy or paged slot arrays, slot
 // layout, node arenas, pooled node arrays) must leave every digest
-// unchanged. The radix sequence runs twice on one pool, the second time
-// on the arrays the first recycled, and both runs must match the pin.
+// unchanged. The radix, HT and HDC sequences run twice on one pool, the
+// second time on the storage the first recycled, and both runs must
+// match the pin.
 func TestPageTableKernelTrafficPinned(t *testing.T) {
 	unpooled := func(run func(*trafficLog)) func(*trafficLog, *recycle.Pool) {
 		return func(l *trafficLog, _ *recycle.Pool) { run(l) }
@@ -303,7 +379,8 @@ func TestPageTableKernelTrafficPinned(t *testing.T) {
 	}{
 		{"ech", unpooled(echTraffic), 1, "b57ba63b928bdd10b6c7a648af98ecef9425c73757e87e1499c0766e495854c3"},
 		{"ech-sparse", unpooled(echSparseTraffic), 1, "2554b577a8146fb77559f5ba28bd53e8a95e4a3aac464ef8673638cdfb9eeabf"},
-		{"ht", unpooled(htTraffic), 1, "003e28fccb4aa87909de81b26771c3392340fe40464d212b49223af2779ed3a8"},
+		{"ht", htTraffic, 2, "003e28fccb4aa87909de81b26771c3392340fe40464d212b49223af2779ed3a8"},
+		{"hdc", hdcTraffic, 2, "ef413ad95b92f6a2a3cce6d1b95ab4069ae37f3ecdeaaa09e883b4f9fbac139b"},
 		{"radix", radixTraffic, 2, "9dde95777e0b67c8a037bef361b7fe67915dd112e098eb08a984c0dade1c13ce"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,9 +9,28 @@
 // "pagetable.radix.leafchunk" for node leaf arrays), and the
 // trace-replay reader's buffers (key "trace.reader": its 64 KiB read
 // buffer, v2 block buffers and flate state, parked when a point's trace
-// source closes). Only allocations a sweep memory profile shows to
-// matter are pooled; the rest (TLB arrays, the frontend batch buffer,
-// radix node headers, ECH slot pages) are allocated fresh per System.
+// source closes).
+//
+// Per-process state that every point rebuilds is kept too, handed back
+// by the kernel's Recycle for live and exited processes alike. Chunk
+// keys, with the most one worker can hold parked (objCap chunks):
+//
+//	mimicos.resident.chunk       resident-list chunks, 24 KiB   1.5 MiB
+//	pagetable.ht.nodechunk       HT groups, 64 × 288 B          1.1 MiB
+//	pagetable.hdc.clusterchunk   HDC clusters, ≤ 64 × 216 B     864 KiB
+//
+// Map keys ("mimicos.resident.idx", "pagetable.ht.heads",
+// "pagetable.hdc.slotto", "pagetable.hdc.clusterslot") park cleared
+// maps, at most objCap each, whose buckets are sized by the largest
+// process or table that used them.
+//
+// Only allocations a sweep memory profile shows to matter, and that do
+// not raise the heap while parked, are pooled. The rest are allocated
+// fresh per System: TLB arrays, the frontend batch buffer, radix node
+// headers, and ECH slot pages. Pooled ECH pages cut replay-grid's bytes
+// per op from 19.3 to 15.6 MB but raised its heap peak from 5.7–6.7 to
+// 7.6–8.1 MB: a worker keeps the parked pages through every point that
+// is not an ECH point.
 //
 // Determinism is by construction, not by protocol: a pooled slice is
 // scrubbed to zero when it enters the pool and is matched by exact
@@ -134,6 +153,27 @@ func (p *Pool) Give(key string, v any) {
 		return
 	}
 	p.objs[key] = append(p.objs[key], v)
+}
+
+// Map returns the map parked under key, or a fresh one when none is
+// (or p is nil). Parked maps were cleared on entry, so the result holds
+// no keys, like make(map[K]V); clear keeps a map's buckets, which is
+// what reuse saves. Only maps nothing iterates may be pooled: a reused
+// map can range in a different order than a fresh one.
+func Map[K comparable, V any](p *Pool, key string) map[K]V {
+	if m, ok := p.Take(key); ok {
+		return m.(map[K]V)
+	}
+	return make(map[K]V)
+}
+
+// PutMap clears m and parks it under key (dropped when p is nil).
+func PutMap[K comparable, V any](p *Pool, key string, m map[K]V) {
+	if p == nil || m == nil {
+		return
+	}
+	clear(m)
+	p.Give(key, m)
 }
 
 // Recycler is implemented by components that can harvest their large

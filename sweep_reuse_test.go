@@ -62,6 +62,21 @@ func reuseHashedSweep() *virtuoso.Sweep {
 	return sw
 }
 
+// reuseMixSweep is the multiprogrammed grid: a BFS+RND mix × (radix,
+// ht) × (thp, bd) = 4 points, so a pooled worker recycles a kernel
+// with two processes' page tables and resident bookkeeping into the
+// next point. Physical memory is left unfragmented: the second process
+// of an HT mix builds its global table after fragmentation and needs a
+// contiguous region for it.
+func reuseMixSweep() *virtuoso.Sweep {
+	sw := reuseSweep()
+	sw.Base.FragFree2M = -1
+	sw.Workloads = nil
+	sw.Designs = []virtuoso.DesignName{virtuoso.DesignRadix, virtuoso.DesignHT}
+	sw.Configure = nil
+	return sw
+}
+
 // reuseTraceSweep is the trace-replay equivalence grid over the v2
 // trace at path: (radix, ech, ht) × (thp, bd) × seeds (1, 2) = 12
 // points on two workers. Seed-1 points stop at their instruction bound,
@@ -104,6 +119,7 @@ func canonicalReport(t *testing.T, rep *virtuoso.Report) []byte {
 func TestSweepReuseEquivalence(t *testing.T) {
 	t.Run("catalog", func(t *testing.T) { checkReuseEquivalence(t, reuseSweep, 18) })
 	t.Run("hashed", func(t *testing.T) { checkReuseEquivalence(t, reuseHashedSweep, 8) })
+	t.Run("mix", func(t *testing.T) { checkReuseEquivalence(t, reuseMixSweep, 4) })
 	t.Run("trace", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "bfs.trc")
 		rec, err := virtuoso.Open(append(traceTestOpts(),
