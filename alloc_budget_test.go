@@ -14,17 +14,17 @@ import (
 
 // Host allocation budget of one warm pass over three replay points (an
 // ech/bd, an ht/thp and an ht/bd point of a 100k-instruction BFS
-// replay), about 1.25× what the pass allocates: 556 KB in ~560
+// replay), about 1.25× what the pass allocates: 184 KB in ~550
 // allocations on Go 1.24 linux/amd64. A sweep point should allocate
-// only the host memory it uses: ECH slot pages when they are first
-// written, HT groups and bucket heads, resident lists and their index
-// from the worker's pool, a small buffer for header-only opens, and the
-// worker's parked read buffers for the streaming open. Building the HT
-// and resident state fresh for every point took the pass to 952 KB; a
-// dense slot array per ECH generation and eagerly allocated ECH slots
-// cost more still.
+// only the host memory it uses: ECH records, ECH slot pages, HT groups
+// and bucket heads, resident lists and their index from the worker's
+// pool, a small buffer for header-only opens, and the worker's parked
+// read buffers for the streaming open. Unpooled ECH slot pages of
+// 32-byte records took the pass to 556 KB, building the HT and resident
+// state fresh for every point to 952 KB; a dense slot array per ECH
+// generation and eagerly allocated ECH slots cost more still.
 const (
-	replayPassBytesBudget   = 696_000
+	replayPassBytesBudget   = 230_000
 	replayPassMallocsBudget = 700
 )
 

@@ -487,7 +487,7 @@ func (k *Kernel) newPageTable() pagetable.PageTable {
 	case PTRadix:
 		return pagetable.NewRadixWith(k.Slab, k.pool)
 	case PTECH:
-		return pagetable.NewECH(k.Slab)
+		return pagetable.NewECHWith(k.Slab, k.pool)
 	case PTHDC:
 		return pagetable.NewHDCWith(k.Slab, tableBytesFor(k.Cfg.PhysBytes), k.pool)
 	case PTHT:

@@ -224,12 +224,9 @@ func (k *Kernel) tierMakeRoom(t int, n uint64, tr *instrument.Tracer, now uint64
 		if !ok {
 			return false
 		}
+		// Every record has a live owner: ExitProcess drops a process's
+		// records before the process leaves k.procs.
 		vp := k.procs[pg.PID]
-		if vp == nil {
-			// Orphan record (its process raced an exit); just drop it.
-			k.tiers.Evict(pg.PID, pg.VA)
-			continue
-		}
 		if t+1 < k.tiers.SlowTiers() {
 			if !k.tierMakeRoom(t+1, pg.Size.Bytes(), tr, now) {
 				// Deeper levels wedged: push this victim to swap instead.

@@ -3,6 +3,7 @@ package pagetable
 import (
 	"repro/internal/instrument"
 	"repro/internal/mem"
+	"repro/internal/recycle"
 	"repro/internal/xrand"
 )
 
@@ -18,6 +19,10 @@ import (
 // and entries migrate gradually (a few per insert), so lookups during
 // migration probe both generations — the hash-collision pathology that
 // makes ECH slower on RND in Fig. 15.
+//
+// On the host, each slot is a 4-byte index into its generation's record
+// store, and a pooled table (NewECHWith) takes its slot pages from and
+// gives them back to a recycle.Pool.
 type ECH struct {
 	alloc  FrameAllocator
 	tables [2]*cuckooTable // 4K, 2M
@@ -30,11 +35,18 @@ const (
 	echMaxKicks     = 16
 	echLoadFactor   = 0.6
 	echMigratePerOp = 8
-	echPageSlots    = 512 // host slots per page: 16 KiB
+	echPageSlots    = 512 // host slots per page: 2 KiB of record indices
+	echRecChunk     = 128 // records per chunk: 4 KiB
 )
 
-// cuckooSlot is one host-side nest slot. key is vpn+1, so the zero
-// slot is empty and a slot is 32 bytes.
+// Pool key for a table's slot pages; a worker parks at most 64, 128 KiB.
+// Records are not pooled: parking them as well raised the live heap of
+// a sweep worker enough to move replay-grid's heap peak.
+const echSlotPageKey = "pagetable.ech.slotpage"
+
+// cuckooSlot is the record of one occupied nest slot. key is vpn+1, so
+// the zero record is empty and a record is 32 bytes. A free record's
+// key holds the index+1 of the next free record.
 type cuckooSlot struct {
 	key uint64
 	e   Entry
@@ -42,12 +54,20 @@ type cuckooSlot struct {
 
 type cuckooArray struct {
 	// pages holds all ways, way-major (way w at slots [w*size,
-	// (w+1)*size)), in pages of echPageSlots. The directory is made on
+	// (w+1)*size)), in pages of echPageSlots. A slot is 0 when empty,
+	// or the index+1 of its record in recs. The directory is made on
 	// the generation's first insert and each page on the first write
 	// into it; a slot on an absent page is empty. Probes of absent
 	// slots still cost the walker and the kernel the same accesses at
 	// the reserved physical slots.
-	pages []*[echPageSlots]cuckooSlot
+	pages []*[echPageSlots]uint32
+	// recs holds the records in chunks of echRecChunk, made as needed;
+	// nrecs have been handed out, and free heads the list of emptied
+	// ones.
+	recs  []*[echRecChunk]cuckooSlot
+	nrecs uint32
+	free  uint32
+	pool  *recycle.Pool
 	base  [echWays]mem.PAddr // physical base per way
 	size  uint64
 	used  uint64
@@ -72,9 +92,9 @@ type cuckooTable struct {
 
 // newCuckooArray reserves the generation's simulated frames now, so the
 // physical allocator sees every generation at construction; the host
-// slot pages wait for their first write.
-func newCuckooArray(alloc FrameAllocator, size uint64, gen uint64) *cuckooArray {
-	a := &cuckooArray{size: size}
+// slot pages and records wait for their first write.
+func newCuckooArray(alloc FrameAllocator, size uint64, gen uint64, pool *recycle.Pool) *cuckooArray {
+	a := &cuckooArray{size: size, pool: pool}
 	for w := 0; w < echWays; w++ {
 		pages := mem.AlignUp(size*8, 4*mem.KB) / (4 * mem.KB)
 		pa, ok := alloc.AllocContig(pages, 1)
@@ -99,36 +119,99 @@ func (a *cuckooArray) slotPA(way int, idx uint64) mem.PAddr {
 // absent. Every generation's size is a multiple of echPageSlots, so a
 // page never straddles two ways and idx%echPageSlots is the in-page
 // offset.
-func (a *cuckooArray) page(way int, idx uint64) *[echPageSlots]cuckooSlot {
+func (a *cuckooArray) page(way int, idx uint64) *[echPageSlots]uint32 {
 	if a.pages == nil {
 		return nil
 	}
 	return a.pages[(uint64(way)*a.size+idx)/echPageSlots]
 }
 
-// at returns the slot at (way, idx); a slot on an absent page is empty.
+// rec returns the record with index r-1.
+func (a *cuckooArray) rec(r uint32) *cuckooSlot {
+	return &a.recs[(r-1)/echRecChunk][(r-1)%echRecChunk]
+}
+
+// at returns the record of slot (way, idx); an empty slot, or one on an
+// absent page, reads as the zero record.
 func (a *cuckooArray) at(way int, idx uint64) cuckooSlot {
 	if p := a.page(way, idx); p != nil {
-		return p[idx%echPageSlots]
+		if r := p[idx%echPageSlots]; r != 0 {
+			return *a.rec(r)
+		}
 	}
 	return cuckooSlot{}
 }
 
-// slot returns the slot at (way, idx) for writing, making its page (and
-// the page directory) if absent. Every slot write goes through here.
+// slot returns the record of slot (way, idx) for writing, making its
+// page (and the page directory) if absent and taking a zero record if
+// the slot is empty. Every slot write goes through here.
 func (a *cuckooArray) slot(way int, idx uint64) *cuckooSlot {
 	if a.pages == nil {
-		a.pages = make([]*[echPageSlots]cuckooSlot, echWays*a.size/echPageSlots)
+		a.pages = make([]*[echPageSlots]uint32, echWays*a.size/echPageSlots)
 	}
 	p := &a.pages[(uint64(way)*a.size+idx)/echPageSlots]
 	if *p == nil {
-		*p = new([echPageSlots]cuckooSlot)
+		if v, ok := a.pool.Take(echSlotPageKey); ok {
+			*p = v.(*[echPageSlots]uint32)
+		} else {
+			*p = new([echPageSlots]uint32)
+		}
 	}
-	return &(*p)[idx%echPageSlots]
+	s := &(*p)[idx%echPageSlots]
+	if *s == 0 {
+		*s = a.take()
+	}
+	return a.rec(*s)
 }
 
-func newCuckooTable(alloc FrameAllocator, ps mem.PageSize) *cuckooTable {
-	return &cuckooTable{alloc: alloc, pageSize: ps, cur: newCuckooArray(alloc, echInitSlots, 0)}
+// take hands out a zero record, the head of the free list if there is
+// one, and returns its index+1.
+func (a *cuckooArray) take() uint32 {
+	if r := a.free; r != 0 {
+		a.free = uint32(a.rec(r).key)
+		*a.rec(r) = cuckooSlot{}
+		return r
+	}
+	if a.nrecs%echRecChunk == 0 {
+		a.recs = append(a.recs, new([echRecChunk]cuckooSlot))
+	}
+	a.nrecs++
+	return a.nrecs
+}
+
+// empty clears the occupied slot (way, idx) and returns its record to
+// the free list.
+func (a *cuckooArray) empty(way int, idx uint64) {
+	p := a.page(way, idx)
+	r := p[idx%echPageSlots]
+	p[idx%echPageSlots] = 0
+	*a.rec(r) = cuckooSlot{key: uint64(a.free)}
+	a.free = r
+	a.used--
+}
+
+// recycle scrubs the generation's slot pages and parks them in pool.
+func (a *cuckooArray) recycle(pool *recycle.Pool) {
+	for _, p := range a.pages {
+		if p != nil {
+			clear(p[:])
+			pool.Give(echSlotPageKey, p)
+		}
+	}
+	a.pages = nil
+}
+
+// recycle parks the storage of the table's generations in pool.
+func (t *cuckooTable) recycle(pool *recycle.Pool) {
+	for _, a := range [2]*cuckooArray{t.cur, t.old} {
+		if a != nil {
+			a.recycle(pool)
+		}
+	}
+}
+
+func newCuckooTable(alloc FrameAllocator, ps mem.PageSize, pool *recycle.Pool) *cuckooTable {
+	return &cuckooTable{alloc: alloc, pageSize: ps, cur: newCuckooArray(alloc, echInitSlots, 0, pool)}
 }
 
 // lookup returns the entry for vpn, recording each probed nest in steps.
@@ -199,8 +282,7 @@ func (t *cuckooTable) remove(vpn uint64, k instrument.KernelMem) (Entry, bool) {
 			i := a.idx(w, vpn)
 			k.Load(a.slotPA(w, i))
 			if old := a.at(w, i); old.key == vpn+1 {
-				*a.slot(w, i) = cuckooSlot{}
-				a.used--
+				a.empty(w, i)
 				k.Store(a.slotPA(w, i))
 				return old.e, true
 			}
@@ -227,12 +309,11 @@ func (t *cuckooTable) migrateSome(n int, k instrument.KernelMem) {
 			t.oldPos += echPageSlots - t.oldPos%echPageSlots
 			continue
 		}
-		if s := t.old.slot(t.oldWay, t.oldPos); s.key != 0 {
+		if s := t.old.at(t.oldWay, t.oldPos); s.key != 0 {
 			var kicks uint64
 			t.cur.insert(s.key-1, s.e, k, &kicks)
 			t.Kicks += kicks
-			s.key = 0
-			t.old.used--
+			t.old.empty(t.oldWay, t.oldPos)
 			moved++
 			t.Migrations++
 		}
@@ -248,7 +329,7 @@ func (t *cuckooTable) resize(k instrument.KernelMem) {
 	t.Resizes++
 	t.old = t.cur
 	t.oldWay, t.oldPos = 0, 0
-	t.cur = newCuckooArray(t.alloc, t.old.size*2, t.Resizes)
+	t.cur = newCuckooArray(t.alloc, t.old.size*2, t.Resizes, t.old.pool)
 	k.ALU(256) // table allocation + bookkeeping
 }
 
@@ -271,17 +352,30 @@ func (t *cuckooTable) insert(vpn uint64, e Entry, k instrument.KernelMem) {
 	}
 }
 
-// NewECH builds an elastic cuckoo page table supporting 4 KB and 2 MB
-// pages (one cuckoo table per size, probed after perfect page-size
-// resolution per the Table 4 cuckoo-walk-cache configuration).
-func NewECH(alloc FrameAllocator) *ECH {
+// NewECHWith builds an elastic cuckoo page table supporting 4 KB and
+// 2 MB pages (one cuckoo table per size, probed after perfect page-size
+// resolution per the Table 4 cuckoo-walk-cache configuration), drawing
+// slot pages from pool (nil pool = fresh allocations).
+func NewECHWith(alloc FrameAllocator, pool *recycle.Pool) *ECH {
 	return &ECH{
 		alloc: alloc,
 		tables: [2]*cuckooTable{
-			newCuckooTable(alloc, mem.Page4K),
-			newCuckooTable(alloc, mem.Page2M),
+			newCuckooTable(alloc, mem.Page4K, pool),
+			newCuckooTable(alloc, mem.Page2M, pool),
 		},
 	}
+}
+
+// Recycle hands the table's slot pages back to pool, scrubbed to their
+// empty state. The table must not be used afterwards.
+func (p *ECH) Recycle(pool *recycle.Pool) {
+	if pool == nil {
+		return
+	}
+	for _, t := range p.tables {
+		t.recycle(pool)
+	}
+	*p = ECH{}
 }
 
 // Kind implements PageTable.

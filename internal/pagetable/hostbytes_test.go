@@ -60,11 +60,13 @@ func TestPageTableHostBytes(t *testing.T) {
 	}
 
 	// An ECH table with about as many 4K pages as a replay point maps,
-	// and a few 2M pages: only the slot pages it writes exist. Measured
-	// 640,512 B (2,102,912 B with a dense slot array per generation).
-	const echBudget = 800_000
+	// and a few 2M pages: only the slot pages it writes exist, and a
+	// record per mapped page. Measured 130,880 B (640,512 B with 32-byte
+	// records in the slot pages themselves, 2,102,912 B with a dense
+	// slot array per generation).
+	const echBudget = 164_000
 	got := hostBytes(func() {
-		pt := NewECH(&bumpAlloc{})
+		pt := NewECHWith(&bumpAlloc{}, nil)
 		rng := xrand.New(0xB17E)
 		for i := 0; i < 1300; i++ {
 			va := mem.VAddr(rng.Uint64n(1<<36)) &^ 0xfff

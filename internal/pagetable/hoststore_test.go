@@ -1,6 +1,9 @@
 package pagetable
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/instrument"
@@ -136,7 +139,7 @@ func (a *cuckooArray) pageCount() int {
 // TestECHAbsentPagesMissWithoutMaking requires lookups, walks and
 // removes that land on absent slot pages to miss and make no page.
 func TestECHAbsentPagesMissWithoutMaking(t *testing.T) {
-	pt := NewECH(&bumpAlloc{})
+	pt := NewECHWith(&bumpAlloc{}, nil)
 	k := instrument.NopMem{}
 	va := mem.VAddr(0x7f00_1234_5000)
 	must(pt.Insert(va, Entry{Frame: 0x9000, Size: mem.Page4K, Present: true}, k))
@@ -168,5 +171,146 @@ func TestECHAbsentPagesMissWithoutMaking(t *testing.T) {
 	}
 	if e, ok := pt.Remove(va, k); !ok || e.Frame != 0x9000 {
 		t.Errorf("Remove(mapped) = %+v, %v", e, ok)
+	}
+}
+
+// echChurn maps and unmaps a mix of 4K and 2M pages from seed, resizes
+// both tables, and keeps churning through the gradual migration, which
+// completes in the 2M table but not in the 4K one, so emptied records
+// are taken again. It returns the 4K pages it used.
+func echChurn(pt *ECH, l *trafficLog, seed uint64) []mem.VAddr {
+	rng := xrand.New(seed)
+	e4 := func(i int) Entry { return Entry{Frame: mem.PAddr(i+1) << 12, Size: mem.Page4K, Present: true} }
+	vas := make([]mem.VAddr, 3000)
+	for i := range vas {
+		vas[i] = mem.VAddr(rng.Uint64n(1<<36)) &^ 0xfff
+		must(pt.Insert(vas[i], e4(i), l))
+		if i%7 == 0 {
+			pt.Remove(vas[i/2], l)
+		}
+	}
+	for i := uint64(0); i < 40; i++ {
+		must(pt.Insert(mem.VAddr(0x40_0000_0000+i*2*mem.MB), Entry{Frame: mem.PAddr(0x8000_0000 + i*2*mem.MB), Size: mem.Page2M, Present: true}, l))
+	}
+	for _, t := range pt.tables {
+		t.resize(l)
+	}
+	for i := 0; i < 120; i++ {
+		va := mem.VAddr(rng.Uint64n(1<<36)) &^ 0xfff
+		must(pt.Insert(va, e4(5000+i), l))
+		must(pt.Insert(mem.VAddr(0x80_0000_0000+uint64(i)*2*mem.MB), Entry{Frame: mem.PAddr(0x1_0000_0000 + uint64(i)*2*mem.MB), Size: mem.Page2M, Present: true}, l))
+		pt.Update(vas[(i*5)%len(vas)], Entry{Frame: mem.PAddr(i+7) << 12, Size: mem.Page4K, Present: true, Dirty: true}, l)
+		if i%3 == 0 {
+			pt.Remove(vas[(i*11)%len(vas)], l)
+		}
+	}
+	for i := 0; i < len(vas); i += 9 {
+		pt.Remove(vas[i], l)
+	}
+	return vas
+}
+
+// checkStore requires a generation's record store to hold exactly its
+// occupied slots and its free list, and every record past those to be
+// zero.
+func (a *cuckooArray) checkStore(t *testing.T, name string) {
+	t.Helper()
+	seen := make(map[uint32]bool)
+	for _, p := range a.pages {
+		if p == nil {
+			continue
+		}
+		for _, r := range p {
+			if r == 0 {
+				continue
+			}
+			if r > a.nrecs || seen[r] || a.rec(r).key == 0 {
+				t.Fatalf("%s: slot holds record %d (handed out %d, seen %v)", name, r, a.nrecs, seen[r])
+			}
+			seen[r] = true
+		}
+	}
+	if uint64(len(seen)) != a.used {
+		t.Fatalf("%s: %d occupied slots, used %d", name, len(seen), a.used)
+	}
+	free := 0
+	for r := a.free; r != 0; r = uint32(a.rec(r).key) {
+		if r > a.nrecs || seen[r] || a.rec(r).e != (Entry{}) {
+			t.Fatalf("%s: free list holds record %d (handed out %d)", name, r, a.nrecs)
+		}
+		seen[r] = true
+		free++
+	}
+	if len(seen) != int(a.nrecs) {
+		t.Fatalf("%s: %d occupied and %d free records, %d handed out", name, int(a.used), free, a.nrecs)
+	}
+	for r := a.nrecs + 1; r <= uint32(len(a.recs))*echRecChunk; r++ {
+		if s := *a.rec(r); s != (cuckooSlot{}) {
+			t.Fatalf("%s: stale record %+v past the records handed out", name, s)
+		}
+	}
+}
+
+// TestECHReuseMatchesFresh runs one ECH sequence on a fresh table and
+// on a table built from a pool that already holds another table's slot
+// pages, and requires the same kernel traffic, lookups, walks and
+// counters, and slot pages and records holding nothing stale.
+func TestECHReuseMatchesFresh(t *testing.T) {
+	pool := recycle.New()
+	old := NewECHWith(&bumpAlloc{}, pool)
+	echChurn(old, &trafficLog{h: sha256.New()}, 1)
+	reused := old.tables[0].old.page(0, 0)
+	old.Recycle(pool)
+
+	fresh, pooled := NewECHWith(&bumpAlloc{}, nil), NewECHWith(&bumpAlloc{}, pool)
+	lf, lp := &trafficLog{h: sha256.New()}, &trafficLog{h: sha256.New()}
+	vas := echChurn(fresh, lf, 2)
+	echChurn(pooled, lp, 2)
+	if !bytes.Equal(lf.h.Sum(nil), lp.h.Sum(nil)) {
+		t.Fatal("kernel traffic of the pooled table differs from the fresh one")
+	}
+	took := false
+	for _, tb := range pooled.tables {
+		for _, a := range [2]*cuckooArray{tb.cur, tb.old} {
+			for i := 0; a != nil && i < len(a.pages); i++ {
+				took = took || a.pages[i] == reused
+			}
+		}
+	}
+	if reused == nil || !took {
+		t.Fatal("the pooled table did not take the recycled slot pages")
+	}
+	for _, va := range vas {
+		for _, off := range []mem.VAddr{0, 0x1000, 0x40_0000_0000} {
+			if w, f := pooled.Walk(va+off), fresh.Walk(va+off); w != f {
+				t.Fatalf("Walk(%#x): pooled %+v, fresh %+v", va+off, w, f)
+			}
+			pe, pok := pooled.Lookup(va + off)
+			fe, fok := fresh.Lookup(va + off)
+			if pe != fe || pok != fok {
+				t.Fatalf("Lookup(%#x): pooled %+v %v, fresh %+v %v", va+off, pe, pok, fe, fok)
+			}
+		}
+	}
+	if pooled.MappedPages() != fresh.MappedPages() {
+		t.Errorf("MappedPages: pooled %d, fresh %d", pooled.MappedPages(), fresh.MappedPages())
+	}
+	for i, tb := range pooled.tables {
+		ft := fresh.tables[i]
+		if tb.Kicks != ft.Kicks || tb.Resizes != ft.Resizes || tb.Migrations != ft.Migrations {
+			t.Errorf("table %d: pooled kicks/resizes/migrations %d/%d/%d, fresh %d/%d/%d",
+				i, tb.Kicks, tb.Resizes, tb.Migrations, ft.Kicks, ft.Resizes, ft.Migrations)
+		}
+		if tb.Resizes == 0 || tb.Migrations == 0 {
+			t.Errorf("table %d: %d resizes, %d migrations; want a migration", i, tb.Resizes, tb.Migrations)
+		}
+		for gen, a := range [2]*cuckooArray{tb.cur, tb.old} {
+			if a != nil {
+				a.checkStore(t, fmt.Sprintf("pooled table %d, generation %d", i, gen))
+			}
+		}
+	}
+	if pooled.tables[0].old == nil || pooled.tables[1].old != nil {
+		t.Error("want the 4K table still migrating and the 2M table's migration complete")
 	}
 }

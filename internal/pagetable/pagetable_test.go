@@ -19,7 +19,7 @@ func allDesigns(t testing.TB) map[string]PageTable {
 	alloc := newAlloc(t)
 	return map[string]PageTable{
 		"radix": NewRadix(alloc),
-		"ech":   NewECH(alloc),
+		"ech":   NewECHWith(alloc, nil),
 		"hdc":   NewHDCWith(alloc, 16*mem.MB, nil),
 		"ht":    NewHTWith(alloc, 16*mem.MB, nil),
 	}
@@ -138,7 +138,7 @@ func TestRadixWalkStepsAreLeveled(t *testing.T) {
 }
 
 func TestECHParallelProbeCount(t *testing.T) {
-	pt := NewECH(newAlloc(t))
+	pt := NewECHWith(newAlloc(t), nil)
 	k := instrument.NopMem{}
 	pt.Insert(0x1000, Entry{Frame: 0x2000, Size: mem.Page4K, Present: true}, k)
 	w := pt.Walk(0x1000)
@@ -148,7 +148,7 @@ func TestECHParallelProbeCount(t *testing.T) {
 }
 
 func TestECHElasticResize(t *testing.T) {
-	pt := NewECH(newAlloc(t))
+	pt := NewECHWith(newAlloc(t), nil)
 	k := instrument.NopMem{}
 	// Exceed the initial capacity (8K entries/way * 4 ways * 0.6).
 	n := uint64(30000)

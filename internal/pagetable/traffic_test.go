@@ -50,7 +50,7 @@ func (l *trafficLog) walk(pt PageTable, va mem.VAddr) {
 // 2M table that was never inserted into, and finally 2M inserts.
 func echTraffic(l *trafficLog) {
 	alloc := phys.NewSlab(phys.New(512 * mem.MB))
-	pt := NewECH(alloc)
+	pt := NewECHWith(alloc, nil)
 	rng := xrand.New(0xEC4)
 	// Before any insert: every probe misses in both tables.
 	for i := 0; i < 16; i++ {
@@ -104,7 +104,7 @@ func echTraffic(l *trafficLog) {
 // scans old generations that are almost all empty.
 func echSparseTraffic(l *trafficLog) {
 	alloc := phys.NewSlab(phys.New(512 * mem.MB))
-	pt := NewECH(alloc)
+	pt := NewECHWith(alloc, nil)
 	rng := xrand.New(0x5EC)
 	var vas []mem.VAddr
 	for i := 0; i < 40; i++ {
@@ -150,6 +150,103 @@ func echSparseTraffic(l *trafficLog) {
 	l.put('G', pt.tables[0].Migrations+pt.tables[1].Migrations)
 	fp, _ := alloc.AllocFrame()
 	l.put('P', uint64(fp))
+}
+
+// crowdedVPNs returns the first n VPNs whose four way indices in a are
+// all below slots.
+func crowdedVPNs(a *cuckooArray, slots uint64, n int) []uint64 {
+	var vpns []uint64
+	for vpn := uint64(1); len(vpns) < n; vpn++ {
+		crowded := true
+		for w := 0; w < echWays && crowded; w++ {
+			crowded = a.idx(w, vpn) < slots
+		}
+		if crowded {
+			vpns = append(vpns, vpn)
+		}
+	}
+	return vpns
+}
+
+// echOrphanTraffic drives one 4K cuckoo table whose first generation
+// has 512 slots a way through both ways ECH loses translations. It
+// first maps 600 VPNs that crowd the first 128 slots of each way of the
+// second generation, then 160 that crowd the first 32 slots of each
+// way of the first. Those run out of kicks: an insert fails and
+// resizes, and the orphan re-insert reads the new generation's zero
+// fields, so it maps VPN 0 to a zero entry and loses the displaced
+// translation. The migration then moves the first 600 into their
+// crowded slots, where inserts fail too, and migrateSome drops each
+// failed insert's orphan. Removes and re-inserts then reuse emptied
+// slots. The table takes its storage from pool and parks it there at
+// the end.
+func echOrphanTraffic(l *trafficLog, pool *recycle.Pool) {
+	alloc := phys.NewSlab(phys.New(512 * mem.MB))
+	t := &cuckooTable{alloc: alloc, pageSize: mem.Page4K, cur: newCuckooArray(alloc, echPageSlots, 0, pool)}
+	vpns := append(crowdedVPNs(newCuckooArray(&bumpAlloc{}, 2*echPageSlots, 1, nil), 128, 600),
+		crowdedVPNs(t.cur, 32, 160)...)
+	e4 := func(i int) Entry { return Entry{Frame: mem.PAddr(i+1) << 12, Size: mem.Page4K, Present: true} }
+	check := func(vpn uint64) bool {
+		var w WalkResult
+		e, ok := t.lookup(vpn, &w)
+		for _, s := range w.Steps[:w.NSteps] {
+			l.put('W', uint64(s.PA))
+		}
+		l.put('F', boolBit(ok))
+		l.put('E', uint64(e.Frame))
+		l.put('p', boolBit(e.Present))
+		return ok
+	}
+	removed := map[uint64]bool{}
+	for i, vpn := range vpns {
+		t.insert(vpn, e4(i), l)
+		if i%5 == 0 {
+			check(vpn)
+			check(vpns[i/2])
+		}
+		if i%23 == 0 && i > 0 {
+			_, ok := t.remove(vpns[i/3], l)
+			l.put('D', boolBit(ok))
+			removed[vpns[i/3]] = true
+		}
+	}
+	// Scattered inserts carry the migration to its end.
+	for i := 0; t.old != nil; i++ {
+		t.insert(1<<32+uint64(i)*7919, e4(3000+i), l)
+	}
+	lost := 0
+	for _, vpn := range vpns {
+		if !check(vpn) && !removed[vpn] {
+			lost++
+		}
+	}
+	if t.Resizes != 1 || lost < 2 || !check(0) {
+		panic("ech-orphan: the sequence no longer loses translations on a failed insert and in the migration")
+	}
+	// Removes free slots of the new generation; overwriting and fresh
+	// inserts take them again.
+	for i := 0; i < len(vpns); i += 4 {
+		_, ok := t.remove(vpns[i], l)
+		l.put('D', boolBit(ok))
+	}
+	_, ok := t.remove(0, l)
+	l.put('D', boolBit(ok))
+	for i := 1; i < len(vpns); i += 3 {
+		t.insert(vpns[i], e4(1000+i), l)
+		t.insert(vpns[i]+1<<30, e4(2000+i), l)
+	}
+	for _, vpn := range append([]uint64{0}, vpns...) {
+		check(vpn)
+		check(vpn + 1<<30)
+	}
+	l.put('R', t.Resizes)
+	l.put('K', t.Kicks)
+	l.put('G', t.Migrations)
+	l.put('U', t.cur.used)
+	l.put('X', uint64(lost))
+	fp, _ := alloc.AllocFrame()
+	l.put('P', uint64(fp))
+	t.recycle(pool)
 }
 
 // radixTraffic drives a radix table from pool through 4K, 2M and 1G
@@ -364,9 +461,9 @@ func hdcTraffic(l *trafficLog, pool *recycle.Pool) {
 // updates and the step addresses of their hardware walks. A change to
 // how the host stores the tables (lazy or paged slot arrays, slot
 // layout, node arenas, pooled node arrays) must leave every digest
-// unchanged. The radix, HT and HDC sequences run twice on one pool, the
-// second time on the storage the first recycled, and both runs must
-// match the pin.
+// unchanged. The ech-orphan, radix, HT and HDC sequences run twice on
+// one pool, the second time on the storage the first recycled, and both
+// runs must match the pin.
 func TestPageTableKernelTrafficPinned(t *testing.T) {
 	unpooled := func(run func(*trafficLog)) func(*trafficLog, *recycle.Pool) {
 		return func(l *trafficLog, _ *recycle.Pool) { run(l) }
@@ -379,6 +476,7 @@ func TestPageTableKernelTrafficPinned(t *testing.T) {
 	}{
 		{"ech", unpooled(echTraffic), 1, "b57ba63b928bdd10b6c7a648af98ecef9425c73757e87e1499c0766e495854c3"},
 		{"ech-sparse", unpooled(echSparseTraffic), 1, "2554b577a8146fb77559f5ba28bd53e8a95e4a3aac464ef8673638cdfb9eeabf"},
+		{"ech-orphan", echOrphanTraffic, 2, "1301597bf26803fa6c7bed8661f0293d911927df745c475fba5e8c8221b7a09e"},
 		{"ht", htTraffic, 2, "003e28fccb4aa87909de81b26771c3392340fe40464d212b49223af2779ed3a8"},
 		{"hdc", hdcTraffic, 2, "ef413ad95b92f6a2a3cce6d1b95ab4069ae37f3ecdeaaa09e883b4f9fbac139b"},
 		{"radix", radixTraffic, 2, "9dde95777e0b67c8a037bef361b7fe67915dd112e098eb08a984c0dade1c13ce"},

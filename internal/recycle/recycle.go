@@ -18,6 +18,7 @@
 //	mimicos.resident.chunk       resident-list chunks, 24 KiB   1.5 MiB
 //	pagetable.ht.nodechunk       HT groups, 64 × 288 B          1.1 MiB
 //	pagetable.hdc.clusterchunk   HDC clusters, ≤ 64 × 216 B     864 KiB
+//	pagetable.ech.slotpage       ECH slot pages, 512 × 4 B      128 KiB
 //
 // Map keys ("mimicos.resident.idx", "pagetable.ht.heads",
 // "pagetable.hdc.slotto", "pagetable.hdc.clusterslot") park cleared
@@ -27,10 +28,14 @@
 // Only allocations a sweep memory profile shows to matter, and that do
 // not raise the heap while parked, are pooled. The rest are allocated
 // fresh per System: TLB arrays, the frontend batch buffer, radix node
-// headers, and ECH slot pages. Pooled ECH pages cut replay-grid's bytes
-// per op from 19.3 to 15.6 MB but raised its heap peak from 5.7–6.7 to
-// 7.6–8.1 MB: a worker keeps the parked pages through every point that
-// is not an ECH point.
+// headers, and ECH page directories and records. A worker keeps its
+// parked storage through every point that does not use it, and that
+// raises the live heap the garbage collector paces from, so a key must
+// stay small. ECH slot pages that held their 32-byte records in place
+// were 16 KiB each, and parking them raised replay-grid's heap peak
+// from 5.7–6.7 to 7.6–8.1 MB. Parking ECH record chunks (128 × 32 B)
+// beside the 2 KiB slot pages raised its median heap peak from 5.77 to
+// 6.58 MB over 9 alternating runs, so records are allocated per point.
 //
 // Determinism is by construction, not by protocol: a pooled slice is
 // scrubbed to zero when it enters the pool and is matched by exact
