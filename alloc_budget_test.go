@@ -200,3 +200,44 @@ func TestExecAllocBudget(t *testing.T) {
 		t.Errorf("exec run allocated %d bytes, budget %d", bytes, execRunBytesBudget)
 	}
 }
+
+// Host allocation budget of one CanonicalJSON call on a replay-grid
+// shaped report (replayGridReport, 1.36 MB of output), about 1.25× what
+// the call allocates after two GCs: 2.47 MB in ~220 allocations on
+// Go 1.24 linux/amd64, of which 0.78 MB are the copies each latency
+// series' MarshalJSON returns. The output buffer is sized exactly by a
+// counting pass; json.MarshalIndent, which marshals compactly and then
+// indents into a second buffer, took the call to 6.5 MB.
+const (
+	canonicalJSONBytesBudget   = 3_100_000
+	canonicalJSONMallocsBudget = 280
+)
+
+// TestCanonicalJSONAllocBudget holds one CanonicalJSON of a 64-point
+// report to its host allocation budget. Two GCs before the measured
+// call empty the encoder's state pool, as perfbench's heap cleaning
+// does, so the call pays for its own scratch buffers.
+func TestCanonicalJSONAllocBudget(t *testing.T) {
+	rep := replayGridReport()
+	if _, err := rep.CanonicalJSON(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := rep.CanonicalJSON()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("CanonicalJSON: %d bytes in %d allocations for %d bytes of output", bytes, mallocs, len(out))
+	if bytes > canonicalJSONBytesBudget {
+		t.Errorf("CanonicalJSON allocated %d bytes, budget %d", bytes, canonicalJSONBytesBudget)
+	}
+	if mallocs > canonicalJSONMallocsBudget {
+		t.Errorf("CanonicalJSON made %d allocations, budget %d", mallocs, canonicalJSONMallocsBudget)
+	}
+}

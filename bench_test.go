@@ -330,6 +330,24 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkReportCanonicalJSON times the report encoding that closes
+// every sweep comparison (determinism suites, `sweep merge -canonical`,
+// perfbench's replay-grid digest) on a replay-grid shaped report.
+func BenchmarkReportCanonicalJSON(b *testing.B) {
+	rep := replayGridReport()
+	out, err := rep.CanonicalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(out)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := rep.CanonicalJSON(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulatorThroughput reports raw simulation speed (host
 // instructions per second) of the execution-driven assembly.
 func BenchmarkSimulatorThroughput(b *testing.B) {

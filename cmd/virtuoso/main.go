@@ -173,7 +173,7 @@ func main() {
 	case cli.json:
 		data, err := report.JSON()
 		check(err)
-		fmt.Println(string(data))
+		check(writeLine(os.Stdout, data))
 	case len(report.Results) == 1 && report.Results[0].Multi != nil:
 		printMulti(report.Results[0])
 	case len(report.Results) == 1:

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	virtuoso "repro"
@@ -285,10 +287,24 @@ func emitReport(rep *virtuoso.Report, canonical bool, path string) error {
 		return err
 	}
 	if path == "" {
-		fmt.Println(string(data))
-		return nil
+		return writeLine(os.Stdout, data)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	return errors.Join(writeLine(f, data), f.Close())
+}
+
+// writeLine writes data and then a newline to w. A report's buffer is
+// sized exactly, so appending the newline (or converting to a string)
+// would copy the whole report.
+func writeLine(w io.Writer, data []byte) error {
+	if _, err := w.Write(data); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, "\n")
+	return err
 }
 
 func traceInfo(args []string) {

@@ -3,7 +3,9 @@ package virtuoso
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/stats"
@@ -73,7 +75,7 @@ type Report struct {
 }
 
 // JSON renders the report as indented JSON.
-func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
+func (r *Report) JSON() ([]byte, error) { return r.encode(false) }
 
 // CanonicalJSON renders the report in its determinism-comparison form:
 // the host-dependent fields (Wall, per-result WallTime/SimHeapBytes)
@@ -83,23 +85,192 @@ func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ")
 // their CanonicalJSON is byte-identical; this is the form the
 // sharded-resume determinism tests and `virtuoso sweep merge
 // -canonical` compare. The receiver is not modified.
-func (r *Report) CanonicalJSON() ([]byte, error) {
-	out := *r
-	out.Wall = 0
-	out.Shard = ""
-	out.Results = make([]Result, len(r.Results))
-	for i, res := range r.Results {
-		res.Metrics.WallTime = 0
-		res.Metrics.SimHeapBytes = 0
-		if res.Multi != nil {
-			mm := *res.Multi
-			mm.Aggregate.WallTime = 0
-			mm.Aggregate.SimHeapBytes = 0
-			res.Multi = &mm
+func (r *Report) CanonicalJSON() ([]byte, error) { return r.encode(true) }
+
+// Columns of the closing bracket of a latency series in the report:
+// Metrics' fields sit at depth 4 (8 spaces), Multi.Aggregate's at
+// depth 5.
+const (
+	metricsSeriesCol   = 8
+	aggregateSeriesCol = 10
+)
+
+// encode renders r byte for byte as json.MarshalIndent(r, "", "  ")
+// would — of the zeroed copy CanonicalJSON describes when canonical is
+// set, whose nil Results encode as [] — into a buffer of exactly the
+// output's length. MarshalIndent marshals compactly into a doubling
+// buffer and then indents into a second, and allocated 4.4× the output
+// of a replay-grid report.
+//
+// encode writes the envelope itself and each Result through one
+// json.Encoder indented to the Result's depth, in two passes. The
+// sizing pass only counts: it encodes each result with its latency
+// series detached and adds their indented length from the values. The
+// output pass then writes into the one allocation. Canonical zeroing
+// goes into a reused copy of the result; the receiver is not touched.
+func (r *Report) encode(canonical bool) ([]byte, error) {
+	var (
+		w     reportSink
+		res   Result
+		multi MultiMetrics
+	)
+	enc := json.NewEncoder(&w)
+	enc.SetIndent("    ", "  ")
+	// encodeValue writes v through enc, without the newline Encode
+	// ends each value with. Something always follows a value in the
+	// envelope, so the newline never outgrows the sized buffer.
+	encodeValue := func(v any) error {
+		if err := enc.Encode(v); err != nil {
+			return err
 		}
-		out.Results[i] = res
+		w.n--
+		if w.buf != nil {
+			w.buf = w.buf[:len(w.buf)-1]
+		}
+		return nil
 	}
-	return json.MarshalIndent(&out, "", "  ")
+	emit := func() error {
+		sizing := w.buf == nil
+		w.writeString("{\n  \"results\": ")
+		switch {
+		case r.Results == nil && !canonical:
+			w.writeString("null")
+		case len(r.Results) == 0:
+			w.writeString("[]")
+		default:
+			for i := range r.Results {
+				if i == 0 {
+					w.writeString("[\n    ")
+				} else {
+					w.writeString(",\n    ")
+				}
+				res = r.Results[i]
+				if canonical {
+					res.Metrics.WallTime, res.Metrics.SimHeapBytes = 0, 0
+				}
+				if res.Multi != nil && (canonical || sizing) {
+					multi = *res.Multi
+					if canonical {
+						multi.Aggregate.WallTime, multi.Aggregate.SimHeapBytes = 0, 0
+					}
+					res.Multi = &multi
+				}
+				if sizing {
+					w.n += detachSeries(&res.Metrics, metricsSeriesCol)
+					if res.Multi != nil {
+						w.n += detachSeries(&res.Multi.Aggregate, aggregateSeriesCol)
+					}
+				}
+				if err := encodeValue(&res); err != nil {
+					return err
+				}
+			}
+			w.writeString("\n  ]")
+		}
+		w.writeString(",\n  \"points\": ")
+		w.writeInt(int64(r.Points))
+		if r.SpecHash != "" {
+			w.writeString(",\n  \"spec_hash\": ")
+			if err := encodeValue(&r.SpecHash); err != nil {
+				return err
+			}
+		}
+		if r.Shard != "" && !canonical {
+			w.writeString(",\n  \"shard\": ")
+			if err := encodeValue(&r.Shard); err != nil {
+				return err
+			}
+		}
+		w.writeString(",\n  \"wall_ns\": ")
+		if canonical {
+			w.writeInt(0)
+		} else {
+			w.writeInt(int64(r.Wall))
+		}
+		w.writeString("\n}")
+		return nil
+	}
+	if err := emit(); err != nil {
+		return nil, err
+	}
+	w.buf = make([]byte, 0, w.n)
+	if err := emit(); err != nil {
+		return nil, err
+	}
+	return w.buf, nil
+}
+
+// reportSink is the writer behind Report.encode. While buf is nil (the
+// sizing pass) it only counts bytes; after that it also appends them.
+type reportSink struct {
+	buf []byte
+	n   int
+}
+
+func (w *reportSink) Write(p []byte) (int, error) {
+	w.n += len(p)
+	if w.buf != nil {
+		w.buf = append(w.buf, p...)
+	}
+	return len(p), nil
+}
+
+func (w *reportSink) writeString(s string) {
+	w.n += len(s)
+	if w.buf != nil {
+		w.buf = append(w.buf, s...)
+	}
+}
+
+func (w *reportSink) writeInt(v int64) {
+	var tmp [20]byte
+	w.Write(strconv.AppendInt(tmp[:0], v, 10))
+}
+
+// detachSeries sets m's latency series to nil, so they encode as null,
+// and returns how many bytes longer they are as they appear in the
+// report: indented arrays whose closing bracket sits at column col.
+func detachSeries(m *Metrics, col int) int {
+	n := seriesJSONLen(m.PFLatNs, col) + seriesJSONLen(m.MajorPFLatNs, col) - 2*len("null")
+	m.PFLatNs, m.MajorPFLatNs = nil, nil
+	return n
+}
+
+// seriesJSONLen returns the length of s as an indented report field
+// whose closing bracket sits at column col: null when nil, [] when
+// empty, else one value per line two columns further in.
+func seriesJSONLen(s *stats.Series, col int) int {
+	if s == nil {
+		return len("null")
+	}
+	vals := s.Values()
+	if len(vals) == 0 {
+		return len("[]")
+	}
+	n := len("[") + len(vals)*len("\n  ") + len(vals)*col + len(vals) - 1 + len("\n]") + col
+	var tmp [32]byte
+	for _, v := range vals {
+		n += len(appendJSONFloat(tmp[:0], v))
+	}
+	return n
+}
+
+// appendJSONFloat appends v as encoding/json writes a float64: the
+// shortest 'f' form, or 'e' outside [1e-6, 1e21) with a one-digit
+// negative exponent unpadded (1e-07 becomes 1e-7).
+func appendJSONFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // DecodeReport parses a report previously rendered with JSON.
