@@ -158,15 +158,17 @@ func TestPressureAllocBudget(t *testing.T) {
 
 // Host allocation budget of one exec-xs-style run (catalog XS at
 // workload scale 0.1 on the scaled radix + THP machine, to completion),
-// about 1.25× what the run allocates: 370 KB on Go 1.24 linux/amd64.
-// Radix nodes made 32 at a time, each carrying both a children and a
-// leaf array, took the run to 602 KB.
-const execRunBytesBudget = 462_000
+// about 1.25× what the run allocates: 303 KB on Go 1.24 linux/amd64.
+// Physical memory that kept its free extents in two hash maps beside
+// the free-page bitmap took the run to 370 KB; radix nodes made 32 at a
+// time, each carrying both a children and a leaf array, to 602 KB.
+const execRunBytesBudget = 378_000
 
 // TestExecAllocBudget holds one execution-driven Open+Run to its host
-// allocation budget. The session's setup (phys maps, caches, TLBs, the
-// page table) dominates, so a table that allocates for capacity it
-// never maps shows up here. The run repeats and the second is measured.
+// allocation budget. The session's setup (the phys bitmap, caches,
+// TLBs, the page table) dominates, so a table that allocates for
+// capacity it never maps shows up here. The run repeats and the second
+// is measured.
 func TestExecAllocBudget(t *testing.T) {
 	cfg := virtuoso.ScaledConfig()
 	cfg.Design = virtuoso.DesignRadix

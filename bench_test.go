@@ -290,7 +290,7 @@ func BenchmarkMultiProcess(b *testing.B) {
 
 // BenchmarkSweepThroughput measures sweep-scale wall time on a grid of
 // many short points, where per-point fixed costs — System construction,
-// the free-extent maps, the kernel tracer's stream buffer — are a large
+// the free-page bitmap, the kernel tracer's stream buffer — are a large
 // share of the total: the shape the pooled-reuse path (worker-local
 // recycle.Pool, Sweep.NoReuse=false) exists to accelerate. Emulation
 // mode with few instructions over a large, pre-fragmented memory is

@@ -505,7 +505,7 @@ func MustNewSystem(cfg Config) *System {
 
 // Recycle harvests a retired system's large allocations into pool for
 // the next NewSystemPooled call: cache arrays, the free-page bitmap and
-// extent maps, and surviving page-table arenas. Call it only after
+// its block counts, and surviving page-table arenas. Call it only after
 // Run/RunMulti returned and the Metrics have been extracted — the
 // system is unusable afterwards. A nil pool is a no-op.
 func (s *System) Recycle(pool *recycle.Pool) {

@@ -1,9 +1,11 @@
 // Package phys models the machine's physical memory and its allocators:
-// an extent-based buddy-style allocator over the full physical address
-// space (with controllable 2 MB-block fragmentation, the key system-state
+// a buddy-style page allocator over the full physical address space
+// (with controllable 2 MB-block fragmentation, the key system-state
 // variable in Figs. 13, 16, 21), a slab allocator for page-table frames
 // and kernel objects (§5.1 step 2), and contiguity queries used by eager
-// paging (RMM) and 1 GB allocations.
+// paging (RMM) and 1 GB allocations. The allocator's only record of
+// free memory is a free-page bitmap with a free-page count per 2 MB
+// block beside it; a free extent is a maximal run of set bits.
 //
 // Addresses handed out are real simulated physical addresses: page-table
 // entries, kernel objects and application frames all land at distinct
@@ -23,47 +25,44 @@ import (
 const pagesPer2M = 512
 const pagesPer1G = 512 * 512
 
-// Mem is the physical memory map: a set of free extents (in 4 KB page
-// units) with lazily maintained small/large classification so 4 KB
-// allocations prefer already-broken blocks (preserving 2 MB contiguity,
-// as Linux's buddy does by splitting low orders first).
+// Mem is the physical memory map. Free extents (in 4 KB page units)
+// are the maximal runs of free pages in a bitmap: allocations leave
+// allocated gaps between runs, and frees join runs just by setting
+// bits. Two candidate stacks classify extent bases lazily as small (no
+// aligned 2 MB block inside) or large, so 4 KB allocations prefer
+// already-broken blocks (preserving 2 MB contiguity, as Linux's buddy
+// does by splitting low orders first).
 type Mem struct {
 	totalPages uint64
-	basePage   uint64 // first allocatable page number
 
-	free  map[uint64]uint64 // extent base page -> length in pages
-	byEnd map[uint64]uint64 // extent end page (exclusive) -> base page
+	bitmap []uint64 // bit p set = page p free
+	// blockFree counts the free pages of each 2 MB block (8 bitmap
+	// words), so run scans step over a fully free or fully allocated
+	// block at once and free2M moves without measuring extents.
+	blockFree []uint64
 
-	// bitmap mirrors free-page membership (bit p set = page p free) so
-	// point queries (pageFree, allocSpecific) cost O(1) instead of
-	// scanning the extent maps. Maintained at the allocation and free
-	// sites — extent splits and coalescing don't change page state, so
-	// insertExtent/removeExtent leave it alone.
-	bitmap []uint64
-
-	smallStack []uint64 // candidate bases of extents with no aligned 2MB chunk
-	largeStack []uint64 // candidate bases of extents with >= 1 aligned 2MB chunk
+	// Candidate extent bases, pushed when an allocation or free leaves
+	// an extent starting there and checked again when popped.
+	smallStack []uint64 // extents with no aligned 2MB block
+	largeStack []uint64 // extents with >= 1 aligned 2MB block
 
 	freePages uint64
-	free2M    uint64 // aligned free 2MB chunks
+	free2M    uint64 // fully free 2MB blocks
 	total2M   uint64
 }
 
 // New builds a physical memory of totalBytes (must be 2 MB-aligned).
 func New(totalBytes uint64) *Mem { return NewWith(totalBytes, nil) }
 
-// extentsKey holds the recycled extent-map/candidate-stack bundle in a
-// pool; the maps come back cleared and the stacks truncated, so reuse
-// is indistinguishable from fresh construction.
-const extentsKey = "phys.extents"
+// stacksKey holds a recycled pair of candidate stacks in a pool; they
+// come back truncated, so reuse is indistinguishable from fresh
+// construction.
+const stacksKey = "phys.stacks"
 
-type extentState struct {
-	free, byEnd  map[uint64]uint64
-	small, large []uint64
-}
+type stacks struct{ small, large []uint64 }
 
-// NewWith is New drawing the free-page bitmap and extent maps from
-// pool (nil pool = plain New).
+// NewWith is New drawing the bitmap, the block counts and the candidate
+// stacks from pool (nil pool = plain New).
 func NewWith(totalBytes uint64, pool *recycle.Pool) *Mem {
 	if totalBytes == 0 || totalBytes%(2*mem.MB) != 0 {
 		panic(fmt.Sprintf("phys: total bytes %d not 2MB-aligned", totalBytes))
@@ -71,19 +70,22 @@ func NewWith(totalBytes uint64, pool *recycle.Pool) *Mem {
 	pages := totalBytes / (4 * mem.KB)
 	m := &Mem{
 		totalPages: pages,
-		bitmap:     pool.Uint64s(int((pages + 63) / 64)),
+		bitmap:     pool.Uint64s(int(pages / 64)),
+		blockFree:  pool.Uint64s(int(pages / pagesPer2M)),
 		total2M:    pages / pagesPer2M,
 	}
-	if st, ok := pool.Take(extentsKey); ok {
-		e := st.(*extentState)
-		m.free, m.byEnd = e.free, e.byEnd
-		m.smallStack, m.largeStack = e.small, e.large
-	} else {
-		m.free = make(map[uint64]uint64)
-		m.byEnd = make(map[uint64]uint64)
+	if st, ok := pool.Take(stacksKey); ok {
+		s := st.(*stacks)
+		m.smallStack, m.largeStack = s.small, s.large
 	}
-	m.insertExtent(0, pages)
-	m.setRange(0, pages)
+	for i := range m.bitmap {
+		m.bitmap[i] = ^uint64(0)
+	}
+	for i := range m.blockFree {
+		m.blockFree[i] = pagesPer2M
+	}
+	m.freePages, m.free2M = pages, m.total2M
+	m.push(0)
 	return m
 }
 
@@ -94,13 +96,9 @@ func (m *Mem) Recycle(pool *recycle.Pool) {
 		return
 	}
 	pool.PutUint64s(m.bitmap)
-	clear(m.free)
-	clear(m.byEnd)
-	pool.Give(extentsKey, &extentState{
-		free: m.free, byEnd: m.byEnd,
-		small: m.smallStack[:0], large: m.largeStack[:0],
-	})
-	m.bitmap, m.free, m.byEnd, m.smallStack, m.largeStack = nil, nil, nil, nil, nil
+	pool.PutUint64s(m.blockFree)
+	pool.Give(stacksKey, &stacks{small: m.smallStack[:0], large: m.largeStack[:0]})
+	m.bitmap, m.blockFree, m.smallStack, m.largeStack = nil, nil, nil, nil
 }
 
 // TotalBytes returns the physical memory size.
@@ -133,38 +131,59 @@ func (m *Mem) FragmentationLevel() float64 {
 	return float64(m.free2M) / float64(m.total2M)
 }
 
-// setRange marks pages [base, base+n) free in the bitmap.
+// setRange marks the allocated pages [base, base+n) free.
 func (m *Mem) setRange(base, n uint64) {
+	m.freePages += n
 	for n > 0 {
 		w, off := base>>6, base&63
-		span := 64 - off
-		if span > n {
-			span = n
-		}
+		span := min(64-off, n)
 		m.bitmap[w] |= (^uint64(0) >> (64 - span)) << off
+		m.blockFree[w>>3] += span
+		if m.blockFree[w>>3] == pagesPer2M {
+			m.free2M++
+		}
 		base += span
 		n -= span
 	}
 }
 
-// clearRange marks pages [base, base+n) allocated in the bitmap.
+// clearRange marks the free pages [base, base+n) allocated.
 func (m *Mem) clearRange(base, n uint64) {
+	m.freePages -= n
 	for n > 0 {
 		w, off := base>>6, base&63
-		span := 64 - off
-		if span > n {
-			span = n
-		}
+		span := min(64-off, n)
 		m.bitmap[w] &^= (^uint64(0) >> (64 - span)) << off
+		if m.blockFree[w>>3] == pagesPer2M {
+			m.free2M--
+		}
+		m.blockFree[w>>3] -= span
 		base += span
 		n -= span
 	}
+}
+
+// pageFree reports whether page number p is free.
+func (m *Mem) pageFree(p uint64) bool {
+	return m.bitmap[p>>6]>>(p&63)&1 == 1
+}
+
+// rangeFree reports whether every page in [lo, hi) is free.
+func (m *Mem) rangeFree(lo, hi uint64) bool {
+	for lo < hi {
+		w, off := lo>>6, lo&63
+		span := min(64-off, hi-lo)
+		mask := (^uint64(0) >> (64 - span)) << off
+		if m.bitmap[w]&mask != mask {
+			return false
+		}
+		lo += span
+	}
+	return true
 }
 
 // extentBase returns the base of the free extent covering page p, which
-// must be free. Free extents are maximal (splits leave allocated gaps,
-// Free coalesces), so the base is one past the nearest allocated page
-// below p — found by scanning bitmap words, not the extent maps.
+// must be free: one past the nearest allocated page below p.
 func (m *Mem) extentBase(p uint64) uint64 {
 	w := p >> 6
 	word := ^m.bitmap[w] & (^uint64(0) >> (63 - p&63))
@@ -173,103 +192,123 @@ func (m *Mem) extentBase(p uint64) uint64 {
 			return 0
 		}
 		w--
+		if b := w >> 3; w&7 == 7 && m.blockFree[b] == pagesPer2M {
+			for b > 0 && m.blockFree[b-1] == pagesPer2M {
+				b--
+			}
+			w = b << 3 // the lowest of the fully free blocks below
+			continue
+		}
 		word = ^m.bitmap[w]
 	}
 	return w<<6 + uint64(bits.Len64(word))
 }
 
-func aligned2MCount(base, pages uint64) uint64 {
-	head := mem.AlignUp(base, pagesPer2M)
-	end := base + pages
-	if head+pagesPer2M > end {
-		return 0
+// next returns the lowest page at or above p that is free (free = true)
+// or allocated, or the end of memory, stepping over the blocks that
+// hold no such page at once. On a free p, next(p, false) is the end of
+// p's extent.
+func (m *Mem) next(p uint64, free bool) uint64 {
+	if p >= m.totalPages {
+		return m.totalPages
 	}
-	return (end - head) / pagesPer2M
+	flip, none := ^uint64(0), uint64(pagesPer2M) // looking for allocated pages
+	if free {
+		flip, none = 0, 0
+	}
+	w := p >> 6
+	word := (m.bitmap[w] ^ flip) & (^uint64(0) << (p & 63))
+	for word == 0 {
+		w++
+		if w == uint64(len(m.bitmap)) {
+			return m.totalPages
+		}
+		if b := w >> 3; w&7 == 0 && m.blockFree[b] == none {
+			for b+1 < m.total2M && m.blockFree[b+1] == none {
+				b++
+			}
+			w = b<<3 | 7 // the last of the blocks stepped over
+			continue
+		}
+		word = m.bitmap[w] ^ flip
+	}
+	return w<<6 + uint64(bits.TrailingZeros64(word))
 }
 
-func (m *Mem) classify(base, pages uint64) {
-	if aligned2MCount(base, pages) > 0 {
+// runs yields every free extent [base, end) in address order.
+func (m *Mem) runs(yield func(base, end uint64) bool) {
+	for base := m.next(0, true); base < m.totalPages; {
+		end := m.next(base, false)
+		if !yield(base, end) {
+			return
+		}
+		base = m.next(end, true)
+	}
+}
+
+// large reports whether the free extent starting at base holds an
+// aligned 2 MB block: the first one at or above base is fully free and
+// so is everything from base up to it.
+func (m *Mem) large(base uint64) bool {
+	head := mem.AlignUp(base, pagesPer2M)
+	return head < m.totalPages && m.blockFree[head/pagesPer2M] == pagesPer2M &&
+		m.rangeFree(base, head)
+}
+
+// push records a free extent starting at base, if there is one, on the
+// candidate stack of its class. Allocations call it after clearing
+// their pages, on the bases a split leaves; frees on the joined extent.
+func (m *Mem) push(base uint64) {
+	if base >= m.totalPages || !m.pageFree(base) {
+		return
+	}
+	if m.large(base) {
 		m.largeStack = append(m.largeStack, base)
 	} else {
 		m.smallStack = append(m.smallStack, base)
 	}
 }
 
-func (m *Mem) insertExtent(base, pages uint64) {
-	if pages == 0 {
-		return
-	}
-	m.free[base] = pages
-	m.byEnd[base+pages] = base
-	m.freePages += pages
-	m.free2M += aligned2MCount(base, pages)
-	m.classify(base, pages)
-}
-
-func (m *Mem) removeExtent(base uint64) uint64 {
-	pages := m.free[base]
-	delete(m.free, base)
-	delete(m.byEnd, base+pages)
-	m.freePages -= pages
-	m.free2M -= aligned2MCount(base, pages)
-	return pages
-}
-
-// popSmall returns a valid small-extent base, or false.
-func (m *Mem) popSmall() (uint64, bool) {
-	for len(m.smallStack) > 0 {
-		base := m.smallStack[len(m.smallStack)-1]
-		m.smallStack = m.smallStack[:len(m.smallStack)-1]
-		pages, ok := m.free[base]
-		if ok && aligned2MCount(base, pages) == 0 {
+// pop returns the topmost base on stack at which a free extent of the
+// stack's class still starts, dropping the stale entries above it.
+func (m *Mem) pop(stack *[]uint64, large bool) (uint64, bool) {
+	s := *stack
+	for len(s) > 0 {
+		base := s[len(s)-1]
+		s = s[:len(s)-1]
+		if m.pageFree(base) && (base == 0 || !m.pageFree(base-1)) && m.large(base) == large {
+			*stack = s
 			return base, true
 		}
 	}
-	return 0, false
-}
-
-// popLarge returns a valid large-extent base, or false.
-func (m *Mem) popLarge() (uint64, bool) {
-	for len(m.largeStack) > 0 {
-		base := m.largeStack[len(m.largeStack)-1]
-		m.largeStack = m.largeStack[:len(m.largeStack)-1]
-		pages, ok := m.free[base]
-		if ok && aligned2MCount(base, pages) > 0 {
-			return base, true
-		}
-	}
+	*stack = s
 	return 0, false
 }
 
 // Alloc4K allocates one 4 KB frame, preferring fragments of already
 // broken 2 MB blocks.
 func (m *Mem) Alloc4K() (mem.PAddr, bool) {
-	if base, ok := m.popSmall(); ok {
-		pages := m.removeExtent(base)
-		m.insertExtent(base+1, pages-1)
-		m.clearRange(base, 1)
-		return pageAddr(base), true
+	base, ok := m.pop(&m.smallStack, false)
+	if !ok {
+		if base, ok = m.pop(&m.largeStack, true); !ok {
+			return 0, false
+		}
 	}
-	if base, ok := m.popLarge(); ok {
-		pages := m.removeExtent(base)
-		m.insertExtent(base+1, pages-1) // breaks one 2MB block
-		m.clearRange(base, 1)
-		return pageAddr(base), true
-	}
-	return 0, false
+	m.clearRange(base, 1)
+	m.push(base + 1)
+	return pageAddr(base), true
 }
 
 // Alloc2M allocates one naturally aligned 2 MB block.
 func (m *Mem) Alloc2M() (mem.PAddr, bool) {
-	base, ok := m.popLarge()
+	base, ok := m.pop(&m.largeStack, true)
 	if !ok {
 		return 0, false
 	}
-	pages := m.removeExtent(base)
 	head := mem.AlignUp(base, pagesPer2M)
-	m.insertExtent(base, head-base)
-	m.insertExtent(head+pagesPer2M, base+pages-(head+pagesPer2M))
 	m.clearRange(head, pagesPer2M)
+	m.push(base)
+	m.push(head + pagesPer2M)
 	return pageAddr(head), true
 }
 
@@ -279,14 +318,9 @@ func (m *Mem) Alloc1G() (mem.PAddr, bool) {
 	return m.AllocContig(pagesPer1G, pagesPer1G)
 }
 
-// AllocContig allocates pages contiguous frames aligned to alignPages,
-// scanning all free extents for the lowest-addressed fit. Used for 1 GB
-// pages, RestSeg carve-outs, and hash page-table regions. Address-order
-// first fit — not take-whatever-the-map-yields-first — because map
-// iteration order is randomized: when several extents fit (an ECH
-// resize against a fragmented free map, mid-run), the choice must be a
-// pure function of the allocator state or simulations stop being
-// reproducible.
+// AllocContig allocates pages contiguous frames aligned to alignPages
+// from the lowest-addressed free extent that fits them. Used for 1 GB
+// pages, RestSeg carve-outs, and hash page-table regions.
 func (m *Mem) AllocContig(pages, alignPages uint64) (mem.PAddr, bool) {
 	if pages == 0 {
 		return 0, false
@@ -294,72 +328,47 @@ func (m *Mem) AllocContig(pages, alignPages uint64) (mem.PAddr, bool) {
 	if alignPages == 0 {
 		alignPages = 1
 	}
-	var bestBase, bestLen uint64
-	found := false
-	for base, length := range m.free {
-		head := mem.AlignUp(base, alignPages)
-		if head+pages <= base+length && (!found || base < bestBase) {
-			bestBase, bestLen = base, length
-			found = true
+	for base, end := range m.runs {
+		if head := mem.AlignUp(base, alignPages); head+pages <= end {
+			m.clearRange(head, pages)
+			m.push(base)
+			m.push(head + pages)
+			return pageAddr(head), true
 		}
 	}
-	if !found {
-		return 0, false
-	}
-	head := mem.AlignUp(bestBase, alignPages)
-	m.removeExtent(bestBase)
-	m.insertExtent(bestBase, head-bestBase)
-	m.insertExtent(head+pages, bestBase+bestLen-(head+pages))
-	m.clearRange(head, pages)
-	return pageAddr(head), true
+	return 0, false
 }
 
 // AllocLargestRange allocates the largest contiguous free range of at
 // most maxPages frames (at least minPages), returning its base and length.
 // This is the eager-paging primitive of RMM (§7.6.3): allocate the biggest
-// available contiguous chunk for a growing VMA.
+// available contiguous chunk for a growing VMA. Of equally long extents
+// the lowest-addressed one is taken.
 func (m *Mem) AllocLargestRange(minPages, maxPages uint64) (mem.PAddr, uint64, bool) {
-	// Ties broken by lowest base: map iteration order is randomized and
-	// must never decide which frames an allocation gets.
 	var bestBase, bestLen uint64
-	for base, length := range m.free {
-		if length > bestLen || (length == bestLen && length > 0 && base < bestBase) {
-			bestBase, bestLen = base, length
+	for base, end := range m.runs {
+		if end-base > bestLen {
+			bestBase, bestLen = base, end-base
 		}
 	}
 	if bestLen < minPages || bestLen == 0 {
 		return 0, 0, false
 	}
-	take := bestLen
-	if take > maxPages {
-		take = maxPages
-	}
-	m.removeExtent(bestBase)
-	m.insertExtent(bestBase+take, bestLen-take)
+	take := min(bestLen, maxPages)
 	m.clearRange(bestBase, take)
+	m.push(bestBase + take)
 	return pageAddr(bestBase), take, true
 }
 
-// Free returns pages frames starting at pa to the free pool, coalescing
-// with adjacent extents.
+// Free returns pages frames starting at pa to the free pool, where they
+// join any free extent next to them.
 func (m *Mem) Free(pa mem.PAddr, pages uint64) {
-	base := uint64(pa) >> 12
 	if pages == 0 {
 		return
 	}
+	base := uint64(pa) >> 12
 	m.setRange(base, pages)
-	// Coalesce with predecessor.
-	if pbase, ok := m.byEnd[base]; ok {
-		plen := m.removeExtent(pbase)
-		base = pbase
-		pages += plen
-	}
-	// Coalesce with successor.
-	if slen, ok := m.free[base+pages]; ok {
-		m.removeExtent(base + pages)
-		pages += slen
-	}
-	m.insertExtent(base, pages)
+	m.push(m.extentBase(base))
 }
 
 // Fragment consumes free 2 MB blocks until the fragmentation level
@@ -373,54 +382,37 @@ func (m *Mem) Fragment(targetFree2MFrac float64, seed uint64) {
 	}
 	target := uint64(float64(m.total2M) * targetFree2MFrac)
 	rng := xrand.New(seed)
-	guard := m.total2M * 4
-	for m.free2M > target && guard > 0 {
-		guard--
-		// Pick a random 2MB block; break it if it is currently free.
-		blk := rng.Uint64n(m.total2M)
-		head := blk * pagesPer2M
-		mid := head + pagesPer2M/2
+	// breakAt breaks the block around mid, if it is free; when the block
+	// was already broken the page goes back.
+	breakAt := func(mid uint64) {
 		if !m.pageFree(mid) {
-			continue
+			return
 		}
 		before := m.free2M
 		m.allocSpecific(mid)
 		if m.free2M == before {
-			// The block was already broken; return the page.
 			m.Free(pageAddr(mid), 1)
 		}
+	}
+	for guard := m.total2M * 4; m.free2M > target && guard > 0; guard-- {
+		breakAt(rng.Uint64n(m.total2M)*pagesPer2M + pagesPer2M/2)
 	}
 	// Deterministic sweep for very low targets, where random probing
 	// rarely finds the remaining free blocks.
 	for blk := uint64(0); blk < m.total2M && m.free2M > target; blk++ {
-		mid := blk*pagesPer2M + pagesPer2M/2
-		if !m.pageFree(mid) {
-			continue
-		}
-		before := m.free2M
-		m.allocSpecific(mid)
-		if m.free2M == before {
-			m.Free(pageAddr(mid), 1)
-		}
+		breakAt(blk*pagesPer2M + pagesPer2M/2)
 	}
 }
 
-// pageFree reports whether page number p lies inside a free extent.
-func (m *Mem) pageFree(p uint64) bool {
-	return m.bitmap[p>>6]>>(p&63)&1 == 1
-}
-
-// allocSpecific removes exactly page p from whichever extent covers it.
+// allocSpecific allocates exactly page p, if it is free.
 func (m *Mem) allocSpecific(p uint64) {
 	if !m.pageFree(p) {
 		return
 	}
-	cbase := m.extentBase(p)
-	clen := m.free[cbase]
-	m.removeExtent(cbase)
-	m.insertExtent(cbase, p-cbase)
-	m.insertExtent(p+1, cbase+clen-(p+1))
+	base := m.extentBase(p)
 	m.clearRange(p, 1)
+	m.push(base)
+	m.push(p + 1)
 }
 
 func pageAddr(page uint64) mem.PAddr { return mem.PAddr(page << 12) }

@@ -3,7 +3,8 @@
 // Pool and cycles the big simulator allocations across the points it
 // runs instead of handing each point's ~megabytes of setup state to the
 // garbage collector. The kept allocations are the physical free-page
-// bitmaps and extent maps, the cache SoA arrays, the radix page table's
+// bitmaps, their per-2 MB-block free counts and candidate stacks (key
+// "phys.stacks"), the cache SoA arrays, the radix page table's
 // arena chunks (keys "pagetable.radix.entchunk" for entries,
 // "pagetable.radix.kidschunk" for node children arrays and
 // "pagetable.radix.leafchunk" for node leaf arrays), and the
