@@ -417,7 +417,7 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	case PolicyARTHP:
 		s.OS.SetPolicy(&mimicos.ReservationTHPPolicy{UpgradeFrac: 0.1, PolicyName: "AR-THP"})
 	case PolicyUtopia:
-		s.OS.SetPolicy(&mimicos.UtopiaPolicy{Prefer2M: false})
+		s.OS.SetPolicy(&mimicos.UtopiaPolicy{})
 	case PolicyEager:
 		s.OS.SetPolicy(&mimicos.EagerPolicy{})
 	default:

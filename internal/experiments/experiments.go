@@ -232,7 +232,7 @@ func runAll(o Opts, jobs []job) []core.Metrics {
 			Workload: func() (*workloads.Workload, error) { return w(), nil },
 		}
 	}
-	outs, err := runner.Run(context.Background(), rjobs, o.Parallel, nil)
+	outs, err := runner.Run(context.Background(), rjobs, runner.Options{Parallel: o.Parallel})
 	if err != nil {
 		panic(err)
 	}

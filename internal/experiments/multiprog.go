@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -65,7 +66,7 @@ func Multiprog(o Opts) *Table {
 		}
 	}
 
-	outs, err := runner.Run(nil, jobs, o.Parallel, nil)
+	outs, err := runner.Run(context.Background(), jobs, runner.Options{Parallel: o.Parallel})
 	if err != nil {
 		panic(err)
 	}

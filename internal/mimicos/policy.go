@@ -179,7 +179,6 @@ func (k *Kernel) keyForNoCharge(p *Process, va mem.VAddr) mem.VAddr {
 // which either falls back to the flexible segment or, in the Fig. 20
 // configuration, evicts (swaps out) a resident page of the same set.
 type UtopiaPolicy struct {
-	Prefer2M bool
 	// Label distinguishes configurations (e.g. "UT-32MB/16w").
 	Label string
 }
@@ -197,13 +196,6 @@ func (up *UtopiaPolicy) AllocAnon(k *Kernel, p *Process, vma *VMA, va mem.VAddr,
 	if k.Utopia == nil {
 		frame, ok := k.allocBuddy4K(tr)
 		return frame, mem.Page4K, false, false, ok
-	}
-	if up.Prefer2M && vma.coversRegion(va) && vma.region4K[uint64(mem.Page2M.PageBase(va))] == 0 {
-		if seg := k.Utopia.SegFor(mem.Page2M); seg != nil {
-			if frame, ok := up.allocInSeg(k, p, seg, mem.Page2M.VPN(va), tr, now); ok {
-				return frame, mem.Page2M, false, true, true
-			}
-		}
 	}
 	if seg := k.Utopia.SegFor(mem.Page4K); seg != nil {
 		if frame, ok := up.allocInSeg(k, p, seg, mem.Page4K.VPN(va), tr, now); ok {

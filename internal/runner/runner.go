@@ -84,8 +84,8 @@ type Options struct {
 	Traces *trace.Shared
 }
 
-// Run executes jobs on at most parallel concurrent workers (<= 0 means
-// runtime.GOMAXPROCS(0)) and returns one Outcome per job, in job order.
+// Run executes jobs on at most opts.Parallel concurrent workers and
+// returns one Outcome per job, in job order.
 //
 // The first job error — or a context cancellation — stops the batch:
 // running simulations are interrupted at the next cancellation poll and
@@ -95,15 +95,7 @@ type Options struct {
 // Each worker keeps a recycle.Pool and reuses the previous system's
 // large allocations for the next point (see Options.NoReuse to opt
 // out); results are byte-identical either way.
-func Run(ctx context.Context, jobs []Job, parallel int, progress func(done, total int, out Outcome)) ([]Outcome, error) {
-	return RunOpts(ctx, jobs, Options{Parallel: parallel, Progress: progress})
-}
-
-// RunOpts is Run with the full option set.
-func RunOpts(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 	progress := opts.Progress
 	outs := make([]Outcome, len(jobs))
 	if len(jobs) == 0 {
@@ -119,15 +111,7 @@ func RunOpts(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	done := ctx.Done()
-	cancelled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
+	cancelled := CancelCheck(ctx)
 
 	var (
 		mu       sync.Mutex // guards firstErr and nDone, serialises progress
@@ -184,7 +168,7 @@ feed:
 	for i := range jobs {
 		select {
 		case idx <- i:
-		case <-done:
+		case <-ctx.Done():
 			// Mark jobs that never reached a worker.
 			for j := i; j < len(jobs); j++ {
 				select {
@@ -206,6 +190,20 @@ feed:
 		err = ctx.Err()
 	}
 	return outs, err
+}
+
+// CancelCheck returns the poll core.System.SetCancelCheck takes: it
+// reports whether ctx is done, without blocking.
+func CancelCheck(ctx context.Context) func() bool {
+	done := ctx.Done()
+	return func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
 }
 
 // runJob builds and runs one point. With a non-nil pool the system is

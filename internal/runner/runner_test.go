@@ -36,7 +36,7 @@ func tinyMixJob(seed uint64) Job {
 }
 
 func TestRunEmpty(t *testing.T) {
-	outs, err := Run(context.Background(), nil, 4, nil)
+	outs, err := Run(context.Background(), nil, Options{Parallel: 4})
 	if err != nil || len(outs) != 0 {
 		t.Fatalf("Run(empty) = %v, %v", outs, err)
 	}
@@ -45,12 +45,12 @@ func TestRunEmpty(t *testing.T) {
 func TestRunOrderAndProgress(t *testing.T) {
 	jobs := []Job{tinyJob(1), tinyJob(2), tinyJob(3)}
 	var events int
-	outs, err := Run(context.Background(), jobs, 3, func(done, total int, out Outcome) {
+	outs, err := Run(context.Background(), jobs, Options{Parallel: 3, Progress: func(done, total int, out Outcome) {
 		events++
 		if total != 3 || done < 1 || done > 3 {
 			t.Errorf("progress done=%d total=%d", done, total)
 		}
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +80,9 @@ func TestRunCancelMidMulti(t *testing.T) {
 	j.ObserveEvery = 5_000
 	j.Observer = func(core.Snapshot) { cancel() }
 
-	outs, err := RunOpts(ctx, []Job{j, tinyMixJob(2)}, Options{Parallel: 1})
+	outs, err := Run(ctx, []Job{j, tinyMixJob(2)}, Options{Parallel: 1})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunOpts = %v, want context.Canceled", err)
+		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
 	if !errors.Is(outs[0].Err, context.Canceled) {
 		t.Errorf("interrupted mix job err = %v, want context.Canceled", outs[0].Err)
@@ -115,12 +115,12 @@ func TestRunObserverThroughPooledWorkers(t *testing.T) {
 	// Parallel 1 forces all four jobs through one worker's pool, the
 	// shape where stale recycled state would leak between points.
 	pooledCounts := make([]int, n)
-	pooled, err := RunOpts(context.Background(), makeJobs(pooledCounts), Options{Parallel: 1})
+	pooled, err := Run(context.Background(), makeJobs(pooledCounts), Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	freshCounts := make([]int, n)
-	fresh, err := RunOpts(context.Background(), makeJobs(freshCounts), Options{Parallel: 1, NoReuse: true})
+	fresh, err := Run(context.Background(), makeJobs(freshCounts), Options{Parallel: 1, NoReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +150,9 @@ func TestRunMixFactoryError(t *testing.T) {
 	bad := tinyMixJob(1)
 	bad.Mix = func() ([]*workloads.Workload, error) { return nil, boom }
 
-	outs, err := RunOpts(context.Background(), []Job{bad, tinyJob(2)}, Options{Parallel: 1})
+	outs, err := Run(context.Background(), []Job{bad, tinyJob(2)}, Options{Parallel: 1})
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "job 0 mix") {
-		t.Fatalf("RunOpts = %v, want wrapped mix factory error", err)
+		t.Fatalf("Run = %v, want wrapped mix factory error", err)
 	}
 	if !errors.Is(outs[0].Err, boom) {
 		t.Errorf("bad job err = %v, want boom", outs[0].Err)
@@ -166,7 +166,7 @@ func TestRunBadConfigStopsBatch(t *testing.T) {
 	bad := tinyJob(1)
 	bad.Cfg.Policy = "no-such-policy"
 	jobs := []Job{bad, tinyJob(2)}
-	outs, err := Run(context.Background(), jobs, 1, nil)
+	outs, err := Run(context.Background(), jobs, Options{Parallel: 1})
 	if err == nil || !strings.Contains(err.Error(), "no-such-policy") {
 		t.Fatalf("Run = %v, want unknown-policy error", err)
 	}

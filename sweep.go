@@ -1,6 +1,7 @@
 package virtuoso
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -264,12 +265,21 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 	}
 	hash := s.SpecHash()
 	sel := s.Shard.Select(len(pts))
+	runCtx, cancelRun := context.WithCancel(ctx)
+	defer cancelRun()
+	l := &landing{
+		s: s, pts: pts, total: len(sel), cancel: cancelRun,
+		results: make(map[int]Result, len(sel)),
+	}
+	defer func() {
+		if l.ckpt != nil {
+			l.ckpt.Close()
+		}
+	}()
 
 	// Open the checkpoint (creating or resuming) and restore completed
 	// points. The header carries the spec hash, so resuming a changed
 	// sweep fails here rather than mixing grids.
-	var ckpt *sweepjob.Writer
-	completed := map[int]Result{}
 	if s.Checkpoint != "" {
 		w, raw, err := sweepjob.OpenWriter(s.Checkpoint, sweepjob.Header{
 			SpecHash: hash, Points: len(pts), Shard: s.Shard.String(),
@@ -277,12 +287,7 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		ckpt = w
-		defer func() {
-			if ckpt != nil {
-				ckpt.Close()
-			}
-		}()
+		l.ckpt = w
 		for idx, rawRes := range raw {
 			if !s.Shard.Assign(idx) {
 				return nil, fmt.Errorf("virtuoso: checkpoint %s holds point %d, which is outside shard %s", s.Checkpoint, idx, s.Shard)
@@ -291,33 +296,27 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 			if err := json.Unmarshal(rawRes, &r); err != nil {
 				return nil, fmt.Errorf("virtuoso: checkpoint %s: point %d: %w", s.Checkpoint, idx, err)
 			}
-			completed[idx] = r
+			l.land(idx, restored, r, "", nil)
 		}
 	}
-
-	// Open the content-addressed result cache, if configured. Lookups
-	// need each point's fully resolved config, so the job-build loop
-	// below resolves configs first and consults the cache before
-	// scheduling anything.
-	var cache *sweepjob.Cache
 	if s.Cache != "" {
 		c, err := sweepjob.OpenCache(s.Cache)
 		if err != nil {
 			return nil, err
 		}
-		cache = c
+		l.cache = c
 	}
-	fromCheckpoint := len(completed)
 
-	// Build jobs for the points still pending in this shard, answering
-	// from the cache where possible. pending maps job position back to
-	// point index; keys holds each scheduled point's cache key.
+	// Build jobs for the points still pending in this shard. A cache
+	// lookup needs the point's fully resolved config, so each point is
+	// resolved first and, on a hit, lands here — in point order, before
+	// the first worker starts. pending maps job position back to point
+	// index; keys holds each scheduled point's cache key.
 	pending := make([]int, 0, len(sel))
 	keys := make([]string, 0, len(sel))
 	jobs := make([]runner.Job, 0, len(sel))
-	var cacheHits []int
 	for _, idx := range sel {
-		if _, done := completed[idx]; done {
+		if _, ok := l.results[idx]; ok {
 			continue
 		}
 		p := pts[idx]
@@ -326,30 +325,23 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 			return nil, fmt.Errorf("virtuoso: point %d (%s/%s/%s): %w", p.Index, p.Workload, p.Design, p.Policy, err)
 		}
 		var key string
-		if cache != nil {
+		if l.cache != nil {
 			key = pointKey(cfg, p, s.Params, s.Label)
-			if raw, ok := cache.Get(key); ok {
+			if raw, ok := l.cache.Get(key); ok {
 				var r Result
 				if err := json.Unmarshal(raw, &r); err == nil {
 					// Cache entries are shared across grids, so the
 					// stored index is whatever grid wrote the entry;
 					// restore this grid's position.
 					r.Index = idx
-					if ckpt != nil {
-						rr, err := json.Marshal(r)
-						if err == nil {
-							err = ckpt.Append(idx, rr)
-						}
-						if err != nil {
-							return nil, fmt.Errorf("virtuoso: sweep checkpoint %s: %w", s.Checkpoint, err)
-						}
+					l.land(idx, cached, r, "", nil)
+					if l.err != nil {
+						return nil, l.err
 					}
-					completed[idx] = r
-					cacheHits = append(cacheHits, idx)
 					continue
 				}
 				// An entry that does not decode is a miss: simulate,
-				// and the Put below rewrites it.
+				// and landing the point rewrites it.
 			}
 		}
 		job := runner.Job{Cfg: cfg}
@@ -368,123 +360,133 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 		jobs = append(jobs, job)
 	}
 
-	// Cache hits are complete before the first worker starts; report
-	// them in point order so streaming consumers see a monotonic Done.
-	if s.Progress != nil {
-		hitDone := fromCheckpoint
-		for _, idx := range cacheHits {
-			r := completed[idx]
-			hitDone++
-			s.Progress(SweepEvent{
-				Point: pts[idx], Done: hitDone, Total: len(sel),
-				Metrics: &r.Metrics, Result: &r, FromCache: true,
-			})
-		}
-	}
-
-	// A checkpoint write failure (disk full, volume gone) must stop the
-	// sweep: silently continuing would report results the resume file
-	// never saw. The runner serialises progress calls, so ckptErr needs
-	// no lock — it is written under the runner's mutex and read only
-	// after Run returns.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	var ckptErr, cacheErr error
-
-	baseDone := len(completed)
-	var progress func(done, total int, out runner.Outcome)
-	if s.Progress != nil || ckpt != nil || cache != nil {
-		progress = func(done, total int, out runner.Outcome) {
-			idx := pending[out.Index]
-			var res Result
-			if out.Err == nil {
-				res = buildResult(pts[idx], jobs[out.Index].Cfg, out)
-				var raw json.RawMessage
-				var marshalErr error
-				if ckpt != nil || cache != nil {
-					raw, marshalErr = json.Marshal(res)
-				}
-				if ckpt != nil && ckptErr == nil {
-					err := marshalErr
-					if err == nil {
-						err = ckpt.Append(idx, raw)
-					}
-					if err != nil {
-						ckptErr = err
-						cancelRun()
-					}
-				}
-				// A cache write failure stops the sweep just like a
-				// checkpoint failure: a run told to warm a cache must
-				// not silently leave it cold.
-				if cache != nil && cacheErr == nil {
-					err := marshalErr
-					if err == nil {
-						err = cache.Put(keys[out.Index], raw)
-					}
-					if err != nil {
-						cacheErr = err
-						cancelRun()
-					}
-				}
-			}
-			if s.Progress != nil {
-				ev := SweepEvent{Point: pts[idx], Done: baseDone + done, Total: len(sel), Err: out.Err}
-				if out.Err == nil {
-					ev.Metrics = &res.Metrics
-					ev.Result = &res
-				}
-				s.Progress(ev)
-			}
-		}
-	}
-
 	start := time.Now()
 	ropts := runner.Options{
-		Parallel: s.Parallel, NoReuse: s.NoReuse, Progress: progress,
+		Parallel: s.Parallel, NoReuse: s.NoReuse,
+		Progress: func(_, _ int, out runner.Outcome) {
+			idx := pending[out.Index]
+			l.land(idx, simulated, resultOf(idx, pts[idx].Workload, jobs[out.Index].Cfg, out), keys[out.Index], out.Err)
+		},
 	}
 	if s.Traces != nil {
 		ropts.Traces = s.Traces.shared
 	}
-	outs, err := runner.RunOpts(runCtx, jobs, ropts)
+	_, err := runner.Run(runCtx, jobs, ropts)
 
-	// Assemble the report in point order: checkpointed results where
-	// the point was restored, fresh outcomes where it ran.
 	rep := &Report{
 		Points: len(pts), SpecHash: hash, Shard: s.Shard.String(), Wall: time.Since(start),
-		FromCheckpoint: fromCheckpoint, FromCache: len(cacheHits),
+		Executed: l.landed[simulated], FromCache: l.landed[cached], FromCheckpoint: l.landed[restored],
 	}
-	fresh := make(map[int]Result, len(outs))
-	for ji, out := range outs {
-		if out.Err != nil {
-			continue
-		}
-		fresh[pending[ji]] = buildResult(pts[pending[ji]], jobs[ji].Cfg, out)
-	}
-	rep.Executed = len(fresh)
 	for _, idx := range sel {
-		if r, ok := completed[idx]; ok {
-			rep.Results = append(rep.Results, r)
-		} else if r, ok := fresh[idx]; ok {
+		if r, ok := l.results[idx]; ok {
 			rep.Results = append(rep.Results, r)
 		}
 	}
-
 	// Make the checkpoint durable before reporting success or failure.
-	if ckpt != nil {
-		cerr := ckpt.Close()
-		ckpt = nil
-		if ckptErr == nil {
-			ckptErr = cerr
+	if l.ckpt != nil {
+		l.closeCheckpoint(nil)
+	}
+	return rep, cmp.Or(l.err, err)
+}
+
+// source says where a completed point's Result came from.
+type source int
+
+const (
+	restored  source = iota // the resume checkpoint
+	cached                  // the result cache
+	simulated               // a worker
+)
+
+// landing is the one step every completed point of a Sweep.Run goes
+// through, whatever answered it: the checkpoint (restored), the cache
+// (cached), or a worker (simulated). Workers land their points under
+// the runner's progress lock, so landing needs no lock of its own; Run
+// reads it only after the runner returns.
+type landing struct {
+	s       *Sweep
+	pts     []Point
+	total   int              // points this run covers
+	ckpt    *sweepjob.Writer // nil without a checkpoint, or once it failed
+	cache   *sweepjob.Cache  // nil without a cache, or once it failed
+	cancel  context.CancelFunc
+	results map[int]Result
+	landed  [3]int // completed points per source
+	done    int    // points landed so far, failed ones included
+	// err is the first write failure (disk full, volume gone). It
+	// stops the sweep, because continuing would report results the
+	// resume file never saw, or leave cold a cache the run was told to
+	// warm. The failed sink takes no more writes, and a checkpoint
+	// failure outranks a cache failure.
+	err error
+}
+
+// land records point idx's Result, persists it — to the checkpoint
+// unless it came from there, to the cache under key when key is set —
+// and reports the point to Progress, except a restored one, which was
+// complete before this run started. A failed point (err set) is only
+// reported.
+func (l *landing) land(idx int, from source, res Result, key string, err error) {
+	l.done++
+	if err == nil {
+		l.results[idx] = res
+		l.landed[from]++
+		if from != restored {
+			l.persist(idx, res, key)
 		}
 	}
-	if ckptErr != nil {
-		return rep, fmt.Errorf("virtuoso: sweep checkpoint %s: %w", s.Checkpoint, ckptErr)
+	if l.s.Progress != nil && from != restored {
+		ev := SweepEvent{Point: l.pts[idx], Done: l.done, Total: l.total, FromCache: from == cached, Err: err}
+		if err == nil {
+			r := res // the callback's own copy
+			ev.Metrics, ev.Result = &r.Metrics, &r
+		}
+		l.s.Progress(ev)
 	}
-	if cacheErr != nil {
-		return rep, fmt.Errorf("virtuoso: sweep cache %s: %w", s.Cache, cacheErr)
+}
+
+func (l *landing) persist(idx int, res Result, key string) {
+	put := key != "" && l.cache != nil
+	if l.ckpt == nil && !put {
+		return
 	}
-	return rep, err
+	raw, merr := json.Marshal(res)
+	if l.ckpt != nil {
+		err := merr
+		if err == nil {
+			err = l.ckpt.Append(idx, raw)
+		}
+		if err != nil {
+			l.closeCheckpoint(err)
+			l.cancel()
+		}
+	}
+	if put {
+		err := merr
+		if err == nil {
+			err = l.cache.Put(key, raw)
+		}
+		if err != nil {
+			l.cache = nil
+			if l.err == nil {
+				l.err = fmt.Errorf("virtuoso: sweep cache %s: %w", l.s.Cache, err)
+			}
+			l.cancel()
+		}
+	}
+}
+
+// closeCheckpoint closes the checkpoint, making what it holds durable,
+// and records err — or, when err is nil, the Close error — as the
+// checkpoint's failure.
+func (l *landing) closeCheckpoint(err error) {
+	if cerr := l.ckpt.Close(); err == nil {
+		err = cerr
+	}
+	l.ckpt = nil
+	if err != nil {
+		l.err = fmt.Errorf("virtuoso: sweep checkpoint %s: %w", l.s.Checkpoint, err)
+	}
 }
 
 // pointConfig resolves point p's config: Base with p's axes applied,
@@ -511,33 +513,27 @@ func (s *Sweep) pointConfig(p Point) (Config, error) {
 	return cfg, nil
 }
 
-// buildResult echoes the executed config, not the grid point: the
-// Configure hook may have overridden design, policy, or seed.
-func buildResult(p Point, cfg Config, out runner.Outcome) Result {
-	return Result{
-		Index:      p.Index,
-		Workload:   p.Workload,
-		Design:     cfg.Design,
-		Policy:     cfg.Policy,
-		TierPolicy: tierPolicyEcho(cfg),
-		Mode:       cfg.Mode.String(),
-		Seed:       cfg.Seed,
-		Metrics:    out.Metrics,
-		Multi:      out.Multi,
+// resultOf packages a run's outcome with the configuration echo that
+// identifies it. It echoes the executed config, not a grid point: a
+// sweep's Configure hook may have overridden design, policy, or seed.
+// TierPolicy names the migration policy the config ran with — empty for
+// flat configs, the default name when tiers are set without an explicit
+// policy.
+func resultOf(index int, workload string, cfg Config, out runner.Outcome) Result {
+	r := Result{
+		Index:    index,
+		Workload: workload,
+		Design:   cfg.Design,
+		Policy:   cfg.Policy,
+		Mode:     cfg.Mode.String(),
+		Seed:     cfg.Seed,
+		Metrics:  out.Metrics,
+		Multi:    out.Multi,
 	}
-}
-
-// tierPolicyEcho names the migration policy a config would run with —
-// empty for flat configs, the default name when tiers are set without
-// an explicit policy.
-func tierPolicyEcho(cfg Config) string {
-	if len(cfg.OSCfg.Tiers) == 0 {
-		return ""
+	if len(cfg.OSCfg.Tiers) > 0 {
+		r.TierPolicy = cmp.Or(cfg.OSCfg.TierPolicy, TierPolicyHotCold)
 	}
-	if cfg.OSCfg.TierPolicy == "" {
-		return TierPolicyHotCold
-	}
-	return cfg.OSCfg.TierPolicy
+	return r
 }
 
 // workloadFactory returns the per-point workload constructor, deferring

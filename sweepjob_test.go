@@ -334,3 +334,121 @@ func TestSweepSpecRejectsBadWorkloads(t *testing.T) {
 		t.Errorf("valid spec rejected: %v", err)
 	}
 }
+
+// TestSweepWarmCacheCheckpoint pins how cache hits land next to
+// simulated points: a run over a partly warm cache with a fresh
+// checkpoint reports every hit first, in point order and with Done
+// counting 1..k, then the simulated points; the checkpoint ends up
+// holding every point, hits included, and both the report and the
+// merged checkpoint match a cold run byte for byte.
+func TestSweepWarmCacheCheckpoint(t *testing.T) {
+	golden, err := shardTestSweep(2).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenJSON := canonicalJSON(t, golden)
+
+	// Warm the cache with seeds 1 and 2 only: points 0, 1, 3 and 4 of
+	// the full grid.
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
+	warm := shardTestSweep(2)
+	warm.Seeds = []uint64{1, 2}
+	warm.Cache = cacheDir
+	if _, err := warm.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, "ckpt.jsonl")
+	sw := shardTestSweep(2)
+	sw.Cache = cacheDir
+	sw.Checkpoint = path
+	var events []virtuoso.SweepEvent
+	sw.Progress = func(ev virtuoso.SweepEvent) { events = append(events, ev) }
+	rep, err := sw.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FromCache != 4 || rep.Executed != 2 || rep.FromCheckpoint != 0 {
+		t.Fatalf("warm run: from cache %d, executed %d, from checkpoint %d, want 4/2/0",
+			rep.FromCache, rep.Executed, rep.FromCheckpoint)
+	}
+	if len(events) != 6 {
+		t.Fatalf("warm run reported %d events, want 6", len(events))
+	}
+	for i, ev := range events {
+		if ev.Done != i+1 || ev.Total != 6 || ev.Err != nil || ev.Result == nil || ev.Metrics != &ev.Result.Metrics {
+			t.Errorf("event %d: Done %d/%d, err %v, result %v", i, ev.Done, ev.Total, ev.Err, ev.Result != nil)
+		}
+		if ev.FromCache != (i < 4) {
+			t.Errorf("event %d (point %d): FromCache = %v", i, ev.Point.Index, ev.FromCache)
+		}
+		if i < 4 {
+			if want := []int{0, 1, 3, 4}[i]; ev.Point.Index != want || ev.Result.Index != want {
+				t.Errorf("cache-hit event %d is point %d (result %d), want %d", i, ev.Point.Index, ev.Result.Index, want)
+			}
+		}
+	}
+	if got := canonicalJSON(t, rep); got != goldenJSON {
+		t.Errorf("warm-cache report differs from the cold run:\nwarm:   %.400s\ngolden: %.400s", got, goldenJSON)
+	}
+
+	info, _, err := virtuoso.ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Done != 6 || info.Torn {
+		t.Fatalf("checkpoint %+v, want all 6 points", info)
+	}
+	merged, err := virtuoso.MergeCheckpoints(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canonicalJSON(t, merged); got != goldenJSON {
+		t.Errorf("checkpoint of the warm-cache run differs from the cold run")
+	}
+}
+
+// TestSweepStopsOnCacheWriteFailure pins the cache's failure path: when
+// a point's result cannot be written to the cache, the sweep stops with
+// the cache error — not the cancellation it causes — and returns the
+// points that finished.
+func TestSweepStopsOnCacheWriteFailure(t *testing.T) {
+	golden, err := shardTestSweep(1).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	sw := shardTestSweep(1)
+	sw.Cache = cacheDir
+	var events []virtuoso.SweepEvent
+	sw.Progress = func(ev virtuoso.SweepEvent) {
+		events = append(events, ev)
+		if len(events) == 1 {
+			if err := os.RemoveAll(cacheDir); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	rep, err := sw.Run(context.Background())
+	if err == nil || !strings.HasPrefix(err.Error(), "virtuoso: sweep cache "+cacheDir+": ") {
+		t.Fatalf("err = %v, want the sweep cache error", err)
+	}
+	if errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want the cache error rather than the cancellation", err)
+	}
+	// The first point was cached before the directory went; the second
+	// simulated and failed to cache, which stopped the sweep.
+	if rep == nil || len(rep.Results) != 2 || rep.Executed != 2 {
+		t.Fatalf("partial report %+v, want the 2 finished points", rep)
+	}
+	for i, r := range rep.Results {
+		if got, want := canonical(t, r), canonical(t, golden.Results[i]); got != want {
+			t.Errorf("partial result %d differs from the cold run", i)
+		}
+	}
+	if len(events) < 2 || events[1].Err != nil || events[1].Point.Index != 1 {
+		t.Errorf("events %+v, want point 1 reported as finished", events)
+	}
+}

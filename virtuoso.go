@@ -101,6 +101,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/mimicos"
 	"repro/internal/registry"
+	"repro/internal/runner"
 	"repro/internal/tier"
 	"repro/internal/workloads"
 )
@@ -338,32 +339,7 @@ func (s *Session) RunContext(ctx context.Context) (Metrics, error) {
 	if len(s.mix) > 0 {
 		return Metrics{}, fmt.Errorf("virtuoso: session was opened with WithProcesses; use RunMulti")
 	}
-	if s.ran {
-		return Metrics{}, fmt.Errorf("virtuoso: session already run (sessions are single-use; Open a new one)")
-	}
-	if err := ctx.Err(); err != nil {
-		return Metrics{}, err
-	}
-	s.ran = true
-	done := ctx.Done()
-	s.sys.SetCancelCheck(func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	})
-	// Uninstall the check afterwards: the system stays usable for
-	// direct driving (RunSteps) and must not poll a dead context.
-	defer s.sys.SetCancelCheck(nil)
-	m := s.sys.Run(s.w)
-	if s.sys.Interrupted() {
-		// Only a run the cancellation actually stopped is discarded; a
-		// cancel that lands after completion leaves the metrics whole.
-		return Metrics{}, ctx.Err()
-	}
-	return m, nil
+	return runOnce(s, ctx, func() (Metrics, error) { return s.sys.Run(s.w), nil })
 }
 
 // RunMulti simulates a multiprogrammed session (opened with
@@ -380,31 +356,34 @@ func (s *Session) RunMultiContext(ctx context.Context) (MultiMetrics, error) {
 	if len(s.mix) == 0 {
 		return MultiMetrics{}, fmt.Errorf("virtuoso: session has a single workload; use Run (or open with WithProcesses)")
 	}
+	return runOnce(s, ctx, func() (MultiMetrics, error) { return s.sys.RunMulti(s.mix) })
+}
+
+// runOnce spends the single-use session s on run, which simulates
+// under ctx's cancellation poll.
+func runOnce[T any](s *Session, ctx context.Context, run func() (T, error)) (T, error) {
+	var zero T
 	if s.ran {
-		return MultiMetrics{}, fmt.Errorf("virtuoso: session already run (sessions are single-use; Open a new one)")
+		return zero, fmt.Errorf("virtuoso: session already run (sessions are single-use; Open a new one)")
 	}
 	if err := ctx.Err(); err != nil {
-		return MultiMetrics{}, err
+		return zero, err
 	}
 	s.ran = true
-	done := ctx.Done()
-	s.sys.SetCancelCheck(func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	})
+	s.sys.SetCancelCheck(runner.CancelCheck(ctx))
+	// Uninstall the check afterwards: the system stays usable for
+	// direct driving (RunSteps) and must not poll a dead context.
 	defer s.sys.SetCancelCheck(nil)
-	mm, err := s.sys.RunMulti(s.mix)
+	v, err := run()
 	if err != nil {
-		return MultiMetrics{}, err
+		return zero, err
 	}
 	if s.sys.Interrupted() {
-		return MultiMetrics{}, ctx.Err()
+		// Only a run the cancellation actually stopped is discarded; a
+		// cancel that lands after completion leaves the metrics whole.
+		return zero, ctx.Err()
 	}
-	return mm, nil
+	return v, nil
 }
 
 // Result packages the session's metrics with the configuration echo the
@@ -412,15 +391,7 @@ func (s *Session) RunMultiContext(ctx context.Context) (MultiMetrics, error) {
 // for session results — it identifies grid position only in sweep
 // reports — so key downstream tooling on Result.Key(), not Index.
 func (s *Session) Result(m Metrics) Result {
-	return Result{
-		Workload:   s.w.Name(),
-		Design:     s.cfg.Design,
-		Policy:     s.cfg.Policy,
-		TierPolicy: tierPolicyEcho(s.cfg),
-		Mode:       s.cfg.Mode.String(),
-		Seed:       s.cfg.Seed,
-		Metrics:    m,
-	}
+	return resultOf(0, s.w.Name(), s.cfg, runner.Outcome{Metrics: m})
 }
 
 // MultiResult packages a multiprogrammed run's metrics as a Result:
@@ -429,16 +400,7 @@ func (s *Session) Result(m Metrics) Result {
 // Mixes produce, so standalone and swept multiprogrammed runs are
 // byte-comparable.
 func (s *Session) MultiResult(mm MultiMetrics) Result {
-	return Result{
-		Workload:   core.MixName(mm.Mix),
-		Design:     s.cfg.Design,
-		Policy:     s.cfg.Policy,
-		TierPolicy: tierPolicyEcho(s.cfg),
-		Mode:       s.cfg.Mode.String(),
-		Seed:       s.cfg.Seed,
-		Metrics:    mm.Aggregate,
-		Multi:      &mm,
-	}
+	return resultOf(0, core.MixName(mm.Mix), s.cfg, runner.Outcome{Metrics: mm.Aggregate, Multi: &mm})
 }
 
 // NamedWorkload returns a Table 5 workload ("BC", "BFS", ..., "JSON",
