@@ -54,8 +54,10 @@ const srripMax = 3 // 2-bit RRPV
 // find XORs each fingerprint word with the probed tag's low byte copied
 // into every lane and picks the zero lanes with the SWAR test
 // (x-0x01..)&^x&0x80..; only those candidate ways are compared against
-// the full tags entry. fill takes the first invalid way from the valid
-// mask and runs the policy's victim scan only when the set is full.
+// the full tags entry. place takes the first invalid way from the valid
+// mask and runs the policy's victim scan only when the set is full; once
+// every line of the cache is valid (the steady state after warm-up) it
+// skips the valid-mask scan altogether.
 const (
 	metaDirty     = 1 << 0
 	metaRrpvShift = 1
@@ -95,6 +97,7 @@ type Cache struct {
 	ways      int
 	latency   uint64
 	policy    ReplPolicy
+	packed    bool     // SRRIP with ways <= 32: RRPVs live in setMeta[o+fpEnd], not meta
 	tags      []uint64 // sets*ways, row-major; (tag<<1)|valid
 	lru       []uint64
 	meta      []uint8
@@ -106,9 +109,9 @@ type Cache struct {
 	stats     Stats
 	setMask   uint64
 	setsShift uint // log2(sets): tag extraction shifts instead of dividing
-	packed    bool // SRRIP with ways <= 32: RRPVs live in setMeta[o+fpEnd], not meta
 	rrpvLo    uint64
 	rrpvHi    uint64
+	valid     int // valid lines; len(tags) once every way of every set is valid
 }
 
 // geometry returns the set count of a sizeBytes cache with the given
@@ -301,6 +304,16 @@ func (c *Cache) FillIfAbsent(pa mem.PAddr, t mem.AccessType) bool {
 	return present
 }
 
+// install is Fill(pa, write, t, false) for a line the caller has just
+// missed in this cache: the line is absent, so it ticks and places the
+// line without the probe fill repeats. Every call site states why the
+// line cannot have arrived between the miss and the install.
+func (c *Cache) install(pa mem.PAddr, write bool, t mem.AccessType) (mem.PAddr, bool) {
+	c.tick++
+	set, enc := c.locate(pa)
+	return c.place(set, enc, write, t, false)
+}
+
 // fill implements Fill and FillIfAbsent. probe defers the replacement
 // tick until the line is known absent, so a probe that finds the line
 // leaves the cache untouched; a non-probe fill ticks up front exactly
@@ -311,22 +324,32 @@ func (c *Cache) fill(pa mem.PAddr, write bool, t mem.AccessType, prefetch, probe
 		c.tick++
 	}
 	set, enc := c.locate(pa)
-	base := set * c.ways
 	if w := c.find(set, enc); w >= 0 {
 		// Already present (e.g., race between prefetch and demand).
 		if write {
-			c.meta[base+w] |= metaDirty
+			c.meta[set*c.ways+w] |= metaDirty
 		}
 		return 0, false, true
 	}
 	if probe {
 		c.tick++
 	}
+	wbAddr, wb = c.place(set, enc, write, t, prefetch)
+	return wbAddr, wb, false
+}
 
-	// The first invalid way if there is one, else the policy's victim.
-	o := set * c.stride
-	w := c.firstInvalid(o)
-	if w < 0 {
+// place puts the absent line enc into set, in the first invalid way if
+// there is one, else over the policy's victim, and returns the address
+// of an evicted dirty line and whether there was one.
+func (c *Cache) place(set int, enc uint64, write bool, t mem.AccessType, prefetch bool) (wbAddr mem.PAddr, wb bool) {
+	base, o := set*c.ways, set*c.stride
+	w := -1
+	if c.valid < len(c.tags) {
+		w = c.firstInvalid(o)
+	}
+	if w >= 0 {
+		c.valid++
+	} else {
 		w = c.victim(base, o)
 		c.stats.Evictions++
 		if c.meta[base+w]&metaDirty != 0 {
@@ -366,7 +389,7 @@ func (c *Cache) fill(pa mem.PAddr, write bool, t mem.AccessType, prefetch, probe
 			c.lru[victim] = c.tick - uint64(c.ways) // colder LRU position
 		}
 	}
-	return wbAddr, wb, false
+	return wbAddr, wb
 }
 
 // victim returns the way a full set evicts — the first way holding the
@@ -445,6 +468,7 @@ func (c *Cache) Invalidate(pa mem.PAddr) bool {
 		c.lru[i] = 0
 	}
 	c.meta[i] = 0
+	c.valid--
 	c.setMeta[o+w>>6] &^= 1 << (w & 63)
 	if c.packed {
 		c.setMeta[o+c.fpEnd] &^= 3 << (uint(w) * 2)

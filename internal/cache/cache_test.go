@@ -437,6 +437,17 @@ func (c *refCache) Invalidate(pa mem.PAddr) bool {
 	return false
 }
 
+// invalid returns the number of invalid ways.
+func (c *refCache) invalid() int {
+	n := 0
+	for _, e := range c.tags {
+		if e == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func (c *refCache) OccupancyOf(t mem.AccessType) int {
 	n := 0
 	for i := range c.tags {
@@ -478,7 +489,7 @@ func runCacheOps(t testing.TB, g int, b []byte) Stats {
 	size := uint64(geo.sets*geo.ways) * mem.CacheLineBytes
 	c, r := New(geo.name, size, geo.ways, 1, geo.policy), newRefCache(size, geo.ways, geo.policy)
 	for step := 0; len(b) >= 4; step, b = step+1, b[4:] {
-		op, write, prefetch := b[0]%5, b[0]&0x08 != 0, b[0]&0x10 != 0
+		op, write, prefetch := b[0]%6, b[0]&0x08 != 0, b[0]&0x10 != 0
 		at := mem.AccessType(int(b[0]>>5) % mem.NumAccessTypes)
 		tag := uint64(b[2]) % uint64(2*geo.ways+3) // cold: up to ~2x the set
 		if b[2] < 160 {
@@ -505,6 +516,15 @@ func runCacheOps(t testing.TB, g int, b []byte) Stats {
 			got, want = c.Lookup(pa), r.Lookup(pa)
 		case 4:
 			got, want = c.Invalidate(pa), r.Invalidate(pa)
+		case 5:
+			// A demand miss installs without a second probe.
+			hit, rhit := c.Access(pa, write, at), r.Access(pa, write, at)
+			got, want = hit, rhit
+			if !hit && !rhit {
+				wa, wd := c.install(pa, write, at)
+				ra, rd := r.Fill(pa, write, at, false)
+				got, want = [2]any{wa, wd}, [2]any{ra, rd}
+			}
 		}
 		if got != want {
 			t.Fatalf("%s step %d: op %d on %#x returned %v, reference %v", geo.name, step, op, pa, got, want)
@@ -530,6 +550,8 @@ func diffCacheState(c *Cache, r *refCache) error {
 		return fmt.Errorf("meta %x, reference %x", c.meta, r.meta)
 	case !slices.Equal(c.lru, r.lru):
 		return fmt.Errorf("lru %v, reference %v", c.lru, r.lru)
+	case c.valid != len(r.tags)-r.invalid():
+		return fmt.Errorf("%d valid lines, reference %d", c.valid, len(r.tags)-r.invalid())
 	}
 	for at := mem.AccessType(0); int(at) < mem.NumAccessTypes; at++ {
 		if got, want := c.OccupancyOf(at), r.OccupancyOf(at); got != want {

@@ -110,6 +110,14 @@ func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 // latency in cycles. pc drives the IP-stride prefetcher (pass 0 for
 // non-application traffic). The access-type tag t flows down to DRAM for
 // attribution.
+//
+// Each demand fill installs la in a level that missed it (Cache.install,
+// no second probe). Between a level's miss and its install only
+// prefetch fills and writeback fills of other lines run. The prefetchers
+// see only line addresses, so their strides are non-zero multiples of a
+// line and they return la ± k·stride for k ≥ 1: a prefetch never brings
+// la itself. A writeback carries a line evicted to make room for la, so
+// it is never la either.
 func (h *Hierarchy) Access(pa mem.PAddr, write bool, t mem.AccessType, pc uint64, now uint64) uint64 {
 	la := mem.Line(pa)
 	lat := h.L1D.Latency()
@@ -124,7 +132,8 @@ func (h *Hierarchy) Access(pa mem.PAddr, write bool, t mem.AccessType, pc uint64
 	}
 	lat += h.L2.Latency()
 	if h.L2.Access(la, write, t) {
-		h.L1D.Fill(la, write, t, false)
+		// L1D missed la above; the IP-stride prefetches since are not la.
+		h.L1D.install(la, write, t)
 		return lat
 	}
 	if h.stream != nil && (t == mem.ATData || t == mem.ATKernel) {
@@ -142,7 +151,9 @@ func (h *Hierarchy) Access(pa mem.PAddr, write bool, t mem.AccessType, pc uint64
 	return lat
 }
 
-// FetchInstr performs an instruction-fetch access (L1I path).
+// FetchInstr performs an instruction-fetch access (L1I path). Every
+// level it installs la in has just missed la, and no fill of that level
+// runs in between.
 func (h *Hierarchy) FetchInstr(pa mem.PAddr, now uint64) uint64 {
 	la := mem.Line(pa)
 	lat := h.L1I.Latency()
@@ -151,35 +162,39 @@ func (h *Hierarchy) FetchInstr(pa mem.PAddr, now uint64) uint64 {
 	}
 	lat += h.L2.Latency()
 	if h.L2.Access(la, false, mem.ATInstr) {
-		h.L1I.Fill(la, false, mem.ATInstr, false)
+		h.L1I.install(la, false, mem.ATInstr)
 		return lat
 	}
 	lat += h.L3.Latency()
 	if h.L3.Access(la, false, mem.ATInstr) {
-		h.L2.Fill(la, false, mem.ATInstr, false)
-		h.L1I.Fill(la, false, mem.ATInstr, false)
+		h.L2.install(la, false, mem.ATInstr)
+		h.L1I.install(la, false, mem.ATInstr)
 		return lat
 	}
 	lat += h.Dram.Access(la, false, mem.ATInstr, now+lat)
-	h.L3.Fill(la, false, mem.ATInstr, false)
-	h.L2.Fill(la, false, mem.ATInstr, false)
-	h.L1I.Fill(la, false, mem.ATInstr, false)
+	h.L3.install(la, false, mem.ATInstr)
+	h.L2.install(la, false, mem.ATInstr)
+	h.L1I.install(la, false, mem.ATInstr)
 	return lat
 }
 
-// fillUp inserts into L2 and L1D after an L3 hit, handling writebacks.
+// fillUp inserts into L2 and L1D after an L3 hit or a DRAM fill, handling
+// writebacks. Access missed la in both levels; since then L2 took only
+// stream prefetches and L1D only IP-stride prefetches, none of them la.
+// The writebacks may find their line present, so they keep the probe.
 func (h *Hierarchy) fillUp(la mem.PAddr, write bool, t mem.AccessType) {
-	if wb, dirty := h.L2.Fill(la, write, t, false); dirty {
+	if wb, dirty := h.L2.install(la, write, t); dirty {
 		h.L3.Fill(wb, true, t, false)
 	}
-	if wb, dirty := h.L1D.Fill(la, write, t, false); dirty {
+	if wb, dirty := h.L1D.install(la, write, t); dirty {
 		h.L2.Fill(wb, true, t, false)
 	}
 }
 
-// fillAll inserts into every level after a DRAM fill.
+// fillAll inserts into every level after a DRAM fill. L3 missed la just
+// before, and only DRAM ran since.
 func (h *Hierarchy) fillAll(la mem.PAddr, write bool, t mem.AccessType, now uint64) {
-	if wb, dirty := h.L3.Fill(la, write, t, false); dirty {
+	if wb, dirty := h.L3.install(la, write, t); dirty {
 		h.Dram.Access(wb, true, t, now)
 	}
 	h.fillUp(la, write, t)

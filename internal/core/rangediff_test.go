@@ -200,43 +200,63 @@ func volume(c *StreamChannel) StreamChannel {
 	return v
 }
 
+// layer is one per-layer statistics block the differential test
+// compares.
+type layer struct {
+	what  string
+	stats any
+}
+
+// layerStats returns the core, MMU, every cache level, DRAM, the stream
+// channel and the kernel statistics of s.
+func layerStats(s *System) []layer {
+	return []layer{
+		{"cpu", *s.Core.Stats()},
+		{"mmu", *s.MMU.Stats()},
+		{"L1I", *s.Hier.L1I.Stats()},
+		{"L1D", *s.Hier.L1D.Stats()},
+		{"L2", *s.Hier.L2.Stats()},
+		{"L3", *s.Hier.L3.Stats()},
+		{"dram", *s.Dram.Stats()},
+		{"stream channel", volume(s.StreamChan)},
+		{"kernel", *s.OS.Stats()},
+	}
+}
+
 // TestRangeStreamsMatchExpansion is the differential test of range
-// records: every kernel path runs on two identically built systems,
-// one injecting MimicOS streams as recorded (zeroing and copying as
-// range records) and one injecting their per-line expansion
+// records: every kernel path runs on identically built systems, one
+// injecting MimicOS streams as recorded (zeroing and copying as range
+// records) and one injecting their per-line expansion
 // (isa.Stream.Expand). Both cores must execute the same kernel
-// instructions, and the core, MMU, every cache level, DRAM, the stream
-// channel and the kernel must end in the same state.
+// instructions, seen through a kernel tap, and end with the same
+// per-layer statistics. A third system runs the range records with no
+// tap, as production runs do, and must end with the same statistics too.
 func TestRangeStreamsMatchExpansion(t *testing.T) {
 	for _, tc := range rangeDiffCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			got, want := smallSystem(t, tc.mut), smallSystem(t, tc.mut)
+			got, bare, want := smallSystem(t, tc.mut), smallSystem(t, tc.mut), smallSystem(t, tc.mut)
 			want.expandStreams = true
 			var gotRun, wantRun executed
 			got.Core.SetKernelTap(gotRun.add)
 			want.Core.SetKernelTap(wantRun.add)
 			tc.run(t, got)
+			tc.run(t, bare)
 			tc.run(t, want)
 			if !tc.took(got) {
 				t.Fatalf("path not exercised: kernel stats %+v", *got.OS.Stats())
 			}
-			for _, c := range []struct {
-				what      string
-				got, want any
-			}{
-				{"executed kernel instructions", gotRun, wantRun},
-				{"cpu", *got.Core.Stats(), *want.Core.Stats()},
-				{"mmu", *got.MMU.Stats(), *want.MMU.Stats()},
-				{"L1I", *got.Hier.L1I.Stats(), *want.Hier.L1I.Stats()},
-				{"L1D", *got.Hier.L1D.Stats(), *want.Hier.L1D.Stats()},
-				{"L2", *got.Hier.L2.Stats(), *want.Hier.L2.Stats()},
-				{"L3", *got.Hier.L3.Stats(), *want.Hier.L3.Stats()},
-				{"dram", *got.Dram.Stats(), *want.Dram.Stats()},
-				{"stream channel", volume(got.StreamChan), volume(want.StreamChan)},
-				{"kernel", *got.OS.Stats(), *want.OS.Stats()},
-			} {
-				if !reflect.DeepEqual(c.got, c.want) {
-					t.Errorf("%s stats differ:\nrange    %+v\nexpanded %+v", c.what, c.got, c.want)
+			if gotRun != wantRun {
+				t.Errorf("executed kernel instructions differ:\nrange    %+v\nexpanded %+v", gotRun, wantRun)
+			}
+			wantStats := layerStats(want)
+			for _, side := range []struct {
+				name string
+				s    *System
+			}{{"range", got}, {"untapped range", bare}} {
+				for i, l := range layerStats(side.s) {
+					if !reflect.DeepEqual(l.stats, wantStats[i].stats) {
+						t.Errorf("%s stats differ:\n%s %+v\nexpanded %+v", l.what, side.name, l.stats, wantStats[i].stats)
+					}
 				}
 			}
 			if got.StreamChan.Insts == 0 || got.StreamChan.PeakRecords >= want.StreamChan.PeakRecords {

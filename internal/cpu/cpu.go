@@ -146,7 +146,7 @@ func (c *Core) Run(in isa.Inst) {
 	c.fetchAccum += 4 * n
 	if c.fetchAccum >= c.cfg.FetchBytes {
 		c.fetchAccum = 0
-		c.instrFetch(in)
+		c.instrFetch(in.PC, in.Phys || c.kernelMode)
 	}
 
 	// Dispatch occupancy.
@@ -181,23 +181,15 @@ func (c *Core) RunStream(s isa.Stream) uint64 {
 		in := s[i]
 		switch in.Op {
 		case isa.OpZeroLines:
-			st := isa.Inst{Op: isa.OpStore, Phys: in.Phys, Count: 1, PC: in.PC, Addr: in.Addr}
-			for n := in.N(); n > 0; n-- {
-				c.runKernel(st)
-				st.PC, st.Addr = st.PC+4, st.Addr+mem.CacheLineBytes
-			}
+			c.runLines(in.N(), in.PC, 0, in.Addr, false)
 		case isa.OpCopyLines:
 			i++ // s[i] is the OpCopyDst record
-			ld := isa.Inst{Op: isa.OpLoad, Phys: in.Phys, Count: 1, PC: in.PC, Addr: in.Addr}
-			st := isa.Inst{Op: isa.OpStore, Phys: s[i].Phys, Count: 1, PC: in.PC + 4, Addr: s[i].Addr}
-			for n := in.N(); n > 0; n-- {
-				c.runKernel(ld)
-				c.runKernel(st)
-				ld.PC, ld.Addr = ld.PC+8, ld.Addr+mem.CacheLineBytes
-				st.PC, st.Addr = st.PC+8, st.Addr+mem.CacheLineBytes
-			}
+			c.runLines(in.N(), in.PC, in.Addr, s[i].Addr, true)
 		default:
-			c.runKernel(in)
+			if c.kernelTap != nil {
+				c.kernelTap(in)
+			}
+			c.Run(in)
 		}
 	}
 	restore()
@@ -206,28 +198,59 @@ func (c *Core) RunStream(s isa.Stream) uint64 {
 	return spent
 }
 
-// runKernel executes one instruction of an injected kernel stream.
-func (c *Core) runKernel(in isa.Inst) {
-	if c.kernelTap != nil {
-		c.kernelTap(in)
+// runLines executes n lines of a range record: line i stores dst+64i,
+// and a copy loads src+64i first. This is the one loop range records run
+// through.
+func (c *Core) runLines(n, pc, src, dst uint64, copying bool) {
+	for ; n > 0; n-- {
+		if copying {
+			c.runLine(isa.OpLoad, pc, src)
+			pc, src = pc+4, src+mem.CacheLineBytes
+		}
+		c.runLine(isa.OpStore, pc, dst)
+		pc, dst = pc+4, dst+mem.CacheLineBytes
 	}
-	c.Run(in)
 }
 
-func (c *Core) instrFetch(in isa.Inst) {
+// runLine executes one load or store of a range record, the physical
+// kernel instruction Stream.Expand gives for it, charging exactly what
+// Run charges for that instruction. It builds the instruction only for
+// an installed kernel tap.
+func (c *Core) runLine(op isa.Op, pc, addr uint64) {
+	if c.kernelTap != nil {
+		c.kernelTap(isa.Inst{Op: op, Phys: true, Count: 1, PC: pc, Addr: addr})
+	}
+	c.stats.KernelInsts++
+	c.fetchAccum += 4
+	if c.fetchAccum >= c.cfg.FetchBytes {
+		c.fetchAccum = 0
+		c.instrFetch(pc, true)
+	}
+	c.cycles += 1 / c.cfg.Width
+	if op == isa.OpStore {
+		c.stats.Stores++
+	} else {
+		c.stats.Loads++
+	}
+	c.access(mem.PAddr(addr), op, mem.ATKernel, pc, 0)
+}
+
+// instrFetch fetches the instruction group at pc: kernel code from the
+// direct-mapped code region, application code through the MMU.
+func (c *Core) instrFetch(pc uint64, kernel bool) {
 	now := uint64(c.cycles)
 	var lat uint64
-	if in.Phys || c.kernelMode {
+	if kernel {
 		// Kernel code fetch: direct-mapped region, no translation.
-		pa := c.KernelCodeBase + mem.PAddr(in.PC&0x3f_ffff)
+		pa := c.KernelCodeBase + mem.PAddr(pc&0x3f_ffff)
 		lat = c.hier.FetchInstr(pa, now)
 	} else {
-		res := c.mmu.TranslateInstr(mem.VAddr(in.PC), now)
+		res := c.mmu.TranslateInstr(mem.VAddr(pc), now)
 		if res.Fault {
-			if !c.resolveFault(mem.VAddr(in.PC), false) {
+			if !c.resolveFault(mem.VAddr(pc), false) {
 				return
 			}
-			res = c.mmu.TranslateInstr(mem.VAddr(in.PC), uint64(c.cycles))
+			res = c.mmu.TranslateInstr(mem.VAddr(pc), uint64(c.cycles))
 			if res.Fault {
 				c.stats.SegvFaults++
 				return
@@ -277,8 +300,14 @@ func (c *Core) memOp(in isa.Inst) {
 		pa = res.PA
 		transLat = res.Lat
 	}
+	c.access(pa, in.Op, atype, in.PC, transLat)
+}
 
-	memLat := c.hier.Access(pa, write, atype, in.PC, uint64(c.cycles))
+// access performs the data access of a load, store or atomic op at pa,
+// translated in transLat cycles, and charges its stalls.
+func (c *Core) access(pa mem.PAddr, op isa.Op, atype mem.AccessType, pc, transLat uint64) {
+	write := op.IsWrite()
+	memLat := c.hier.Access(pa, write, atype, pc, uint64(c.cycles))
 
 	// Interval model: translation beyond the L1 TLB hit serialises with
 	// the access; data latency beyond L2 overlaps with the configured MLP.
@@ -291,7 +320,7 @@ func (c *Core) memOp(in isa.Inst) {
 	serial := c.hier.L1D.Latency() + c.hier.L2.Latency()
 	var stall float64
 	switch {
-	case in.Op == isa.OpAtomic:
+	case op == isa.OpAtomic:
 		stall = float64(memLat) // atomics serialise
 	case write:
 		stall = float64(memLat) / c.cfg.StoreBufMLP

@@ -43,7 +43,10 @@ const (
 
 	// The range ops below stand for a run of per-line memory operations
 	// in one record. Only kernel streams carry them (see Stream.Expand);
-	// the trace codec cannot store them.
+	// the trace codec cannot store them. Their addresses are physical:
+	// their one producer, instrument.Tracer (also behind ext.Tracer),
+	// always sets Phys, and the core runs their lines through the kernel
+	// direct map without consulting it.
 
 	// OpZeroLines clears Count consecutive cache lines from Addr: line i
 	// is a store of Addr+64i at PC+4i.

@@ -15,9 +15,9 @@ echo "sharded-sweep drill in $work"
 go build -o "$work/virtuoso" ./cmd/virtuoso
 v="$work/virtuoso"
 
-# 6 points (2 workloads x 3 seeds), sized so each point simulates for
-# about a second: the kill below lands after shard 1's first point
-# completes but while its second is still running.
+# 6 points (2 workloads x 3 seeds), each simulating for a fraction of a
+# second: long enough that shard 1's second point is still running when
+# the kill below lands, right after its first point is checkpointed.
 cat > "$work/spec.json" <<'EOF'
 {"workloads": ["JSON", "2D-Sum"], "seeds": [1, 2, 3], "scale": 1.0, "max_app_insts": 8000000}
 EOF
@@ -30,20 +30,25 @@ EOF
 "$v" sweep run -spec "$work/spec.json" -shard 2/3 -checkpoint "$work/s2.jsonl" -o /dev/null
 
 # Shard 1 is killed mid-run (SIGTERM, what operators and schedulers
-# send). The graceful path flushes every completed point to the
-# checkpoint before exiting; the in-flight point is discarded.
+# send) as soon as its checkpoint holds the header and its first point.
+# The graceful path flushes every completed point to the checkpoint
+# before exiting; the in-flight second point is discarded.
 "$v" sweep run -spec "$work/spec.json" -shard 1/3 -checkpoint "$work/s1.jsonl" -parallel 1 -o /dev/null &
 pid=$!
-sleep 1.3
-if kill -TERM "$pid" 2>/dev/null; then
-  echo "killed shard 1 (pid $pid) mid-run"
-  wait "$pid" && { echo "ERROR: killed shard exited 0" >&2; exit 1; } || true
-else
-  # The shard finished before the kill landed; the drill still
-  # validates resume (as a no-op) and the merge identity.
-  echo "WARN: shard 1 finished before the kill; resume will be a no-op"
-  wait "$pid" || true
+lines() { if [ -f "$1" ]; then wc -l < "$1"; else echo 0; fi; }
+while [ "$(lines "$work/s1.jsonl")" -lt 2 ]; do
+  if ! kill -0 "$pid" 2>/dev/null; then
+    echo "ERROR: shard 1 exited before checkpointing its first point" >&2
+    exit 1
+  fi
+  sleep 0.01
+done
+if ! kill -TERM "$pid" 2>/dev/null; then
+  echo "ERROR: shard 1 finished before the kill; resume would be a no-op" >&2
+  exit 1
 fi
+echo "killed shard 1 (pid $pid) mid-run"
+wait "$pid" && { echo "ERROR: killed shard exited 0" >&2; exit 1; } || true
 
 # Points already durable in shard 1's checkpoint (lines minus header).
 pre=$(($(wc -l < "$work/s1.jsonl") - 1))
@@ -55,6 +60,11 @@ echo "shard 1 checkpoint holds $pre/2 points after the kill"
 "$v" sweep run -spec "$work/spec.json" -shard 1/3 -checkpoint "$work/s1.jsonl" -progress -o /dev/null 2> "$work/resume.log"
 fresh=$(grep -c '^\[' "$work/resume.log" || true)
 echo "resume simulated $fresh points"
+if [ "$fresh" -eq 0 ]; then
+  echo "ERROR: resume simulated no point; the kill landed after shard 1 finished" >&2
+  cat "$work/resume.log" >&2
+  exit 1
+fi
 if [ "$((pre + fresh))" -ne 2 ]; then
   echo "ERROR: checkpointed ($pre) + resumed ($fresh) != 2 — resume re-simulated or lost points" >&2
   cat "$work/resume.log" >&2
