@@ -396,6 +396,53 @@ func TestObserverCountersMatchMetrics(t *testing.T) {
 	}
 }
 
+// finalOf is the Final snapshot a completed run with metrics m and
+// ctxSwitches scheduler dispatches must emit as its seq-th snapshot.
+func finalOf(seq int, m virtuoso.Metrics, ctxSwitches uint64) virtuoso.Snapshot {
+	return virtuoso.Snapshot{
+		Seq: seq, Final: true,
+		AppInsts: m.AppInsts, KernelInsts: m.KernelInsts, Cycles: m.Cycles,
+		L2TLBMisses: m.L2TLBMisses, Walks: m.Walks, WalkCycles: m.WalkCycles,
+		MinorFaults: m.OS.MinorFaults, MajorFaults: m.OS.MajorFaults,
+		SwapIns: m.OS.SwapIns, SwapOuts: m.OS.SwapOuts, Collapses: m.OS.Collapses,
+		Promotions: m.OS.Promotions, Demotions: m.OS.Demotions,
+		ContextSwitches: ctxSwitches,
+	}
+}
+
+// TestObserverMultiFinalMatchesMetrics checks the Observer contract on
+// a multiprogrammed run: the Final snapshot equals the aggregate
+// Metrics' counters and the scheduler's context-switch count, and the
+// interval snapshots see the switch count grow while the run goes on.
+func TestObserverMultiFinalMatchesMetrics(t *testing.T) {
+	var snaps []virtuoso.Snapshot
+	sess, err := virtuoso.Open(
+		virtuoso.WithScaledConfig(),
+		virtuoso.WithWorkloadScale(0.05),
+		virtuoso.WithMaxInstructions(50_000),
+		virtuoso.WithProcesses("ext-test-workload", "SEQ"),
+		virtuoso.WithObserver(virtuoso.ObserverFunc(func(s virtuoso.Snapshot) { snaps = append(snaps, s) })),
+		virtuoso.WithObserveInterval(10_000),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := sess.RunMulti()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) < 3 || mm.ContextSwitches == 0 {
+		t.Fatalf("%d snapshots over %d context switches: want several of each", len(snaps), mm.ContextSwitches)
+	}
+	last := snaps[len(snaps)-1]
+	if want := finalOf(len(snaps)-1, mm.Aggregate, mm.ContextSwitches); last != want {
+		t.Errorf("final multiprogrammed snapshot does not match the returned metrics:\ngot:  %+v\nwant: %+v", last, want)
+	}
+	if mid := snaps[len(snaps)/2].ContextSwitches; mid == 0 || mid > mm.ContextSwitches {
+		t.Errorf("mid-run snapshot reports %d context switches of %d", mid, mm.ContextSwitches)
+	}
+}
+
 // TestObserverDeterminism is the determinism guard: a run with an
 // Observer attached must produce a byte-identical Result to the same
 // run without one.
@@ -479,15 +526,7 @@ func TestObserverDeterminism(t *testing.T) {
 		t.Fatalf("observer fired %d times during a recording, want interval snapshots plus a final one", len(snaps))
 	}
 	last := snaps[len(snaps)-1]
-	want := virtuoso.Snapshot{
-		Seq: last.Seq, Final: true,
-		AppInsts: m.AppInsts, KernelInsts: m.KernelInsts, Cycles: m.Cycles,
-		L2TLBMisses: m.L2TLBMisses, Walks: m.Walks, WalkCycles: m.WalkCycles,
-		MinorFaults: m.OS.MinorFaults, MajorFaults: m.OS.MajorFaults,
-		SwapIns: m.OS.SwapIns, SwapOuts: m.OS.SwapOuts, Collapses: m.OS.Collapses,
-		Promotions: m.OS.Promotions, Demotions: m.OS.Demotions,
-	}
-	if last != want {
+	if want := finalOf(last.Seq, m, 0); last != want {
 		t.Errorf("final recording snapshot does not match the returned metrics:\ngot:  %+v\nwant: %+v", last, want)
 	}
 	if plainRec != observedRec {

@@ -247,7 +247,6 @@ type System struct {
 
 	PFLatNs      *stats.Series // minor (non-device) fault latencies, ns
 	MajorPFLatNs *stats.Series // major (device-backed) fault latencies, ns
-	pfIdx        uint64
 	noise        *xrand.Rand
 	streamRing   []isa.Stream
 	ringPos      int
@@ -273,14 +272,11 @@ type System struct {
 	// allocated once per System and not pooled.
 	batch []isa.Inst
 
-	// Streaming observation (see observe.go). obsCtxSwitches mirrors the
-	// multiprogrammed scheduler's dispatch count so snapshots can report
-	// it without reaching into RunMulti's locals.
-	observer       func(Snapshot)
-	observeEvery   uint64
-	nextObserve    uint64
-	obsSeq         int
-	obsCtxSwitches uint64
+	// Streaming observation (see observe.go).
+	observer     func(Snapshot)
+	observeEvery uint64
+	nextObserve  uint64
+	obsSeq       int
 }
 
 // Text-segment constants: every run maps the workload binary's code at
@@ -620,7 +616,6 @@ func (s *System) handleFault(va mem.VAddr, write bool) bool {
 			s.PFLatNs.Add(s.Core.CyclesToNs(spent))
 		}
 	}
-	s.pfIdx++
 	return true
 }
 

@@ -4,11 +4,9 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/mimicos"
-	"repro/internal/mmu"
 	"repro/internal/workloads"
 )
 
@@ -158,15 +156,14 @@ func TestMmapSyscallThroughChannel(t *testing.T) {
 // sources: a bounded call must leave every instruction it did not
 // retire in the source. Two bounded calls followed by an unbounded one
 // on one source must retire exactly the instructions — and reach
-// exactly the core and MMU state — of a single unbounded call.
+// exactly the counters of every layer — of a single unbounded call.
 func TestRunStepsNoReadAhead(t *testing.T) {
 	tiny := workloads.Params{Scale: 0.05}
 	const n = 60_000
 
 	type outcome struct {
-		retired isa.Stream
-		core    cpu.Stats
-		mmu     mmu.Stats
+		retired  isa.Stream
+		counters Counters
 	}
 	run := func(bounds ...uint64) outcome {
 		s := smallSystem(t, nil)
@@ -183,7 +180,7 @@ func TestRunStepsNoReadAhead(t *testing.T) {
 		for _, b := range bounds {
 			s.RunSteps(src, b)
 		}
-		o.core, o.mmu = *s.Core.Stats(), *s.MMU.Stats()
+		o.counters = s.counters()
 		return o
 	}
 	split := run(7_000, 13_000, 0)
@@ -195,10 +192,5 @@ func TestRunStepsNoReadAhead(t *testing.T) {
 	if !slices.Equal(split.retired, whole.retired) {
 		t.Fatalf("split RunSteps retired a different stream: %d vs %d instructions", len(split.retired), len(whole.retired))
 	}
-	if split.core != whole.core {
-		t.Errorf("core stats differ:\nsplit: %+v\nwhole: %+v", split.core, whole.core)
-	}
-	if split.mmu != whole.mmu {
-		t.Errorf("MMU stats differ:\nsplit: %+v\nwhole: %+v", split.mmu, whole.mmu)
-	}
+	diffCounters(t, "split", "whole", split.counters, whole.counters)
 }

@@ -158,14 +158,15 @@ func (s *System) measure(name string, run func()) Metrics {
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	run()
-	if !s.interrupted {
-		// The closing snapshot reads the same counter state collect is
-		// about to package, so Final snapshot == Metrics exactly.
-		s.finishObserve()
+	c := s.counters()
+	if !s.interrupted && s.observer != nil {
+		// The closing snapshot and the metrics package one counter
+		// read, so Final snapshot == Metrics exactly.
+		s.emitSnapshot(c, true)
 	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
-	return s.collect(name, wall, before, after)
+	return s.collect(name, c, wall, before, after)
 }
 
 // RunSteps drives the system over src until it is exhausted or the core
@@ -199,5 +200,5 @@ func (s *System) Prepare(w *workloads.Workload) isa.Source {
 func (s *System) Collect(w *workloads.Workload) Metrics {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return s.collect(w.Name(), 0, ms, ms)
+	return s.collect(w.Name(), s.counters(), 0, ms, ms)
 }

@@ -95,58 +95,53 @@ func (m *Metrics) KernelInstFraction() float64 {
 	return float64(m.KernelInsts) / float64(t)
 }
 
-func (s *System) collect(name string, wall time.Duration, before, after runtime.MemStats) Metrics {
-	cs := s.Core.Stats()
-	ms := s.MMU.Stats()
-	os := *s.OS.Stats()
-	ds := *s.Dram.Stats()
-
+func (s *System) collect(name string, c Counters, wall time.Duration, before, after runtime.MemStats) Metrics {
 	m := Metrics{
 		Workload: name,
 		Design:   string(s.Cfg.Design),
 		Policy:   s.OS.Policy().Name(),
 		Mode:     s.Cfg.Mode,
 
-		AppInsts:    cs.AppInsts,
-		KernelInsts: cs.KernelInsts,
-		Cycles:      cs.Cycles,
-		IPC:         cs.IPC(),
+		AppInsts:    c.Core.AppInsts,
+		KernelInsts: c.Core.KernelInsts,
+		Cycles:      c.Core.Cycles,
+		IPC:         c.Core.IPC(),
 
-		TranslationCycles: cs.TranslationCycles,
-		MemoryCycles:      cs.MemoryCycles,
-		FaultCycles:       cs.FaultCycles,
-		DelayCycles:       cs.DelayCycles,
-		CtxSwitchCycles:   cs.CtxSwitchCycles,
+		TranslationCycles: c.Core.TranslationCycles,
+		MemoryCycles:      c.Core.MemoryCycles,
+		FaultCycles:       c.Core.FaultCycles,
+		DelayCycles:       c.Core.DelayCycles,
+		CtxSwitchCycles:   c.Core.CtxSwitchCycles,
 
-		L2TLBMisses: ms.L2TLBMisses,
-		Walks:       ms.Walks,
-		AvgPTWLat:   ms.AvgWalkLatency(),
-		WalkCycles:  ms.WalkCycles,
+		L2TLBMisses: c.MMU.L2TLBMisses,
+		L2TLBMPKI:   c.L2TLBMPKI(),
+		Walks:       c.MMU.Walks,
+		AvgPTWLat:   c.MMU.AvgWalkLatency(),
+		WalkCycles:  c.MMU.WalkCycles,
 
-		FrontendCycles: ms.FrontendCycles,
-		BackendCycles:  ms.BackendCycles,
+		FrontendCycles: c.MMU.FrontendCycles,
+		BackendCycles:  c.MMU.BackendCycles,
 
-		MinorFaults: os.MinorFaults,
-		MajorFaults: os.MajorFaults,
-		Segvs:       s.segvs + cs.SegvFaults,
-		HostFaults:  s.hostFaults,
+		MinorFaults: c.OS.MinorFaults,
+		MajorFaults: c.OS.MajorFaults,
+		Segvs:       c.Segvs + c.Core.SegvFaults,
+		HostFaults:  c.HostFaults,
 
 		PFLatNs:      s.PFLatNs,
 		MajorPFLatNs: s.MajorPFLatNs,
 
-		SwapDeviceCycles: s.swapDeviceCycles,
-		OS:               os,
-		Dram:             ds,
-		Tiers:            s.OS.TierStats(),
+		SwapDeviceCycles: c.SwapDeviceCycles,
+		OS:               c.OS,
+		Dram:             c.Dram,
+		// The tiers' stats carry names and occupancy levels, not only
+		// counts, so they are read here rather than in Counters.
+		Tiers:   s.OS.TierStats(),
+		SwapDev: c.Disk,
 
-		StreamedKernelInsts: s.StreamChan.Insts,
-		FunctionalMessages:  s.FuncChan.Messages,
+		StreamedKernelInsts: c.StreamedKernelInsts,
+		FunctionalMessages:  c.FunctionalMessages,
 
 		WallTime: wall,
-	}
-	m.SwapDev = *s.Disk.Stats()
-	if cs.AppInsts > 0 {
-		m.L2TLBMPKI = float64(ms.L2TLBMisses) / float64(cs.AppInsts) * 1000
 	}
 	if after.HeapAlloc > before.HeapAlloc {
 		m.SimHeapBytes = after.HeapAlloc - before.HeapAlloc

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/mimicos"
 	"repro/internal/mmu"
@@ -35,36 +34,10 @@ type Process struct {
 	// persists across scheduling slices.
 	fe       frontend
 	finished bool
-	acc      procAccum
-}
-
-// procAccum collects per-process deltas of the shared core/MMU counters
-// across the process's scheduling slices.
-type procAccum struct {
-	slices            uint64
-	appInsts          uint64
-	kernelInsts       uint64
-	cycles            uint64
-	translationCycles uint64
-	memoryCycles      uint64
-	faultCycles       uint64
-	l2TLBMisses       uint64
-	walks             uint64
-	walkCycles        uint64
-}
-
-// addSlice accumulates the counter deltas of one scheduling slice.
-func (p *Process) addSlice(c0, c1 cpu.Stats, m0, m1 mmu.Stats) {
-	p.acc.appInsts += c1.AppInsts - c0.AppInsts
-	p.acc.kernelInsts += c1.KernelInsts - c0.KernelInsts
-	p.acc.cycles += c1.Cycles - c0.Cycles
-	p.acc.translationCycles += c1.TranslationCycles - c0.TranslationCycles
-	p.acc.memoryCycles += c1.MemoryCycles - c0.MemoryCycles
-	p.acc.faultCycles += c1.FaultCycles - c0.FaultCycles
-	p.acc.l2TLBMisses += m1.L2TLBMisses - m0.L2TLBMisses
-	p.acc.walks += m1.Walks - m0.Walks
-	p.acc.walkCycles += m1.WalkCycles - m0.WalkCycles
-	p.acc.slices++
+	// slices counts the process's scheduling slices; acc sums the
+	// counter deltas across them.
+	slices uint64
+	acc    Counters
 }
 
 // ProcessMetrics is one process's share of a multiprogrammed run: the
@@ -259,7 +232,9 @@ func (s *System) RunMulti(ws []*workloads.Workload) (MultiMetrics, error) {
 	}
 
 	mm := MultiMetrics{Mix: mix, Quantum: quantum, ASIDRetention: s.Cfg.ASIDRetention}
-	mm.Aggregate = s.measure(MixName(mix), func() { s.schedule(&mm, quantum, csCost) })
+	mm.Aggregate = s.measure(MixName(mix), func() { s.schedule(quantum, csCost) })
+	c := s.counters()
+	mm.ContextSwitches, mm.TLBFlushes = c.Core.ContextSwitches, c.MMU.ContextFlushes
 	for _, p := range s.procs {
 		mm.Procs = append(mm.Procs, p.metrics())
 	}
@@ -270,7 +245,7 @@ func (s *System) RunMulti(ws []*workloads.Workload) (MultiMetrics, error) {
 // finished or the cancellation check fires. Each slice is one drive of
 // the process's frontend, bounded by the slice end and by what is left
 // of the process's instruction budget.
-func (s *System) schedule(mm *MultiMetrics, quantum, csCost uint64) {
+func (s *System) schedule(quantum, csCost uint64) {
 	maxPer := s.Cfg.MaxAppInsts
 	runnable := len(s.procs)
 	cur := -1
@@ -288,26 +263,21 @@ func (s *System) schedule(mm *MultiMetrics, quantum, csCost uint64) {
 		if next != cur {
 			if cur != -1 {
 				s.Core.ContextSwitch(csCost)
-				mm.ContextSwitches++
-				s.obsCtxSwitches = mm.ContextSwitches
 			}
 			s.dispatch(p)
-			if !s.Cfg.ASIDRetention {
-				mm.TLBFlushes++
-			}
 		}
 		cur = next
 
-		snapCore := *s.Core.Stats()
-		snapMMU := *s.MMU.Stats()
+		before := s.counters()
 		appEnd := noBound
 		if maxPer > 0 {
 			// A process is reaped once its budget is spent, so a
 			// scheduled one always has some left.
-			appEnd = snapCore.AppInsts + maxPer - p.acc.appInsts
+			appEnd = before.Core.AppInsts + maxPer - p.acc.Core.AppInsts
 		}
 		why := s.drive(&p.fe, appEnd, s.Core.Now()+quantum)
-		p.addSlice(snapCore, *s.Core.Stats(), snapMMU, *s.MMU.Stats())
+		p.acc = p.acc.Sub(before.Sub(s.counters())) // acc + (after − before)
+		p.slices++
 		switch why {
 		case stopCancel:
 			return
@@ -333,33 +303,27 @@ func (s *System) schedule(mm *MultiMetrics, quantum, csCost uint64) {
 
 // metrics packages the process's accumulated counters.
 func (p *Process) metrics() ProcessMetrics {
-	pm := ProcessMetrics{
+	c := &p.acc
+	return ProcessMetrics{
 		PID:      p.PID,
 		ASID:     p.ASID,
 		Workload: p.W.Name(),
 
-		Slices:      p.acc.slices,
-		AppInsts:    p.acc.appInsts,
-		KernelInsts: p.acc.kernelInsts,
-		Cycles:      p.acc.cycles,
+		Slices:      p.slices,
+		AppInsts:    c.Core.AppInsts,
+		KernelInsts: c.Core.KernelInsts,
+		Cycles:      c.Core.Cycles,
 
-		TranslationCycles: p.acc.translationCycles,
-		MemoryCycles:      p.acc.memoryCycles,
-		FaultCycles:       p.acc.faultCycles,
-		L2TLBMisses:       p.acc.l2TLBMisses,
-		Walks:             p.acc.walks,
+		IPC:               c.Core.IPC(),
+		TranslationCycles: c.Core.TranslationCycles,
+		MemoryCycles:      c.Core.MemoryCycles,
+		FaultCycles:       c.Core.FaultCycles,
+		L2TLBMisses:       c.MMU.L2TLBMisses,
+		L2TLBMPKI:         c.L2TLBMPKI(),
+		Walks:             c.MMU.Walks,
+		AvgPTWLat:         c.MMU.AvgWalkLatency(),
 
 		Finished: p.finished,
 		OS:       p.OS.Stat,
 	}
-	if pm.Cycles > 0 {
-		pm.IPC = float64(pm.AppInsts) / float64(pm.Cycles)
-	}
-	if pm.AppInsts > 0 {
-		pm.L2TLBMPKI = float64(pm.L2TLBMisses) / float64(pm.AppInsts) * 1000
-	}
-	if pm.Walks > 0 {
-		pm.AvgPTWLat = float64(p.acc.walkCycles) / float64(pm.Walks)
-	}
-	return pm
 }

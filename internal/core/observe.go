@@ -58,9 +58,9 @@ func (s Snapshot) IPC() float64 {
 // SetObserver installs a streaming observer: Run, RunRecording and
 // RunMulti call f with a Snapshot roughly every `every` application
 // instructions (0 = DefaultObserveEvery) and once more, with Final set,
-// when the run completes. RunSteps emits the interval snapshots only. Pass nil to remove. The callback runs on the simulation
-// goroutine — keep it cheap, and do not touch the System from inside
-// it.
+// when the run completes. RunSteps emits the interval snapshots only.
+// Pass nil to remove the observer. The callback runs on the simulation
+// goroutine: keep it cheap, and do not touch the System from inside it.
 func (s *System) SetObserver(f func(Snapshot), every uint64) {
 	s.observer = f
 	if every == 0 {
@@ -78,7 +78,7 @@ func (s *System) maybeObserve() {
 	if s.Core.Stats().AppInsts < s.nextObserve {
 		return
 	}
-	s.emitSnapshot(false)
+	s.emitSnapshot(s.counters(), false)
 	// Advance past the counter (instructions retire in batches, so one
 	// step can cross several intervals).
 	for s.nextObserve <= s.Core.Stats().AppInsts {
@@ -86,42 +86,30 @@ func (s *System) maybeObserve() {
 	}
 }
 
-// finishObserve emits the closing snapshot of a completed run, taken at
-// the same counter state Metrics collection reads.
-func (s *System) finishObserve() {
-	if s.observer == nil {
-		return
-	}
-	s.emitSnapshot(true)
-}
-
-func (s *System) emitSnapshot(final bool) {
-	cs := s.Core.Stats()
-	ms := s.MMU.Stats()
-	os := s.OS.Stats()
-	snap := Snapshot{
+// emitSnapshot hands the observer the Snapshot view of one counter read.
+func (s *System) emitSnapshot(c Counters, final bool) {
+	s.observer(Snapshot{
 		Seq:   s.obsSeq,
 		Final: final,
 
-		AppInsts:    cs.AppInsts,
-		KernelInsts: cs.KernelInsts,
-		Cycles:      cs.Cycles,
+		AppInsts:    c.Core.AppInsts,
+		KernelInsts: c.Core.KernelInsts,
+		Cycles:      c.Core.Cycles,
 
-		L2TLBMisses: ms.L2TLBMisses,
-		Walks:       ms.Walks,
-		WalkCycles:  ms.WalkCycles,
+		L2TLBMisses: c.MMU.L2TLBMisses,
+		Walks:       c.MMU.Walks,
+		WalkCycles:  c.MMU.WalkCycles,
 
-		MinorFaults: os.MinorFaults,
-		MajorFaults: os.MajorFaults,
-		SwapIns:     os.SwapIns,
-		SwapOuts:    os.SwapOuts,
-		Collapses:   os.Collapses,
+		MinorFaults: c.OS.MinorFaults,
+		MajorFaults: c.OS.MajorFaults,
+		SwapIns:     c.OS.SwapIns,
+		SwapOuts:    c.OS.SwapOuts,
+		Collapses:   c.OS.Collapses,
 
-		Promotions: os.Promotions,
-		Demotions:  os.Demotions,
+		Promotions: c.OS.Promotions,
+		Demotions:  c.OS.Demotions,
 
-		ContextSwitches: s.obsCtxSwitches,
-	}
+		ContextSwitches: c.Core.ContextSwitches,
+	})
 	s.obsSeq++
-	s.observer(snap)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -200,29 +199,6 @@ func volume(c *StreamChannel) StreamChannel {
 	return v
 }
 
-// layer is one per-layer statistics block the differential test
-// compares.
-type layer struct {
-	what  string
-	stats any
-}
-
-// layerStats returns the core, MMU, every cache level, DRAM, the stream
-// channel and the kernel statistics of s.
-func layerStats(s *System) []layer {
-	return []layer{
-		{"cpu", *s.Core.Stats()},
-		{"mmu", *s.MMU.Stats()},
-		{"L1I", *s.Hier.L1I.Stats()},
-		{"L1D", *s.Hier.L1D.Stats()},
-		{"L2", *s.Hier.L2.Stats()},
-		{"L3", *s.Hier.L3.Stats()},
-		{"dram", *s.Dram.Stats()},
-		{"stream channel", volume(s.StreamChan)},
-		{"kernel", *s.OS.Stats()},
-	}
-}
-
 // TestRangeStreamsMatchExpansion is the differential test of range
 // records: every kernel path runs on identically built systems, one
 // injecting MimicOS streams as recorded (zeroing and copying as range
@@ -248,15 +224,13 @@ func TestRangeStreamsMatchExpansion(t *testing.T) {
 			if gotRun != wantRun {
 				t.Errorf("executed kernel instructions differ:\nrange    %+v\nexpanded %+v", gotRun, wantRun)
 			}
-			wantStats := layerStats(want)
 			for _, side := range []struct {
 				name string
 				s    *System
-			}{{"range", got}, {"untapped range", bare}} {
-				for i, l := range layerStats(side.s) {
-					if !reflect.DeepEqual(l.stats, wantStats[i].stats) {
-						t.Errorf("%s stats differ:\n%s %+v\nexpanded %+v", l.what, side.name, l.stats, wantStats[i].stats)
-					}
+			}{{"range", got}, {"untapped", bare}} {
+				diffCounters(t, side.name, "expanded", side.s.counters(), want.counters())
+				if v, w := volume(side.s.StreamChan), volume(want.StreamChan); v != w {
+					t.Errorf("stream channel volume differs:\n%-8s %+v\nexpanded %+v", side.name, v, w)
 				}
 			}
 			if got.StreamChan.Insts == 0 || got.StreamChan.PeakRecords >= want.StreamChan.PeakRecords {

@@ -57,8 +57,9 @@ type Stats struct {
 	FetchCycles       uint64
 	CtxSwitchCycles   uint64 // scheduler context-switch cost (multi-process)
 
-	Loads, Stores uint64
-	SegvFaults    uint64
+	Loads, Stores   uint64
+	SegvFaults      uint64
+	ContextSwitches uint64 // scheduler dispatches of a different process
 }
 
 // IPC returns application instructions per cycle.
@@ -347,6 +348,7 @@ func (c *Core) StallFault(cycles uint64) {
 func (c *Core) ContextSwitch(cycles uint64) {
 	c.cycles += float64(cycles)
 	c.stats.CtxSwitchCycles += cycles
+	c.stats.ContextSwitches++
 }
 
 // resolveFault invokes the engine's fault handler.

@@ -131,6 +131,7 @@ type Stats struct {
 	TransCycles       uint64 // total translation cycles beyond the L1 hit path
 	FrontendCycles    uint64 // Midgard frontend share (Fig. 17)
 	BackendCycles     uint64
+	ContextFlushes    uint64 // whole-hierarchy flushes by SwitchContext
 }
 
 // AvgWalkLatency returns average PTW latency in cycles (Figs. 3, 10).
@@ -210,6 +211,7 @@ func (m *MMU) SwitchContext(asid uint16, d Design, flush bool) {
 	}
 	if flush {
 		m.FlushAll()
+		m.stats.ContextFlushes++
 	}
 }
 
