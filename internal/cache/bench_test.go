@@ -32,7 +32,7 @@ func BenchmarkLayer(b *testing.B) {
 		c := New("L1D", cfg.L1DSize, cfg.L1Ways, cfg.L1Latency, LRU)
 		n := int(cfg.L1DSize / mem.CacheLineBytes) // exactly fills L1
 		for i := 0; i < n; i++ {
-			c.Fill(line(i), false, mem.ATData, false)
+			c.fill(line(i), false, false)
 		}
 		ws := picks(n)
 		b.ReportAllocs()
@@ -65,15 +65,15 @@ func BenchmarkLayer(b *testing.B) {
 	missFill := func(b *testing.B, c *Cache) {
 		// Fill to capacity first, then stream fresh lines: each access
 		// misses and the fill evicts from a full set.
-		n := int(c.SizeBytes() / mem.CacheLineBytes)
+		n := len(c.tags)
 		for i := 0; i < n; i++ {
-			c.Fill(line(i), false, mem.ATData, false)
+			c.fill(line(i), false, false)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if pa := line(n + i); !c.Access(pa, false, mem.ATData) {
-				c.Fill(pa, false, mem.ATData, false)
+				c.fill(pa, false, false)
 			}
 		}
 	}
@@ -89,13 +89,13 @@ func BenchmarkLayer(b *testing.B) {
 		c := New("L2", cfg.L2Size, cfg.L2Ways, cfg.L2Latency, SRRIP)
 		n := int(cfg.L2Size / mem.CacheLineBytes) // exactly fills L2
 		for i := 0; i < n; i++ {
-			c.Fill(line(i), false, mem.ATData, false)
+			c.fill(line(i), false, false)
 		}
 		ws := picks(n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if !c.FillIfAbsent(ws[i&(len(ws)-1)], mem.ATData) {
+			if _, _, present := c.fill(ws[i&(len(ws)-1)], false, true); !present {
 				b.Fatal("resident line reported absent")
 			}
 		}

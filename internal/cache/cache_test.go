@@ -19,7 +19,7 @@ func TestCacheHitAfterFill(t *testing.T) {
 	if c.Access(pa, false, mem.ATData) {
 		t.Fatal("hit on empty cache")
 	}
-	c.Fill(pa, false, mem.ATData, false)
+	c.fill(pa, false, false)
 	if !c.Access(pa, false, mem.ATData) {
 		t.Fatal("miss after fill")
 	}
@@ -33,8 +33,8 @@ func TestCacheDirtyWriteback(t *testing.T) {
 	c := New("t", 256, 1, 1, LRU) // 4 sets, direct-mapped
 	a := mem.PAddr(0x0)
 	b := a + 256 // same set (4 sets * 64B stride)
-	c.Fill(a, true, mem.ATData, false)
-	wb, dirty := c.Fill(b, false, mem.ATData, false)
+	c.fill(a, true, false)
+	wb, dirty, _ := c.fill(b, false, false)
 	if !dirty {
 		t.Fatal("dirty eviction not reported")
 	}
@@ -46,11 +46,11 @@ func TestCacheDirtyWriteback(t *testing.T) {
 func TestSRRIPVictimSelection(t *testing.T) {
 	c := New("t", 512, 2, 1, SRRIP) // 4 sets, 2 ways
 	a, b := mem.PAddr(0), mem.PAddr(512)
-	c.Fill(a, false, mem.ATData, false)
-	c.Fill(b, false, mem.ATData, false)
+	c.fill(a, false, false)
+	c.fill(b, false, false)
 	c.Access(a, false, mem.ATData) // promote a (rrpv=0)
 	cA := mem.PAddr(1024)
-	c.Fill(cA, false, mem.ATData, false) // must evict b, not a
+	c.fill(cA, false, false) // must evict b, not a
 	if !c.Lookup(a) {
 		t.Fatal("recently re-referenced line evicted under SRRIP")
 	}
@@ -156,7 +156,7 @@ func TestQuickCacheCoherentWithSet(t *testing.T) {
 		for _, op := range ops {
 			pa := mem.Line(mem.PAddr(op) << 6)
 			if op%2 == 0 {
-				c.Fill(pa, false, mem.ATData, false)
+				c.fill(pa, false, false)
 				present[pa] = true
 			} else if c.Access(pa, false, mem.ATData) && !present[pa] {
 				return false // phantom hit
@@ -170,23 +170,21 @@ func TestQuickCacheCoherentWithSet(t *testing.T) {
 }
 
 // refCache is the linear-scan cache the fingerprint lookup replaced,
-// kept verbatim in behaviour as the differential reference: every way
-// scan walks the whole tags row, and fill resolves presence, the first
-// invalid way and the victim input in one fused pass.
+// kept as the differential reference: every way scan walks the whole
+// tags row, fill resolves presence, the first invalid way and the victim
+// input in one fused pass, and SRRIP keeps a byte per way with the
+// textbook aging loop.
 type refCache struct {
 	sets, ways int
 	policy     ReplPolicy
 	tags       []uint64
 	lru        []uint64
-	meta       []uint8
-	rrpv       []uint64
+	dirty      []bool
+	rrpv       []uint8
 	tick       uint64
 	stats      Stats
 	setMask    uint64
 	setsShift  uint
-	packed     bool
-	rrpvLo     uint64
-	rrpvHi     uint64
 }
 
 func newRefCache(sizeBytes uint64, ways int, policy ReplPolicy) *refCache {
@@ -194,21 +192,14 @@ func newRefCache(sizeBytes uint64, ways int, policy ReplPolicy) *refCache {
 	c := &refCache{
 		sets: sets, ways: ways, policy: policy,
 		tags:      make([]uint64, sets*ways),
-		meta:      make([]uint8, sets*ways),
+		dirty:     make([]bool, sets*ways),
 		setMask:   uint64(sets - 1),
 		setsShift: uint(bits.TrailingZeros(uint(sets))),
 	}
 	if policy == LRU {
 		c.lru = make([]uint64, sets*ways)
-	}
-	if policy == SRRIP && ways <= 32 {
-		c.packed = true
-		c.rrpv = make([]uint64, sets)
-		c.rrpvLo = 0x5555555555555555
-		if ways < 32 {
-			c.rrpvLo &= 1<<(2*uint(ways)) - 1
-		}
-		c.rrpvHi = c.rrpvLo << 1
+	} else {
+		c.rrpv = make([]uint8, sets*ways)
 	}
 	return c
 }
@@ -242,18 +233,12 @@ func (c *refCache) Access(pa mem.PAddr, write bool, t mem.AccessType) bool {
 		if e == enc {
 			c.stats.Hits[t]++
 			i := base + w
-			switch {
-			case c.policy == LRU:
+			if c.policy == LRU {
 				c.lru[i] = c.tick
-				c.meta[i] &^= metaRrpvMask
-			case c.packed:
-				c.rrpv[set] &^= 3 << (uint(w) * 2)
-			default:
-				c.meta[i] &^= metaRrpvMask
+			} else {
+				c.rrpv[i] = 0
 			}
-			if write {
-				c.meta[i] |= metaDirty
-			}
+			c.dirty[i] = c.dirty[i] || write
 			return true
 		}
 	}
@@ -261,90 +246,37 @@ func (c *refCache) Access(pa mem.PAddr, write bool, t mem.AccessType) bool {
 	return false
 }
 
-func (c *refCache) Fill(pa mem.PAddr, write bool, t mem.AccessType, prefetch bool) (mem.PAddr, bool) {
-	wbAddr, wb, _ := c.fill(pa, write, t, prefetch, false)
-	return wbAddr, wb
-}
-
-func (c *refCache) FillIfAbsent(pa mem.PAddr, t mem.AccessType) bool {
-	_, _, present := c.fill(pa, false, t, true, true)
-	return present
-}
-
-func (c *refCache) fill(pa mem.PAddr, write bool, t mem.AccessType, prefetch, probe bool) (wbAddr mem.PAddr, wb, present bool) {
-	if !probe {
-		c.tick++
-	}
+// fill probes first and ticks only when it places, like Cache.fill.
+func (c *refCache) fill(pa mem.PAddr, write, prefetch bool) (wbAddr mem.PAddr, wb, present bool) {
 	set, tag := c.setOf(pa), c.tagOf(pa)
 	enc := tag<<1 | 1
 	base := set * c.ways
 	row := c.tags[base : base+c.ways : base+c.ways]
-	metaRow := c.meta[base : base+c.ways : base+c.ways]
 	invalid := -1
 	lruVictim := 0
 	oldest := ^uint64(0)
 	maxR := uint8(0)
-	switch {
-	case c.policy == LRU:
-		lruRow := c.lru[base : base+c.ways : base+c.ways]
-		for w := range row {
-			e := row[w]
-			if e == enc {
-				if write {
-					metaRow[w] |= metaDirty
-				}
-				return 0, false, true
+	for w, e := range row {
+		if e == enc {
+			c.dirty[base+w] = c.dirty[base+w] || write
+			return 0, false, true
+		}
+		if e == 0 {
+			if invalid < 0 {
+				invalid = w
 			}
-			if e == 0 {
-				if invalid < 0 {
-					invalid = w
-				}
-				continue
-			}
-			if invalid >= 0 {
-				continue
-			}
-			if s := lruRow[w]; s < oldest {
+			continue
+		}
+		if c.policy == LRU {
+			if s := c.lru[base+w]; s < oldest {
 				oldest = s
 				lruVictim = w
 			}
-		}
-	case c.packed:
-		for w := range row {
-			e := row[w]
-			if e == enc {
-				if write {
-					metaRow[w] |= metaDirty
-				}
-				return 0, false, true
-			}
-			if e == 0 && invalid < 0 {
-				invalid = w
-			}
-		}
-	default:
-		for w := range row {
-			e := row[w]
-			if e == enc {
-				if write {
-					metaRow[w] |= metaDirty
-				}
-				return 0, false, true
-			}
-			if e == 0 {
-				if invalid < 0 {
-					invalid = w
-				}
-				continue
-			}
-			if r := metaRow[w] & metaRrpvMask >> metaRrpvShift; r > maxR {
-				maxR = r
-			}
+		} else {
+			maxR = max(maxR, c.rrpv[base+w])
 		}
 	}
-	if probe {
-		c.tick++
-	}
+	c.tick++
 
 	victim := -1
 	switch {
@@ -352,58 +284,26 @@ func (c *refCache) fill(pa mem.PAddr, write bool, t mem.AccessType, prefetch, pr
 		victim = base + invalid
 	case c.policy == LRU:
 		victim = base + lruVictim
-	case c.packed:
-		r := c.rrpv[set]
-		var age uint64
-		if f3 := r >> 1 & r & c.rrpvLo; f3 != 0 {
-			victim = base + bits.TrailingZeros64(f3)>>1
-		} else if hi := r & c.rrpvHi; hi != 0 {
-			victim = base + bits.TrailingZeros64(hi)>>1
-			age = 1
-		} else if r != 0 {
-			victim = base + bits.TrailingZeros64(r)>>1
-			age = 2
-		} else {
-			victim = base
-			age = 3
-		}
-		if age != 0 {
-			c.rrpv[set] = r + age*c.rrpvLo
-		}
 	default:
 		age := uint8(srripMax) - maxR
-		for w := range metaRow {
-			r := metaRow[w] & metaRrpvMask >> metaRrpvShift
-			if victim < 0 && r == maxR {
-				victim = base + w
+		for w := base; w < base+c.ways; w++ {
+			if victim < 0 && c.rrpv[w] == maxR {
+				victim = w
 			}
-			if age > 0 {
-				metaRow[w] += age << metaRrpvShift
-			}
+			c.rrpv[w] += age
 		}
 	}
 
 	if c.tags[victim] != 0 {
 		c.stats.Evictions++
-		if c.meta[victim]&metaDirty != 0 {
+		if c.dirty[victim] {
 			c.stats.Writebacks++
 			wb = true
 			wbAddr = mem.PAddr((c.tags[victim]>>1<<c.setsShift + uint64(set)) << mem.CacheLineShift)
 		}
 	}
 	c.tags[victim] = enc
-	m := uint8(t) << metaTypeShift
-	if !c.packed {
-		m |= uint8(srripMax-1) << metaRrpvShift
-	}
-	if write {
-		m |= metaDirty
-	}
-	c.meta[victim] = m
-	if c.packed {
-		sh := uint(victim-base) * 2
-		c.rrpv[set] = c.rrpv[set]&^(3<<sh) | uint64(srripMax-1)<<sh
-	}
+	c.dirty[victim] = write
 	if prefetch {
 		c.stats.PrefetchFills++
 	}
@@ -412,29 +312,10 @@ func (c *refCache) fill(pa mem.PAddr, write bool, t mem.AccessType, prefetch, pr
 		if prefetch && c.tick > uint64(c.ways) {
 			c.lru[victim] = c.tick - uint64(c.ways)
 		}
+	} else {
+		c.rrpv[victim] = srripMax - 1
 	}
 	return wbAddr, wb, false
-}
-
-func (c *refCache) Invalidate(pa mem.PAddr) bool {
-	set, tag := c.setOf(pa), c.tagOf(pa)
-	enc := tag<<1 | 1
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == enc {
-			d := c.meta[base+w]&metaDirty != 0
-			c.tags[base+w] = 0
-			if c.policy == LRU {
-				c.lru[base+w] = 0
-			}
-			c.meta[base+w] = 0
-			if c.packed {
-				c.rrpv[set] &^= 3 << (uint(w) * 2)
-			}
-			return d
-		}
-	}
-	return false
 }
 
 // invalid returns the number of invalid ways.
@@ -448,19 +329,10 @@ func (c *refCache) invalid() int {
 	return n
 }
 
-func (c *refCache) OccupancyOf(t mem.AccessType) int {
-	n := 0
-	for i := range c.tags {
-		if c.tags[i] != 0 && mem.AccessType(c.meta[i]>>metaTypeShift) == t {
-			n++
-		}
-	}
-	return n
-}
-
 // diffGeometries are the shapes the differential test drives: both
-// sides of the fingerprint word and valid-mask boundaries, packed and
-// unpacked SRRIP, and the 12-way validation L3 whose fingerprint word
+// sides of the fingerprint word, valid-mask and RRPV word boundaries
+// (33-way SRRIP leaves one way in its last RRPV word, 64-way fills two
+// words exactly), and the 12-way validation L3 whose fingerprint word
 // has padding lanes.
 var diffGeometries = []struct {
 	name   string
@@ -473,7 +345,9 @@ var diffGeometries = []struct {
 	{"8way-lru", 8, 8, LRU},
 	{"12way-srrip", 8, 12, SRRIP},
 	{"16way-srrip", 4, 16, SRRIP},
+	{"33way-srrip", 4, 33, SRRIP},
 	{"48way-srrip", 4, 48, SRRIP},
+	{"64way-srrip", 2, 64, SRRIP},
 	{"64way-lru", 2, 64, LRU},
 	{"96way-lru", 2, 96, LRU},
 }
@@ -489,7 +363,7 @@ func runCacheOps(t testing.TB, g int, b []byte) Stats {
 	size := uint64(geo.sets*geo.ways) * mem.CacheLineBytes
 	c, r := New(geo.name, size, geo.ways, 1, geo.policy), newRefCache(size, geo.ways, geo.policy)
 	for step := 0; len(b) >= 4; step, b = step+1, b[4:] {
-		op, write, prefetch := b[0]%6, b[0]&0x08 != 0, b[0]&0x10 != 0
+		op, write, prefetch := b[0]%4, b[0]&0x08 != 0, b[0]&0x10 != 0
 		at := mem.AccessType(int(b[0]>>5) % mem.NumAccessTypes)
 		tag := uint64(b[2]) % uint64(2*geo.ways+3) // cold: up to ~2x the set
 		if b[2] < 160 {
@@ -507,22 +381,18 @@ func runCacheOps(t testing.TB, g int, b []byte) Stats {
 		case 0:
 			got, want = c.Access(pa, write, at), r.Access(pa, write, at)
 		case 1:
-			wa, wd := c.Fill(pa, write, at, prefetch)
-			ra, rd := r.Fill(pa, write, at, prefetch)
-			got, want = [2]any{wa, wd}, [2]any{ra, rd}
+			wa, wd, wp := c.fill(pa, write, prefetch)
+			ra, rd, rp := r.fill(pa, write, prefetch)
+			got, want = [3]any{wa, wd, wp}, [3]any{ra, rd, rp}
 		case 2:
-			got, want = c.FillIfAbsent(pa, at), r.FillIfAbsent(pa, at)
-		case 3:
 			got, want = c.Lookup(pa), r.Lookup(pa)
-		case 4:
-			got, want = c.Invalidate(pa), r.Invalidate(pa)
-		case 5:
+		case 3:
 			// A demand miss installs without a second probe.
 			hit, rhit := c.Access(pa, write, at), r.Access(pa, write, at)
 			got, want = hit, rhit
 			if !hit && !rhit {
-				wa, wd := c.install(pa, write, at)
-				ra, rd := r.Fill(pa, write, at, false)
+				wa, wd := c.install(pa, write)
+				ra, rd, _ := r.fill(pa, write, false)
 				got, want = [2]any{wa, wd}, [2]any{ra, rd}
 			}
 		}
@@ -537,7 +407,8 @@ func runCacheOps(t testing.TB, g int, b []byte) Stats {
 }
 
 // diffCacheState compares every piece of replacement and statistics
-// state, and checks that the lookup records agree with the tags.
+// state, way by way for the set records, and checks that the records
+// agree with the tags and keep their padding clear.
 func diffCacheState(c *Cache, r *refCache) error {
 	switch {
 	case c.tick != r.tick:
@@ -546,30 +417,39 @@ func diffCacheState(c *Cache, r *refCache) error {
 		return fmt.Errorf("stats %+v, reference %+v", c.stats, r.stats)
 	case !slices.Equal(c.tags, r.tags):
 		return fmt.Errorf("tags %x, reference %x", c.tags, r.tags)
-	case !slices.Equal(c.meta, r.meta):
-		return fmt.Errorf("meta %x, reference %x", c.meta, r.meta)
 	case !slices.Equal(c.lru, r.lru):
 		return fmt.Errorf("lru %v, reference %v", c.lru, r.lru)
 	case c.valid != len(r.tags)-r.invalid():
 		return fmt.Errorf("%d valid lines, reference %d", c.valid, len(r.tags)-r.invalid())
 	}
-	for at := mem.AccessType(0); int(at) < mem.NumAccessTypes; at++ {
-		if got, want := c.OccupancyOf(at), r.OccupancyOf(at); got != want {
-			return fmt.Errorf("OccupancyOf(%v) = %d, reference %d", at, got, want)
-		}
-	}
 	for set := 0; set < c.sets; set++ {
 		o := set * c.stride
-		if c.packed && c.setMeta[o+c.fpEnd] != r.rrpv[set] {
-			return fmt.Errorf("set %d rrpv %#x, reference %#x", set, c.setMeta[o+c.fpEnd], r.rrpv[set])
-		}
 		for w := 0; w < c.ways; w++ {
-			e := c.tags[set*c.ways+w]
+			i := set*c.ways + w
+			e := c.tags[i]
 			if valid := c.setMeta[o+w/64]>>(w%64)&1 == 1; valid != (e != 0) {
 				return fmt.Errorf("set %d way %d: valid bit %v with tags entry %#x", set, w, valid, e)
 			}
 			if fp := uint8(c.setMeta[o+c.fpOff+w/8] >> (w % 8 * 8)); e != 0 && fp != uint8(e>>1) {
 				return fmt.Errorf("set %d way %d: fingerprint %#x for tags entry %#x", set, w, fp, e)
+			}
+			if d := c.setMeta[o+c.dirtyOff+w/64]>>(w%64)&1 == 1; d != r.dirty[i] {
+				return fmt.Errorf("set %d way %d: dirty %v, reference %v", set, w, d, r.dirty[i])
+			}
+			if c.policy == SRRIP {
+				if rr := uint8(c.setMeta[o+c.rrpvOff+w/32] >> (w % 32 * 2) & 3); rr != r.rrpv[i] {
+					return fmt.Errorf("set %d way %d: rrpv %d, reference %d", set, w, rr, r.rrpv[i])
+				}
+			}
+		}
+		for w := c.ways; w < 64*c.fpOff; w++ {
+			if c.setMeta[o+w/64]>>(w%64)&1 != 0 || c.setMeta[o+c.dirtyOff+w/64]>>(w%64)&1 != 0 {
+				return fmt.Errorf("set %d: padding way %d marked valid or dirty", set, w)
+			}
+		}
+		for w := c.ways; c.policy == SRRIP && w < 32*(c.stride-c.rrpvOff); w++ {
+			if c.setMeta[o+c.rrpvOff+w/32]>>(w%32*2)&3 != 0 {
+				return fmt.Errorf("set %d: padding way %d has an rrpv", set, w)
 			}
 		}
 	}
@@ -590,7 +470,11 @@ func TestCacheMatchesLinearScanReference(t *testing.T) {
 					ops[i] = byte(rng.Uint32())
 				}
 				st := runCacheOps(t, g, ops)
-				if st.HitRate() == 0 || st.Evictions == 0 || st.Writebacks == 0 || st.PrefetchFills == 0 {
+				var hits uint64
+				for _, h := range st.Hits {
+					hits += h
+				}
+				if hits == 0 || st.Evictions == 0 || st.Writebacks == 0 || st.PrefetchFills == 0 {
 					t.Fatalf("seed %d: stream too tame to compare anything: %+v", seed, st)
 				}
 			}

@@ -133,7 +133,7 @@ func (h *Hierarchy) Access(pa mem.PAddr, write bool, t mem.AccessType, pc uint64
 	lat += h.L2.Latency()
 	if h.L2.Access(la, write, t) {
 		// L1D missed la above; the IP-stride prefetches since are not la.
-		h.L1D.install(la, write, t)
+		h.L1D.install(la, write)
 		return lat
 	}
 	if h.stream != nil && (t == mem.ATData || t == mem.ATKernel) {
@@ -143,7 +143,7 @@ func (h *Hierarchy) Access(pa mem.PAddr, write bool, t mem.AccessType, pc uint64
 	}
 	lat += h.L3.Latency()
 	if h.L3.Access(la, write, t) {
-		h.fillUp(la, write, t)
+		h.fillUp(la, write)
 		return lat
 	}
 	lat += h.Dram.Access(la, false, t, now+lat)
@@ -162,19 +162,19 @@ func (h *Hierarchy) FetchInstr(pa mem.PAddr, now uint64) uint64 {
 	}
 	lat += h.L2.Latency()
 	if h.L2.Access(la, false, mem.ATInstr) {
-		h.L1I.install(la, false, mem.ATInstr)
+		h.L1I.install(la, false)
 		return lat
 	}
 	lat += h.L3.Latency()
 	if h.L3.Access(la, false, mem.ATInstr) {
-		h.L2.install(la, false, mem.ATInstr)
-		h.L1I.install(la, false, mem.ATInstr)
+		h.L2.install(la, false)
+		h.L1I.install(la, false)
 		return lat
 	}
 	lat += h.Dram.Access(la, false, mem.ATInstr, now+lat)
-	h.L3.install(la, false, mem.ATInstr)
-	h.L2.install(la, false, mem.ATInstr)
-	h.L1I.install(la, false, mem.ATInstr)
+	h.L3.install(la, false)
+	h.L2.install(la, false)
+	h.L1I.install(la, false)
 	return lat
 }
 
@@ -182,50 +182,49 @@ func (h *Hierarchy) FetchInstr(pa mem.PAddr, now uint64) uint64 {
 // writebacks. Access missed la in both levels; since then L2 took only
 // stream prefetches and L1D only IP-stride prefetches, none of them la.
 // The writebacks may find their line present, so they keep the probe.
-func (h *Hierarchy) fillUp(la mem.PAddr, write bool, t mem.AccessType) {
-	if wb, dirty := h.L2.install(la, write, t); dirty {
-		h.L3.Fill(wb, true, t, false)
+func (h *Hierarchy) fillUp(la mem.PAddr, write bool) {
+	if wb, dirty := h.L2.install(la, write); dirty {
+		h.L3.fill(wb, true, false)
 	}
-	if wb, dirty := h.L1D.install(la, write, t); dirty {
-		h.L2.Fill(wb, true, t, false)
+	if wb, dirty := h.L1D.install(la, write); dirty {
+		h.L2.fill(wb, true, false)
 	}
 }
 
 // fillAll inserts into every level after a DRAM fill. L3 missed la just
 // before, and only DRAM ran since.
 func (h *Hierarchy) fillAll(la mem.PAddr, write bool, t mem.AccessType, now uint64) {
-	if wb, dirty := h.L3.install(la, write, t); dirty {
+	if wb, dirty := h.L3.install(la, write); dirty {
 		h.Dram.Access(wb, true, t, now)
 	}
-	h.fillUp(la, write, t)
+	h.fillUp(la, write)
 }
 
 // prefetchFill services an L1D prefetch: it pulls the line to L1D,
 // fetching from lower levels as needed (latency hidden, bandwidth and
-// occupancy modeled). Each level is probed and filled in one scan via
-// FillIfAbsent; every level sees the same per-cache operation sequence
-// as the historical probe-then-fill form, so simulated state is
-// identical — the fused form just avoids rescanning each set.
+// occupancy modeled). Each level is probed and filled in one scan by
+// Cache.fill, which leaves a present line untouched; the victims are
+// dropped.
 func (h *Hierarchy) prefetchFill(la mem.PAddr, t mem.AccessType, now uint64) {
-	if h.L1D.FillIfAbsent(la, t) {
+	if _, _, present := h.L1D.fill(la, false, true); present {
 		return
 	}
 	// L2 and L3 are filled only when the line was in neither (an
 	// L3-only hit leaves L2 untouched), so L2 needs a separate probe.
 	if !h.L2.Lookup(la) {
-		if !h.L3.FillIfAbsent(la, t) {
+		if _, _, present := h.L3.fill(la, false, true); !present {
 			h.Dram.Access(la, false, t, now)
-			h.L2.Fill(la, false, t, true)
+			h.L2.fill(la, false, true)
 		}
 	}
 }
 
 // prefetchFillL2 services an L2 stream prefetch.
 func (h *Hierarchy) prefetchFillL2(la mem.PAddr, t mem.AccessType, now uint64) {
-	if h.L2.FillIfAbsent(la, t) {
+	if _, _, present := h.L2.fill(la, false, true); present {
 		return
 	}
-	if !h.L3.FillIfAbsent(la, t) {
+	if _, _, present := h.L3.fill(la, false, true); !present {
 		h.Dram.Access(la, false, t, now)
 	}
 }

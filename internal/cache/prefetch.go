@@ -9,8 +9,6 @@ type IPStridePrefetcher struct {
 	mask    uint64
 	degree  int
 	buf     []mem.PAddr // reused across Observe calls; valid until the next call
-	Issued  uint64
-	Useful  uint64 // approximated by the fill layer
 }
 
 type ipEntry struct {
@@ -68,7 +66,6 @@ func (p *IPStridePrefetcher) Observe(pc uint64, pa mem.PAddr) []mem.PAddr {
 		}
 		out = append(out, mem.PAddr(next))
 	}
-	p.Issued += uint64(len(out))
 	return out
 }
 
@@ -79,7 +76,6 @@ type StreamPrefetcher struct {
 	next    int
 	degree  int
 	buf     []mem.PAddr // reused across Observe calls; valid until the next call
-	Issued  uint64
 }
 
 type streamEntry struct {
@@ -139,7 +135,6 @@ func (p *StreamPrefetcher) Observe(pa mem.PAddr) []mem.PAddr {
 			}
 			out = append(out, mem.PAddr(a))
 		}
-		p.Issued += uint64(len(out))
 		return out
 	}
 	// Allocate a new tracker round-robin.

@@ -54,7 +54,6 @@ type FunctionalChannel struct {
 	mu       sync.Mutex
 	handler  func(Request) Response
 	Messages uint64
-	Doorbell uint64 // magic-instruction count
 }
 
 // NewFunctionalChannel binds the channel to a kernel-side handler.
@@ -67,7 +66,6 @@ func NewFunctionalChannel(handler func(Request) Response) *FunctionalChannel {
 func (c *FunctionalChannel) Call(req Request) Response {
 	c.mu.Lock()
 	c.Messages++
-	c.Doorbell += 2 // simulator->kernel and kernel->simulator magic ops
 	h := c.handler
 	c.mu.Unlock()
 	return h(req)
@@ -88,10 +86,8 @@ func (c *FunctionalChannel) Submit(req Request) <-chan Response {
 // instrumented instructions flow through it to the simulator's core
 // model. It tracks volume for the §7.3 correlation analysis.
 type StreamChannel struct {
-	Streams    uint64
-	Insts      uint64
-	MemOps     uint64
-	PeakStream uint64 // largest stream, in instructions
+	Streams uint64
+	Insts   uint64
 	// PeakRecords is the largest stream in records: the buffer one
 	// kernel event needs. Range records keep it small, since a 2 MB
 	// clear is one record however many instructions it stands for.
@@ -102,10 +98,7 @@ type StreamChannel struct {
 // returns it for injection.
 func (c *StreamChannel) Deliver(s isa.Stream) isa.Stream {
 	c.Streams++
-	n := s.Instructions()
-	c.Insts += n
-	c.MemOps += s.MemOps()
-	c.PeakStream = max(c.PeakStream, n)
+	c.Insts += s.Instructions()
 	c.PeakRecords = max(c.PeakRecords, uint64(len(s)))
 	return s
 }

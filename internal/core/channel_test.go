@@ -20,8 +20,8 @@ func TestFunctionalChannelRoundTrip(t *testing.T) {
 	if !resp.Fault.OK || resp.Fault.Frame != 0xABC000 {
 		t.Fatalf("response = %+v", resp)
 	}
-	if ch.Messages != 1 || ch.Doorbell != 2 {
-		t.Fatalf("channel accounting: messages=%d doorbells=%d", ch.Messages, ch.Doorbell)
+	if ch.Messages != 1 {
+		t.Fatalf("channel accounting: messages=%d", ch.Messages)
 	}
 }
 
@@ -71,13 +71,10 @@ func TestStreamChannelAccounting(t *testing.T) {
 	if len(got) != len(s) {
 		t.Fatal("stream not passed through")
 	}
-	if ch.Streams != 1 || ch.Insts != 52 || ch.MemOps != 2 {
+	if ch.Streams != 1 || ch.Insts != 52 {
 		t.Fatalf("accounting: %+v", ch)
 	}
 	ch.Deliver(isa.Stream{isa.ALU(10)})
-	if ch.PeakStream != 52 {
-		t.Fatalf("peak = %d", ch.PeakStream)
-	}
 
 	// Range records count the instructions they stand for: a 64-line
 	// clear and a 4-line copy pair are 72 memory instructions in three
@@ -92,7 +89,7 @@ func TestStreamChannelAccounting(t *testing.T) {
 	if len(x) != 72 || x.Instructions() != 72 || x.MemOps() != 72 {
 		t.Fatalf("expansion: %d records, %d insts, %d mem ops", len(x), x.Instructions(), x.MemOps())
 	}
-	if ch.Streams != 3 || ch.Insts != 52+10+72 || ch.MemOps != 2+72 || ch.PeakStream != 72 || ch.PeakRecords != 3 {
+	if ch.Streams != 3 || ch.Insts != 52+10+72 || ch.PeakRecords != 3 {
 		t.Fatalf("range accounting: %+v", ch)
 	}
 }

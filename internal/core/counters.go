@@ -1,7 +1,7 @@
 package core
 
 import (
-	"reflect"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
@@ -13,8 +13,9 @@ import (
 
 // Counters is one read of every layer's cumulative statistics: the one
 // place Metrics, Snapshots and per-process slices take them from. Every
-// leaf is a uint64, so Sub is a plain field-wise walk
-// (TestCountersSubCoversEveryField keeps it that way).
+// leaf is a uint64, so a Counters is an array of uint64 with no padding
+// and Sub subtracts word by word (TestCountersSubCoversEveryField keeps
+// it that way).
 type Counters struct {
 	Core             cpu.Stats
 	MMU              mmu.Stats
@@ -61,23 +62,10 @@ func (c Counters) L2TLBMPKI() float64 {
 // reads. uint64 arithmetic wraps, so acc.Sub(before.Sub(after)) adds the
 // same interval to a running sum acc.
 func (c Counters) Sub(prev Counters) Counters {
-	sub(reflect.ValueOf(&c).Elem(), reflect.ValueOf(&prev).Elem())
-	return c
-}
-
-// sub subtracts v from dst leaf by leaf. A leaf of any kind but uint64
-// panics in NumField.
-func sub(dst, v reflect.Value) {
-	switch dst.Kind() {
-	case reflect.Uint64:
-		dst.SetUint(dst.Uint() - v.Uint())
-	case reflect.Array:
-		for i := range dst.Len() {
-			sub(dst.Index(i), v.Index(i))
-		}
-	default:
-		for i := range dst.NumField() {
-			sub(dst.Field(i), v.Field(i))
-		}
+	type words = [unsafe.Sizeof(Counters{}) / 8]uint64
+	d, p := (*words)(unsafe.Pointer(&c)), (*words)(unsafe.Pointer(&prev))
+	for i := range d {
+		d[i] -= p[i]
 	}
+	return c
 }

@@ -15,7 +15,13 @@ import (
 
 func testCore(t testing.TB) (*Core, pagetable.PageTable) {
 	t.Helper()
-	h := cache.NewHierarchy(cache.DefaultHierarchyConfig(), dram.NewController(dram.Config{}))
+	return testCoreWith(t, cache.DefaultHierarchyConfig())
+}
+
+// testCoreWith is testCore over the given cache hierarchy.
+func testCoreWith(t testing.TB, caches cache.HierarchyConfig) (*Core, pagetable.PageTable) {
+	t.Helper()
+	h := cache.NewHierarchy(caches, dram.NewController(dram.Config{}))
 	pt := pagetable.NewRadix(phys.NewSlab(phys.New(256 * mem.MB)))
 	m := mmu.New(mmu.DefaultConfig(), mmu.NewRadixWalker(pt, h), 1)
 	return New(DefaultConfig(), h, m), pt

@@ -65,7 +65,6 @@ const (
 // Pool recycles simulator allocations across pooled System lifetimes.
 type Pool struct {
 	u64  map[int][][]uint64
-	u8   map[int][][]uint8
 	objs map[string][]any
 }
 
@@ -73,7 +72,6 @@ type Pool struct {
 func New() *Pool {
 	return &Pool{
 		u64:  map[int][][]uint64{},
-		u8:   map[int][][]uint8{},
 		objs: map[string][]any{},
 	}
 }
@@ -115,23 +113,6 @@ func (p *Pool) Uint64s(n int) []uint64 {
 func (p *Pool) PutUint64s(s []uint64) {
 	if p != nil {
 		giveSlice(p.u64, s)
-	}
-}
-
-// Uint8s returns a zeroed []uint8 of length n, pooled when possible.
-func (p *Pool) Uint8s(n int) []uint8 {
-	if p != nil {
-		if s, ok := takeSlice(p.u8, n); ok {
-			return s
-		}
-	}
-	return make([]uint8, n)
-}
-
-// PutUint8s returns a slice to the pool (dropped when p is nil).
-func (p *Pool) PutUint8s(s []uint8) {
-	if p != nil {
-		giveSlice(p.u8, s)
 	}
 }
 
