@@ -62,6 +62,36 @@ func BenchmarkLayer(b *testing.B) {
 		}
 	})
 
+	b.Run("cache/store_stream_dirty", func(b *testing.B) {
+		// Stores to fresh lines through the scaled caches, with the
+		// prefetchers off: once every level is full of dirty lines, each
+		// access misses to DRAM and every demand fill evicts a dirty line,
+		// so each op runs three write-back steps.
+		hc := scaledCaches(false)
+		h := NewHierarchy(hc, dram.NewController(dram.Config{}))
+		n := int(hc.L3Size / mem.CacheLineBytes)
+		var now uint64
+		for i := 0; i < n; i++ {
+			now += h.Access(line(i), true, mem.ATData, 0, now)
+		}
+		levels := [...]*Cache{h.L1D, h.L2, h.L3}
+		var before [len(levels)]Stats
+		for i, c := range levels {
+			before[i] = *c.Stats()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			now += h.Access(line(n+i), true, mem.ATData, 0, now)
+		}
+		b.StopTimer()
+		for i, c := range levels {
+			if e, w := c.Stats().Evictions-before[i].Evictions, c.Stats().Writebacks-before[i].Writebacks; e < uint64(b.N) || w != e {
+				b.Fatalf("level %d: %d ops evicted %d lines, %d of them dirty", i+1, b.N, e, w)
+			}
+		}
+	})
+
 	missFill := func(b *testing.B, c *Cache) {
 		// Fill to capacity first, then stream fresh lines: each access
 		// misses and the fill evicts from a full set.

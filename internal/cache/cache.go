@@ -29,13 +29,6 @@ const (
 	SRRIP
 )
 
-func (p ReplPolicy) String() string {
-	if p == SRRIP {
-		return "srrip"
-	}
-	return "lru"
-}
-
 const srripMax = 3 // 2-bit RRPV
 
 // Lines are stored structure-of-arrays, one densely packed word per way
@@ -249,22 +242,21 @@ func (c *Cache) Access(pa mem.PAddr, write bool, t mem.AccessType) bool {
 }
 
 // install places the line for pa after the caller has just missed it in
-// this cache: the line is absent, so it ticks and places the line with
-// no probe. It returns the physical address of an evicted dirty line
-// (writeback needed) and whether a dirty eviction occurred. Every call
-// site states why the line cannot have arrived between the miss and the
-// install.
-func (c *Cache) install(pa mem.PAddr, write bool) (mem.PAddr, bool) {
-	c.tick++
+// this cache: the line is absent, so it places the line with no probe.
+// It returns the physical address of an evicted dirty line (writeback
+// needed) and whether a dirty eviction occurred. prefetch marks fills
+// triggered by a prefetcher, which count in PrefetchFills and insert at
+// a colder LRU position. Every call site states why the line cannot
+// have arrived between the miss and the install.
+func (c *Cache) install(pa mem.PAddr, write, prefetch bool) (mem.PAddr, bool) {
 	set, enc := c.locate(pa)
-	return c.place(set, enc, write, false)
+	return c.place(set, enc, write, prefetch)
 }
 
 // fill is install for a line that may already be present: it probes
 // first, and a line it finds is left in place (marked dirty by a write)
-// with no tick and no replacement update. An absent line is ticked and
-// placed like install, and its victim returned. prefetch marks fills
-// triggered by a prefetcher, which insert at a colder LRU position.
+// with no tick and no replacement update. An absent line is placed like
+// install, and its victim returned.
 func (c *Cache) fill(pa mem.PAddr, write, prefetch bool) (wbAddr mem.PAddr, wb, present bool) {
 	set, enc := c.locate(pa)
 	if w := c.find(set, enc); w >= 0 {
@@ -273,15 +265,16 @@ func (c *Cache) fill(pa mem.PAddr, write, prefetch bool) (wbAddr mem.PAddr, wb, 
 		}
 		return 0, false, true
 	}
-	c.tick++
 	wbAddr, wb = c.place(set, enc, write, prefetch)
 	return wbAddr, wb, false
 }
 
-// place puts the absent line enc into set, in the first invalid way if
-// there is one, else over the policy's victim, and returns the address
-// of an evicted dirty line and whether there was one.
+// place ticks and puts the absent line enc into set, in the first
+// invalid way if there is one, else over the policy's victim, and
+// returns the address of an evicted dirty line and whether there was
+// one.
 func (c *Cache) place(set int, enc uint64, write, prefetch bool) (wbAddr mem.PAddr, wb bool) {
+	c.tick++
 	base, o := set*c.ways, set*c.stride
 	w := -1
 	if c.valid < len(c.tags) {

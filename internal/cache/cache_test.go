@@ -387,12 +387,12 @@ func runCacheOps(t testing.TB, g int, b []byte) Stats {
 		case 2:
 			got, want = c.Lookup(pa), r.Lookup(pa)
 		case 3:
-			// A demand miss installs without a second probe.
+			// A miss installs without a second probe.
 			hit, rhit := c.Access(pa, write, at), r.Access(pa, write, at)
 			got, want = hit, rhit
 			if !hit && !rhit {
-				wa, wd := c.install(pa, write)
-				ra, rd, _ := r.fill(pa, write, false)
+				wa, wd := c.install(pa, write, prefetch)
+				ra, rd, _ := r.fill(pa, write, prefetch)
 				got, want = [2]any{wa, wd}, [2]any{ra, rd}
 			}
 		}
@@ -491,5 +491,277 @@ func FuzzCacheOps(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, g uint8, ops []byte) {
 		runCacheOps(t, int(g)%len(diffGeometries), ops)
+	})
+}
+
+// refHierarchy is the hierarchy before it had one victim path: its walk
+// and fill functions verbatim over refCache levels, with refCache.fill
+// standing in for Cache.install (they agree on an absent line). Every
+// dirty victim it drops is counted by the site of the fill that evicted
+// it, the baseline for writing all of them back.
+type refHierarchy struct {
+	L1I, L1D, L2, L3 *refCache
+	lat              [3]uint64 // L1, L2, L3
+	Dram             *dram.Controller
+	ipStride         *IPStridePrefetcher
+	stream           *StreamPrefetcher
+	drops            [siteDemand + 1]uint64
+}
+
+func newRefHierarchy(cfg HierarchyConfig) *refHierarchy {
+	h := &refHierarchy{
+		L1I:  newRefCache(cfg.L1ISize, cfg.L1Ways, LRU),
+		L1D:  newRefCache(cfg.L1DSize, cfg.L1Ways, LRU),
+		L2:   newRefCache(cfg.L2Size, cfg.L2Ways, SRRIP),
+		L3:   newRefCache(cfg.L3Size, cfg.L3Ways, SRRIP),
+		lat:  [3]uint64{cfg.L1Latency, cfg.L2Latency, cfg.L3Latency},
+		Dram: dram.NewController(dram.Config{}),
+	}
+	if cfg.EnablePrefetch {
+		h.ipStride = NewIPStride(256, 2)
+		h.stream = NewStream(16, 4)
+	}
+	return h
+}
+
+// fill fills c and counts a dirty victim as dropped at site s; it
+// returns the victim and whether the line was present.
+func (h *refHierarchy) fill(c *refCache, s site, la mem.PAddr, write, prefetch bool) (mem.PAddr, bool, bool) {
+	wb, dirty, present := c.fill(la, write, prefetch)
+	if dirty {
+		h.drops[s]++
+	}
+	return wb, dirty, present
+}
+
+func (h *refHierarchy) Access(pa mem.PAddr, write bool, t mem.AccessType, pc uint64, now uint64) uint64 {
+	la := mem.Line(pa)
+	lat := h.lat[0]
+	hitL1 := h.L1D.Access(la, write, t)
+	if h.ipStride != nil && t == mem.ATData {
+		for _, ppa := range h.ipStride.Observe(pc, la) {
+			h.prefetchFill(mem.Line(ppa), t, now)
+		}
+	}
+	if hitL1 {
+		return lat
+	}
+	lat += h.lat[1]
+	if h.L2.Access(la, write, t) {
+		h.fill(h.L1D, siteL2Hit, la, write, false)
+		return lat
+	}
+	if h.stream != nil && (t == mem.ATData || t == mem.ATKernel) {
+		for _, ppa := range h.stream.Observe(la) {
+			h.prefetchFillL2(ppa, t, now)
+		}
+	}
+	lat += h.lat[2]
+	if h.L3.Access(la, write, t) {
+		h.fillUp(la, write)
+		return lat
+	}
+	lat += h.Dram.Access(la, false, t, now+lat)
+	h.fillAll(la, write, t, now+lat)
+	return lat
+}
+
+func (h *refHierarchy) FetchInstr(pa mem.PAddr, now uint64) uint64 {
+	la := mem.Line(pa)
+	lat := h.lat[0]
+	if h.L1I.Access(la, false, mem.ATInstr) {
+		return lat
+	}
+	lat += h.lat[1]
+	if h.L2.Access(la, false, mem.ATInstr) {
+		h.fill(h.L1I, siteInstr, la, false, false)
+		return lat
+	}
+	lat += h.lat[2]
+	if h.L3.Access(la, false, mem.ATInstr) {
+		h.fill(h.L2, siteInstr, la, false, false)
+		h.fill(h.L1I, siteInstr, la, false, false)
+		return lat
+	}
+	lat += h.Dram.Access(la, false, mem.ATInstr, now+lat)
+	h.fill(h.L3, siteInstr, la, false, false)
+	h.fill(h.L2, siteInstr, la, false, false)
+	h.fill(h.L1I, siteInstr, la, false, false)
+	return lat
+}
+
+func (h *refHierarchy) fillUp(la mem.PAddr, write bool) {
+	if wb, dirty, _ := h.L2.fill(la, write, false); dirty {
+		h.fill(h.L3, siteWriteBack, wb, true, false)
+	}
+	if wb, dirty, _ := h.L1D.fill(la, write, false); dirty {
+		h.fill(h.L2, siteWriteBack, wb, true, false)
+	}
+}
+
+func (h *refHierarchy) fillAll(la mem.PAddr, write bool, t mem.AccessType, now uint64) {
+	if wb, dirty, _ := h.L3.fill(la, write, false); dirty {
+		h.Dram.Access(wb, true, t, now)
+	}
+	h.fillUp(la, write)
+}
+
+func (h *refHierarchy) prefetchFill(la mem.PAddr, t mem.AccessType, now uint64) {
+	if _, _, present := h.fill(h.L1D, sitePrefetch, la, false, true); present {
+		return
+	}
+	if !h.L2.Lookup(la) {
+		if _, _, present := h.fill(h.L3, sitePrefetch, la, false, true); !present {
+			h.Dram.Access(la, false, t, now)
+			h.fill(h.L2, sitePrefetch, la, false, true)
+		}
+	}
+}
+
+func (h *refHierarchy) prefetchFillL2(la mem.PAddr, t mem.AccessType, now uint64) {
+	if _, _, present := h.fill(h.L2, sitePrefetch, la, false, true); present {
+		return
+	}
+	if _, _, present := h.fill(h.L3, sitePrefetch, la, false, true); !present {
+		h.Dram.Access(la, false, t, now)
+	}
+}
+
+// scaledCaches returns the scaled caches every perfbench workload runs
+// (experiments.ScaledCaches, written out here because importing
+// experiments would be a cycle): 8 KB L1s, a 128 KB L2 and a 256 KB L3.
+func scaledCaches(prefetch bool) HierarchyConfig {
+	c := DefaultHierarchyConfig()
+	c.L1ISize, c.L1DSize, c.L2Size, c.L3Size = 8*mem.KB, 8*mem.KB, 128*mem.KB, 256*mem.KB
+	c.EnablePrefetch = prefetch
+	return c
+}
+
+// hierGeometries are the hierarchies the differential test drives: the
+// Table 4 caches, and the scaled ones with and without the prefetchers.
+var hierGeometries = []struct {
+	name string
+	cfg  HierarchyConfig
+}{
+	{"table4", DefaultHierarchyConfig()},
+	{"scaled", scaledCaches(true)},
+	{"scaled-noprefetch", scaledCaches(false)},
+}
+
+// runHierarchyOps drives a Hierarchy and a refHierarchy of geometry g
+// with the ops encoded in b (4 bytes each) and fails on the first
+// divergence in a latency, in any level's state or stats, or in the
+// DRAM stats. Lines are drawn from 16 sets and 48 tags per set, so every
+// level overflows and evicts dirty lines. Op kinds, by b[0]%8:
+//
+//	0, 1  a load or store by one of four PCs, each walking its own stride
+//	      through the tags of one set, so the IP-stride prefetcher trains
+//	2, 3  a load or store at a drawn line by a drawn PC
+//	4     a kernel access, sequential through a page, so the stream
+//	      prefetcher trains
+//	5     a page-table access
+//	6     a translation-metadata access
+//	7     an instruction fetch
+//
+// It returns the reference, whose drops count the victims dropped by
+// site.
+func runHierarchyOps(t testing.TB, g int, b []byte) *refHierarchy {
+	geo := hierGeometries[g]
+	h, r := NewHierarchy(geo.cfg, dram.NewController(dram.Config{})), newRefHierarchy(geo.cfg)
+	// A line's tag starts above every level's set bits, so the low bits
+	// pick one set in each level.
+	shift := uint(bits.TrailingZeros(uint(len(h.L3.tags) / h.L3.ways)))
+	line := func(tag, set uint64) mem.PAddr { return mem.PAddr((tag%48<<shift | set) << mem.CacheLineShift) }
+	var cursor [4]uint64
+	var kernel, now uint64
+	for step := 0; len(b) >= 4; step, b = step+1, b[4:] {
+		op, write := b[0]%8, b[0]&0x80 != 0
+		pc := 0x400000 + uint64(b[1]&3)*4
+		var got, want uint64
+		switch op {
+		case 0, 1:
+			k := uint64(b[1] & 3)
+			cursor[k] += k + 1
+			pa := line(cursor[k], k)
+			got, want = h.Access(pa, write, mem.ATData, pc, now), r.Access(pa, write, mem.ATData, pc, now)
+		case 2, 3:
+			pa := line(uint64(b[2]), uint64(b[3]%16))
+			pc += uint64(b[1]>>2) * 4
+			got, want = h.Access(pa, write, mem.ATData, pc, now), r.Access(pa, write, mem.ATData, pc, now)
+		case 4:
+			kernel++
+			pa := line(kernel>>6, kernel&63)
+			got, want = h.Access(pa, write, mem.ATKernel, 0, now), r.Access(pa, write, mem.ATKernel, 0, now)
+		case 5:
+			pa := line(uint64(b[2]), uint64(b[3]%16))
+			got, want = h.AccessPTE(pa, write, now), r.Access(pa, write, mem.ATPTE, 0, now)
+		case 6:
+			pa := line(uint64(b[2]), uint64(b[3]%16))
+			got, want = h.AccessMeta(pa, write, now), r.Access(pa, write, mem.ATTransMeta, 0, now)
+		case 7:
+			pa := line(uint64(b[2]), uint64(b[3]%16))
+			got, want = h.FetchInstr(pa, now), r.FetchInstr(pa, now)
+		}
+		if got != want {
+			t.Fatalf("%s step %d: op %d latency %d, reference %d", geo.name, step, op, got, want)
+		}
+		for i, lv := range [...]struct {
+			c *Cache
+			r *refCache
+		}{{h.L1I, r.L1I}, {h.L1D, r.L1D}, {h.L2, r.L2}, {h.L3, r.L3}} {
+			if err := diffCacheState(lv.c, lv.r); err != nil {
+				t.Fatalf("%s step %d: after op %d: %s: %v", geo.name, step, op, [...]string{"L1I", "L1D", "L2", "L3"}[i], err)
+			}
+		}
+		if *h.Dram.Stats() != *r.Dram.Stats() {
+			t.Fatalf("%s step %d: after op %d: DRAM stats %+v, reference %+v", geo.name, step, op, *h.Dram.Stats(), *r.Dram.Stats())
+		}
+		now += got + uint64(b[3]>>4)
+	}
+	return r
+}
+
+// TestHierarchyMatchesReference drives the one-victim-path Hierarchy
+// and the refHierarchy with the same seeded op streams on every
+// hierGeometries shape and requires identical latencies and state after
+// every op. Every site the drops table drops at must have dropped a
+// dirty victim, and demand fills must have written some back, so that
+// flipping any entry of the table shows.
+func TestHierarchyMatchesReference(t *testing.T) {
+	for g, geo := range hierGeometries {
+		t.Run(geo.name, func(t *testing.T) {
+			// A Table 4 level takes 100 times as long to compare.
+			n := 3000
+			if geo.name == "table4" {
+				n = 1000
+			}
+			ops := make([]byte, 4*n)
+			rng := rand.New(rand.NewPCG(1, uint64(g)))
+			for i := range ops {
+				ops[i] = byte(rng.Uint32())
+			}
+			r := runHierarchyOps(t, g, ops)
+			t.Logf("dirty victims dropped by site %v; DRAM writes %d", r.drops, r.Dram.Stats().Writes)
+			for s, n := range r.drops {
+				if drops>>s&1 != 0 && n == 0 && !(site(s) == sitePrefetch && !geo.cfg.EnablePrefetch) {
+					t.Errorf("site %d dropped no dirty victim: stream too tame", s)
+				}
+			}
+			if r.Dram.Stats().Writes == 0 {
+				t.Error("no demand fill wrote a victim back: stream too tame")
+			}
+		})
+	}
+}
+
+// FuzzHierarchyOps explores op streams beyond the seeded ones:
+//
+//	go test -fuzz=FuzzHierarchyOps -fuzztime=30s -run '^$' ./internal/cache
+func FuzzHierarchyOps(f *testing.F) {
+	for g := range hierGeometries {
+		f.Add(uint8(g), []byte{0x80, 0, 0, 0, 0x80, 0, 0, 0, 0x80, 0, 0, 0, 0x87, 0, 1, 2, 4, 0, 0, 0, 5, 0, 3, 4})
+	}
+	f.Fuzz(func(t *testing.T, g uint8, ops []byte) {
+		runHierarchyOps(t, int(g)%len(hierGeometries), ops)
 	})
 }

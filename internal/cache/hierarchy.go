@@ -65,7 +65,6 @@ type Hierarchy struct {
 	Dram             *dram.Controller
 	ipStride         *IPStridePrefetcher
 	stream           *StreamPrefetcher
-	cfg              HierarchyConfig
 }
 
 // NewHierarchy builds the hierarchy over the given DRAM controller.
@@ -82,7 +81,6 @@ func NewHierarchyWith(cfg HierarchyConfig, d *dram.Controller, pool *recycle.Poo
 		L2:   NewWith(pool, "L2", cfg.L2Size, cfg.L2Ways, cfg.L2Latency, SRRIP),
 		L3:   NewWith(pool, "L3", cfg.L3Size, cfg.L3Ways, cfg.L3Latency, SRRIP),
 		Dram: d,
-		cfg:  cfg,
 	}
 	if cfg.EnablePrefetch {
 		h.ipStride = NewIPStride(256, 2)
@@ -103,129 +101,137 @@ func (h *Hierarchy) Recycle(pool *recycle.Pool) {
 	h.L3.Recycle(pool)
 }
 
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
+// site is the kind of level fill a victim comes from.
+type site uint8
+
+const (
+	siteL2Hit     site = iota // the L1D fill after an L2 hit
+	siteWriteBack             // the fill a writeback lands in
+	siteInstr                 // an instruction-fetch fill
+	sitePrefetch              // a prefetch fill
+	siteDemand                // any other demand fill after an L3 hit or DRAM
+)
+
+// drops is the set of fill sites, one bit each, whose dirty victims are
+// dropped instead of written back, as the model has always done: only
+// demand fills after an L3 hit or DRAM (siteDemand) pass their victim
+// on, and the fill it lands in drops its own, so a victim moves one
+// level at most. Writing every victim back changes results. A constant
+// set folds the check away wherever the site is a constant.
+const drops = 1<<siteL2Hit | 1<<siteWriteBack | 1<<siteInstr | 1<<sitePrefetch
+
+// writeBack takes the victim wb of every fill of c at site s and, when
+// it is dirty and not dropped there, has writeBelow write it back. It
+// inlines, so a clean or dropped victim costs no call.
+func (h *Hierarchy) writeBack(c *Cache, wb mem.PAddr, dirty bool, s site, t mem.AccessType, now uint64) {
+	if dirty && drops>>s&1 == 0 {
+		h.writeBelow(c, wb, t, now)
+	}
+}
+
+// writeBelow writes wb, a dirty victim of c, into the level below c: L1I
+// and L1D write back into L2, L2 into L3, L3 into DRAM. A dirty victim
+// of the fill it lands in goes to writeBack at siteWriteBack. t and now
+// are the access type and cycle of the traffic that caused the first
+// fill.
+func (h *Hierarchy) writeBelow(c *Cache, wb mem.PAddr, t mem.AccessType, now uint64) {
+	if c == h.L3 {
+		h.Dram.Access(wb, true, t, now)
+		return
+	}
+	below := h.L2
+	if c == h.L2 {
+		below = h.L3
+	}
+	wb, dirty, _ := below.fill(wb, true, false)
+	h.writeBack(below, wb, dirty, siteWriteBack, t, now)
+}
 
 // Access performs a data access at physical address pa and returns the
 // latency in cycles. pc drives the IP-stride prefetcher (pass 0 for
 // non-application traffic). The access-type tag t flows down to DRAM for
 // attribution.
+func (h *Hierarchy) Access(pa mem.PAddr, write bool, t mem.AccessType, pc uint64, now uint64) uint64 {
+	return h.access(h.L1D, pa, write, t, pc, now)
+}
+
+// FetchInstr performs an instruction-fetch access: the data walk from
+// L1I instead of L1D, which the prefetchers do not train on.
+func (h *Hierarchy) FetchInstr(pa mem.PAddr, now uint64) uint64 {
+	return h.access(h.L1I, pa, false, mem.ATInstr, 0, now)
+}
+
+// access walks la down from top, the first level, to the first level
+// that holds it, then installs la in every level above that one, bottom
+// up, and hands each dirty victim to writeBack.
 //
 // Each demand fill installs la in a level that missed it (Cache.install,
 // no second probe). Between a level's miss and its install only
 // prefetch fills and writeback fills of other lines run. The prefetchers
 // see only line addresses, so their strides are non-zero multiples of a
 // line and they return la ± k·stride for k ≥ 1: a prefetch never brings
-// la itself. A writeback carries a line evicted to make room for la, so
-// it is never la either.
-func (h *Hierarchy) Access(pa mem.PAddr, write bool, t mem.AccessType, pc uint64, now uint64) uint64 {
+// la itself. A writeback into a level carries a victim of the level
+// above it, which has missed la too, so it is never la either.
+func (h *Hierarchy) access(top *Cache, pa mem.PAddr, write bool, t mem.AccessType, pc uint64, now uint64) uint64 {
 	la := mem.Line(pa)
-	lat := h.L1D.Latency()
-	hitL1 := h.L1D.Access(la, write, t)
+	lat := top.Latency()
+	hitL1 := top.Access(la, write, t)
 	if h.ipStride != nil && t == mem.ATData {
 		for _, ppa := range h.ipStride.Observe(pc, la) {
-			h.prefetchFill(mem.Line(ppa), t, now)
+			h.prefetch(h.L1D, mem.Line(ppa), t, now)
 		}
 	}
 	if hitL1 {
 		return lat
 	}
+	s, l2Miss := siteL2Hit, siteDemand // the site of the fills to come
+	if t == mem.ATInstr {
+		s, l2Miss = siteInstr, siteInstr
+	}
 	lat += h.L2.Latency()
-	if h.L2.Access(la, write, t) {
-		// L1D missed la above; the IP-stride prefetches since are not la.
-		h.L1D.install(la, write)
-		return lat
-	}
-	if h.stream != nil && (t == mem.ATData || t == mem.ATKernel) {
-		for _, ppa := range h.stream.Observe(la) {
-			h.prefetchFillL2(ppa, t, now)
+	if !h.L2.Access(la, write, t) {
+		if h.stream != nil && (t == mem.ATData || t == mem.ATKernel) {
+			for _, ppa := range h.stream.Observe(la) {
+				h.prefetch(h.L2, ppa, t, now)
+			}
 		}
+		s = l2Miss
+		lat += h.L3.Latency()
+		if !h.L3.Access(la, write, t) {
+			lat += h.Dram.Access(la, false, t, now+lat)
+			wb, dirty := h.L3.install(la, write, false)
+			h.writeBack(h.L3, wb, dirty, s, t, now+lat)
+		}
+		wb, dirty := h.L2.install(la, write, false)
+		h.writeBack(h.L2, wb, dirty, s, t, now+lat)
 	}
-	lat += h.L3.Latency()
-	if h.L3.Access(la, write, t) {
-		h.fillUp(la, write)
-		return lat
-	}
-	lat += h.Dram.Access(la, false, t, now+lat)
-	h.fillAll(la, write, t, now+lat)
+	wb, dirty := top.install(la, write, false)
+	h.writeBack(top, wb, dirty, s, t, now+lat)
 	return lat
 }
 
-// FetchInstr performs an instruction-fetch access (L1I path). Every
-// level it installs la in has just missed la, and no fill of that level
-// runs in between.
-func (h *Hierarchy) FetchInstr(pa mem.PAddr, now uint64) uint64 {
-	la := mem.Line(pa)
-	lat := h.L1I.Latency()
-	if h.L1I.Access(la, false, mem.ATInstr) {
-		return lat
-	}
-	lat += h.L2.Latency()
-	if h.L2.Access(la, false, mem.ATInstr) {
-		h.L1I.install(la, false)
-		return lat
-	}
-	lat += h.L3.Latency()
-	if h.L3.Access(la, false, mem.ATInstr) {
-		h.L2.install(la, false)
-		h.L1I.install(la, false)
-		return lat
-	}
-	lat += h.Dram.Access(la, false, mem.ATInstr, now+lat)
-	h.L3.install(la, false)
-	h.L2.install(la, false)
-	h.L1I.install(la, false)
-	return lat
-}
-
-// fillUp inserts into L2 and L1D after an L3 hit or a DRAM fill, handling
-// writebacks. Access missed la in both levels; since then L2 took only
-// stream prefetches and L1D only IP-stride prefetches, none of them la.
-// The writebacks may find their line present, so they keep the probe.
-func (h *Hierarchy) fillUp(la mem.PAddr, write bool) {
-	if wb, dirty := h.L2.install(la, write); dirty {
-		h.L3.fill(wb, true, false)
-	}
-	if wb, dirty := h.L1D.install(la, write); dirty {
-		h.L2.fill(wb, true, false)
-	}
-}
-
-// fillAll inserts into every level after a DRAM fill. L3 missed la just
-// before, and only DRAM ran since.
-func (h *Hierarchy) fillAll(la mem.PAddr, write bool, t mem.AccessType, now uint64) {
-	if wb, dirty := h.L3.install(la, write); dirty {
-		h.Dram.Access(wb, true, t, now)
-	}
-	h.fillUp(la, write)
-}
-
-// prefetchFill services an L1D prefetch: it pulls the line to L1D,
-// fetching from lower levels as needed (latency hidden, bandwidth and
-// occupancy modeled). Each level is probed and filled in one scan by
-// Cache.fill, which leaves a present line untouched; the victims are
-// dropped.
-func (h *Hierarchy) prefetchFill(la mem.PAddr, t mem.AccessType, now uint64) {
-	if _, _, present := h.L1D.fill(la, false, true); present {
+// prefetch services a prefetch into top (L1D for the IP-stride
+// prefetcher, L2 for the stream prefetcher): it pulls the line up from
+// the first level that holds it (latency hidden, bandwidth and occupancy
+// modeled). Cache.fill probes and fills a level in one scan and leaves a
+// present line untouched. An L1D prefetch fills L2 only when the line
+// was in neither L2 nor L3.
+func (h *Hierarchy) prefetch(top *Cache, la mem.PAddr, t mem.AccessType, now uint64) {
+	wb, dirty, present := top.fill(la, false, true)
+	h.writeBack(top, wb, dirty, sitePrefetch, t, now)
+	if present || top == h.L1D && h.L2.Lookup(la) {
 		return
 	}
-	// L2 and L3 are filled only when the line was in neither (an
-	// L3-only hit leaves L2 untouched), so L2 needs a separate probe.
-	if !h.L2.Lookup(la) {
-		if _, _, present := h.L3.fill(la, false, true); !present {
-			h.Dram.Access(la, false, t, now)
-			h.L2.fill(la, false, true)
-		}
-	}
-}
-
-// prefetchFillL2 services an L2 stream prefetch.
-func (h *Hierarchy) prefetchFillL2(la mem.PAddr, t mem.AccessType, now uint64) {
-	if _, _, present := h.L2.fill(la, false, true); present {
+	wb, dirty, present = h.L3.fill(la, false, true)
+	h.writeBack(h.L3, wb, dirty, sitePrefetch, t, now)
+	if present {
 		return
 	}
-	if _, _, present := h.L3.fill(la, false, true); !present {
-		h.Dram.Access(la, false, t, now)
+	h.Dram.Access(la, false, t, now)
+	if top == h.L1D {
+		// L2.Lookup proved la absent, and only L3 and DRAM ran since.
+		wb, dirty = h.L2.install(la, false, true)
+		h.writeBack(h.L2, wb, dirty, sitePrefetch, t, now)
 	}
 }
 
