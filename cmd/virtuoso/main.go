@@ -211,6 +211,15 @@ type cliFlags struct {
 	checkpoint           string
 }
 
+// choices joins catalog names into a flag help's a|b|c list.
+func choices[N ~string](names []N) string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = string(n)
+	}
+	return strings.Join(out, "|")
+}
+
 // parseFlags parses the top-level command line (os.Args[1:]). It
 // checks only flag syntax — lists, seeds, tier entries — and leaves
 // every name, range, and axis combination to SweepSpec.Sweep.
@@ -219,8 +228,8 @@ func parseFlags(args []string) (*cliFlags, error) {
 	sp := &c.spec
 	fs := flag.NewFlagSet("virtuoso", flag.ExitOnError)
 	workload := fs.String("workload", "BFS", "workload name(s), comma-separated (-list to enumerate; registered names accepted)")
-	design := fs.String("design", "radix", "translation design(s), comma-separated: radix|ech|hdc|ht|utopia|rmm|midgard|directseg|nested, or a registered name")
-	policy := fs.String("policy", "thp", "allocation policy(ies), comma-separated: bd|thp|cr-thp|ar-thp|utopia|eager, or a registered name")
+	design := fs.String("design", string(virtuoso.DesignRadix), "translation design(s), comma-separated: "+choices(virtuoso.KnownDesigns())+", or a registered name")
+	policy := fs.String("policy", string(virtuoso.PolicyTHP), "allocation policy(ies), comma-separated: "+choices(virtuoso.KnownPolicies())+", or a registered name")
 	fs.StringVar(&sp.Mode, "mode", "imitation", "OS methodology: imitation|emulation")
 	sp.MaxAppInsts = fs.Uint64("insts", 2_000_000, "max application instructions (0 = run to completion)")
 	fs.Float64Var(&sp.Scale, "scale", 0.25, "workload footprint scale")
@@ -233,7 +242,7 @@ func parseFlags(args []string) (*cliFlags, error) {
 	fs.Uint64Var(&sp.Quantum, "quantum", 0, "scheduler time slice in simulated cycles (0 = default; -multi only)")
 	fs.BoolVar(&sp.ASIDRetention, "asid-retention", false, "retain TLB entries across context switches by ASID tag instead of flushing (-multi only)")
 	tiers := fs.String("tiers", "", "slow memory tiers, comma-separated name:bytes:readLat:writeLat[:bytesPerCycle] (e.g. cxl:64M:600:900:8,nvm:1G:2500:8000:2)")
-	tierPolicy := fs.String("tier-policy", "", "tier migration policy(ies), comma-separated: hotcold|clock, or a registered name (requires -tiers)")
+	tierPolicy := fs.String("tier-policy", "", "tier migration policy(ies), comma-separated: "+choices(virtuoso.KnownTierPolicies())+", or a registered name (requires -tiers)")
 	fs.BoolVar(&c.progress, "progress", false, "stream live per-point progress snapshots to stderr while simulating")
 	fs.StringVar(&sp.Shard, "shard", "", "run only a deterministic slice of the grid, as i/N (shard files merge with `virtuoso sweep merge`)")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "JSONL checkpoint file: persist per-point results as they land and resume from it on restart")

@@ -58,8 +58,8 @@ type simFlags struct {
 }
 
 func addSimFlags(fs *flag.FlagSet, f *simFlags, seedDefault uint64, seedHelp string) {
-	fs.StringVar(&f.design, "design", "radix", "translation design: radix|ech|hdc|ht|utopia|rmm|midgard|directseg|nested")
-	fs.StringVar(&f.policy, "policy", "thp", "allocation policy: bd|thp|cr-thp|ar-thp|utopia|eager")
+	fs.StringVar(&f.design, "design", string(virtuoso.DesignRadix), "translation design: "+choices(virtuoso.KnownDesigns()))
+	fs.StringVar(&f.policy, "policy", string(virtuoso.PolicyTHP), "allocation policy: "+choices(virtuoso.KnownPolicies()))
 	fs.StringVar(&f.mode, "mode", "imitation", "OS methodology: imitation|emulation")
 	fs.Uint64Var(&f.insts, "insts", 2_000_000, "max application instructions (0 = run to completion)")
 	fs.Float64Var(&f.scale, "scale", 0.25, "workload footprint scale (record only; a trace fixes the footprint)")

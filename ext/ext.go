@@ -5,11 +5,13 @@
 // internal packages (the §4.1 "ease of development" claim made into a
 // stable API).
 //
-// Components register once, usually at init time, and are then usable
-// everywhere a built-in is: virtuoso.Open(virtuoso.WithPolicy(...)),
-// Sweep.Policies / Sweep.Designs / Sweep.Workloads grid axes,
-// virtuoso.KnownPolicies / KnownDesigns, trace recording, and the
-// cmd/virtuoso -policy / -design / -workload flags.
+// Components register once, usually at init time, into the same
+// catalog the built-ins are entries of (built-ins first, then
+// registrations by name), and are then usable everywhere a built-in
+// is: virtuoso.Open(virtuoso.WithPolicy(...)), Sweep.Policies /
+// Sweep.Designs / Sweep.Workloads grid axes, virtuoso.KnownPolicies /
+// KnownDesigns, trace recording, and the cmd/virtuoso -policy /
+// -design / -workload flags and their help text.
 //
 //	func init() {
 //		ext.MustRegisterPolicy("bank-color", func() ext.AllocPolicy {
@@ -341,13 +343,16 @@ type TranslationResult struct {
 // DesignEnv is what a custom translation design gets to work with. One
 // instance is built per process (designs hold per-address-space state,
 // switched like CR3 on context switches).
-type DesignEnv struct{ env registry.DesignEnv }
+type DesignEnv struct {
+	env   registry.DesignEnv
+	radix *mmu.RadixWalker
+}
 
 // Lookup resolves va through the process's page table functionally —
 // no memory traffic, no latency. Use it to find the mapping, then
 // charge a latency model with AccessPTE.
 func (e DesignEnv) Lookup(va VAddr) (pa PAddr, size PageSize, ok bool) {
-	entry, ok := e.env.PT.Lookup(va)
+	entry, ok := e.env.Proc.PT.Lookup(va)
 	if !ok || !entry.Present {
 		return 0, Page4K, false
 	}
@@ -373,13 +378,13 @@ func (e DesignEnv) AccessMeta(pa PAddr, write bool, now uint64) uint64 {
 // walker (with its page-walk caches) over the same page table — the
 // fallback path hybrid designs use.
 func (e DesignEnv) WalkRadix(va VAddr, now uint64) TranslationResult {
-	r := e.env.Radix.TranslateMiss(va, now)
+	r := e.radix.TranslateMiss(va, now)
 	return TranslationResult{PA: r.PA, Size: r.Size, Lat: r.Lat, Fault: r.Fault}
 }
 
 // ASID returns the address-space identifier of the process this design
 // instance serves.
-func (e DesignEnv) ASID() uint16 { return e.env.ASID }
+func (e DesignEnv) ASID() uint16 { return e.env.Proc.ASID }
 
 // TranslationDesign is a custom address-translation scheme — the
 // public mirror of the internal MMU design interface (§7.4's design
@@ -427,7 +432,7 @@ func RegisterDesign(name string, ctor func(DesignEnv) TranslationDesign) error {
 		return registry.RegisterDesign(name, nil)
 	}
 	return registry.RegisterDesign(name, func(env registry.DesignEnv) mmu.Design {
-		return designAdapter{impl: ctor(DesignEnv{env})}
+		return designAdapter{impl: ctor(DesignEnv{env: env, radix: env.NewRadix()})}
 	})
 }
 

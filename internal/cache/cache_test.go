@@ -185,6 +185,9 @@ type refCache struct {
 	stats      Stats
 	setMask    uint64
 	setsShift  uint
+	// touched lists the sets Access and fill reached since the last
+	// diffCacheState, the only sets an op may have changed.
+	touched []int
 }
 
 func newRefCache(sizeBytes uint64, ways int, policy ReplPolicy) *refCache {
@@ -227,6 +230,7 @@ func (c *refCache) Lookup(pa mem.PAddr) bool {
 func (c *refCache) Access(pa mem.PAddr, write bool, t mem.AccessType) bool {
 	c.tick++
 	set, tag := c.setOf(pa), c.tagOf(pa)
+	c.touched = append(c.touched, set)
 	enc := tag<<1 | 1
 	base := set * c.ways
 	for w, e := range c.tags[base : base+c.ways] {
@@ -249,6 +253,7 @@ func (c *refCache) Access(pa mem.PAddr, write bool, t mem.AccessType) bool {
 // fill probes first and ticks only when it places, like Cache.fill.
 func (c *refCache) fill(pa mem.PAddr, write, prefetch bool) (wbAddr mem.PAddr, wb, present bool) {
 	set, tag := c.setOf(pa), c.tagOf(pa)
+	c.touched = append(c.touched, set)
 	enc := tag<<1 | 1
 	base := set * c.ways
 	row := c.tags[base : base+c.ways : base+c.ways]
@@ -399,58 +404,79 @@ func runCacheOps(t testing.TB, g int, b []byte) Stats {
 		if got != want {
 			t.Fatalf("%s step %d: op %d on %#x returned %v, reference %v", geo.name, step, op, pa, got, want)
 		}
-		if err := diffCacheState(c, r); err != nil {
+		if err := diffCacheState(c, r, true); err != nil {
 			t.Fatalf("%s step %d: after op %d on %#x: %v", geo.name, step, op, pa, err)
 		}
 	}
 	return r.stats
 }
 
-// diffCacheState compares every piece of replacement and statistics
-// state, way by way for the set records, and checks that the records
-// agree with the tags and keep their padding clear.
-func diffCacheState(c *Cache, r *refCache) error {
+// diffCacheState compares the replacement and statistics state of c
+// against the reference: the tick and stats, then way by way the sets
+// r recorded as touched since the last call, or with full every set and
+// the valid-line count. The set records must agree with the tags and
+// keep their padding clear.
+func diffCacheState(c *Cache, r *refCache, full bool) error {
 	switch {
 	case c.tick != r.tick:
 		return fmt.Errorf("tick %d, reference %d", c.tick, r.tick)
 	case c.stats != r.stats:
 		return fmt.Errorf("stats %+v, reference %+v", c.stats, r.stats)
-	case !slices.Equal(c.tags, r.tags):
-		return fmt.Errorf("tags %x, reference %x", c.tags, r.tags)
-	case !slices.Equal(c.lru, r.lru):
-		return fmt.Errorf("lru %v, reference %v", c.lru, r.lru)
-	case c.valid != len(r.tags)-r.invalid():
+	case full && c.valid != len(r.tags)-r.invalid():
 		return fmt.Errorf("%d valid lines, reference %d", c.valid, len(r.tags)-r.invalid())
 	}
-	for set := 0; set < c.sets; set++ {
-		o := set * c.stride
-		for w := 0; w < c.ways; w++ {
-			i := set*c.ways + w
-			e := c.tags[i]
-			if valid := c.setMeta[o+w/64]>>(w%64)&1 == 1; valid != (e != 0) {
-				return fmt.Errorf("set %d way %d: valid bit %v with tags entry %#x", set, w, valid, e)
-			}
-			if fp := uint8(c.setMeta[o+c.fpOff+w/8] >> (w % 8 * 8)); e != 0 && fp != uint8(e>>1) {
-				return fmt.Errorf("set %d way %d: fingerprint %#x for tags entry %#x", set, w, fp, e)
-			}
-			if d := c.setMeta[o+c.dirtyOff+w/64]>>(w%64)&1 == 1; d != r.dirty[i] {
-				return fmt.Errorf("set %d way %d: dirty %v, reference %v", set, w, d, r.dirty[i])
-			}
-			if c.policy == SRRIP {
-				if rr := uint8(c.setMeta[o+c.rrpvOff+w/32] >> (w % 32 * 2) & 3); rr != r.rrpv[i] {
-					return fmt.Errorf("set %d way %d: rrpv %d, reference %d", set, w, rr, r.rrpv[i])
-				}
+	sets := r.touched
+	r.touched = r.touched[:0]
+	if full {
+		sets = nil
+		for set := range c.sets {
+			sets = append(sets, set)
+		}
+	}
+	for _, set := range sets {
+		if err := diffSet(c, r, set); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// diffSet compares one set of c against the reference.
+func diffSet(c *Cache, r *refCache, set int) error {
+	row := set * c.ways
+	switch {
+	case !slices.Equal(c.tags[row:row+c.ways], r.tags[row:row+c.ways]):
+		return fmt.Errorf("set %d: tags %x, reference %x", set, c.tags[row:row+c.ways], r.tags[row:row+c.ways])
+	case c.policy == LRU && !slices.Equal(c.lru[row:row+c.ways], r.lru[row:row+c.ways]):
+		return fmt.Errorf("set %d: lru %v, reference %v", set, c.lru[row:row+c.ways], r.lru[row:row+c.ways])
+	}
+	o := set * c.stride
+	for w := 0; w < c.ways; w++ {
+		i := row + w
+		e := c.tags[i]
+		if valid := c.setMeta[o+w/64]>>(w%64)&1 == 1; valid != (e != 0) {
+			return fmt.Errorf("set %d way %d: valid bit %v with tags entry %#x", set, w, valid, e)
+		}
+		if fp := uint8(c.setMeta[o+c.fpOff+w/8] >> (w % 8 * 8)); e != 0 && fp != uint8(e>>1) {
+			return fmt.Errorf("set %d way %d: fingerprint %#x for tags entry %#x", set, w, fp, e)
+		}
+		if d := c.setMeta[o+c.dirtyOff+w/64]>>(w%64)&1 == 1; d != r.dirty[i] {
+			return fmt.Errorf("set %d way %d: dirty %v, reference %v", set, w, d, r.dirty[i])
+		}
+		if c.policy == SRRIP {
+			if rr := uint8(c.setMeta[o+c.rrpvOff+w/32] >> (w % 32 * 2) & 3); rr != r.rrpv[i] {
+				return fmt.Errorf("set %d way %d: rrpv %d, reference %d", set, w, rr, r.rrpv[i])
 			}
 		}
-		for w := c.ways; w < 64*c.fpOff; w++ {
-			if c.setMeta[o+w/64]>>(w%64)&1 != 0 || c.setMeta[o+c.dirtyOff+w/64]>>(w%64)&1 != 0 {
-				return fmt.Errorf("set %d: padding way %d marked valid or dirty", set, w)
-			}
+	}
+	for w := c.ways; w < 64*c.fpOff; w++ {
+		if c.setMeta[o+w/64]>>(w%64)&1 != 0 || c.setMeta[o+c.dirtyOff+w/64]>>(w%64)&1 != 0 {
+			return fmt.Errorf("set %d: padding way %d marked valid or dirty", set, w)
 		}
-		for w := c.ways; c.policy == SRRIP && w < 32*(c.stride-c.rrpvOff); w++ {
-			if c.setMeta[o+c.rrpvOff+w/32]>>(w%32*2)&3 != 0 {
-				return fmt.Errorf("set %d: padding way %d has an rrpv", set, w)
-			}
+	}
+	for w := c.ways; c.policy == SRRIP && w < 32*(c.stride-c.rrpvOff); w++ {
+		if c.setMeta[o+c.rrpvOff+w/32]>>(w%32*2)&3 != 0 {
+			return fmt.Errorf("set %d: padding way %d has an rrpv", set, w)
 		}
 	}
 	return nil
@@ -651,7 +677,8 @@ var hierGeometries = []struct {
 // runHierarchyOps drives a Hierarchy and a refHierarchy of geometry g
 // with the ops encoded in b (4 bytes each) and fails on the first
 // divergence in a latency, in any level's state or stats, or in the
-// DRAM stats. Lines are drawn from 16 sets and 48 tags per set, so every
+// DRAM stats. After each op it compares the sets the op touched, and
+// every level in full every fullDiffEvery ops and after the last. Lines are drawn from 16 sets and 48 tags per set, so every
 // level overflows and evicts dirty lines. Op kinds, by b[0]%8:
 //
 //	0, 1  a load or store by one of four PCs, each walking its own stride
@@ -675,6 +702,7 @@ func runHierarchyOps(t testing.TB, g int, b []byte) *refHierarchy {
 	var cursor [4]uint64
 	var kernel, now uint64
 	for step := 0; len(b) >= 4; step, b = step+1, b[4:] {
+		full := step%fullDiffEvery == fullDiffEvery-1 || len(b) < 8
 		op, write := b[0]%8, b[0]&0x80 != 0
 		pc := 0x400000 + uint64(b[1]&3)*4
 		var got, want uint64
@@ -709,7 +737,7 @@ func runHierarchyOps(t testing.TB, g int, b []byte) *refHierarchy {
 			c *Cache
 			r *refCache
 		}{{h.L1I, r.L1I}, {h.L1D, r.L1D}, {h.L2, r.L2}, {h.L3, r.L3}} {
-			if err := diffCacheState(lv.c, lv.r); err != nil {
+			if err := diffCacheState(lv.c, lv.r, full); err != nil {
 				t.Fatalf("%s step %d: after op %d: %s: %v", geo.name, step, op, [...]string{"L1I", "L1D", "L2", "L3"}[i], err)
 			}
 		}
@@ -721,6 +749,11 @@ func runHierarchyOps(t testing.TB, g int, b []byte) *refHierarchy {
 	return r
 }
 
+// fullDiffEvery is how many ops runHierarchyOps runs between full
+// compares: a Table 4 level takes ~2 ms to compare whole, against
+// microseconds for the few sets one op touches.
+const fullDiffEvery = 256
+
 // TestHierarchyMatchesReference drives the one-victim-path Hierarchy
 // and the refHierarchy with the same seeded op streams on every
 // hierGeometries shape and requires identical latencies and state after
@@ -730,12 +763,7 @@ func runHierarchyOps(t testing.TB, g int, b []byte) *refHierarchy {
 func TestHierarchyMatchesReference(t *testing.T) {
 	for g, geo := range hierGeometries {
 		t.Run(geo.name, func(t *testing.T) {
-			// A Table 4 level takes 100 times as long to compare.
-			n := 3000
-			if geo.name == "table4" {
-				n = 1000
-			}
-			ops := make([]byte, 4*n)
+			ops := make([]byte, 4*3000)
 			rng := rand.New(rand.NewPCG(1, uint64(g)))
 			for i := range ops {
 				ops[i] = byte(rng.Uint32())

@@ -10,8 +10,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/mimicos"
@@ -47,11 +45,10 @@ type Response struct {
 	MmapBase mem.VAddr
 }
 
-// FunctionalChannel is the shared-memory mailbox plus doorbell. The
-// synchronous Call path models the common single-outstanding-event case;
-// Serve/Submit provide the multithreaded-kernel path of §4.3.
+// FunctionalChannel is the shared-memory mailbox plus doorbell. Call
+// models the single-outstanding-event case: every request is made and
+// served on the one goroutine simulating the system.
 type FunctionalChannel struct {
-	mu       sync.Mutex
 	handler  func(Request) Response
 	Messages uint64
 }
@@ -64,22 +61,8 @@ func NewFunctionalChannel(handler func(Request) Response) *FunctionalChannel {
 // Call performs one request/response round trip: write parameters, ring
 // the doorbell, wait for the kernel's completion doorbell, read results.
 func (c *FunctionalChannel) Call(req Request) Response {
-	c.mu.Lock()
 	c.Messages++
-	h := c.handler
-	c.mu.Unlock()
-	return h(req)
-}
-
-// Submit dispatches a request asynchronously; the kernel handles it on
-// its own goroutine (a MimicOS worker thread) and delivers the response
-// on the returned channel.
-func (c *FunctionalChannel) Submit(req Request) <-chan Response {
-	out := make(chan Response, 1)
-	go func() {
-		out <- c.Call(req)
-	}()
-	return out
+	return c.handler(req)
 }
 
 // StreamChannel is the instruction-stream channel: the kernel's

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/mimicos"
 )
 
@@ -22,45 +20,6 @@ func TestFunctionalChannelRoundTrip(t *testing.T) {
 	}
 	if ch.Messages != 1 {
 		t.Fatalf("channel accounting: messages=%d", ch.Messages)
-	}
-}
-
-func TestFunctionalChannelConcurrentSubmit(t *testing.T) {
-	// §4.3: multiple outstanding requests served by kernel workers. The
-	// kernel's own locking keeps it correct; the channel must deliver
-	// every response.
-	cfg := mimicos.DefaultConfig()
-	cfg.PhysBytes = 256 * mem.MB
-	k := mimicos.New(cfg, nil)
-	const procs = 6
-	bases := make([]mem.VAddr, procs)
-	for i := 0; i < procs; i++ {
-		k.CreateProcess(i + 1)
-		bases[i] = k.Mmap(i+1, 1*mem.MB, mimicos.MmapFlags{Anon: true})
-	}
-	ch := NewFunctionalChannel(func(req Request) Response {
-		return Response{Fault: k.HandlePageFault(req.PID, req.VA, req.Write, req.Now)}
-	})
-	var wg sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < 32; i++ {
-				resp := <-ch.Submit(Request{
-					Kind: EvPageFault, PID: p + 1,
-					VA: bases[p] + mem.VAddr(i*4096), Write: true,
-				})
-				if !resp.Fault.OK {
-					t.Errorf("proc %d fault %d failed", p, i)
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	if ch.Messages != procs*32 {
-		t.Fatalf("messages = %d", ch.Messages)
 	}
 }
 

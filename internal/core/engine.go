@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
@@ -244,6 +245,9 @@ type System struct {
 	design mmu.Design
 	procs  []*Process
 	cur    *Process
+	// designEntry is the configured design's catalog entry: every
+	// process's design instance is built from it.
+	designEntry registry.Design
 
 	PFLatNs      *stats.Series // minor (non-device) fault latencies, ns
 	MajorPFLatNs *stats.Series // major (device-backed) fault latencies, ns
@@ -350,28 +354,24 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	}
 	var tierPol tier.Policy
 	if len(oscfg.Tiers) > 0 {
-		if _, builtin := tier.NewBuiltin(oscfg.TierPolicy); !builtin {
-			// Not a built-in: a tier policy registered through the public
-			// extension API (repro/ext), constructed fresh per system.
-			p, ok := registry.NewTierPolicy(oscfg.TierPolicy)
-			if !ok {
-				return nil, fmt.Errorf("core: unknown tier policy %q (registered: %v)", oscfg.TierPolicy, registry.TierPolicyNames())
-			}
-			tierPol = p
+		p, ok := registry.NewTierPolicy(cmp.Or(oscfg.TierPolicy, tier.PolicyHotCold))
+		if !ok {
+			return nil, fmt.Errorf("core: unknown tier policy %q (known: %v)", oscfg.TierPolicy, registry.TierPolicyNames())
 		}
+		tierPol = p
 	} else if oscfg.TierPolicy != "" {
 		return nil, fmt.Errorf("core: tier policy %q set without any tiers configured", oscfg.TierPolicy)
 	}
-	switch cfg.Design {
-	case DesignECH:
-		oscfg.PTKind = mimicos.PTECH
-	case DesignHDC:
-		oscfg.PTKind = mimicos.PTHDC
-	case DesignHT:
-		oscfg.PTKind = mimicos.PTHT
-	default:
-		oscfg.PTKind = mimicos.PTRadix
+	design, ok := registry.LookupDesign(string(cmp.Or(cfg.Design, DesignRadix)))
+	if !ok {
+		return nil, fmt.Errorf("core: unknown design %q (known: %v)", cfg.Design, registry.DesignNames())
 	}
+	policy, ok := registry.NewPolicy(string(cmp.Or(cfg.Policy, PolicyBuddy)))
+	if !ok {
+		return nil, fmt.Errorf("core: unknown policy %q (known: %v)", cfg.Policy, registry.PolicyNames())
+	}
+	s.designEntry = design
+	oscfg.PTKind = design.PTKind
 	s.OS = mimicos.NewWith(oscfg, s.Disk, pool)
 	if tierPol != nil {
 		s.OS.SetTierPolicy(tierPol)
@@ -379,8 +379,7 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	s.Proc = s.OS.CreateProcess(1)
 
 	// Design-specific OS state.
-	switch cfg.Design {
-	case DesignUtopia:
+	if cfg.Design == DesignUtopia {
 		segs := cfg.UtopiaSegs
 		if len(segs) == 0 {
 			segs = []UtopiaSegSpec{
@@ -396,37 +395,11 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 			sys.Segs = append(sys.Segs, seg)
 		}
 		s.OS.Utopia = sys
-	case DesignRMM:
-		s.OS.EnableRMM(s.Proc)
-	case DesignMidgard:
-		s.OS.EnableMidgard(s.Proc)
 	}
-
-	// Allocation policy.
-	switch cfg.Policy {
-	case PolicyBuddy, "":
-		s.OS.SetPolicy(&mimicos.BuddyPolicy{})
-	case PolicyTHP:
-		s.OS.SetPolicy(&mimicos.LinuxTHPPolicy{})
-	case PolicyCRTHP:
-		s.OS.SetPolicy(&mimicos.ReservationTHPPolicy{UpgradeFrac: 0.5, PolicyName: "CR-THP"})
-	case PolicyARTHP:
-		s.OS.SetPolicy(&mimicos.ReservationTHPPolicy{UpgradeFrac: 0.1, PolicyName: "AR-THP"})
-	case PolicyUtopia:
-		s.OS.SetPolicy(&mimicos.UtopiaPolicy{})
-	case PolicyEager:
-		s.OS.SetPolicy(&mimicos.EagerPolicy{})
-	default:
-		// Not a built-in: a policy registered through the public
-		// extension API (repro/ext). The constructor yields a fresh
-		// instance per system, so concurrent sweep points never share
-		// policy state.
-		p, ok := registry.NewPolicy(string(cfg.Policy))
-		if !ok {
-			return nil, fmt.Errorf("core: unknown policy %q (registered: %v)", cfg.Policy, registry.PolicyNames())
-		}
-		s.OS.SetPolicy(p)
+	if design.Attach != nil {
+		design.Attach(s.OS, s.Proc)
 	}
+	s.OS.SetPolicy(policy)
 
 	// Fragment physical memory after carve-outs so RestSegs and hash
 	// tables stay contiguous. FragFree2M = 0 is meaningful (the paper's
@@ -443,12 +416,8 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	if cfg.Design == DesignNested {
 		s.buildHost(oscfg.PhysBytes, pool)
 	}
-	design, err := s.buildDesignFor(s.Proc)
-	if err != nil {
-		return nil, err
-	}
-	s.design = design
-	s.MMU = mmu.New(cfg.MMUCfg, design, s.Proc.ASID)
+	s.design = s.buildDesignFor(s.Proc)
+	s.MMU = mmu.New(cfg.MMUCfg, s.design, s.Proc.ASID)
 	s.Core = cpu.New(cfg.CoreCfg, s.Hier, s.MMU)
 
 	// Channels and callbacks.
@@ -524,45 +493,16 @@ func (s *System) ReleaseTransients() {}
 // one process's page table and design state. Every process owns its own
 // design instance (its page-table root, walk caches, range/VMA tables),
 // which is what a CR3 write switches between in RunMulti.
-func (s *System) buildDesignFor(proc *mimicos.Process) (mmu.Design, error) {
-	cfg := s.Cfg
-	pwcE, pwcW := cfg.MMUCfg.PWC()
-	newRadix := func() *mmu.RadixWalker {
-		return mmu.NewRadixWalkerSized(proc.PT, s.Hier, pwcE, pwcW)
+func (s *System) buildDesignFor(proc *mimicos.Process) mmu.Design {
+	if s.Cfg.Mode == Emulation {
+		return &mmu.FixedWalker{PT: proc.PT, Lat: emulationPTWLat}
 	}
-	if cfg.Mode == Emulation {
-		return &mmu.FixedWalker{PT: proc.PT, Lat: emulationPTWLat}, nil
+	env := registry.DesignEnv{OS: s.OS, Proc: proc, Mem: s.Hier}
+	env.PWCEntries, env.PWCWays = s.Cfg.MMUCfg.PWC()
+	if s.hostPT != nil {
+		env.Host = s.hostPT
 	}
-	switch cfg.Design {
-	case DesignRadix, "":
-		return newRadix(), nil
-	case DesignECH, DesignHDC, DesignHT:
-		return mmu.NewHashWalker(proc.PT, s.Hier), nil
-	case DesignUtopia:
-		return mmu.NewUtopiaDesign(s.OS.Utopia, newRadix(), s.Hier), nil
-	case DesignRMM:
-		return mmu.NewRMMDesign(proc.RMM, newRadix(), s.Hier, proc.ASID), nil
-	case DesignMidgard:
-		return mmu.NewMidgardDesign(proc.Midgard, newRadix(), s.Hier, proc.ASID), nil
-	case DesignDirectSeg:
-		return &mmu.DirectSegDesign{Radix: newRadix()}, nil
-	case DesignNested:
-		return mmu.NewNestedDesign(proc.PT, s.hostPT, s.Hier), nil
-	default:
-		// Not a built-in: a design registered through the public
-		// extension API (repro/ext). Each process gets its own instance
-		// over its own page table, like the built-in designs.
-		d, ok := registry.NewDesign(string(cfg.Design), registry.DesignEnv{
-			PT:    proc.PT,
-			Mem:   s.Hier,
-			Radix: newRadix(),
-			ASID:  proc.ASID,
-		})
-		if !ok {
-			return nil, fmt.Errorf("core: unknown design %q (registered: %v)", cfg.Design, registry.DesignNames())
-		}
-		return d, nil
-	}
+	return s.designEntry.New(env)
 }
 
 // serveRequest is the kernel-side functional-channel handler.

@@ -119,24 +119,17 @@ func (p *Process) Finished() bool { return p.finished }
 // attachProcess binds workload w to a process: PID 1 reuses the address
 // space NewSystem created; later PIDs get a fresh MimicOS process with
 // their own design state.
-func (s *System) attachProcess(pid int, w *workloads.Workload) (*Process, error) {
+func (s *System) attachProcess(pid int, w *workloads.Workload) *Process {
 	op := s.Proc
 	design := s.design
 	if pid != 1 {
 		op = s.OS.CreateProcess(pid)
-		switch s.Cfg.Design {
-		case DesignRMM:
-			s.OS.EnableRMM(op)
-		case DesignMidgard:
-			s.OS.EnableMidgard(op)
+		if s.designEntry.Attach != nil {
+			s.designEntry.Attach(s.OS, op)
 		}
-		var err error
-		design, err = s.buildDesignFor(op)
-		if err != nil {
-			return nil, err
-		}
+		design = s.buildDesignFor(op)
 	}
-	return &Process{PID: pid, ASID: op.ASID, W: w, OS: op, Design: design}, nil
+	return &Process{PID: pid, ASID: op.ASID, W: w, OS: op, Design: design}
 }
 
 // dispatch installs p's address-space context on the core: kernel-side
@@ -195,10 +188,7 @@ func (s *System) RunMulti(ws []*workloads.Workload) (MultiMetrics, error) {
 
 	mix := make([]string, len(ws))
 	for i, w := range ws {
-		p, err := s.attachProcess(i+1, w)
-		if err != nil {
-			return MultiMetrics{}, err
-		}
+		p := s.attachProcess(i+1, w)
 		s.procs = append(s.procs, p)
 		mix[i] = w.Name()
 	}

@@ -322,15 +322,16 @@ var faultPaths = []struct {
 		// Two small slow tiers: demotion, cascade into the second tier
 		// and on into swap, then promotion of every page still in a
 		// tier and swap-ins on re-touch.
-		l := newFaultLog(pinKernel(32*mem.MB, func(c *Config) {
+		k := pinKernel(32*mem.MB, func(c *Config) {
 			c.SwapBytes = 64 * mem.MB
 			c.SwapThreshold = 0.5
 			c.Tiers = []tier.Spec{
 				{Name: "cxl", Bytes: 4 * mem.MB, ReadLat: 600, WriteLat: 900, BytesPerCycle: 8},
 				{Name: "nvm", Bytes: 4 * mem.MB, ReadLat: 2500, WriteLat: 8000, BytesPerCycle: 2},
 			}
-			c.TierPolicy = tier.PolicyClock // demotes to the nearest tier
-		}))
+		})
+		k.SetTierPolicy(tier.NewClock()) // demotes to the nearest tier
+		l := newFaultLog(k)
 		l.spawn(1)
 		l.spawn(2)
 		a := l.mmap(1, 32*mem.MB, MmapFlags{Anon: true})

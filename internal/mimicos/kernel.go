@@ -59,9 +59,10 @@ type Config struct {
 
 	// Tiers configures slow memory tiers between DRAM and swap
 	// (empty = classic flat DRAM + swap, byte-identical to the
-	// pre-tiering model). TierPolicy selects the built-in migration
-	// policy ("" = hotcold); out-of-module policies are installed by
-	// the engine via SetTierPolicy after construction.
+	// pre-tiering model). TierPolicy names the migration policy; the
+	// engine resolves the name and installs the policy via
+	// SetTierPolicy after construction (until then a kernel runs
+	// hotcold).
 	// TierScanEveryNFaults is the access-bit sampling period on the
 	// fault clock (0 with tiers configured = default 256).
 	Tiers                []tier.Spec `json:"tiers,omitempty"`
@@ -392,8 +393,7 @@ func NewWith(cfg Config, disk *ssd.Device, pool *recycle.Pool) *Kernel {
 	// exact slab layout (and therefore byte-identical traces) of the
 	// pre-tiering model.
 	if len(cfg.Tiers) > 0 {
-		pol, _ := tier.NewBuiltin(cfg.TierPolicy) // nil for registry names; engine installs
-		k.tiers = tier.NewManager(cfg.Tiers, pol)
+		k.tiers = tier.NewManager(cfg.Tiers, tier.NewHotCold())
 		k.tierKaddr = make([]mem.PAddr, len(cfg.Tiers))
 		for i := range cfg.Tiers {
 			k.tierKaddr[i] = k.kalloc(4 * mem.KB)

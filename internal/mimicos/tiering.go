@@ -22,8 +22,9 @@ import (
 // tiersEnabled reports whether slow tiers are configured.
 func (k *Kernel) tiersEnabled() bool { return k.tiers.Enabled() }
 
-// SetTierPolicy installs an out-of-module migration policy (engine hook
-// for registry-registered policies). Must precede the first fault.
+// SetTierPolicy installs the migration policy in place of the default
+// hotcold (the engine's hook for every named policy). Must precede the
+// first fault.
 func (k *Kernel) SetTierPolicy(p tier.Policy) {
 	if k.tiers != nil {
 		k.tiers.SetPolicy(p)

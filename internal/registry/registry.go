@@ -1,198 +1,246 @@
-// Package registry holds the process-wide component registries behind
-// the public extension API (repro/ext): named constructors for custom
-// allocation policies, translation designs, and workloads. Registered
-// components are addressable by name everywhere a built-in is — Open
-// options, sweep grid axes, the CLI flags, and trace recording — because
-// the name-resolution points (internal/core for policies and designs,
-// the root package for workloads) fall back to these tables after the
-// built-in switch misses.
+// Package registry is the component catalog: for each component kind —
+// allocation policies, tier migration policies, translation designs and
+// workloads — one table of named constructors. A table lists its
+// built-in entries first, in a fixed order, followed by the entries
+// registered through the public extension API (repro/ext), sorted.
+// Construction, name parsing, listing, the collision check and the CLI
+// help all read these tables, so a registered component is addressable
+// by name everywhere a built-in is — Open options, sweep grid axes, the
+// CLI flags, and trace recording. (Catalog workloads live in
+// internal/workloads; the workload table holds registrations only, and
+// rejects names the workload catalog already answers to.)
 //
-// The registries follow the modular interface/implementation style of
-// Ramulator 2.0: implementations self-register under a string key and
-// the frontends construct them by name. Registration is expected at
-// program init time; lookups happen on every system construction, from
-// many sweep workers at once, so the tables take a read lock only.
+// The tables follow the modular interface/implementation style of
+// Ramulator 2.0: implementations are keyed by a string name and the
+// frontends construct them by name. Registration is expected at program
+// init time; lookups happen on every system construction, from many
+// sweep workers at once, so they take a read lock only.
 package registry
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/mimicos"
 	"repro/internal/mmu"
-	"repro/internal/pagetable"
 	"repro/internal/tier"
 	"repro/internal/workloads"
 )
 
-// Built-in component names. These must mirror internal/core's DesignName
-// and PolicyName constants — registry cannot import core (core consults
-// registry), so the sets are duplicated here and pinned to core's by
-// TestBuiltinNamesMatchCore in the root package.
-var (
-	builtinDesigns = map[string]bool{
-		"radix": true, "ech": true, "hdc": true, "ht": true,
-		"utopia": true, "rmm": true, "midgard": true, "directseg": true,
-		"nested": true,
-	}
-	builtinPolicies = map[string]bool{
-		"bd": true, "thp": true, "cr-thp": true, "ar-thp": true,
-		"utopia": true, "eager": true,
-	}
-	builtinTierPolicies = map[string]bool{
-		"hotcold": true, "clock": true,
-	}
-)
-
-// BuiltinDesign reports whether name is a built-in translation design.
-func BuiltinDesign(name string) bool { return builtinDesigns[name] }
-
-// BuiltinPolicy reports whether name is a built-in allocation policy.
-func BuiltinPolicy(name string) bool { return builtinPolicies[name] }
-
-// BuiltinTierPolicy reports whether name is a built-in tier migration
-// policy.
-func BuiltinTierPolicy(name string) bool { return builtinTierPolicies[name] }
-
-// DesignEnv is what a registered translation-design constructor gets to
-// work with: one process's page table (custom designs usually resolve
-// translations functionally through it), the cache hierarchy walks
-// charge their memory accesses to, and a pre-built baseline radix walker
-// over the same page table for designs that delegate or fall back.
-// Designs are per-process — the constructor runs once per process, and
-// multiprogrammed runs switch between the instances on dispatch.
+// DesignEnv is what a translation-design constructor gets to work with:
+// the kernel and the process it translates for (the process's page
+// table, ASID and per-process design state), the cache hierarchy walks
+// charge their memory accesses to, the nested design's host dimension,
+// and the page-walk-cache geometry of the baseline radix walker that
+// designs delegate to or fall back on. Designs are per-process — the
+// constructor runs once per process, and multiprogrammed runs switch
+// between the instances on dispatch.
 type DesignEnv struct {
-	PT    pagetable.PageTable
-	Mem   mmu.Memory
-	Radix *mmu.RadixWalker
-	ASID  uint16
+	OS   *mimicos.Kernel
+	Proc *mimicos.Process
+	Mem  mmu.Memory
+	// Host translates guest-physical addresses for the nested design
+	// (nil for every other design).
+	Host                mmu.Walker
+	PWCEntries, PWCWays int
 }
 
-var (
-	mu           sync.RWMutex
-	policies     = map[string]func() mimicos.AllocPolicy{}
-	tierPolicies = map[string]func() tier.Policy{}
-	designs      = map[string]func(DesignEnv) mmu.Design{}
-	loads        = map[string]func(workloads.Params) (*workloads.Workload, error){}
-)
+// NewRadix builds a baseline four-level radix walker over the process's
+// page table.
+func (e DesignEnv) NewRadix() *mmu.RadixWalker {
+	return mmu.NewRadixWalkerSized(e.Proc.PT, e.Mem, e.PWCEntries, e.PWCWays)
+}
 
-// validate applies the shared hygiene rules: a non-empty name, a
-// non-nil constructor, no collision with a built-in, no duplicate.
-func validate[T any](kind, name string, ctor T, isNil bool, builtin func(string) bool, table map[string]T) error {
+// Design is a translation design's catalog entry.
+type Design struct {
+	// PTKind is the page-table organisation the kernel builds for the
+	// design ("" = radix).
+	PTKind mimicos.PTKind
+	// Attach, when set, gives every new process the kernel-side state
+	// the design translates through (an RMM range table, a Midgard
+	// space) before the design is built for it.
+	Attach func(*mimicos.Kernel, *mimicos.Process)
+	// New builds the design for one process.
+	New func(DesignEnv) mmu.Design
+}
+
+// catalog is one component kind's table: built-in entries in a fixed
+// order, then registrations kept sorted by name.
+type catalog[C any] struct {
+	kind     string
+	names    []string
+	builtins int
+	ctors    map[string]C
+}
+
+// entry is a built-in's name and constructor.
+type entry[C any] struct {
+	name string
+	ctor C
+}
+
+func newCatalog[C any](kind string, builtins ...entry[C]) *catalog[C] {
+	c := &catalog[C]{kind: kind, ctors: map[string]C{}}
+	for _, e := range builtins {
+		c.names = append(c.names, e.name)
+		c.ctors[e.name] = e.ctor
+	}
+	c.builtins = len(builtins)
+	return c
+}
+
+// register applies the shared hygiene rules — a non-empty name, no
+// collision with a built-in or with a name reserved elsewhere, a
+// non-nil constructor, no duplicate — then files ctor under name.
+func (c *catalog[C]) register(name string, ctor C, isNil bool, reserved func(string) bool) error {
+	mu.Lock()
+	defer mu.Unlock()
 	if name == "" {
-		return fmt.Errorf("registry: empty %s name", kind)
+		return fmt.Errorf("registry: empty %s name", c.kind)
+	}
+	if slices.Contains(c.names[:c.builtins], name) || reserved != nil && reserved(name) {
+		return fmt.Errorf("registry: %s %q collides with a built-in (pick a new name)", c.kind, name)
 	}
 	if isNil {
-		return fmt.Errorf("registry: %s %q: nil constructor", kind, name)
+		return fmt.Errorf("registry: %s %q: nil constructor", c.kind, name)
 	}
-	if builtin != nil && builtin(name) {
-		return fmt.Errorf("registry: %s %q collides with a built-in (pick a new name)", kind, name)
+	if _, dup := c.ctors[name]; dup {
+		return fmt.Errorf("registry: %s %q already registered", c.kind, name)
 	}
-	if _, dup := table[name]; dup {
-		return fmt.Errorf("registry: %s %q already registered", kind, name)
-	}
+	i, _ := slices.BinarySearch(c.names[c.builtins:], name)
+	c.names = slices.Insert(c.names, c.builtins+i, name)
+	c.ctors[name] = ctor
 	return nil
 }
+
+func (c *catalog[C]) lookup(name string) (C, bool) {
+	mu.RLock()
+	ctor, ok := c.ctors[name]
+	mu.RUnlock()
+	return ctor, ok
+}
+
+func (c *catalog[C]) list() []string {
+	mu.RLock()
+	defer mu.RUnlock()
+	return slices.Clone(c.names)
+}
+
+// reset drops every registration, keeping the built-ins.
+func (c *catalog[C]) reset() {
+	for _, name := range c.names[c.builtins:] {
+		delete(c.ctors, name)
+	}
+	c.names = c.names[:c.builtins:c.builtins]
+}
+
+var (
+	mu sync.RWMutex
+
+	policies = newCatalog("policy",
+		entry[func() mimicos.AllocPolicy]{"bd", func() mimicos.AllocPolicy { return &mimicos.BuddyPolicy{} }},
+		entry[func() mimicos.AllocPolicy]{"thp", func() mimicos.AllocPolicy { return &mimicos.LinuxTHPPolicy{} }},
+		entry[func() mimicos.AllocPolicy]{"cr-thp", func() mimicos.AllocPolicy {
+			return &mimicos.ReservationTHPPolicy{UpgradeFrac: 0.5, PolicyName: "CR-THP"}
+		}},
+		entry[func() mimicos.AllocPolicy]{"ar-thp", func() mimicos.AllocPolicy {
+			return &mimicos.ReservationTHPPolicy{UpgradeFrac: 0.1, PolicyName: "AR-THP"}
+		}},
+		entry[func() mimicos.AllocPolicy]{"utopia", func() mimicos.AllocPolicy { return &mimicos.UtopiaPolicy{} }},
+		entry[func() mimicos.AllocPolicy]{"eager", func() mimicos.AllocPolicy { return &mimicos.EagerPolicy{} }},
+	)
+
+	tierPolicies = newCatalog("tier policy",
+		entry[func() tier.Policy]{tier.PolicyClock, func() tier.Policy { return tier.NewClock() }},
+		entry[func() tier.Policy]{tier.PolicyHotCold, func() tier.Policy { return tier.NewHotCold() }},
+	)
+
+	designs = newCatalog("design",
+		entry[Design]{"radix", Design{New: func(e DesignEnv) mmu.Design { return e.NewRadix() }}},
+		entry[Design]{"ech", Design{PTKind: mimicos.PTECH, New: hashWalker}},
+		entry[Design]{"hdc", Design{PTKind: mimicos.PTHDC, New: hashWalker}},
+		entry[Design]{"ht", Design{PTKind: mimicos.PTHT, New: hashWalker}},
+		entry[Design]{"utopia", Design{New: func(e DesignEnv) mmu.Design {
+			return mmu.NewUtopiaDesign(e.OS.Utopia, e.NewRadix(), e.Mem)
+		}}},
+		entry[Design]{"rmm", Design{Attach: (*mimicos.Kernel).EnableRMM, New: func(e DesignEnv) mmu.Design {
+			return mmu.NewRMMDesign(e.Proc.RMM, e.NewRadix(), e.Mem, e.Proc.ASID)
+		}}},
+		entry[Design]{"midgard", Design{Attach: (*mimicos.Kernel).EnableMidgard, New: func(e DesignEnv) mmu.Design {
+			return mmu.NewMidgardDesign(e.Proc.Midgard, e.NewRadix(), e.Mem, e.Proc.ASID)
+		}}},
+		entry[Design]{"directseg", Design{New: func(e DesignEnv) mmu.Design {
+			return &mmu.DirectSegDesign{Radix: e.NewRadix()}
+		}}},
+		entry[Design]{"nested", Design{New: func(e DesignEnv) mmu.Design {
+			return mmu.NewNestedDesign(e.Proc.PT, e.Host, e.Mem)
+		}}},
+	)
+
+	loads = newCatalog[func(workloads.Params) (*workloads.Workload, error)]("workload")
+)
+
+func hashWalker(e DesignEnv) mmu.Design { return mmu.NewHashWalker(e.Proc.PT, e.Mem) }
 
 // RegisterPolicy registers an allocation-policy constructor under name.
 // The constructor runs once per simulated system, so stateful policies
 // never share state between concurrent sweep points. It rejects empty
 // or duplicate names and names colliding with a built-in policy.
 func RegisterPolicy(name string, ctor func() mimicos.AllocPolicy) error {
-	mu.Lock()
-	defer mu.Unlock()
-	if err := validate("policy", name, ctor, ctor == nil, BuiltinPolicy, policies); err != nil {
-		return err
-	}
-	policies[name] = ctor
-	return nil
+	return policies.register(name, ctor, ctor == nil, nil)
 }
 
-// NewPolicy constructs a fresh instance of the registered policy, or
-// reports false for an unknown name.
+// NewPolicy constructs a fresh instance of the named policy, or reports
+// false for an unknown name.
 func NewPolicy(name string) (mimicos.AllocPolicy, bool) {
-	mu.RLock()
-	ctor, ok := policies[name]
-	mu.RUnlock()
+	ctor, ok := policies.lookup(name)
 	if !ok {
 		return nil, false
 	}
 	return ctor(), true
 }
 
-// PolicyNames returns the registered (non-built-in) policy names, sorted.
-func PolicyNames() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return sortedKeys(policies)
-}
+// PolicyNames returns every policy name: the built-ins in catalog
+// order, then the registered names sorted.
+func PolicyNames() []string { return policies.list() }
 
 // RegisterTierPolicy registers a tier-migration-policy constructor
 // under name. The constructor runs once per simulated system (tier
 // policies can be stateful); the usual hygiene rules apply.
 func RegisterTierPolicy(name string, ctor func() tier.Policy) error {
-	mu.Lock()
-	defer mu.Unlock()
-	if err := validate("tier policy", name, ctor, ctor == nil, BuiltinTierPolicy, tierPolicies); err != nil {
-		return err
-	}
-	tierPolicies[name] = ctor
-	return nil
+	return tierPolicies.register(name, ctor, ctor == nil, nil)
 }
 
-// NewTierPolicy constructs a fresh instance of the registered tier
-// policy, or reports false for an unknown name.
+// NewTierPolicy constructs a fresh instance of the named tier policy,
+// or reports false for an unknown name.
 func NewTierPolicy(name string) (tier.Policy, bool) {
-	mu.RLock()
-	ctor, ok := tierPolicies[name]
-	mu.RUnlock()
+	ctor, ok := tierPolicies.lookup(name)
 	if !ok {
 		return nil, false
 	}
 	return ctor(), true
 }
 
-// TierPolicyNames returns the registered (non-built-in) tier policy
-// names, sorted.
-func TierPolicyNames() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return sortedKeys(tierPolicies)
-}
+// TierPolicyNames returns every tier policy name: the built-ins in
+// catalog order, then the registered names sorted.
+func TierPolicyNames() []string { return tierPolicies.list() }
 
 // RegisterDesign registers a translation-design constructor under name.
 // The constructor runs once per process (every process owns its design
-// instance, the state a CR3 write switches). Same hygiene rules as
-// RegisterPolicy.
+// instance, the state a CR3 write switches) over radix page tables.
+// Same hygiene rules as RegisterPolicy.
 func RegisterDesign(name string, ctor func(DesignEnv) mmu.Design) error {
-	mu.Lock()
-	defer mu.Unlock()
-	if err := validate("design", name, ctor, ctor == nil, BuiltinDesign, designs); err != nil {
-		return err
-	}
-	designs[name] = ctor
-	return nil
+	return designs.register(name, Design{New: ctor}, ctor == nil, nil)
 }
 
-// NewDesign constructs the registered design over env, or reports false
-// for an unknown name.
-func NewDesign(name string, env DesignEnv) (mmu.Design, bool) {
-	mu.RLock()
-	ctor, ok := designs[name]
-	mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return ctor(env), true
-}
+// LookupDesign returns the named design's catalog entry, or reports
+// false for an unknown name.
+func LookupDesign(name string) (Design, bool) { return designs.lookup(name) }
 
-// DesignNames returns the registered (non-built-in) design names, sorted.
-func DesignNames() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return sortedKeys(designs)
-}
+// DesignNames returns every design name: the built-ins in catalog
+// order, then the registered names sorted.
+func DesignNames() []string { return designs.list() }
 
 // RegisterWorkload registers a workload constructor under name. The
 // constructor is invoked with the session's (or sweep point's) explicit
@@ -202,23 +250,15 @@ func DesignNames() []string {
 // Table 5 suites or the mix extras, under any of their accepted
 // spellings).
 func RegisterWorkload(name string, ctor func(workloads.Params) (*workloads.Workload, error)) error {
-	mu.Lock()
-	defer mu.Unlock()
-	catalog := func(n string) bool { _, ok := workloads.ByName(n); return ok }
-	if err := validate("workload", name, ctor, ctor == nil, catalog, loads); err != nil {
-		return err
-	}
-	loads[name] = ctor
-	return nil
+	inCatalog := func(n string) bool { _, ok := workloads.ByName(n); return ok }
+	return loads.register(name, ctor, ctor == nil, inCatalog)
 }
 
 // NewWorkload builds the registered workload with the given parameters.
 // ok reports whether the name is registered at all; err is the
 // constructor's failure when it is.
 func NewWorkload(name string, p workloads.Params) (w *workloads.Workload, ok bool, err error) {
-	mu.RLock()
-	ctor, ok := loads[name]
-	mu.RUnlock()
+	ctor, ok := loads.lookup(name)
 	if !ok {
 		return nil, false, nil
 	}
@@ -227,27 +267,15 @@ func NewWorkload(name string, p workloads.Params) (w *workloads.Workload, ok boo
 }
 
 // WorkloadNames returns the registered workload names, sorted.
-func WorkloadNames() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return sortedKeys(loads)
-}
+func WorkloadNames() []string { return loads.list() }
 
-func sortedKeys[T any](m map[string]T) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// reset clears every table — test hook only (see export_test.go).
+// reset drops every registration, keeping the built-ins — test hook
+// only (see export_test.go).
 func reset() {
 	mu.Lock()
 	defer mu.Unlock()
-	policies = map[string]func() mimicos.AllocPolicy{}
-	tierPolicies = map[string]func() tier.Policy{}
-	designs = map[string]func(DesignEnv) mmu.Design{}
-	loads = map[string]func(workloads.Params) (*workloads.Workload, error){}
+	policies.reset()
+	tierPolicies.reset()
+	designs.reset()
+	loads.reset()
 }

@@ -13,7 +13,7 @@ import (
 
 func policyCtor() mimicos.AllocPolicy { return &mimicos.BuddyPolicy{} }
 
-func designCtor(env DesignEnv) mmu.Design { return env.Radix }
+func designCtor(env DesignEnv) mmu.Design { return env.NewRadix() }
 
 func workloadCtor(p workloads.Params) (*workloads.Workload, error) {
 	return workloads.Stress(0, 8), nil
@@ -74,15 +74,22 @@ func TestNamesSortedAndLookup(t *testing.T) {
 		}
 	}
 	names := PolicyNames()
-	want := []string{"alpha", "mid", "zeta"}
+	want := []string{"bd", "thp", "cr-thp", "ar-thp", "utopia", "eager", "alpha", "mid", "zeta"}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Errorf("PolicyNames() = %v, want %v", names, want)
 	}
-	if _, ok := NewPolicy("alpha"); !ok {
-		t.Error("registered policy not found")
+	for _, name := range []string{"alpha", "thp"} {
+		if _, ok := NewPolicy(name); !ok {
+			t.Errorf("policy %q not found", name)
+		}
 	}
 	if _, ok := NewPolicy("nope"); ok {
 		t.Error("unknown policy found")
+	}
+	// Reset drops the registrations and keeps the built-ins.
+	Reset()
+	if names := PolicyNames(); fmt.Sprint(names) != fmt.Sprint(want[:6]) {
+		t.Errorf("after Reset, PolicyNames() = %v, want %v", names, want[:6])
 	}
 }
 
@@ -104,7 +111,8 @@ func TestConcurrentReadsDuringRegistration(t *testing.T) {
 				default:
 				}
 				NewPolicy("conc-0")
-				NewDesign("conc-0", DesignEnv{})
+				LookupDesign("conc-0")
+				NewPolicy("thp")
 				NewWorkload("conc-0", workloads.Params{})
 				PolicyNames()
 				DesignNames()

@@ -38,21 +38,6 @@ const (
 	PolicyClock   = "clock"
 )
 
-// NewBuiltin constructs a built-in policy by name ("" selects the
-// default, hotcold).
-func NewBuiltin(name string) (Policy, bool) {
-	switch name {
-	case PolicyHotCold, "":
-		return NewHotCold(), true
-	case PolicyClock:
-		return NewClock(), true
-	}
-	return nil, false
-}
-
-// BuiltinNames returns the built-in policy names, sorted.
-func BuiltinNames() []string { return []string{PolicyClock, PolicyHotCold} }
-
 // HotCold is the default migration policy: a saturating heat counter
 // with multi-bit hysteresis. Touches add TouchStep (capped at MaxHeat),
 // scans halve; pages at or below ColdAt are cold — eligible victims on

@@ -158,9 +158,8 @@ type Manager struct {
 	idx   map[pageKey]pageLoc
 }
 
-// NewManager builds a manager over specs (assumed validated). pol may
-// be nil when the policy comes from the extension registry; the engine
-// installs it via SetPolicy before the first fault.
+// NewManager builds a manager over specs (assumed validated) running
+// migration policy pol; SetPolicy replaces it before the first fault.
 func NewManager(specs []Spec, pol Policy) *Manager {
 	m := &Manager{
 		specs: specs,

@@ -118,17 +118,6 @@ func TestClockPolicy(t *testing.T) {
 	}
 }
 
-func TestNewBuiltin(t *testing.T) {
-	for _, name := range append(BuiltinNames(), "") {
-		if _, ok := NewBuiltin(name); !ok {
-			t.Errorf("NewBuiltin(%q) unknown", name)
-		}
-	}
-	if _, ok := NewBuiltin("bogus"); ok {
-		t.Error("NewBuiltin accepted an unknown name")
-	}
-}
-
 func TestManagerResidency(t *testing.T) {
 	specs := []Spec{
 		{Name: "cxl", Bytes: 2 * 4096, ReadLat: 600, WriteLat: 900},

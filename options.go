@@ -30,57 +30,48 @@ type openState struct {
 }
 
 // KnownDesigns returns every selectable translation design name: the
-// nine built-ins followed by designs registered through the public
-// extension API (repro/ext), sorted within each group.
-func KnownDesigns() []DesignName {
-	out := []DesignName{
-		DesignRadix, DesignECH, DesignHDC, DesignHT,
-		DesignUtopia, DesignRMM, DesignMidgard, DesignDirectSeg,
-		DesignNested,
-	}
-	for _, name := range registry.DesignNames() {
-		out = append(out, DesignName(name))
-	}
-	return out
-}
+// built-ins in catalog order followed by designs registered through the
+// public extension API (repro/ext), sorted.
+func KnownDesigns() []DesignName { return named[DesignName](registry.DesignNames()) }
 
 // KnownPolicies returns every selectable allocation policy name: the
-// six built-ins followed by policies registered through the public
-// extension API (repro/ext), sorted within each group.
-func KnownPolicies() []PolicyName {
-	out := []PolicyName{
-		PolicyBuddy, PolicyTHP, PolicyCRTHP, PolicyARTHP,
-		PolicyUtopia, PolicyEager,
-	}
-	for _, name := range registry.PolicyNames() {
-		out = append(out, PolicyName(name))
+// built-ins in catalog order followed by policies registered through
+// the public extension API (repro/ext), sorted.
+func KnownPolicies() []PolicyName { return named[PolicyName](registry.PolicyNames()) }
+
+// KnownTierPolicies returns every selectable tier migration policy
+// name: the built-ins in catalog order followed by policies registered
+// through the public extension API (repro/ext), sorted.
+func KnownTierPolicies() []string { return registry.TierPolicyNames() }
+
+// named converts catalog names to a typed name list.
+func named[N ~string](names []string) []N {
+	out := make([]N, len(names))
+	for i, n := range names {
+		out[i] = N(n)
 	}
 	return out
 }
 
-// KnownTierPolicies returns every selectable tier migration policy
-// name: the built-ins ("clock", "hotcold") followed by policies
-// registered through the public extension API (repro/ext), sorted
-// within each group.
-func KnownTierPolicies() []string {
-	out := tier.BuiltinNames()
-	return append(out, registry.TierPolicyNames()...)
+// parseName returns name as listed in known, or an error naming the
+// component kind and every known name.
+func parseName[N ~string](kind, name string, known []N) (N, error) {
+	for _, n := range known {
+		if string(n) == name {
+			return n, nil
+		}
+	}
+	return "", fmt.Errorf("virtuoso: unknown %s %q (known: %v)", kind, name, known)
 }
 
-// ParseTierPolicy validates a tier migration policy name: a built-in
-// or one registered through the extension API. The empty string is
-// valid and selects the default (TierPolicyHotCold) when tiers are
-// configured.
+// ParseTierPolicy validates a tier migration policy name: one listed by
+// KnownTierPolicies. The empty string is valid and selects the default
+// (TierPolicyHotCold) when tiers are configured.
 func ParseTierPolicy(name string) (string, error) {
 	if name == "" {
 		return "", nil
 	}
-	for _, p := range KnownTierPolicies() {
-		if p == name {
-			return p, nil
-		}
-	}
-	return "", fmt.Errorf("virtuoso: unknown tier policy %q (known: %v)", name, KnownTierPolicies())
+	return parseName("tier policy", name, KnownTierPolicies())
 }
 
 // ValidateTierSpecs checks a slow-tier list the way Open and sweep-spec
@@ -95,29 +86,16 @@ func ValidateTierSpecs(specs []TierSpec) error { return tier.ValidateSpecs(specs
 // enumerated by LongRunningSuite, ShortRunningSuite, and ExtraWorkloads.
 func RegisteredWorkloads() []string { return registry.WorkloadNames() }
 
-// ParseDesign validates a translation design name: a built-in ("radix",
-// "ech", "hdc", "ht", "utopia", "rmm", "midgard", "directseg",
-// "nested") or one
-// registered through the extension API.
+// ParseDesign validates a translation design name: one listed by
+// KnownDesigns.
 func ParseDesign(name string) (DesignName, error) {
-	for _, d := range KnownDesigns() {
-		if string(d) == name {
-			return d, nil
-		}
-	}
-	return "", fmt.Errorf("virtuoso: unknown design %q (known: %v)", name, KnownDesigns())
+	return parseName("design", name, KnownDesigns())
 }
 
-// ParsePolicy validates an allocation policy name: a built-in ("bd",
-// "thp", "cr-thp", "ar-thp", "utopia", "eager") or one registered
-// through the extension API.
+// ParsePolicy validates an allocation policy name: one listed by
+// KnownPolicies.
 func ParsePolicy(name string) (PolicyName, error) {
-	for _, p := range KnownPolicies() {
-		if string(p) == name {
-			return p, nil
-		}
-	}
-	return "", fmt.Errorf("virtuoso: unknown policy %q (known: %v)", name, KnownPolicies())
+	return parseName("policy", name, KnownPolicies())
 }
 
 // ParseMode validates an OS-methodology name ("imitation" or
