@@ -156,6 +156,49 @@ func TestPressureAllocBudget(t *testing.T) {
 	}
 }
 
+// Malloc budget of one Open of an os-pressure-style mix (the four
+// processes RND, SEQ, BFS and XS at workload scale 0.05 on 24 MB of DRAM
+// over 4 MB CXL and 8 MB NVM tiers), about 1.25× what the Open makes:
+// 117 allocations (98 KB) on Go 1.24 linux/amd64. A catalog lookup that
+// built whole suites to find one name, once to check each name and once
+// more to build the mix, took the Open to 591 allocations.
+const openMallocsBudget = 146
+
+// TestOpenAllocBudget holds one multiprogrammed Open to its malloc
+// budget. Open checks each workload name and builds the mix once, so a
+// name check or lookup that constructs workloads it does not keep
+// shows up here. The Open repeats and the second is measured.
+func TestOpenAllocBudget(t *testing.T) {
+	cfg := virtuoso.ScaledConfig()
+	cfg.Policy = virtuoso.PolicyBuddy
+	cfg.OSCfg.PhysBytes = 24 << 20
+	cfg.OSCfg.SwapBytes = 512 << 20
+	cfg.OSCfg.SwapThreshold = 0.5
+	cfg.OSCfg.Tiers = []virtuoso.TierSpec{
+		{Name: "cxl", Bytes: 4 << 20, ReadLat: 600, WriteLat: 900, BytesPerCycle: 8},
+		{Name: "nvm", Bytes: 8 << 20, ReadLat: 2500, WriteLat: 8000, BytesPerCycle: 2},
+	}
+	open := func() {
+		if _, err := virtuoso.Open(virtuoso.WithConfig(cfg),
+			virtuoso.WithWorkloadParams(virtuoso.WorkloadParams{Scale: 0.05}),
+			virtuoso.WithProcesses("RND", "SEQ", "BFS", "XS")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	open()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	open()
+	runtime.ReadMemStats(&after)
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("open: %d bytes in %d allocations", after.TotalAlloc-before.TotalAlloc, mallocs)
+	if mallocs > openMallocsBudget {
+		t.Errorf("open made %d allocations, budget %d", mallocs, openMallocsBudget)
+	}
+}
+
 // Host allocation budget of one exec-xs-style run (catalog XS at
 // workload scale 0.1 on the scaled radix + THP machine, to completion),
 // about 1.25× what the run allocates: 303 KB on Go 1.24 linux/amd64.

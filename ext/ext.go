@@ -392,7 +392,9 @@ func (e DesignEnv) ASID() uint16 { return e.env.Proc.ASID }
 // miss and returns where the page lives plus the cycles the hardware
 // walk cost.
 type TranslationDesign interface {
-	// Name is the display name reported in Metrics.Design.
+	// Name is the design's own display name. The simulator never calls
+	// it: Metrics.Design reports the name the design was registered
+	// under.
 	Name() string
 	// TranslateMiss resolves va after the TLB hierarchy missed.
 	TranslateMiss(va VAddr, now uint64) TranslationResult
@@ -405,8 +407,6 @@ type TranslationDesign interface {
 // designAdapter lifts an ext.TranslationDesign into the internal MMU
 // design interface.
 type designAdapter struct{ impl TranslationDesign }
-
-func (a designAdapter) Name() string { return a.impl.Name() }
 
 func (a designAdapter) TranslateMiss(va mem.VAddr, now uint64) mmu.Result {
 	r := a.impl.TranslateMiss(va, now)

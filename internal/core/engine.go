@@ -376,7 +376,11 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	if tierPol != nil {
 		s.OS.SetTierPolicy(tierPol)
 	}
-	s.Proc = s.OS.CreateProcess(1)
+	proc, err := s.OS.CreateProcess(1)
+	if err != nil {
+		return nil, err
+	}
+	s.Proc = proc
 
 	// Design-specific OS state.
 	if cfg.Design == DesignUtopia {
@@ -414,7 +418,9 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 
 	// Translation design.
 	if cfg.Design == DesignNested {
-		s.buildHost(oscfg.PhysBytes, pool)
+		if err := s.buildHost(oscfg.PhysBytes, pool); err != nil {
+			return nil, err
+		}
 	}
 	s.design = s.buildDesignFor(s.Proc)
 	s.MMU = mmu.New(cfg.MMUCfg, s.design, s.Proc.ASID)

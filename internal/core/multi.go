@@ -119,17 +119,20 @@ func (p *Process) Finished() bool { return p.finished }
 // attachProcess binds workload w to a process: PID 1 reuses the address
 // space NewSystem created; later PIDs get a fresh MimicOS process with
 // their own design state.
-func (s *System) attachProcess(pid int, w *workloads.Workload) *Process {
+func (s *System) attachProcess(pid int, w *workloads.Workload) (*Process, error) {
 	op := s.Proc
 	design := s.design
 	if pid != 1 {
-		op = s.OS.CreateProcess(pid)
+		var err error
+		if op, err = s.OS.CreateProcess(pid); err != nil {
+			return nil, err
+		}
 		if s.designEntry.Attach != nil {
 			s.designEntry.Attach(s.OS, op)
 		}
 		design = s.buildDesignFor(op)
 	}
-	return &Process{PID: pid, ASID: op.ASID, W: w, OS: op, Design: design}
+	return &Process{PID: pid, ASID: op.ASID, W: w, OS: op, Design: design}, nil
 }
 
 // dispatch installs p's address-space context on the core: kernel-side
@@ -188,7 +191,10 @@ func (s *System) RunMulti(ws []*workloads.Workload) (MultiMetrics, error) {
 
 	mix := make([]string, len(ws))
 	for i, w := range ws {
-		p := s.attachProcess(i+1, w)
+		p, err := s.attachProcess(i+1, w)
+		if err != nil {
+			return MultiMetrics{}, err
+		}
 		s.procs = append(s.procs, p)
 		mix[i] = w.Name()
 	}

@@ -193,7 +193,10 @@ func TestASIDRecycleNoStaleTLB(t *testing.T) {
 	if n := s.MMU.STLB().OccupancyASID(asid); n != 0 {
 		t.Fatalf("%d stale STLB entries survive process exit", n)
 	}
-	p2 := s.OS.CreateProcess(2)
+	p2, err := s.OS.CreateProcess(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p2.ASID != asid {
 		t.Fatalf("ASID not recycled: got %d, want %d", p2.ASID, asid)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/mem"
 	"repro/internal/mimicos"
 	"repro/internal/pagetable"
@@ -22,14 +24,19 @@ const hostVABase mem.VAddr = 0x2000_0000_0000
 // guestPhys bytes: twice that much machine memory, the buddy policy, no
 // disk, and one anonymous demand-backed VMA covering the guest's whole
 // physical address space.
-func (s *System) buildHost(guestPhys uint64, pool *recycle.Pool) {
+func (s *System) buildHost(guestPhys uint64, pool *recycle.Pool) error {
 	hcfg := mimicos.DefaultConfig()
 	hcfg.PhysBytes = 2 * guestPhys
 	hcfg.Seed = s.Cfg.Seed ^ 0x505
 	s.host = mimicos.NewWith(hcfg, nil, pool)
-	s.hostPT = &hostPT{s: s, proc: s.host.CreateProcess(1)}
+	proc, err := s.host.CreateProcess(1)
+	if err != nil {
+		return fmt.Errorf("core: nested host: %w", err)
+	}
+	s.hostPT = &hostPT{s: s, proc: proc}
 	s.host.Mmap(1, guestPhys, mimicos.MmapFlags{Anon: true, FixedAddr: hostVABase})
 	s.host.Tracer.Begin()
+	return nil
 }
 
 // hostPT is the host dimension of the nested walk: it translates a

@@ -58,7 +58,9 @@ func Fig18(o Opts) *Table {
 		Columns: []string{"count"},
 	}
 	k := mimicos.New(mimicos.DefaultConfig(), nil)
-	k.CreateProcess(1)
+	if _, err := k.CreateProcess(1); err != nil {
+		panic(err)
+	}
 	w := byName(o, "BC")
 	w.Setup(k, 1)
 

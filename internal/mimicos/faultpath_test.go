@@ -57,7 +57,11 @@ func (l *faultLog) stream() {
 }
 
 func (l *faultLog) spawn(pid int) {
-	l.procs = append(l.procs, l.k.CreateProcess(pid))
+	p, err := l.k.CreateProcess(pid)
+	if err != nil {
+		panic(err)
+	}
+	l.procs = append(l.procs, p)
 }
 
 func (l *faultLog) mmap(pid int, length uint64, flags MmapFlags) mem.VAddr {

@@ -481,13 +481,15 @@ func (k *Kernel) count(p *Process, f func(*Stats)) {
 // Process returns the process with the given PID, or nil.
 func (k *Kernel) Process(pid int) *Process { return k.procs[pid] }
 
-// newPageTable builds the configured page-table design.
-func (k *Kernel) newPageTable() pagetable.PageTable {
+// newPageTable builds the configured page-table design. The global
+// hash tables fail when physical memory has no contiguous run left for
+// them.
+func (k *Kernel) newPageTable() (pagetable.PageTable, error) {
 	switch k.Cfg.PTKind {
 	case PTRadix:
-		return pagetable.NewRadixWith(k.Slab, k.pool)
+		return pagetable.NewRadixWith(k.Slab, k.pool), nil
 	case PTECH:
-		return pagetable.NewECHWith(k.Slab, k.pool)
+		return pagetable.NewECHWith(k.Slab, k.pool), nil
 	case PTHDC:
 		return pagetable.NewHDCWith(k.Slab, tableBytesFor(k.Cfg.PhysBytes), k.pool)
 	case PTHT:
@@ -514,12 +516,17 @@ func tableBytesFor(physBytes uint64) uint64 {
 // CreateProcess registers a new address space. ASIDs released by exited
 // processes are recycled before the counter grows — real kernels do the
 // same (the ASID space is 12-16 bits), which is why exit must flush the
-// TLB hierarchy ASID-wide (see ExitProcess).
-func (k *Kernel) CreateProcess(pid int) *Process {
+// TLB hierarchy ASID-wide (see ExitProcess). It fails, with no process
+// created, when the process's page table cannot be allocated.
+func (k *Kernel) CreateProcess(pid int) (*Process, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if _, dup := k.procs[pid]; dup {
 		panic(fmt.Sprintf("mimicos: duplicate pid %d", pid))
+	}
+	pt, err := k.newPageTable()
+	if err != nil {
+		return nil, fmt.Errorf("mimicos: create process %d: %w", pid, err)
 	}
 	var asid uint16
 	if n := len(k.freeASIDs); n > 0 {
@@ -532,13 +539,13 @@ func (k *Kernel) CreateProcess(pid int) *Process {
 	p := &Process{
 		PID:         pid,
 		ASID:        asid,
-		PT:          k.newPageTable(),
+		PT:          pt,
 		resident:    residentList{pool: k.pool},
 		residentIdx: recycle.Map[mem.VAddr, int](k.pool, residentIdxKey),
 		nextMmap:    0x0000_1000_0000_0000,
 	}
 	k.procs[pid] = p
-	return p
+	return p, nil
 }
 
 // ExitProcess tears down a process: every resident page is unmapped

@@ -8,6 +8,16 @@ import (
 	"repro/internal/pagetable"
 )
 
+// newProc creates process pid, failing tb if the kernel cannot.
+func newProc(tb testing.TB, k *Kernel, pid int) *Process {
+	tb.Helper()
+	p, err := k.CreateProcess(pid)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
 func testKernel(t testing.TB, mut func(*Config)) *Kernel {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -178,7 +188,7 @@ func TestOneGigFault(t *testing.T) {
 
 func TestSwapOutInRoundTrip(t *testing.T) {
 	k := testKernel(t, nil)
-	p := k.CreateProcess(1)
+	p := newProc(t, k, 1)
 	base := k.Mmap(1, 64*mem.KB, MmapFlags{Anon: true})
 	k.HandlePageFault(1, base, true, 0)
 	k.Tracer.Begin()

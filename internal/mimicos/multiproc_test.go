@@ -16,8 +16,8 @@ func TestKhugepagedCrossProcessAttribution(t *testing.T) {
 	cfg.PhysBytes = 512 * mem.MB
 	k := New(cfg, nil)
 	k.SetPolicy(&BuddyPolicy{})
-	p1 := k.CreateProcess(1)
-	p2 := k.CreateProcess(2)
+	p1 := newProc(t, k, 1)
+	p2 := newProc(t, k, 2)
 
 	// Fill one whole 2MB region of process 2 with 4K pages (buddy policy
 	// never allocates huge pages, so every PTE is collapse-eligible).
@@ -86,7 +86,7 @@ func TestExitFreesSwapSlots(t *testing.T) {
 	cfg.KhugeEveryNFaults = 0
 	k := New(cfg, nil)
 	k.SetPolicy(&BuddyPolicy{})
-	p := k.CreateProcess(1)
+	p := newProc(t, k, 1)
 
 	// Touch more pages than physical memory holds so reclaim swaps.
 	foot := uint64(70 * mem.MB)
@@ -111,8 +111,8 @@ func TestExitFreesSwapSlots(t *testing.T) {
 // TestASIDRecycling checks the create→exit→create cycle reuses ASIDs.
 func TestASIDRecycling(t *testing.T) {
 	k := New(DefaultConfig(), nil)
-	a := k.CreateProcess(1).ASID
-	b := k.CreateProcess(2).ASID
+	a := newProc(t, k, 1).ASID
+	b := newProc(t, k, 2).ASID
 	if a == b {
 		t.Fatalf("duplicate live ASIDs %d", a)
 	}
@@ -122,7 +122,7 @@ func TestASIDRecycling(t *testing.T) {
 	if len(notified) != 1 || notified[0] != a {
 		t.Fatalf("exit notifier saw %v, want [%d]", notified, a)
 	}
-	if got := k.CreateProcess(3).ASID; got != a {
+	if got := newProc(t, k, 3).ASID; got != a {
 		t.Fatalf("ASID %d not recycled (got %d)", a, got)
 	}
 	if k.Stats().Exits != 1 {

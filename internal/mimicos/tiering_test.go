@@ -223,7 +223,7 @@ func wedgeKernel(t *testing.T, nvmBytes uint64) (k *Kernel, demote func(tier int
 			{Name: "nvm", Bytes: nvmBytes, ReadLat: 2500, WriteLat: 8000, BytesPerCycle: 2},
 		},
 	}, nil)
-	p := k.CreateProcess(1)
+	p := newProc(t, k, 1)
 	next := k.Mmap(1, 64*mem.KB, MmapFlags{Anon: true})
 	demote = func(t int) mem.VAddr {
 		va := next

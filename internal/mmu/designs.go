@@ -33,9 +33,6 @@ func NewUtopiaDesign(sys *utopia.System, flex *RadixWalker, m Memory) *UtopiaDes
 	}
 }
 
-// Name implements Design.
-func (d *UtopiaDesign) Name() string { return "utopia" }
-
 // TranslateMiss implements Design.
 func (d *UtopiaDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 	var lat uint64
@@ -110,9 +107,6 @@ func NewRMMDesign(table *rmm.Table, radix *RadixWalker, m Memory, asid uint16) *
 	}
 }
 
-// Name implements Design.
-func (d *RMMDesign) Name() string { return "rmm" }
-
 // TranslateMiss implements Design.
 func (d *RMMDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 	// The RLB is probed in parallel with the L2 TLB (Table 4); only the
@@ -180,9 +174,6 @@ func NewMidgardDesign(space *midgard.Space, backend *RadixWalker, m Memory, asid
 		ExtraBackendSteps: 2,
 	}
 }
-
-// Name implements Design.
-func (d *MidgardDesign) Name() string { return "midgard" }
 
 // TranslateMiss implements Design.
 func (d *MidgardDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
@@ -259,9 +250,6 @@ type DirectSegDesign struct {
 
 	SegmentHits uint64
 }
-
-// Name implements Design.
-func (d *DirectSegDesign) Name() string { return "directseg" }
 
 // TranslateMiss implements Design.
 func (d *DirectSegDesign) TranslateMiss(va mem.VAddr, now uint64) Result {

@@ -36,7 +36,6 @@ type Result struct {
 
 // Design is a translation mechanism invoked after an L2 STLB miss.
 type Design interface {
-	Name() string
 	// TranslateMiss resolves va after the TLB hierarchy missed.
 	TranslateMiss(va mem.VAddr, now uint64) Result
 	// Invalidate drops design-internal state for a page (shootdowns).

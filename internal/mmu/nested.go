@@ -44,9 +44,6 @@ func NewNestedDesign(guest, host Walker, m Memory) *NestedDesign {
 	}
 }
 
-// Name implements Design.
-func (d *NestedDesign) Name() string { return "nested" }
-
 // translateHost resolves one guest-physical address to host-physical,
 // charging the host-dimension walk unless cached.
 func (d *NestedDesign) translateHost(gpa mem.PAddr, now uint64) (mem.PAddr, uint64, bool) {

@@ -34,9 +34,6 @@ func NewRadixWalkerSized(pt pagetable.PageTable, m Memory, pwcEntries, pwcWays i
 	return w
 }
 
-// Name implements Design.
-func (w *RadixWalker) Name() string { return "radix" }
-
 // TranslateMiss implements Design.
 func (w *RadixWalker) TranslateMiss(va mem.VAddr, now uint64) Result {
 	var walk pagetable.WalkResult
@@ -101,9 +98,6 @@ func NewHashWalker(pt pagetable.PageTable, m Memory) *HashWalker {
 	return w
 }
 
-// Name implements Design.
-func (w *HashWalker) Name() string { return w.PT.Kind() }
-
 // TranslateMiss implements Design.
 func (w *HashWalker) TranslateMiss(va mem.VAddr, now uint64) Result {
 	walk := w.PT.Walk(va)
@@ -144,9 +138,6 @@ type FixedWalker struct {
 	PT  pagetable.PageTable
 	Lat uint64
 }
-
-// Name implements Design.
-func (w *FixedWalker) Name() string { return "fixed" }
 
 // TranslateMiss implements Design.
 func (w *FixedWalker) TranslateMiss(va mem.VAddr, now uint64) Result {

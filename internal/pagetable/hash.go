@@ -1,6 +1,8 @@
 package pagetable
 
 import (
+	"errors"
+
 	"repro/internal/instrument"
 	"repro/internal/mem"
 	"repro/internal/recycle"
@@ -53,11 +55,11 @@ type hdcTable struct {
 	Lookups     uint64
 }
 
-func newHDCTable(alloc FrameAllocator, ps mem.PageSize, tableBytes uint64, pool *recycle.Pool) *hdcTable {
+func newHDCTable(alloc FrameAllocator, ps mem.PageSize, tableBytes uint64, pool *recycle.Pool) (*hdcTable, error) {
 	pages := tableBytes / (4 * mem.KB)
 	base, ok := alloc.AllocContig(pages, 512)
 	if !ok {
-		panic("pagetable: cannot allocate HDC table")
+		return nil, errors.New("pagetable: cannot allocate HDC table")
 	}
 	return &hdcTable{
 		clusters:    arena[hdcCluster]{pool: pool, key: hdcClusterChunkKey, min: 16, max: 64},
@@ -67,7 +69,7 @@ func newHDCTable(alloc FrameAllocator, ps mem.PageSize, tableBytes uint64, pool 
 		seed:        0xD0C5EED ^ uint64(ps),
 		slotTo:      recycle.Map[uint64, *hdcCluster](pool, hdcSlotToKey),
 		clusterSlot: recycle.Map[uint64, uint64](pool, hdcClusterSlotKey),
-	}
+	}, nil
 }
 
 func (t *hdcTable) slotPA(slot uint64) mem.PAddr {
@@ -122,15 +124,21 @@ func (t *hdcTable) findOrCreate(cvpn uint64, k instrument.KernelMem) *hdcCluster
 // NewHDCWith builds the global open-addressing table (4 GB when
 // tableBytes is 0, split between the 4 KB and 2 MB page sizes, probed
 // after perfect page-size resolution), drawing cluster chunks and slot
-// maps from pool (nil pool = fresh allocations).
-func NewHDCWith(alloc FrameAllocator, tableBytes uint64, pool *recycle.Pool) *HDC {
+// maps from pool (nil pool = fresh allocations). It fails when alloc
+// has no contiguous run of frames left for a sub-table.
+func NewHDCWith(alloc FrameAllocator, tableBytes uint64, pool *recycle.Pool) (*HDC, error) {
 	if tableBytes == 0 {
 		tableBytes = 4 * mem.GB
 	}
-	return &HDC{sub: [2]*hdcTable{
-		newHDCTable(alloc, mem.Page4K, tableBytes*7/8, pool),
-		newHDCTable(alloc, mem.Page2M, tableBytes/8, pool),
-	}}
+	small, err := newHDCTable(alloc, mem.Page4K, tableBytes*7/8, pool)
+	if err != nil {
+		return nil, err
+	}
+	large, err := newHDCTable(alloc, mem.Page2M, tableBytes/8, pool)
+	if err != nil {
+		return nil, err
+	}
+	return &HDC{sub: [2]*hdcTable{small, large}}, nil
 }
 
 // Recycle hands the table's cluster chunks and slot maps back to pool,

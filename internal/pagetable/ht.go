@@ -1,6 +1,8 @@
 package pagetable
 
 import (
+	"errors"
+
 	"repro/internal/instrument"
 	"repro/internal/mem"
 	"repro/internal/recycle"
@@ -50,11 +52,11 @@ type htTable struct {
 	OverflowNodes uint64
 }
 
-func newHTTable(alloc FrameAllocator, ps mem.PageSize, tableBytes uint64, pool *recycle.Pool) *htTable {
+func newHTTable(alloc FrameAllocator, ps mem.PageSize, tableBytes uint64, pool *recycle.Pool) (*htTable, error) {
 	pages := tableBytes / (4 * mem.KB)
 	base, ok := alloc.AllocContig(pages, 512)
 	if !ok {
-		panic("pagetable: cannot allocate HT table")
+		return nil, errors.New("pagetable: cannot allocate HT table")
 	}
 	return &htTable{
 		nodes:    arena[htNode]{pool: pool, key: htNodeChunkKey, min: 64, max: 64},
@@ -64,7 +66,7 @@ func newHTTable(alloc FrameAllocator, ps mem.PageSize, tableBytes uint64, pool *
 		buckets:  tableBytes / mem.CacheLineBytes,
 		seed:     0xC4A12 ^ uint64(ps),
 		heads:    recycle.Map[uint64, *htNode](pool, htHeadsKey),
-	}
+	}, nil
 }
 
 func (t *htTable) bucketOf(vpn uint64) uint64 { return xrand.Hash64(vpn, t.seed) % t.buckets }
@@ -152,15 +154,21 @@ func (t *htTable) insert(vpn uint64, e Entry, k instrument.KernelMem) bool {
 
 // NewHTWith builds the chained hash table (4 GB when tableBytes is 0),
 // drawing group chunks and bucket-head maps from pool (nil pool = fresh
-// allocations).
-func NewHTWith(alloc FrameAllocator, tableBytes uint64, pool *recycle.Pool) *HT {
+// allocations). It fails when alloc has no contiguous run of frames
+// left for a sub-table.
+func NewHTWith(alloc FrameAllocator, tableBytes uint64, pool *recycle.Pool) (*HT, error) {
 	if tableBytes == 0 {
 		tableBytes = 4 * mem.GB
 	}
-	return &HT{sub: [2]*htTable{
-		newHTTable(alloc, mem.Page4K, tableBytes*7/8, pool),
-		newHTTable(alloc, mem.Page2M, tableBytes/8, pool),
-	}}
+	small, err := newHTTable(alloc, mem.Page4K, tableBytes*7/8, pool)
+	if err != nil {
+		return nil, err
+	}
+	large, err := newHTTable(alloc, mem.Page2M, tableBytes/8, pool)
+	if err != nil {
+		return nil, err
+	}
+	return &HT{sub: [2]*htTable{small, large}}, nil
 }
 
 // Recycle hands the table's group chunks and bucket-head maps back to

@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,13 +16,36 @@ func newAlloc(t testing.TB) FrameAllocator {
 	return phys.NewSlab(phys.New(512 * mem.MB))
 }
 
+// mustTable returns a table constructor's table, panicking on its
+// error.
+func mustTable[T any](pt T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return pt
+}
+
 func allDesigns(t testing.TB) map[string]PageTable {
 	alloc := newAlloc(t)
 	return map[string]PageTable{
 		"radix": NewRadix(alloc),
 		"ech":   NewECHWith(alloc, nil),
-		"hdc":   NewHDCWith(alloc, 16*mem.MB, nil),
-		"ht":    NewHTWith(alloc, 16*mem.MB, nil),
+		"hdc":   mustTable(NewHDCWith(alloc, 16*mem.MB, nil)),
+		"ht":    mustTable(NewHTWith(alloc, 16*mem.MB, nil)),
+	}
+}
+
+// TestHashTablesFailWithoutContiguousFrames checks that the global hash
+// tables report a frame allocator with no room for them as an error.
+func TestHashTablesFailWithoutContiguousFrames(t *testing.T) {
+	for name, build := range map[string]func(FrameAllocator) error{
+		"hdc": func(a FrameAllocator) error { _, err := NewHDCWith(a, 16*mem.MB, nil); return err },
+		"ht":  func(a FrameAllocator) error { _, err := NewHTWith(a, 16*mem.MB, nil); return err },
+	} {
+		err := build(phys.NewSlab(phys.New(8 * mem.MB)))
+		if want := "pagetable: cannot allocate " + strings.ToUpper(name) + " table"; err == nil || err.Error() != want {
+			t.Errorf("%s on 8 MB: error %v, want %q", name, err, want)
+		}
 	}
 }
 
@@ -176,7 +200,7 @@ func TestECHElasticResize(t *testing.T) {
 }
 
 func TestHDCCollisionProbing(t *testing.T) {
-	pt := NewHDCWith(newAlloc(t), 16*mem.MB, nil)
+	pt := mustTable(NewHDCWith(newAlloc(t), 16*mem.MB, nil))
 	k := instrument.NopMem{}
 	// Many inserts: collisions must still resolve correctly.
 	for i := uint64(0); i < 20000; i++ {
@@ -192,7 +216,7 @@ func TestHDCCollisionProbing(t *testing.T) {
 }
 
 func TestHTChaining(t *testing.T) {
-	pt := NewHTWith(newAlloc(t), 16*mem.MB, nil)
+	pt := mustTable(NewHTWith(newAlloc(t), 16*mem.MB, nil))
 	k := instrument.NopMem{}
 	for i := uint64(0); i < 30000; i++ {
 		pt.Insert(mem.VAddr(i*4096), Entry{Frame: mem.PAddr(i * 4096), Size: mem.Page4K, Present: true}, k)

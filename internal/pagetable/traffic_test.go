@@ -349,7 +349,7 @@ func boolBit(b bool) uint64 {
 // finally recycles the table into pool.
 func htTraffic(l *trafficLog, pool *recycle.Pool) {
 	alloc := phys.NewSlab(phys.New(512 * mem.MB))
-	pt := NewHTWith(alloc, 64*mem.KB, pool)
+	pt := mustTable(NewHTWith(alloc, 64*mem.KB, pool))
 	rng := xrand.New(0x47)
 	const n = 12000
 	vas := make([]mem.VAddr, n)
@@ -391,7 +391,7 @@ func htTraffic(l *trafficLog, pool *recycle.Pool) {
 func hdcTraffic(l *trafficLog, pool *recycle.Pool) {
 	alloc := phys.NewSlab(phys.New(512 * mem.MB))
 	// 56 KiB of 4K buckets (896 slots) and 8 KiB of 2M buckets (128).
-	pt := NewHDCWith(alloc, 64*mem.KB, pool)
+	pt := mustTable(NewHDCWith(alloc, 64*mem.KB, pool))
 	rng := xrand.New(0x4DC)
 	e4 := func(i uint64) Entry { return Entry{Frame: mem.PAddr(i+1) << 12, Size: mem.Page4K, Present: true} }
 	check := func(va mem.VAddr) {

@@ -8,7 +8,9 @@
 // by name everywhere a built-in is — Open options, sweep grid axes, the
 // CLI flags, and trace recording. (Catalog workloads live in
 // internal/workloads; the workload table holds registrations only, and
-// rejects names the workload catalog already answers to.)
+// rejects names the workload catalog already answers to. That collision
+// check is a lookup in the workload catalog's name index: it builds no
+// workload.)
 //
 // The tables follow the modular interface/implementation style of
 // Ramulator 2.0: implementations are keyed by a string name and the
@@ -248,10 +250,9 @@ func DesignNames() []string { return designs.list() }
 // workload state is mutated during a run and is never shared between
 // concurrent points. The name must not shadow a catalog workload (the
 // Table 5 suites or the mix extras, under any of their accepted
-// spellings).
+// spellings); the check looks the name up without building anything.
 func RegisterWorkload(name string, ctor func(workloads.Params) (*workloads.Workload, error)) error {
-	inCatalog := func(n string) bool { _, ok := workloads.ByName(n); return ok }
-	return loads.register(name, ctor, ctor == nil, inCatalog)
+	return loads.register(name, ctor, ctor == nil, workloads.Known)
 }
 
 // NewWorkload builds the registered workload with the given parameters.

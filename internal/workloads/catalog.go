@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/mem"
 	"repro/internal/mimicos"
@@ -261,19 +262,175 @@ func Stress(level int, maxLevels int) *Workload {
 	return StressWith(level, maxLevels, Params{})
 }
 
-// Graph suite (GraphBIG, Table 5) -------------------------------------------
+// Catalog -------------------------------------------------------------------
+
+// suite is the group a catalog workload is listed in.
+type suite uint8
+
+const (
+	suiteLong  suite = iota // Table 5's long-running suite
+	suiteShort              // Table 5's short-running suite
+	suiteExtra              // mix extras, outside the Table 5 suites
+)
+
+// entry is one catalog workload: its canonical name, the prefix of the
+// suite-prefixed spelling it may also be requested under ("" if none),
+// the suite that lists it and its constructor.
+type entry struct {
+	name   string
+	prefix string
+	suite  suite
+	build  func(Params) *Workload
+}
+
+// catalog is every catalog workload, each suite in listing order: the
+// long-running suite of Table 5 (the GraphBIG benchmarks, XSBench and
+// GUPS randacc), the short-running suite, then the mix extras.
+//
+// Extras are workloads outside the Table 5 suites, reachable through
+// ByNameWith (and therefore usable in multiprogrammed mixes and on the
+// CLI) without changing the suites the paper-reproduction experiments
+// iterate over.
+var catalog = [...]entry{
+	{"BC", "graphbig-", suiteLong, bc},
+	{"BFS", "graphbig-", suiteLong, bfs},
+	{"CC", "graphbig-", suiteLong, cc},
+	{"GC", "graphbig-", suiteLong, gc},
+	{"KC", "graphbig-", suiteLong, kc},
+	{"PR", "graphbig-", suiteLong, pr},
+	{"RND", "hpc-", suiteLong, rnd},
+	{"SSSP", "graphbig-", suiteLong, sp},
+	{"TC", "graphbig-", suiteLong, tc},
+	{"XS", "hpc-", suiteLong, xs},
+
+	{"JSON", "faas-", suiteShort, jsonW},
+	{"AES", "faas-", suiteShort, aes},
+	{"IMG-RES", "faas-", suiteShort, imgres},
+	{"WCNT", "faas-", suiteShort, wcnt},
+	{"DB", "faas-", suiteShort, db},
+	{"Llama-2-7B", "llm-", suiteShort, llama},
+	{"Bagel-2.8B", "llm-", suiteShort, bagel},
+	{"Mistral-7B", "llm-", suiteShort, mistral},
+	{"3D-Transp", "", suiteShort, transp3D},
+	{"Hadamard", "", suiteShort, hadamard},
+	{"2D-Sum", "", suiteShort, sum2D},
+
+	{"SEQ", "", suiteExtra, seqW},
+}
+
+// index maps every spelling ByNameWith accepts, lowercased, to its
+// entry: the canonical name ("bfs") and the suite-prefixed form
+// ("graphbig-bfs"). A wrong-suite spelling like "faas-bfs" is not a key.
+var index = func() map[string]*entry {
+	m := make(map[string]*entry, 2*len(catalog))
+	for i := range catalog {
+		e := &catalog[i]
+		can := strings.ToLower(e.name)
+		m[can] = e
+		if e.prefix != "" {
+			m[e.prefix+can] = e
+		}
+	}
+	return m
+}()
+
+// maxKey is the longest ASCII spelling lookup folds without allocating;
+// every index key is shorter.
+const maxKey = 32
+
+// lookup returns the entry name selects, ignoring case, or nil. ASCII
+// names are folded in a stack buffer; any other name goes through
+// strings.ToLower, whose Unicode folding the index keys were made with.
+func lookup(name string) *entry {
+	if len(name) <= maxKey {
+		var buf [maxKey]byte
+		i := 0
+		for ; i < len(name) && name[i] < utf8.RuneSelf; i++ {
+			c := name[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf[i] = c
+		}
+		if i == len(name) {
+			return index[string(buf[:i])]
+		}
+	}
+	return index[strings.ToLower(name)]
+}
+
+// Known reports whether name selects a catalog workload, under any
+// spelling ByNameWith accepts, without building it.
+func Known(name string) bool { return lookup(name) != nil }
+
+// ByNameWith returns the named workload from either suite (or the mix
+// extras), built with explicit parameters — the race-free lookup
+// parallel sweeps use. Lookup is forgiving: it accepts the canonical
+// Table 5 name ("BFS"), any case variant ("bfs"), and suite-prefixed
+// spellings ("graphbig-bfs"). Only the matching workload is built.
+func ByNameWith(name string, p Params) (*Workload, bool) {
+	e := lookup(name)
+	if e == nil {
+		return nil, false
+	}
+	// The extras get p unresolved, so SEQ by name at Params{} is 2 MB
+	// with no iterate passes while ExtraSuite lists it at 256 MB.
+	// Resolving it changes results; the fix is ROADMAP item 9's.
+	if e.suite != suiteExtra {
+		p = p.resolve()
+	}
+	return e.build(p), true
+}
+
+// ByName returns the named workload from either suite (or the mix
+// extras), built at the library defaults.
+func ByName(name string) (*Workload, bool) { return ByNameWith(name, Params{}) }
+
+// suiteWith builds the workloads suite s lists, in catalog order.
+func suiteWith(s suite, p Params) []*Workload {
+	p = p.resolve()
+	ws := make([]*Workload, 0, len(catalog))
+	for i := range catalog {
+		if catalog[i].suite == s {
+			ws = append(ws, catalog[i].build(p))
+		}
+	}
+	return ws
+}
 
 // LongSuiteWith returns the long-running suite of Table 5 — the GraphBIG
 // benchmarks, XSBench, and GUPS randacc — built with explicit parameters.
-func LongSuiteWith(p Params) []*Workload {
-	p = p.resolve()
-	return []*Workload{
-		bc(p), bfs(p), cc(p), gc(p), kc(p), pr(p), rnd(p), sp(p), tc(p), xs(p),
-	}
-}
+func LongSuiteWith(p Params) []*Workload { return suiteWith(suiteLong, p) }
 
 // LongSuite is LongSuiteWith at the library defaults.
 func LongSuite() []*Workload { return LongSuiteWith(Params{}) }
+
+// ShortSuiteWith returns the short-running suite of Table 5, built with
+// explicit parameters.
+func ShortSuiteWith(p Params) []*Workload { return suiteWith(suiteShort, p) }
+
+// ShortSuite is ShortSuiteWith at the library defaults.
+func ShortSuite() []*Workload { return ShortSuiteWith(Params{}) }
+
+// ExtraSuite returns the mix-extra workloads at the library defaults.
+func ExtraSuite() []*Workload { return suiteWith(suiteExtra, Params{}) }
+
+// MixWith builds one fresh workload per name (suites or extras, same
+// forgiving matching as ByNameWith) — the construction path every
+// multiprogrammed mix goes through.
+func MixWith(names []string, p Params) ([]*Workload, error) {
+	ws := make([]*Workload, len(names))
+	for i, n := range names {
+		w, ok := ByNameWith(n, p)
+		if !ok {
+			return nil, fmt.Errorf("workloads: unknown workload %q", n)
+		}
+		ws[i] = w
+	}
+	return ws, nil
+}
+
+// Long-running suite (GraphBIG, XSBench, GUPS; Table 5) ----------------------
 
 // bc is GraphBIG betweenness centrality: one huge VMA plus ~147 small
 // auxiliary VMAs (Fig. 18), highly irregular.
@@ -308,74 +465,7 @@ func xs(p Params) *Workload { return hpc(p, "XS", p.sz(320*mem.MB), 8, false) }
 // and TLB stressor (used for Fig. 11's worst-case overheads).
 func rnd(p Params) *Workload { return hpc(p, "RND", p.sz(256*mem.MB), 1, true) }
 
-// Mix extras ----------------------------------------------------------------
-//
-// Extras are workloads outside the Table 5 suites, reachable through
-// ByNameWith (and therefore usable in multiprogrammed mixes and on the
-// CLI) without changing the suites the paper-reproduction experiments
-// iterate over.
-
-func extrasWith(p Params) []*Workload {
-	return []*Workload{seqW(p)}
-}
-
-// seqW builds "SEQ": a purely sequential streaming scan with high
-// spatial locality — the TLB-friendly counterpoint to RND in
-// multiprogrammed mixes, where the contrast makes ASID-retention and
-// scheduling effects easy to read.
-func seqW(p Params) *Workload {
-	foot := p.sz(256 * mem.MB)
-	w := &Workload{name: "SEQ", class: LongRunning, footprint: foot}
-	w.setup = func(w *Workload, k *mimicos.Kernel, pid int) {
-		w.bases["data"] = k.Mmap(pid, foot, mimicos.MmapFlags{Anon: true})
-	}
-	w.program = func(w *Workload) []Step {
-		data := w.Base("data")
-		steps := []Step{
-			{Kind: StepTouch, Base: data, Size: foot, Stride: 64, ALUPer: 2, PC: 0xA00100},
-		}
-		for it := 0; it < p.LongIters; it++ {
-			steps = append(steps, Step{Kind: StepSeq, Base: data, Size: foot, Stride: 64,
-				Count: foot / 64 / 2, ALUPer: 4, PC: 0xA00200})
-		}
-		return steps
-	}
-	return w
-}
-
-// ExtraSuite returns the mix-extra workloads at the library defaults.
-func ExtraSuite() []*Workload { return extrasWith(Params{}.resolve()) }
-
-// MixWith builds one fresh workload per name (suites or extras, same
-// forgiving matching as ByNameWith) — the construction path every
-// multiprogrammed mix goes through.
-func MixWith(names []string, p Params) ([]*Workload, error) {
-	ws := make([]*Workload, len(names))
-	for i, n := range names {
-		w, ok := ByNameWith(n, p)
-		if !ok {
-			return nil, fmt.Errorf("workloads: unknown workload %q", n)
-		}
-		ws[i] = w
-	}
-	return ws, nil
-}
-
-// Short-running suite --------------------------------------------------------
-
-// ShortSuiteWith returns the short-running suite of Table 5, built with
-// explicit parameters.
-func ShortSuiteWith(p Params) []*Workload {
-	p = p.resolve()
-	return []*Workload{
-		jsonW(p), aes(p), imgres(p), wcnt(p), db(p),
-		llama(p), bagel(p), mistral(p),
-		transp3D(p), hadamard(p), sum2D(p),
-	}
-}
-
-// ShortSuite is ShortSuiteWith at the library defaults.
-func ShortSuite() []*Workload { return ShortSuiteWith(Params{}) }
+// Short-running suite (Table 5) ---------------------------------------------
 
 // jsonW is FaaS JSON deserialisation.
 func jsonW(p Params) *Workload { return faas("JSON", p.sz(24*mem.MB), 10, 64*1024) }
@@ -412,54 +502,28 @@ func hadamard(p Params) *Workload { return image("Hadamard", p.sz(24*mem.MB), 64
 // sum2D is the 2D matrix sum.
 func sum2D(p Params) *Workload { return image("2D-Sum", p.sz(16*mem.MB), 64, 2) }
 
-// ByNameWith returns the named workload from either suite (or the mix
-// extras), built with explicit parameters — the race-free lookup
-// parallel sweeps use. Lookup is forgiving: it accepts the canonical
-// Table 5 name ("BFS"), any case variant ("bfs"), and suite-prefixed
-// spellings ("graphbig-bfs").
-func ByNameWith(name string, p Params) (*Workload, bool) {
-	for _, w := range LongSuiteWith(p) {
-		if matchName(w.Name(), name) {
-			return w, true
-		}
-	}
-	for _, w := range ShortSuiteWith(p) {
-		if matchName(w.Name(), name) {
-			return w, true
-		}
-	}
-	for _, w := range extrasWith(p) {
-		if matchName(w.Name(), name) {
-			return w, true
-		}
-	}
-	return nil, false
-}
+// Mix extras ----------------------------------------------------------------
 
-// suitePrefix maps each canonical workload name (lowercased) to the
-// suite-prefixed spelling it may also be requested under.
-var suitePrefix = map[string]string{
-	"bc": "graphbig-", "bfs": "graphbig-", "cc": "graphbig-",
-	"gc": "graphbig-", "kc": "graphbig-", "pr": "graphbig-",
-	"sssp": "graphbig-", "tc": "graphbig-",
-	"xs": "hpc-", "rnd": "hpc-",
-	"json": "faas-", "aes": "faas-", "img-res": "faas-",
-	"wcnt": "faas-", "db": "faas-",
-	"llama-2-7b": "llm-", "bagel-2.8b": "llm-", "mistral-7b": "llm-",
-}
-
-// matchName compares a requested workload name against a canonical one,
-// ignoring case and accepting the workload's own suite prefix (so
-// "BFS", "bfs", "graphbig-bfs", and "GraphBIG-BFS" all resolve — but a
-// wrong-suite spelling like "faas-bfs" stays an error).
-func matchName(canonical, requested string) bool {
-	can, req := strings.ToLower(canonical), strings.ToLower(requested)
-	if can == req {
-		return true
+// seqW builds "SEQ": a purely sequential streaming scan with high
+// spatial locality — the TLB-friendly counterpoint to RND in
+// multiprogrammed mixes, where the contrast makes ASID-retention and
+// scheduling effects easy to read.
+func seqW(p Params) *Workload {
+	foot := p.sz(256 * mem.MB)
+	w := &Workload{name: "SEQ", class: LongRunning, footprint: foot}
+	w.setup = func(w *Workload, k *mimicos.Kernel, pid int) {
+		w.bases["data"] = k.Mmap(pid, foot, mimicos.MmapFlags{Anon: true})
 	}
-	return suitePrefix[can]+can == req
+	w.program = func(w *Workload) []Step {
+		data := w.Base("data")
+		steps := []Step{
+			{Kind: StepTouch, Base: data, Size: foot, Stride: 64, ALUPer: 2, PC: 0xA00100},
+		}
+		for it := 0; it < p.LongIters; it++ {
+			steps = append(steps, Step{Kind: StepSeq, Base: data, Size: foot, Stride: 64,
+				Count: foot / 64 / 2, ALUPer: 4, PC: 0xA00200})
+		}
+		return steps
+	}
+	return w
 }
-
-// ByName returns the named workload from either suite (or the mix
-// extras), built at the library defaults.
-func ByName(name string) (*Workload, bool) { return ByNameWith(name, Params{}) }

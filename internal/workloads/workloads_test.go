@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -15,11 +16,24 @@ func testKernel() *mimicos.Kernel {
 }
 
 func TestSuitesEnumerate(t *testing.T) {
-	if len(LongSuite()) != 10 {
-		t.Fatalf("long suite = %d workloads", len(LongSuite()))
+	names := func(ws []*Workload) string {
+		var s []string
+		for _, w := range ws {
+			s = append(s, w.Name())
+		}
+		return strings.Join(s, ",")
 	}
-	if len(ShortSuite()) != 11 {
-		t.Fatalf("short suite = %d workloads", len(ShortSuite()))
+	for _, c := range []struct {
+		got  []*Workload
+		want string
+	}{
+		{LongSuite(), "BC,BFS,CC,GC,KC,PR,RND,SSSP,TC,XS"},
+		{ShortSuite(), "JSON,AES,IMG-RES,WCNT,DB,Llama-2-7B,Bagel-2.8B,Mistral-7B,3D-Transp,Hadamard,2D-Sum"},
+		{ExtraSuite(), "SEQ"},
+	} {
+		if got := names(c.got); got != c.want {
+			t.Fatalf("suite lists %s, want %s", got, c.want)
+		}
 	}
 	for _, w := range append(LongSuite(), ShortSuite()...) {
 		if _, ok := ByName(w.Name()); !ok {

@@ -143,3 +143,28 @@ func TestMultiSessionAPIMisuse(t *testing.T) {
 		t.Error("a later WithWorkload should displace WithProcesses")
 	}
 }
+
+// TestMultiHashTableExhaustionIsAnError runs a two-process mix on the
+// global hash-table designs, whose per-process table needs a contiguous
+// run of frames that the fragmented memory no longer has by the second
+// process. Creating that process must fail the run with an error, not
+// panic.
+func TestMultiHashTableExhaustionIsAnError(t *testing.T) {
+	for _, d := range []virtuoso.DesignName{virtuoso.DesignHDC, virtuoso.DesignHT} {
+		sess, err := virtuoso.Open(
+			virtuoso.WithScaledConfig(),
+			virtuoso.WithWorkloadScale(0.05),
+			virtuoso.WithDesign(d),
+			virtuoso.WithProcesses("BFS", "RND"),
+			virtuoso.WithMaxInstructions(150_000),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sess.RunMulti()
+		want := "mimicos: create process 2: pagetable: cannot allocate " + strings.ToUpper(string(d)) + " table"
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: RunMulti error %v, want %q", d, err, want)
+		}
+	}
+}

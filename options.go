@@ -202,7 +202,7 @@ func WithMode(m Mode) Option {
 // WithWorkload selects the Table 5 workload the session runs, by name.
 func WithWorkload(name string) Option {
 	return func(s *openState) error {
-		if _, err := NamedWorkload(name); err != nil {
+		if err := checkWorkload(name, WorkloadParams{}); err != nil {
 			return err
 		}
 		s.wname, s.custom, s.mix = name, nil, nil
@@ -223,10 +223,8 @@ func WithProcesses(names ...string) Option {
 		if len(names) == 0 {
 			return fmt.Errorf("virtuoso: WithProcesses needs at least one workload")
 		}
-		for _, n := range names {
-			if _, err := NamedWorkload(n); err != nil {
-				return err
-			}
+		if err := checkMix(names, WorkloadParams{}); err != nil {
+			return err
 		}
 		s.mix = append([]string(nil), names...)
 		s.wname, s.custom = "", nil

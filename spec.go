@@ -254,20 +254,20 @@ func (sp *SweepSpec) Sweep() (*Sweep, error) {
 	if len(sp.Workloads) == 0 && len(sp.Mixes) == 0 {
 		return nil, fmt.Errorf("virtuoso: sweep spec selects no workloads or mixes")
 	}
-	// Build every workload with the points' construction params, so an
-	// unknown name or a registered constructor's error fails here, not
-	// at the first point.
+	// Check every workload name with the points' construction params,
+	// so an unknown name or a registered constructor's error fails here,
+	// not at the first point.
 	params := WorkloadParams{Scale: sp.Scale, LongIters: sp.LongIters}
 	if err := validateParams(params); err != nil {
 		return nil, err
 	}
 	for _, w := range sp.Workloads {
-		if _, err := NamedWorkloadWith(w, params); err != nil {
+		if err := checkWorkload(w, params); err != nil {
 			return nil, err
 		}
 	}
 	for _, mix := range sp.Mixes {
-		if _, err := NamedMixWith(mix, params); err != nil {
+		if err := checkMix(mix, params); err != nil {
 			return nil, err
 		}
 	}

@@ -94,6 +94,7 @@ package virtuoso
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -435,6 +436,37 @@ func NamedWorkloadWith(name string, p WorkloadParams) (*Workload, error) {
 	return nil, fmt.Errorf("virtuoso: unknown workload %q", name)
 }
 
+// checkWorkload returns the error NamedWorkloadWith(name, p) would,
+// without building a catalog workload: a catalog name is checked by
+// lookup alone, while a registered one is built, since its constructor
+// can fail.
+func checkWorkload(name string, p WorkloadParams) error {
+	if err := validateParams(p); err != nil {
+		return err
+	}
+	if workloads.Known(name) {
+		return nil
+	}
+	_, err := NamedWorkloadWith(name, p)
+	return err
+}
+
+// checkMix returns the error NamedMixWith(names, p) would, checking
+// each name as checkWorkload does.
+func checkMix(names []string, p WorkloadParams) error {
+	if len(names) == 0 {
+		return errEmptyMix
+	}
+	for _, n := range names {
+		if err := checkWorkload(n, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+var errEmptyMix = errors.New("virtuoso: empty workload mix")
+
 // NamedMixWith builds one fresh workload per name for a multiprogrammed
 // mix — the shared construction path behind WithProcesses, Sweep.Mixes,
 // and the multiprogramming experiments. Catalog and registered
@@ -442,7 +474,7 @@ func NamedWorkloadWith(name string, p WorkloadParams) (*Workload, error) {
 // runs never share mutable workload state.
 func NamedMixWith(names []string, p WorkloadParams) ([]*Workload, error) {
 	if len(names) == 0 {
-		return nil, fmt.Errorf("virtuoso: empty workload mix")
+		return nil, errEmptyMix
 	}
 	ws := make([]*Workload, len(names))
 	for i, n := range names {
