@@ -201,11 +201,16 @@ func TestOpenAllocBudget(t *testing.T) {
 
 // Host allocation budget of one exec-xs-style run (catalog XS at
 // workload scale 0.1 on the scaled radix + THP machine, to completion),
-// about 1.25× what the run allocates: 303 KB on Go 1.24 linux/amd64.
-// Physical memory that kept its free extents in two hash maps beside
-// the free-page bitmap took the run to 370 KB; radix nodes made 32 at a
-// time, each carrying both a children and a leaf array, to 602 KB.
-const execRunBytesBudget = 378_000
+// about 1.25× what the run allocates: 273 KB in 148 allocations on
+// Go 1.24 linux/amd64. A Fragment that grew its candidate stacks by
+// appends took the run to 296 KB in 167 allocations; physical memory
+// that kept its free extents in two hash maps beside the free-page
+// bitmap to 370 KB; radix nodes made 32 at a time, each carrying both a
+// children and a leaf array, to 602 KB.
+const (
+	execRunBytesBudget   = 341_000
+	execRunMallocsBudget = 185
+)
 
 // TestExecAllocBudget holds one execution-driven Open+Run to its host
 // allocation budget. The session's setup (the phys bitmap, caches,
@@ -239,10 +244,13 @@ func TestExecAllocBudget(t *testing.T) {
 	if m.AppInsts == 0 || m.Segvs != 0 {
 		t.Fatalf("exec run retired %d instructions with %d segvs", m.AppInsts, m.Segvs)
 	}
-	bytes := after.TotalAlloc - before.TotalAlloc
-	t.Logf("exec run: %d bytes in %d allocations (%d app instructions)", bytes, after.Mallocs-before.Mallocs, m.AppInsts)
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("exec run: %d bytes in %d allocations (%d app instructions)", bytes, mallocs, m.AppInsts)
 	if bytes > execRunBytesBudget {
 		t.Errorf("exec run allocated %d bytes, budget %d", bytes, execRunBytesBudget)
+	}
+	if mallocs > execRunMallocsBudget {
+		t.Errorf("exec run made %d allocations, budget %d", mallocs, execRunMallocsBudget)
 	}
 }
 

@@ -159,6 +159,42 @@ func TestBadTLBGeometryIsAnError(t *testing.T) {
 	}
 }
 
+// TestUnalignedPhysBytesIsAnError: a physical memory that is not a
+// whole number of 2 MB blocks fails Open and a sweep spec with an error
+// instead of panicking in the page allocator.
+func TestUnalignedPhysBytesIsAnError(t *testing.T) {
+	bad := virtuoso.ScaledConfig()
+	bad.OSCfg.PhysBytes = 100<<20 + 4096
+	if _, err := virtuoso.Open(virtuoso.WithConfig(bad), tinyScale(), virtuoso.WithWorkload("XS")); err == nil || !strings.Contains(err.Error(), "2 MB") {
+		t.Fatalf("Open with PhysBytes = 100 MB + 4 KB: err = %v, want a 2 MB alignment error", err)
+	}
+	sp, err := virtuoso.ParseSweepSpec([]byte(`{"workloads":["XS"],"phys_bytes":104861696,"max_app_insts":1000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Sweep(); err == nil || !strings.Contains(err.Error(), "phys_bytes") {
+		t.Fatalf("SweepSpec with phys_bytes 104861696: err = %v, want a phys_bytes error", err)
+	}
+
+	base := virtuoso.ScaledConfig()
+	base.MaxAppInsts = 1_000
+	sweep := &virtuoso.Sweep{
+		Base:      base,
+		Workloads: []string{"XS"},
+		Seeds:     []uint64{1, 2},
+		Params:    virtuoso.WorkloadParams{Scale: 0.05},
+		Configure: func(cfg *virtuoso.Config, p virtuoso.Point) error {
+			if p.Seed == 2 {
+				cfg.OSCfg.PhysBytes = 100<<20 + 4096
+			}
+			return nil
+		},
+	}
+	if _, err := sweep.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "2 MB") {
+		t.Fatalf("sweep with an unaligned PhysBytes point: err = %v, want a 2 MB alignment error", err)
+	}
+}
+
 func TestParseHelpers(t *testing.T) {
 	if _, err := virtuoso.ParseMode("emulatoin"); err == nil {
 		t.Error("ParseMode accepted a typo")

@@ -347,6 +347,9 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	if oscfg.PhysBytes == 0 {
 		oscfg = mimicos.DefaultConfig()
 	}
+	if oscfg.PhysBytes%(2*mem.MB) != 0 {
+		return nil, fmt.Errorf("core: physical memory of %d bytes is not a multiple of 2 MB", oscfg.PhysBytes)
+	}
 	// Tier configs fail loudly here, not mid-run: a sweep point or CLI
 	// flag with a bad tier spec errors before any simulation starts.
 	if err := tier.ValidateSpecs(oscfg.Tiers); err != nil {
@@ -409,7 +412,7 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	// tables stay contiguous. FragFree2M = 0 is meaningful (the paper's
 	// "100% fragmentation": no free 2MB blocks); negative disables.
 	if cfg.FragFree2M >= 0 && cfg.FragFree2M < 1 {
-		s.OS.Phys.Fragment(cfg.FragFree2M, cfg.Seed^0xF4A6)
+		s.OS.Phys.FragmentWith(cfg.FragFree2M, cfg.Seed^0xF4A6, pool)
 	}
 
 	// Memory side.

@@ -34,22 +34,30 @@ type diffRun struct {
 
 const checkEvery = 64
 
-func newDiffRun(t testing.TB, totalBytes uint64, frag float64, seed uint64) *diffRun {
+// newDiffRun starts a differential run on fresh memories of totalBytes.
+func newDiffRun(t testing.TB, totalBytes uint64) *diffRun {
 	d := &diffRun{t: t, m: New(totalBytes), r: newRef(totalBytes)}
-	if frag != fragOff {
-		d.m.Fragment(frag, seed)
-		d.r.Fragment(frag, seed)
-	}
-	// Fragment's pages become live single frames, so frees reach them.
 	d.used = make([]uint64, len(d.r.bitmap))
+	d.check()
+	return d
+}
+
+// fragment runs Fragment on both memories, unless frag is fragOff.
+// Fragment's pages become live single frames, so frees reach them.
+func (d *diffRun) fragment(frag float64, seed uint64) {
+	if frag == fragOff {
+		return
+	}
+	d.m.Fragment(frag, seed)
+	d.r.Fragment(frag, seed)
 	for w, word := range d.r.bitmap {
-		d.used[w] = ^word
-		for rest := ^word; rest != 0; rest &= rest - 1 {
-			d.live = append(d.live, liveRange{uint64(w)<<6 + uint64(bits.TrailingZeros64(rest)), 1})
+		taken := ^word &^ d.used[w]
+		d.used[w] |= taken
+		for ; taken != 0; taken &= taken - 1 {
+			d.live = append(d.live, liveRange{uint64(w)<<6 + uint64(bits.TrailingZeros64(taken)), 1})
 		}
 	}
 	d.check()
-	return d
 }
 
 // step runs one op whose kind and arguments come from draw, which
@@ -197,7 +205,8 @@ func (d *diffRun) check() {
 
 // TestBitmapMatchesMaps holds the bitmap allocator to the extent-map
 // allocator it replaced on 20k mixed ops per memory size and
-// fragmentation target.
+// fragmentation target, from fresh memory and, in the /pre cases, from
+// memory that 40 ops left holding pages when Fragment runs.
 func TestBitmapMatchesMaps(t *testing.T) {
 	ops := 20_000
 	if testing.Short() {
@@ -205,22 +214,36 @@ func TestBitmapMatchesMaps(t *testing.T) {
 	}
 	for _, size := range []uint64{64 * mem.MB, 256 * mem.MB, 2 * mem.GB} {
 		for i, frag := range []float64{fragOff, 0, 0.2, 0.5, 0.9} {
-			t.Run(fmt.Sprintf("%dMB/frag%v", size/mem.MB, frag), func(t *testing.T) {
-				seed := size/mem.MB + uint64(i)
-				d := newDiffRun(t, size, frag, seed)
-				rng := xrand.New(seed)
-				for range ops {
-					d.step(rng.Uint64n)
+			for _, pre := range []int{0, 40} {
+				name := fmt.Sprintf("%dMB/frag%v", size/mem.MB, frag)
+				if pre > 0 {
+					if frag == fragOff {
+						continue
+					}
+					name += "/pre"
 				}
-				d.check()
-			})
+				t.Run(name, func(t *testing.T) {
+					seed := size/mem.MB + uint64(i)
+					d := newDiffRun(t, size)
+					preRng, rng := xrand.New(^seed), xrand.New(seed)
+					for range pre {
+						d.step(preRng.Uint64n)
+					}
+					d.fragment(frag, seed)
+					for range ops {
+						d.step(rng.Uint64n)
+					}
+					d.check()
+				})
+			}
 		}
 	}
 }
 
 // FuzzPhysAllocator runs the differential check on op streams read from
-// the fuzz input: the first two bytes pick the memory size and the
-// fragmentation target, each later 4-byte group one draw.
+// the fuzz input: the first two bytes pick the memory size, the
+// fragmentation target and how many ops run before Fragment (0-51),
+// each later 4-byte group one draw.
 func FuzzPhysAllocator(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Add([]byte("\x01\x02 four-kilobyte pages, two-megabyte blocks, contiguous ranges"))
@@ -244,7 +267,11 @@ func FuzzPhysAllocator(f *testing.F) {
 			in = in[copy(b[:], in):]
 			return uint64(binary.LittleEndian.Uint32(b[:])) % n
 		}
-		d := newDiffRun(t, size, frag, 1)
+		d := newDiffRun(t, size)
+		for range data[1] / 5 {
+			d.step(draw)
+		}
+		d.fragment(frag, 1)
 		for len(in) > 0 {
 			d.step(draw)
 		}

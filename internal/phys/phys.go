@@ -16,6 +16,7 @@ package phys
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/recycle"
@@ -377,42 +378,162 @@ func (m *Mem) Free(pa mem.PAddr, pages uint64) {
 // cheapest realistic way a long-running system loses huge-page
 // contiguity. Deterministic in seed.
 func (m *Mem) Fragment(targetFree2MFrac float64, seed uint64) {
+	m.FragmentWith(targetFree2MFrac, seed, nil)
+}
+
+// FragmentWith is Fragment drawing its two scratch bitsets from pool
+// (nil pool = plain Fragment).
+//
+// Each pick is decided from per-block state rather than the bitmap: a
+// block is held (it had an allocated page when Fragment began), broken
+// (Fragment took its middle page) or fully free. Breaking a fully free
+// block b pushes the two bases allocating its middle page leaves, and
+// both are classified from block indices: the base below is one past
+// the nearest broken middle page or held page under b, and is large iff
+// a fully free block lies between it and b; the base above, mid+1, is
+// large iff block b+1 is fully free. The broken middle pages' bitmap
+// bits are cleared in one pass at the end; until then only the block
+// counts record them. A pick of a held block whose middle page is free
+// takes the page and gives it back, as an allocation and a Free would,
+// on the bitmap.
+func (m *Mem) FragmentWith(targetFree2MFrac float64, seed uint64, pool *recycle.Pool) {
 	if targetFree2MFrac >= 1 {
 		return
 	}
 	target := uint64(float64(m.total2M) * targetFree2MFrac)
-	rng := xrand.New(seed)
-	// breakAt breaks the block around mid, if it is free; when the block
-	// was already broken the page goes back.
-	breakAt := func(mid uint64) {
-		if !m.pageFree(mid) {
-			return
-		}
-		before := m.free2M
-		m.allocSpecific(mid)
-		if m.free2M == before {
-			m.Free(pageAddr(mid), 1)
-		}
-	}
-	for guard := m.total2M * 4; m.free2M > target && guard > 0; guard-- {
-		breakAt(rng.Uint64n(m.total2M)*pagesPer2M + pagesPer2M/2)
-	}
-	// Deterministic sweep for very low targets, where random probing
-	// rarely finds the remaining free blocks.
-	for blk := uint64(0); blk < m.total2M && m.free2M > target; blk++ {
-		breakAt(blk*pagesPer2M + pagesPer2M/2)
-	}
-}
-
-// allocSpecific allocates exactly page p, if it is free.
-func (m *Mem) allocSpecific(p uint64) {
-	if !m.pageFree(p) {
+	if m.free2M <= target {
 		return
 	}
-	base := m.extentBase(p)
-	m.clearRange(p, 1)
+	words := int((m.total2M + 63) / 64)
+	scratch := pool.Uint64s(2 * words)
+	f := fragmenter{m: m, held: scratch[:words], broken: scratch[words:], stacks: [2]*[]uint64{&m.smallStack, &m.largeStack}}
+	var heldBlocks uint64
+	for b, n := range m.blockFree {
+		if n != pagesPer2M {
+			f.held[b>>6] |= 1 << (b & 63)
+			heldBlocks++
+		}
+	}
+	// Exactly n blocks break, two pushes each. A small push faces a
+	// neighbour already broken or held, or the end of memory: at most
+	// n-1 broken-broken pairs, 2 per held block and 2 ends. A large one
+	// faces a neighbour still free: at most n-1 broken-broken pairs and 2
+	// per block left free. Held picks may push beyond these bounds.
+	n := m.free2M - target
+	m.smallStack = slices.Grow(m.smallStack, int(min(2*n, n+1+2*heldBlocks)))
+	m.largeStack = slices.Grow(m.largeStack, int(min(2*n, n-1+2*target)))
+
+	rng := xrand.New(seed)
+	mask := m.total2M - 1
+	pow2 := m.total2M&mask == 0
+	// 4 × total2M random picks, then a deterministic sweep for very low
+	// targets, where random probing rarely finds the remaining free
+	// blocks.
+	random := 4 * m.total2M
+	for i := uint64(0); m.free2M > target && i < random+m.total2M; i++ {
+		b := i - random
+		if i < random {
+			// rng.Uint64n, by mask when the block count is a power of two.
+			if pow2 {
+				b = rng.Uint64() & mask
+			} else {
+				b = rng.Uint64n(m.total2M)
+			}
+		}
+		if m.blockFree[b] == pagesPer2M {
+			f.breakFree(b)
+		} else if f.held[b>>6]>>(b&63)&1 == 1 {
+			f.pickHeld(b)
+		}
+	}
+
+	for i, word := range f.broken {
+		for ; word != 0; word &= word - 1 {
+			mid := (uint64(i)<<6+uint64(bits.TrailingZeros64(word)))*pagesPer2M + pagesPer2M/2
+			m.bitmap[mid>>6] &^= 1 << (mid & 63)
+		}
+	}
+	pool.PutUint64s(scratch)
+}
+
+// fragmenter is one Fragment's per-block state: a bit per 2 MB block in
+// held and in broken, two halves of one scratch slice.
+type fragmenter struct {
+	m            *Mem
+	held, broken []uint64
+	stacks       [2]*[]uint64
+}
+
+// breakFree takes the middle page of the fully free block b.
+func (f *fragmenter) breakFree(b uint64) {
+	m := f.m
+	base := f.below(b)
+	m.blockFree[b]--
+	m.freePages--
+	m.free2M--
+	f.broken[b>>6] |= 1 << (b & 63)
+	f.push(base, mem.AlignUp(base, pagesPer2M)/pagesPer2M != b)
+	f.push(b*pagesPer2M+pagesPer2M/2+1, b+1 < m.total2M && m.blockFree[b+1] == pagesPer2M)
+}
+
+// push records base on the large or the small candidate stack, picking
+// the stack by index: which one a break's base goes to is as good as
+// random, and a branch on it mispredicts.
+func (f *fragmenter) push(base uint64, large bool) {
+	var i int
+	if large {
+		i = 1
+	}
+	s := f.stacks[i]
+	*s = append(*s, base)
+}
+
+// pickHeld takes the middle page of the held block b, if it is free,
+// and gives it back.
+func (f *fragmenter) pickHeld(b uint64) {
+	m := f.m
+	mid := b*pagesPer2M + pagesPer2M/2
+	if !m.pageFree(mid) {
+		return
+	}
+	// The extent covering mid starts in b above its highest allocated
+	// page under mid, or else below b.
+	base := f.below(b)
+	for w := mid >> 6; w > b*pagesPer2M/64; {
+		w--
+		if word := ^m.bitmap[w]; word != 0 {
+			base = w<<6 + uint64(bits.Len64(word))
+			break
+		}
+	}
+	m.clearRange(mid, 1)
 	m.push(base)
-	m.push(p + 1)
+	m.push(mid + 1)
+	m.setRange(mid, 1)
+	m.push(base)
+}
+
+// below returns one past the highest allocated page under block b, or
+// 0 when there is none.
+func (f *fragmenter) below(b uint64) uint64 {
+	w := b >> 6
+	x := (f.held[w] | f.broken[w]) & (1<<(b&63) - 1)
+	for x == 0 {
+		if w == 0 {
+			return 0
+		}
+		w--
+		x = f.held[w] | f.broken[w]
+	}
+	j := w<<6 + uint64(bits.Len64(x)) - 1
+	if f.broken[w]>>(j&63)&1 == 1 {
+		return j*pagesPer2M + pagesPer2M/2 + 1
+	}
+	pw := (j+1)*pagesPer2M/64 - 1 // a held block has an allocated page
+	for f.m.bitmap[pw] == ^uint64(0) {
+		pw--
+	}
+	return pw<<6 + uint64(bits.Len64(^f.m.bitmap[pw]))
 }
 
 func pageAddr(page uint64) mem.PAddr { return mem.PAddr(page << 12) }

@@ -4,7 +4,8 @@
 // runs instead of handing each point's ~megabytes of setup state to the
 // garbage collector. The kept allocations are the physical free-page
 // bitmaps, their per-2 MB-block free counts and candidate stacks (key
-// "phys.stacks"), the cache SoA arrays, the radix page table's
+// "phys.stacks"), the per-block bitsets Fragment works in, the cache
+// SoA arrays, the radix page table's
 // arena chunks (keys "pagetable.radix.entchunk" for entries,
 // "pagetable.radix.kidschunk" for node children arrays and
 // "pagetable.radix.leafchunk" for node leaf arrays), and the

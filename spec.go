@@ -219,6 +219,9 @@ func (sp *SweepSpec) Sweep() (*Sweep, error) {
 	}
 	base.ASIDRetention = sp.ASIDRetention
 	if sp.PhysBytes != 0 {
+		if sp.PhysBytes%(2<<20) != 0 {
+			return nil, fmt.Errorf("virtuoso: spec phys_bytes %d not a multiple of 2 MB", sp.PhysBytes)
+		}
 		base.OSCfg.PhysBytes = sp.PhysBytes
 	}
 	if sp.SwapBytes != 0 {
