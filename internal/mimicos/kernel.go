@@ -20,11 +20,10 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/midgard"
 	"repro/internal/pagetable"
 	"repro/internal/phys"
+	"repro/internal/rangetable"
 	"repro/internal/recycle"
-	"repro/internal/rmm"
 	"repro/internal/ssd"
 	"repro/internal/tier"
 	"repro/internal/utopia"
@@ -221,8 +220,8 @@ type Process struct {
 	PT   pagetable.PageTable
 
 	// Design-specific auxiliary translation state.
-	RMM     *rmm.Table     // eager-paging range table (RMM design)
-	Midgard *midgard.Space // intermediate address space (Midgard design)
+	RMM     *rangetable.Table // eager-paging range table (RMM design)
+	Midgard *rangetable.Table // VMA → Midgard address ranges (Midgard design)
 
 	// Stat accumulates this process's share of the kernel event counts.
 	// Daemon work done on another process's fault clock (a khugepaged
@@ -237,6 +236,7 @@ type Process struct {
 	clockHand   int
 	sampleHand  int // access-bit sampling clock (tiered memory)
 	nextMmap    mem.VAddr
+	nextMA      mem.PAddr // Midgard address of the next VMA's range
 	// swapSlots tracks the swap slots currently holding this process's
 	// swapped-out pages, so exit can return them to the shared swap
 	// file (they are otherwise only freed on swap-in).
@@ -629,12 +629,13 @@ func (k *Kernel) ExitProcess(pid int) {
 
 // EnableRMM attaches an eager-paging range table to the process.
 func (k *Kernel) EnableRMM(p *Process) {
-	p.RMM = rmm.NewTable(k.kalloc(64 * mem.KB))
+	p.RMM = rangetable.New(k.kalloc(64 * mem.KB))
 }
 
 // EnableMidgard attaches a Midgard intermediate address space.
 func (k *Kernel) EnableMidgard(p *Process) {
-	p.Midgard = midgard.NewSpace(k.kalloc(64 * mem.KB))
+	p.Midgard = rangetable.New(k.kalloc(64 * mem.KB))
+	p.nextMA = 1 << 30
 }
 
 // MmapFlags selects the VMA type for Mmap.
@@ -684,7 +685,13 @@ func (k *Kernel) Mmap(pid int, length uint64, flags MmapFlags) mem.VAddr {
 	k.count(p, func(s *Stats) { s.MmapCalls++ })
 
 	if p.Midgard != nil {
-		p.Midgard.AddVMA(v.Start, v.End, tr)
+		// Each VMA gets a fresh MA range, 2 MB-aligned, with a 2 MB gap.
+		i := p.Midgard.Insert(rangetable.Range{VStart: v.Start, VEnd: v.End, Base: p.nextMA}, tr)
+		p.nextMA += mem.PAddr(mem.AlignUp(length, 2*mem.MB)) + 2*mem.MB
+		// The store lands on slot i's own line, not on its leaf
+		// (ROADMAP item 9).
+		tr.Store(p.Midgard.Root() + mem.PAddr(i*64))
+		tr.ALU(48)
 	}
 	if ep, ok := k.policy.(*EagerPolicy); ok && flags.Anon {
 		ep.reserveRanges(k, p, v, tr)
@@ -715,7 +722,7 @@ func (k *Kernel) Munmap(pid int, va mem.VAddr, length uint64) {
 	}
 	p.VMAs = kept
 	if p.Midgard != nil {
-		p.Midgard.RemoveVMA(va, end, tr)
+		p.Midgard.Remove(va, end, tr)
 	}
 	if p.RMM != nil {
 		p.RMM.Remove(va, end, tr)

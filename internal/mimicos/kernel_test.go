@@ -52,6 +52,32 @@ func TestMmapAndFault(t *testing.T) {
 	}
 }
 
+// TestMidgardMapsVMAsToDisjointMA checks the Midgard address cursor:
+// each VMA's MA range starts 2 MB-aligned past the previous one's end
+// plus a 2 MB gap, the first at 1 GB, and a fault's page-table key is
+// the address translated into that range.
+func TestMidgardMapsVMAsToDisjointMA(t *testing.T) {
+	k := testKernel(t, nil)
+	p, _ := k.CreateProcess(1)
+	k.EnableMidgard(p)
+	a := k.Mmap(1, 3*mem.MB+4*mem.KB, MmapFlags{Anon: true})
+	b := k.Mmap(1, 64*mem.KB, MmapFlags{Anon: true})
+	ra, okA := p.Midgard.Find(a, nil)
+	rb, okB := p.Midgard.Find(b+0x1000, nil)
+	if !okA || !okB {
+		t.Fatalf("VMA lookups = %v %v", okA, okB)
+	}
+	if ra.Base != 1<<30 || rb.Base != 1<<30+4*mem.MB+2*mem.MB {
+		t.Fatalf("MA bases = %#x %#x, want %#x %#x", ra.Base, rb.Base, 1<<30, 1<<30+6*mem.MB)
+	}
+	if !k.HandlePageFault(1, b+0x1000, true, 0).OK {
+		t.Fatal("fault failed")
+	}
+	if _, ok := p.PT.Lookup(mem.VAddr(rb.Base) + 0x1000); !ok {
+		t.Fatal("page table is not keyed by the Midgard address")
+	}
+}
+
 func TestFaultOutsideVMAIsSegv(t *testing.T) {
 	k := testKernel(t, nil)
 	k.CreateProcess(1)

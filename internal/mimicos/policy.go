@@ -3,7 +3,7 @@ package mimicos
 import (
 	"repro/internal/instrument"
 	"repro/internal/mem"
-	"repro/internal/rmm"
+	"repro/internal/rangetable"
 	"repro/internal/utopia"
 )
 
@@ -275,8 +275,10 @@ func (ep *EagerPolicy) reserveRanges(k *Kernel, p *Process, v *VMA, tr *instrume
 		}
 		tr.ALU(180)
 		tr.TouchObject(k.lk.buddy, 3, 1)
-		r := rmm.Range{VStart: cursor, VEnd: cursor + mem.VAddr(got*4*mem.KB), PBase: base}
-		p.RMM.Insert(r, tr)
+		r := rangetable.Range{VStart: cursor, VEnd: cursor + mem.VAddr(got*4*mem.KB), Base: base}
+		i := p.RMM.Insert(r, tr)
+		tr.Store(p.RMM.LeafPA(i))
+		tr.ALU(32)
 		cursor = r.VEnd
 		need -= got
 	}

@@ -2,8 +2,7 @@ package mmu
 
 import (
 	"repro/internal/mem"
-	"repro/internal/midgard"
-	"repro/internal/rmm"
+	"repro/internal/rangetable"
 	"repro/internal/tlb"
 	"repro/internal/utopia"
 )
@@ -18,8 +17,8 @@ type UtopiaDesign struct {
 	Sys  *utopia.System
 	Flex *RadixWalker
 	Mem  Memory
-	tar  *tlb.MetaCache
-	sf   *tlb.MetaCache
+	tar  *tlb.KeyCache
+	sf   *tlb.KeyCache
 }
 
 // NewUtopiaDesign builds the design.
@@ -28,8 +27,8 @@ func NewUtopiaDesign(sys *utopia.System, flex *RadixWalker, m Memory) *UtopiaDes
 		Sys:  sys,
 		Flex: flex,
 		Mem:  m,
-		tar:  tlb.NewMetaCache("TAR", 1024, 2), // 8KB / 8B entries
-		sf:   tlb.NewMetaCache("SF", 1024, 2),
+		tar:  tlb.NewKeyCache(1024, 1024, 2), // 8KB / 8B entries
+		sf:   tlb.NewKeyCache(1024, 1024, 2),
 	}
 }
 
@@ -86,20 +85,17 @@ func (d *UtopiaDesign) Invalidate(va mem.VAddr, size mem.PageSize) {
 // table (§7.6.3, Fig. 21).
 type RMMDesign struct {
 	RLB   *tlb.RangeTLB
-	Table *rmm.Table
+	Table *rangetable.Table
 	Radix *RadixWalker
 	Mem   Memory
 	ASID  uint16
-
-	RangeHits  uint64
-	RangeWalks uint64
 }
 
 // NewRMMDesign builds the design with the Table 4 RLB (64-entry,
 // 9-cycle).
-func NewRMMDesign(table *rmm.Table, radix *RadixWalker, m Memory, asid uint16) *RMMDesign {
+func NewRMMDesign(table *rangetable.Table, radix *RadixWalker, m Memory, asid uint16) *RMMDesign {
 	return &RMMDesign{
-		RLB:   tlb.NewRangeTLB("RLB", 64, 9),
+		RLB:   tlb.NewRangeTLB(64, 9),
 		Table: table,
 		Radix: radix,
 		Mem:   m,
@@ -112,9 +108,8 @@ func (d *RMMDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 	// The RLB is probed in parallel with the L2 TLB (Table 4); only the
 	// portion of its latency beyond the STLB lookup shows up here.
 	lat := d.RLB.Latency()
-	if e, ok := d.RLB.Lookup(va, d.ASID); ok {
-		d.RangeHits++
-		pa := e.Translate(mem.Page4K.PageBase(va))
+	if r, ok := d.RLB.Lookup(va, d.ASID); ok {
+		pa := r.Translate(mem.Page4K.PageBase(va))
 		return Result{PA: pa, Size: mem.Page4K, Lat: lat}
 	}
 	// Range walker: B-tree over ranges (translation metadata traffic).
@@ -124,8 +119,7 @@ func (d *RMMDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 		lat += d.Mem.AccessMeta(pa, false, now+lat)
 	}
 	if ok {
-		d.RangeWalks++
-		d.RLB.Insert(tlb.RangeEntry{VStart: r.VStart, VEnd: r.VEnd, PBase: r.PBase, ASID: d.ASID})
+		d.RLB.Insert(r, d.ASID)
 		pa := r.Translate(mem.Page4K.PageBase(va))
 		return Result{PA: pa, Size: mem.Page4K, Lat: lat}
 	}
@@ -148,8 +142,8 @@ func (d *RMMDesign) Invalidate(va mem.VAddr, size mem.PageSize) {
 // MA→PA through a deep radix table, filtered by a backend TLB standing
 // in for the fact that cache-resident data needs no backend translation.
 type MidgardDesign struct {
-	Space   *midgard.Space
-	Backend *RadixWalker // MA-indexed
+	VMAs    *rangetable.Table // VA -> MA, one range per VMA
+	Backend *RadixWalker      // MA-indexed
 	Mem     Memory
 	ASID    uint16
 
@@ -162,14 +156,14 @@ type MidgardDesign struct {
 }
 
 // NewMidgardDesign builds the design with Table 4 parameters.
-func NewMidgardDesign(space *midgard.Space, backend *RadixWalker, m Memory, asid uint16) *MidgardDesign {
+func NewMidgardDesign(vmas *rangetable.Table, backend *RadixWalker, m Memory, asid uint16) *MidgardDesign {
 	return &MidgardDesign{
-		Space:             space,
+		VMAs:              vmas,
 		Backend:           backend,
 		Mem:               m,
 		ASID:              asid,
-		l1vlb:             tlb.NewRangeTLB("L1-VLB", 64, 1),
-		l2vlb:             tlb.NewRangeTLB("L2-VLB", 16, 4),
+		l1vlb:             tlb.NewRangeTLB(64, 1),
+		l2vlb:             tlb.NewRangeTLB(16, 4),
 		btlb:              tlb.New("Backend-TLB", 512, 8, 2, mem.Page4K, mem.Page2M),
 		ExtraBackendSteps: 2,
 	}
@@ -181,17 +175,17 @@ func (d *MidgardDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 	var front uint64
 	var ma mem.VAddr
 	front += d.l1vlb.Latency()
-	if e, ok := d.l1vlb.Lookup(va, d.ASID); ok {
-		ma = mem.VAddr(e.PBase) + (va - e.VStart)
+	if v, ok := d.l1vlb.Lookup(va, d.ASID); ok {
+		ma = mem.VAddr(v.Translate(va))
 	} else {
 		front += d.l2vlb.Latency()
-		if e, ok := d.l2vlb.Lookup(va, d.ASID); ok {
-			ma = mem.VAddr(e.PBase) + (va - e.VStart)
-			d.l1vlb.Insert(e)
+		if v, ok := d.l2vlb.Lookup(va, d.ASID); ok {
+			ma = mem.VAddr(v.Translate(va))
+			d.l1vlb.Insert(v, d.ASID)
 		} else {
 			// VMA-tree walk in memory.
 			var steps []mem.PAddr
-			v, ok := d.Space.Find(va, &steps)
+			v, ok := d.VMAs.Find(va, &steps)
 			for _, pa := range steps {
 				front += d.Mem.AccessMeta(pa, false, now+front)
 			}
@@ -199,9 +193,8 @@ func (d *MidgardDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 				return Result{Lat: front, FrontendLat: front, Fault: true}
 			}
 			ma = mem.VAddr(v.Translate(va))
-			re := tlb.RangeEntry{VStart: v.VStart, VEnd: v.VEnd, PBase: mem.PAddr(v.MBase), ASID: d.ASID}
-			d.l1vlb.Insert(re)
-			d.l2vlb.Insert(re)
+			d.l1vlb.Insert(v, d.ASID)
+			d.l2vlb.Insert(v, d.ASID)
 		}
 	}
 
@@ -233,7 +226,7 @@ func (d *MidgardDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 func (d *MidgardDesign) Invalidate(va mem.VAddr, size mem.PageSize) {
 	// The kernel passes virtual addresses; conservative flush of the
 	// frontend entry plus backend TLB entry for the mapped MA.
-	if v, ok := d.Space.Find(va, nil); ok {
+	if v, ok := d.VMAs.Find(va, nil); ok {
 		ma := mem.VAddr(v.Translate(va))
 		d.btlb.InvalidateVA(ma, d.ASID)
 	}
@@ -247,14 +240,11 @@ type DirectSegDesign struct {
 	Base, Limit mem.VAddr
 	Offset      mem.PAddr
 	Radix       *RadixWalker
-
-	SegmentHits uint64
 }
 
 // TranslateMiss implements Design.
 func (d *DirectSegDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 	if va >= d.Base && va < d.Limit {
-		d.SegmentHits++
 		// Base/limit/offset registers: effectively free.
 		return Result{PA: d.Offset + mem.PAddr(va-d.Base), Size: mem.Page4K, Lat: 1}
 	}

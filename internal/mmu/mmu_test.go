@@ -10,6 +10,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pagetable"
 	"repro/internal/phys"
+	"repro/internal/rangetable"
 	"repro/internal/tlb"
 )
 
@@ -119,6 +120,76 @@ func TestPWCSkipsUpperLevels(t *testing.T) {
 	}
 	if w.PWCStats(3).Hits == 0 {
 		t.Fatal("deepest PWC never hit")
+	}
+}
+
+// countingMem counts the page-table and metadata accesses it passes on.
+type countingMem struct {
+	Memory
+	pte, meta int
+}
+
+func (m *countingMem) AccessPTE(pa mem.PAddr, write bool, now uint64) uint64 {
+	m.pte++
+	return m.Memory.AccessPTE(pa, write, now)
+}
+
+func (m *countingMem) AccessMeta(pa mem.PAddr, write bool, now uint64) uint64 {
+	m.meta++
+	return m.Memory.AccessMeta(pa, write, now)
+}
+
+// TestRMMInvalidateDropsRange fills the RLB from a range walk, then
+// invalidates a page inside the range: the next miss must walk the
+// range table again instead of hitting the stale RLB entry.
+func TestRMMInvalidateDropsRange(t *testing.T) {
+	h, alloc := testEnv(t)
+	m := &countingMem{Memory: h}
+	table := rangetable.New(0x100_0000)
+	table.Insert(rangetable.Range{VStart: 0x4000_0000, VEnd: 0x4040_0000, Base: 0x8000_0000}, instrument.NopMem{})
+	d := NewRMMDesign(table, NewRadixWalker(pagetable.NewRadix(alloc), m), m, 1)
+	va := mem.VAddr(0x4012_3000)
+
+	r := d.TranslateMiss(va, 0)
+	if r.Fault || r.PA != 0x8012_3000 || m.meta == 0 || m.pte != 0 {
+		t.Fatalf("first miss: %+v after %d metadata and %d PTE accesses, want a range walk to 0x80123000", r, m.meta, m.pte)
+	}
+	walked := m.meta
+	if r := d.TranslateMiss(va+0x1000, r.Lat); r.PA != 0x8012_4000 || m.meta != walked {
+		t.Fatalf("RLB-covered miss: %+v, %d metadata accesses after %d", r, m.meta, walked)
+	}
+	d.Invalidate(va+0x5000, mem.Page4K)
+	if r := d.TranslateMiss(va, 2*r.Lat); r.PA != 0x8012_3000 || m.meta == walked {
+		t.Fatalf("miss after Invalidate: %+v, %d metadata accesses after %d: the RLB entry survived", r, m.meta, walked)
+	}
+}
+
+// TestMidgardInvalidateDropsBackendEntry fills the backend TLB with a
+// page's MA translation, then invalidates the page: the next miss must
+// walk the backend page table again.
+func TestMidgardInvalidateDropsBackendEntry(t *testing.T) {
+	h, alloc := testEnv(t)
+	m := &countingMem{Memory: h}
+	k := instrument.NopMem{}
+	vmas := rangetable.New(0x100_0000)
+	vma := rangetable.Range{VStart: 0x1000_0000_0000, VEnd: 0x1000_0010_0000, Base: 1 << 30}
+	vmas.Insert(vma, k)
+	va := vma.VStart + 0x3000
+	backend := pagetable.NewRadix(alloc)
+	backend.Insert(mem.VAddr(vma.Translate(va)), pagetable.Entry{Frame: 0x7700_0000, Size: mem.Page4K, Present: true}, k)
+	d := NewMidgardDesign(vmas, NewRadixWalker(backend, m), m, 1)
+
+	r := d.TranslateMiss(va+0x10, 0)
+	if r.Fault || r.PA != 0x7700_0010 || m.pte == 0 {
+		t.Fatalf("first miss: %+v after %d PTE accesses, want a backend walk to 0x77000010", r, m.pte)
+	}
+	walked := m.pte
+	if r := d.TranslateMiss(va, r.Lat); r.PA != 0x7700_0000 || m.pte != walked {
+		t.Fatalf("second miss: %+v, %d PTE accesses after %d: want a backend TLB hit", r, m.pte, walked)
+	}
+	d.Invalidate(va, mem.Page4K)
+	if r := d.TranslateMiss(va, 2*r.Lat); r.PA != 0x7700_0000 || m.pte == walked {
+		t.Fatalf("miss after Invalidate: %+v, %d PTE accesses after %d: the backend TLB entry survived", r, m.pte, walked)
 	}
 }
 

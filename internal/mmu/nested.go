@@ -19,12 +19,11 @@ type NestedDesign struct {
 	Host  Walker // gPA -> hPA
 	Mem   Memory
 
-	nestedTLB *tlb.TLB       // gVA -> hPA (the paper's nested TLB [172])
-	hostCache *tlb.MetaCache // gPA page -> hPA frame (nested walk cache)
+	nestedTLB *tlb.TLB      // gVA -> hPA (the paper's nested TLB [172])
+	hostCache *tlb.KeyCache // gPA page -> hPA frame (nested walk cache)
 
 	GuestWalks uint64
 	HostWalks  uint64
-	MaxSteps   uint64
 }
 
 // Walker is the one page-table operation the nested walker needs from
@@ -40,7 +39,7 @@ func NewNestedDesign(guest, host Walker, m Memory) *NestedDesign {
 		Host:      host,
 		Mem:       m,
 		nestedTLB: tlb.New("nested-TLB", 64, 8, 2, mem.Page4K, mem.Page2M),
-		hostCache: tlb.NewMetaCache("nested-PWC", 64, 2),
+		hostCache: tlb.NewKeyCache(64, 64, 2),
 	}
 }
 
@@ -77,18 +76,15 @@ func (d *NestedDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 
 	gwalk := d.Guest.Walk(va)
 	d.GuestWalks++
-	var steps uint64
 	// Each guest page-table pointer is a guest-physical address that the
 	// hardware must itself translate through the host dimension.
 	for i := 0; i < gwalk.NSteps; i++ {
 		hpa, hlat, ok := d.translateHost(gwalk.Steps[i].PA, now+lat)
 		lat += hlat
-		steps++
 		if !ok {
 			return Result{Lat: lat, Fault: true}
 		}
 		lat += d.Mem.AccessPTE(hpa, false, now+lat)
-		steps++
 	}
 	if !gwalk.Found || !gwalk.Entry.Present {
 		return Result{Lat: lat, Fault: true}
@@ -99,9 +95,6 @@ func (d *NestedDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 	lat += hlat
 	if !ok {
 		return Result{Lat: lat, Fault: true}
-	}
-	if steps > d.MaxSteps {
-		d.MaxSteps = steps
 	}
 	d.nestedTLB.Insert(tlb.Entry{
 		VPN: mem.Page4K.VPN(va), Size: mem.Page4K,

@@ -13,8 +13,13 @@ type RadixWalker struct {
 	PT   pagetable.PageTable
 	Mem  Memory
 	rpt  *pagetable.Radix // concrete PT when radix: devirtualized Walk
-	pwcs [3]*tlb.PWC      // depth 1 (PDPT ptr), 2 (PD ptr), 3 (PT ptr)
+	pwcs [3]*tlb.KeyCache // depth 1 (PDPT ptr), 2 (PD ptr), 3 (PT ptr), keyed by pwcTag
 }
+
+// pwcTag returns the VA bits that identify the node pointer cached by
+// pwcs[d], the PWC at depth d+1: VA[47:39] at depth 1, VA[47:30] at
+// depth 2, VA[47:21] at depth 3.
+func pwcTag(va mem.VAddr, d int) uint64 { return uint64(va) >> uint(39-9*d) }
 
 // NewRadixWalker builds the walker with the Table 4 PWC configuration
 // (32-entry, 4-way, 2-cycle).
@@ -29,7 +34,7 @@ func NewRadixWalkerSized(pt pagetable.PageTable, m Memory, pwcEntries, pwcWays i
 	w := &RadixWalker{PT: pt, Mem: m}
 	w.rpt, _ = pt.(*pagetable.Radix)
 	for i := 0; i < 3; i++ {
-		w.pwcs[i] = tlb.NewPWC(i+1, pwcEntries, pwcWays, 2)
+		w.pwcs[i] = tlb.NewKeyCache(pwcEntries, pwcWays, 2)
 	}
 	return w
 }
@@ -52,7 +57,7 @@ func (w *RadixWalker) TranslateMiss(va mem.VAddr, now uint64) Result {
 			continue // walk terminated above this depth
 		}
 		lat += w.pwcs[d].Latency()
-		if _, ok := w.pwcs[d].Lookup(va); ok {
+		if _, ok := w.pwcs[d].Lookup(pwcTag(va, d)); ok {
 			skip = d + 1
 			break
 		}
@@ -63,7 +68,7 @@ func (w *RadixWalker) TranslateMiss(va mem.VAddr, now uint64) Result {
 	// Fill PWCs with the node pointers discovered on the way down.
 	for d := 0; d < 3 && d+1 < walk.NSteps; d++ {
 		node := walk.Steps[d+1].PA &^ 4095
-		w.pwcs[d].Insert(va, node)
+		w.pwcs[d].Insert(pwcTag(va, d), uint64(node))
 	}
 	if !walk.Found || !walk.Entry.Present {
 		return Result{Lat: lat, Fault: true}

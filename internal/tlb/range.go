@@ -1,89 +1,62 @@
 package tlb
 
-import "repro/internal/mem"
-
-// RangeEntry caches one contiguous virtual-to-physical range translation
-// (RMM's redundant memory mappings / Midgard's VMA translations): any VA
-// in [VStart, VEnd) maps to PBase + (va - VStart).
-type RangeEntry struct {
-	VStart mem.VAddr
-	VEnd   mem.VAddr
-	PBase  mem.PAddr
-	ASID   uint16
-}
-
-// Translate applies the range mapping to va.
-func (e RangeEntry) Translate(va mem.VAddr) mem.PAddr {
-	return e.PBase + mem.PAddr(va-e.VStart)
-}
-
-// Contains reports whether va falls in the range.
-func (e RangeEntry) Contains(va mem.VAddr) bool { return va >= e.VStart && va < e.VEnd }
+import (
+	"repro/internal/mem"
+	"repro/internal/rangetable"
+)
 
 // RangeTLB is a fully associative cache of range translations: the
 // 64-entry range lookaside buffer (RLB) of RMM (Table 4: 9-cycle, probed
 // in parallel with the L2 TLB) and the VMA lookaside buffers (VLBs) of
 // Midgard reuse this structure.
 type RangeTLB struct {
-	name    string
-	entries int
 	latency uint64
 	lines   []rangeLine
 	tick    uint64
-	stats   Stats
 }
 
 type rangeLine struct {
-	e     RangeEntry
+	r     rangetable.Range
+	asid  uint16
 	valid bool
 	lru   uint64
 }
 
 // NewRangeTLB builds a fully associative range TLB.
-func NewRangeTLB(name string, entries int, latency uint64) *RangeTLB {
-	return &RangeTLB{name: name, entries: entries, latency: latency, lines: make([]rangeLine, entries)}
+func NewRangeTLB(entries int, latency uint64) *RangeTLB {
+	return &RangeTLB{latency: latency, lines: make([]rangeLine, entries)}
 }
-
-// Name returns the structure's name.
-func (t *RangeTLB) Name() string { return t.name }
 
 // Latency returns the lookup latency in cycles.
 func (t *RangeTLB) Latency() uint64 { return t.latency }
 
-// Stats returns accumulated statistics.
-func (t *RangeTLB) Stats() *Stats { return &t.stats }
-
-// Lookup returns the range covering va.
-func (t *RangeTLB) Lookup(va mem.VAddr, asid uint16) (RangeEntry, bool) {
+// Lookup returns asid's range covering va.
+func (t *RangeTLB) Lookup(va mem.VAddr, asid uint16) (rangetable.Range, bool) {
 	t.tick++
 	for i := range t.lines {
 		ln := &t.lines[i]
-		if ln.valid && ln.e.ASID == asid && ln.e.Contains(va) {
+		if ln.valid && ln.asid == asid && ln.r.Contains(va) {
 			ln.lru = t.tick
-			t.stats.Hits++
-			return ln.e, true
+			return ln.r, true
 		}
 	}
-	t.stats.Misses++
-	return RangeEntry{}, false
+	return rangetable.Range{}, false
 }
 
-// Insert fills a range entry (LRU replacement).
-func (t *RangeTLB) Insert(e RangeEntry) {
+// Insert fills asid's range r (LRU replacement).
+func (t *RangeTLB) Insert(r rangetable.Range, asid uint16) {
 	t.tick++
-	t.stats.Fills++
 	victim := 0
 	oldest := ^uint64(0)
 	for i := range t.lines {
 		ln := &t.lines[i]
-		if ln.valid && ln.e.ASID == e.ASID && ln.e.VStart == e.VStart && ln.e.VEnd == e.VEnd {
-			ln.e = e
+		if ln.valid && ln.asid == asid && ln.r.VStart == r.VStart && ln.r.VEnd == r.VEnd {
+			ln.r = r
 			ln.lru = t.tick
 			return
 		}
 		if !ln.valid {
 			victim = i
-			oldest = 0
 			break
 		}
 		if ln.lru < oldest {
@@ -91,103 +64,15 @@ func (t *RangeTLB) Insert(e RangeEntry) {
 			victim = i
 		}
 	}
-	t.lines[victim] = rangeLine{e: e, valid: true, lru: t.tick}
+	t.lines[victim] = rangeLine{r: r, asid: asid, valid: true, lru: t.tick}
 }
 
-// InvalidateOverlap drops ranges overlapping [start, end).
+// InvalidateOverlap drops asid's ranges overlapping [start, end).
 func (t *RangeTLB) InvalidateOverlap(start, end mem.VAddr, asid uint16) {
 	for i := range t.lines {
 		ln := &t.lines[i]
-		if ln.valid && ln.e.ASID == asid && ln.e.VStart < end && start < ln.e.VEnd {
+		if ln.valid && ln.asid == asid && ln.r.VStart < end && start < ln.r.VEnd {
 			ln.valid = false
-			t.stats.Shootdowns++
-		}
-	}
-}
-
-// InvalidateAll flushes the structure.
-func (t *RangeTLB) InvalidateAll() {
-	for i := range t.lines {
-		t.lines[i].valid = false
-	}
-}
-
-// MetaCache is a small fully associative presence cache over opaque
-// 64-bit keys; Utopia's TAR and SF caches and ECH's cuckoo-walk caches
-// are instances.
-type MetaCache struct {
-	name    string
-	entries int
-	latency uint64
-	keys    []metaLine
-	tick    uint64
-	stats   Stats
-}
-
-type metaLine struct {
-	key   uint64
-	val   uint64
-	valid bool
-	lru   uint64
-}
-
-// NewMetaCache builds a metadata cache with the given entry count.
-func NewMetaCache(name string, entries int, latency uint64) *MetaCache {
-	return &MetaCache{name: name, entries: entries, latency: latency, keys: make([]metaLine, entries)}
-}
-
-// Latency returns the lookup latency.
-func (c *MetaCache) Latency() uint64 { return c.latency }
-
-// Stats returns accumulated statistics.
-func (c *MetaCache) Stats() *Stats { return &c.stats }
-
-// Lookup returns the cached value for key.
-func (c *MetaCache) Lookup(key uint64) (uint64, bool) {
-	c.tick++
-	for i := range c.keys {
-		ln := &c.keys[i]
-		if ln.valid && ln.key == key {
-			ln.lru = c.tick
-			c.stats.Hits++
-			return ln.val, true
-		}
-	}
-	c.stats.Misses++
-	return 0, false
-}
-
-// Insert caches key → val.
-func (c *MetaCache) Insert(key, val uint64) {
-	c.tick++
-	c.stats.Fills++
-	victim := 0
-	oldest := ^uint64(0)
-	for i := range c.keys {
-		ln := &c.keys[i]
-		if ln.valid && ln.key == key {
-			ln.val = val
-			ln.lru = c.tick
-			return
-		}
-		if !ln.valid {
-			victim = i
-			oldest = 0
-			break
-		}
-		if ln.lru < oldest {
-			oldest = ln.lru
-			victim = i
-		}
-	}
-	c.keys[victim] = metaLine{key: key, val: val, valid: true, lru: c.tick}
-}
-
-// Invalidate drops key if present.
-func (c *MetaCache) Invalidate(key uint64) {
-	for i := range c.keys {
-		if c.keys[i].valid && c.keys[i].key == key {
-			c.keys[i].valid = false
 		}
 	}
 }

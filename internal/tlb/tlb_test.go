@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mem"
+	"repro/internal/rangetable"
 )
 
 func TestTLBHitMiss(t *testing.T) {
@@ -93,27 +94,28 @@ func TestTLBInvalidateRange(t *testing.T) {
 	}
 }
 
+// TestPWC uses a KeyCache as a depth-1 page-walk cache, keyed by VA[47:39].
 func TestPWC(t *testing.T) {
-	p := NewPWC(1, 8, 2, 2)
+	p := NewKeyCache(8, 2, 2)
+	tag := func(va mem.VAddr) uint64 { return uint64(va) >> 39 }
 	va := mem.VAddr(0x7f12_3456_7000)
-	if _, ok := p.Lookup(va); ok {
+	if _, ok := p.Lookup(tag(va)); ok {
 		t.Fatal("hit on empty PWC")
 	}
-	p.Insert(va, 0xAAA000)
-	node, ok := p.Lookup(va)
+	p.Insert(tag(va), 0xAAA000)
+	node, ok := p.Lookup(tag(va))
 	if !ok || node != 0xAAA000 {
 		t.Fatalf("pwc lookup = %x %v", node, ok)
 	}
 	// Depth-1 tags cover 512GB regions: a nearby address shares the tag.
-	if _, ok := p.Lookup(va + 0x1000_0000); !ok {
+	if _, ok := p.Lookup(tag(va + 0x1000_0000)); !ok {
 		t.Fatal("same-region lookup missed")
 	}
 }
 
 func TestRangeTLB(t *testing.T) {
-	r := NewRangeTLB("rlb", 4, 9)
-	e := RangeEntry{VStart: 0x10000, VEnd: 0x50000, PBase: 0x900000, ASID: 1}
-	r.Insert(e)
+	r := NewRangeTLB(4, 9)
+	r.Insert(rangetable.Range{VStart: 0x10000, VEnd: 0x50000, Base: 0x900000}, 1)
 	got, ok := r.Lookup(0x23456, 1)
 	if !ok {
 		t.Fatal("range lookup missed")
@@ -124,6 +126,9 @@ func TestRangeTLB(t *testing.T) {
 	if _, ok := r.Lookup(0x50000, 1); ok {
 		t.Fatal("end of range is exclusive")
 	}
+	if _, ok := r.Lookup(0x23456, 2); ok {
+		t.Fatal("cross-ASID range hit")
+	}
 	r.InvalidateOverlap(0x20000, 0x21000, 1)
 	if _, ok := r.Lookup(0x23456, 1); ok {
 		t.Fatal("overlap invalidation failed")
@@ -131,10 +136,10 @@ func TestRangeTLB(t *testing.T) {
 }
 
 func TestRangeTLBReplacement(t *testing.T) {
-	r := NewRangeTLB("rlb", 2, 9)
+	r := NewRangeTLB(2, 9)
 	for i := 0; i < 3; i++ {
 		base := mem.VAddr(i) * 0x100000
-		r.Insert(RangeEntry{VStart: base, VEnd: base + 0x1000, ASID: 1})
+		r.Insert(rangetable.Range{VStart: base, VEnd: base + 0x1000}, 1)
 	}
 	// Entry 0 is the oldest; must be gone.
 	if _, ok := r.Lookup(0x0, 1); ok {
@@ -146,7 +151,7 @@ func TestRangeTLBReplacement(t *testing.T) {
 }
 
 func TestMetaCache(t *testing.T) {
-	c := NewMetaCache("tar", 4, 2)
+	c := NewKeyCache(4, 4, 2) // one set, as Utopia's TAR cache
 	c.Insert(42, 7)
 	v, ok := c.Lookup(42)
 	if !ok || v != 7 {
