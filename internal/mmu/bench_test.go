@@ -30,10 +30,21 @@ func (flatMem) AccessMeta(mem.PAddr, bool, uint64) uint64 { return 1 }
 //     misses, so each op walks the four-level range table;
 //   - midgard_vlb_miss: 1,024 VMAs, which the VLBs mostly miss, so each
 //     op walks the VMA table, then translates the MA through the
-//     backend TLB or the backend radix walk.
+//     backend TLB or the backend radix walk;
+//   - hdc_walk: 4,096 scattered pages in a 16 MB HDC table, so each
+//     walk probes the 2M table, then finds the 4K cluster, mostly in
+//     its home bucket;
+//   - ht_walk: 16,384 scattered pages in a 64 KB HT table (896 4K
+//     buckets), so most walks hop along a chain of overflow groups;
+//   - ech_walk: 4,096 scattered pages in an ECH table below its resize
+//     threshold, so each walk issues the four nest probes of one
+//     generation;
+//   - ech_walk_migrating: 20,000 pages, past the 4K table's resize and
+//     mid-way through its gradual migration, so each walk probes the
+//     nests of both generations.
 //
 // Addresses are drawn at random from the mapped set, in an order too
-// long for a branch predictor to learn. The radix cases run at 0
+// long for a branch predictor to learn. Every case runs at 0
 // allocs/op.
 //
 //	go test -run '^$' -bench 'BenchmarkLayer/mmu' -benchmem ./internal/mmu
@@ -124,4 +135,50 @@ func BenchmarkLayer(b *testing.B) {
 		}
 		run(b, NewMidgardDesign(vmas, radix(mas), flatMem{}, 1), vas)
 	})
+
+	// hashed maps n scattered 4K pages into pt and returns their
+	// addresses.
+	hashed := func(pt pagetable.PageTable, n int) []mem.VAddr {
+		rng := rand.New(rand.NewPCG(3, 4))
+		vas := make([]mem.VAddr, n)
+		for i := range vas {
+			vas[i] = mem.VAddr(rng.Uint64N(1<<36)) &^ 0xfff
+			if err := pt.Insert(vas[i], pagetable.Entry{Frame: mem.PAddr(i+1) << 12, Size: mem.Page4K, Present: true}, k); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return vas
+	}
+	alloc := func() pagetable.FrameAllocator { return phys.NewSlab(phys.New(64 * mem.MB)) }
+
+	b.Run("mmu/hdc_walk", func(b *testing.B) {
+		pt, err := pagetable.NewHDCWith(alloc(), 16*mem.MB, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, &HashWalker{PT: pt, Mem: flatMem{}}, hashed(pt, 4096))
+	})
+
+	b.Run("mmu/ht_walk", func(b *testing.B) {
+		pt, err := pagetable.NewHTWith(alloc(), 64*mem.KB, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vas := hashed(pt, 16384)
+		run(b, &HashWalker{PT: pt, Mem: flatMem{}}, vas)
+		if w := pt.Walk(vas[0]); w.NSteps < 2 {
+			b.Fatalf("walk took %d steps, want a chain hop", w.NSteps)
+		}
+	})
+
+	ech := func(b *testing.B, n, steps int) {
+		pt := pagetable.NewECHWith(alloc(), nil)
+		vas := hashed(pt, n)
+		run(b, &HashWalker{PT: pt, Mem: flatMem{}, CWCLat: 2}, vas)
+		if w := pt.Walk(vas[0]); w.NSteps != steps {
+			b.Fatalf("walk probed %d nests, want %d", w.NSteps, steps)
+		}
+	}
+	b.Run("mmu/ech_walk", func(b *testing.B) { ech(b, 4096, 4) })
+	b.Run("mmu/ech_walk_migrating", func(b *testing.B) { ech(b, 20000, 8) })
 }

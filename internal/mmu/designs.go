@@ -89,6 +89,9 @@ type RMMDesign struct {
 	Radix *RadixWalker
 	Mem   Memory
 	ASID  uint16
+	// steps holds a range walk's node addresses, so a walk allocates
+	// nothing (a table over 8 levels, 16M ranges, spills to the heap).
+	steps [8]mem.PAddr
 }
 
 // NewRMMDesign builds the design with the Table 4 RLB (64-entry,
@@ -113,7 +116,7 @@ func (d *RMMDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 		return Result{PA: pa, Size: mem.Page4K, Lat: lat}
 	}
 	// Range walker: B-tree over ranges (translation metadata traffic).
-	var steps []mem.PAddr
+	steps := d.steps[:0]
 	r, ok := d.Table.Find(va, &steps)
 	for _, pa := range steps {
 		lat += d.Mem.AccessMeta(pa, false, now+lat)
@@ -150,6 +153,7 @@ type MidgardDesign struct {
 	l1vlb *tlb.RangeTLB
 	l2vlb *tlb.RangeTLB
 	btlb  *tlb.TLB
+	steps [8]mem.PAddr // VMA-tree walk steps, as RMMDesign.steps
 	// ExtraBackendSteps models the 6-level MA→PA radix (two more levels
 	// than the 4-level walker underneath).
 	ExtraBackendSteps int
@@ -184,7 +188,7 @@ func (d *MidgardDesign) TranslateMiss(va mem.VAddr, now uint64) Result {
 			d.l1vlb.Insert(v, d.ASID)
 		} else {
 			// VMA-tree walk in memory.
-			var steps []mem.PAddr
+			steps := d.steps[:0]
 			v, ok := d.VMAs.Find(va, &steps)
 			for _, pa := range steps {
 				front += d.Mem.AccessMeta(pa, false, now+front)

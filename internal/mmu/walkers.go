@@ -94,38 +94,23 @@ type HashWalker struct {
 	CWCLat uint64 // 2 cycles for ECH's perfect cuckoo walk caches
 }
 
-// NewHashWalker builds a walker for a hashed page table.
-func NewHashWalker(pt pagetable.PageTable, m Memory) *HashWalker {
-	w := &HashWalker{PT: pt, Mem: m}
-	if pt.Kind() == "ech" {
-		w.CWCLat = 2
-	}
-	return w
-}
-
 // TranslateMiss implements Design.
 func (w *HashWalker) TranslateMiss(va mem.VAddr, now uint64) Result {
+	// ECH's walker issues all nest probes in parallel: latency is the
+	// slowest probe, but every probe consumes memory bandwidth and may
+	// close DRAM rows (the Fig. 14 interference). HDC's open-addressing
+	// probes and HT's chain hops are dependent and serialise.
 	walk := w.PT.Walk(va)
-	lat := w.CWCLat
-	if w.CWCLat > 0 {
-		// ECH: the walker issues all nest probes in parallel; latency is
-		// the slowest probe, but every probe consumes memory bandwidth
-		// and may close DRAM rows (the Fig. 14 interference).
-		var worst uint64
-		for i := 0; i < walk.NSteps; i++ {
-			l := w.Mem.AccessPTE(walk.Steps[i].PA, false, now+lat)
-			if l > worst {
-				worst = l
-			}
-		}
-		lat += worst
-	} else {
-		// HDC/HT: open-addressing probes and chain hops are dependent
-		// accesses and serialise.
-		for i := 0; i < walk.NSteps; i++ {
-			lat += w.Mem.AccessPTE(walk.Steps[i].PA, false, now+lat)
+	lat, worst := w.CWCLat, uint64(0)
+	for i := 0; i < walk.NSteps; i++ {
+		l := w.Mem.AccessPTE(walk.Steps[i].PA, false, now+lat)
+		if w.CWCLat > 0 {
+			worst = max(worst, l)
+		} else {
+			lat += l
 		}
 	}
+	lat += worst
 	if !walk.Found || !walk.Entry.Present {
 		return Result{Lat: lat, Fault: true}
 	}

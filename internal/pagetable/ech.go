@@ -7,13 +7,14 @@ import (
 	"repro/internal/xrand"
 )
 
-// ECH is an Elastic Cuckoo Hash page table (Skarlatos et al., ASPLOS'20):
-// d independent ways (nests), each a physically contiguous array of
-// 8-byte entries indexed by a per-way hash of the VPN. A walk probes the
-// nests in order until it finds the translation — one memory access per
-// probed nest, which is why ECH raises DRAM interference in Fig. 14 —
-// while a perfect cuckoo-walk cache (the paper's configuration) resolves
-// the page size so only the correct per-size table is probed.
+// cuckooTable is the scheme of ECH, an Elastic Cuckoo Hash page table
+// (Skarlatos et al., ASPLOS'20): d independent ways (nests), each a
+// physically contiguous array of 8-byte entries indexed by a per-way
+// hash of the VPN. A walk probes the nests in order until it finds the
+// translation — one memory access per probed nest, which is why ECH
+// raises DRAM interference in Fig. 14 — while a perfect cuckoo-walk
+// cache (the paper's configuration) resolves the page size so only the
+// correct per-size table is probed.
 //
 // The table is *elastic*: when occupancy passes the threshold it doubles,
 // and entries migrate gradually (a few per insert), so lookups during
@@ -23,10 +24,15 @@ import (
 // On the host, each slot is a 4-byte index into its generation's record
 // store, and a pooled table (NewECHWith) takes its slot pages from and
 // gives them back to a recycle.Pool.
-type ECH struct {
-	alloc  FrameAllocator
-	tables [2]*cuckooTable // 4K, 2M
-	pages  uint64
+type cuckooTable struct {
+	alloc      FrameAllocator
+	cur        *cuckooArray
+	old        *cuckooArray // non-nil during gradual migration
+	oldWay     int
+	oldPos     uint64
+	Resizes    uint64
+	Kicks      uint64
+	Migrations uint64
 }
 
 const (
@@ -76,18 +82,6 @@ type cuckooArray struct {
 	// Orphan entry displaced by a failed insert (resolved by resize).
 	orphanVPN uint64
 	orphanE   Entry
-}
-
-type cuckooTable struct {
-	alloc      FrameAllocator
-	pageSize   mem.PageSize
-	cur        *cuckooArray
-	old        *cuckooArray // non-nil during gradual migration
-	oldWay     int
-	oldPos     uint64
-	Resizes    uint64
-	Kicks      uint64
-	Migrations uint64
 }
 
 // newCuckooArray reserves the generation's simulated frames now, so the
@@ -210,8 +204,8 @@ func (t *cuckooTable) recycle(pool *recycle.Pool) {
 	}
 }
 
-func newCuckooTable(alloc FrameAllocator, ps mem.PageSize, pool *recycle.Pool) *cuckooTable {
-	return &cuckooTable{alloc: alloc, pageSize: ps, cur: newCuckooArray(alloc, echInitSlots, 0, pool)}
+func newCuckooTable(alloc FrameAllocator, pool *recycle.Pool) *cuckooTable {
+	return &cuckooTable{alloc: alloc, cur: newCuckooArray(alloc, echInitSlots, 0, pool)}
 }
 
 // lookup returns the entry for vpn, recording each probed nest in steps.
@@ -352,67 +346,23 @@ func (t *cuckooTable) insert(vpn uint64, e Entry, k instrument.KernelMem) {
 	}
 }
 
-// NewECHWith builds an elastic cuckoo page table supporting 4 KB and
-// 2 MB pages (one cuckoo table per size, probed after perfect page-size
-// resolution per the Table 4 cuckoo-walk-cache configuration), drawing
-// slot pages from pool (nil pool = fresh allocations).
-func NewECHWith(alloc FrameAllocator, pool *recycle.Pool) *ECH {
-	return &ECH{
-		alloc: alloc,
-		tables: [2]*cuckooTable{
-			newCuckooTable(alloc, mem.Page4K, pool),
-			newCuckooTable(alloc, mem.Page2M, pool),
-		},
-	}
+// NewECHWith builds an ECH page table supporting 4 KB and 2 MB pages
+// (one cuckoo table per size, probed after perfect page-size resolution
+// per the Table 4 cuckoo-walk-cache configuration), drawing slot pages
+// from pool (nil pool = fresh allocations).
+func NewECHWith(alloc FrameAllocator, pool *recycle.Pool) PageTable {
+	return &hashed{sub: [2]scheme{newCuckooTable(alloc, pool), newCuckooTable(alloc, pool)}}
 }
 
-// Recycle hands the table's slot pages back to pool, scrubbed to their
-// empty state. The table must not be used afterwards.
-func (p *ECH) Recycle(pool *recycle.Pool) {
-	if pool == nil {
-		return
-	}
-	for _, t := range p.tables {
-		t.recycle(pool)
-	}
-	*p = ECH{}
-}
+func (t *cuckooTable) get(vpn uint64) (Entry, bool) { return t.lookup(vpn, nil) }
 
-// Kind implements PageTable.
-func (p *ECH) Kind() string { return "ech" }
-
-func (p *ECH) tableFor(s mem.PageSize) *cuckooTable {
-	if s == mem.Page2M {
-		return p.tables[1]
-	}
-	return p.tables[0]
-}
-
-// Walk implements PageTable: the hardware cuckoo walker probes *all*
+// probe records the hardware cuckoo walker's probes: it probes *all*
 // nests of the table in parallel (the page size is resolved by the
-// perfect CWC), so every walk touches one line per nest — low latency
-// (max of the parallel accesses, applied by the HashWalker), high memory
-// traffic (the Fig. 14 row-buffer interference).
-func (p *ECH) Walk(va mem.VAddr) WalkResult {
-	var out WalkResult
-	// The CWC resolves the page size: find which table holds it.
-	for _, t := range []*cuckooTable{p.tables[1], p.tables[0]} {
-		vpn := t.pageSize.VPN(va)
-		if e, ok := t.lookup(vpn, nil); ok {
-			t.pushAllNests(vpn, &out)
-			out.Entry = e
-			out.Found = true
-			return out
-		}
-	}
-	// Miss: the walker probes the 4K nests before raising the fault.
-	p.tables[0].pushAllNests(mem.Page4K.VPN(va), &out)
-	return out
-}
-
-// pushAllNests records the parallel probe set for vpn: one slot per way
-// of the current generation, plus the old generation during migration.
-func (t *cuckooTable) pushAllNests(vpn uint64, out *WalkResult) {
+// perfect CWC), one slot per way of the current generation, plus the
+// old generation during migration — low latency (max of the parallel
+// accesses, applied by the HashWalker), high memory traffic (the
+// Fig. 14 row-buffer interference).
+func (t *cuckooTable) probe(vpn uint64, out *WalkResult) {
 	for w := 0; w < echWays; w++ {
 		out.push(t.cur.slotPA(w, t.cur.idx(w, vpn)), 0)
 	}
@@ -423,54 +373,17 @@ func (t *cuckooTable) pushAllNests(vpn uint64, out *WalkResult) {
 	}
 }
 
-// Lookup implements PageTable.
-func (p *ECH) Lookup(va mem.VAddr) (Entry, bool) {
-	for _, t := range []*cuckooTable{p.tables[1], p.tables[0]} {
-		if e, ok := t.lookup(t.pageSize.VPN(va), nil); ok {
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
-// Insert implements PageTable.
-func (p *ECH) Insert(va mem.VAddr, e Entry, k instrument.KernelMem) error {
-	if e.Size == mem.Page1G {
-		return ErrOutOfMemory{What: "1GB pages unsupported by ECH"}
-	}
-	t := p.tableFor(e.Size)
-	vpn := t.pageSize.VPN(va)
-	if _, exists := t.lookup(vpn, nil); !exists {
-		p.pages++
-	}
+func (t *cuckooTable) put(vpn uint64, e Entry, k instrument.KernelMem) bool {
+	_, exists := t.lookup(vpn, nil)
 	t.insert(vpn, e, k)
-	return nil
+	return !exists
 }
 
-// Update implements PageTable.
-func (p *ECH) Update(va mem.VAddr, e Entry, k instrument.KernelMem) bool {
-	t := p.tableFor(e.Size)
-	vpn := t.pageSize.VPN(va)
+// update re-inserts vpn, so it migrates like an insert.
+func (t *cuckooTable) update(vpn uint64, e Entry, k instrument.KernelMem) bool {
 	if _, ok := t.lookup(vpn, nil); !ok {
 		return false
 	}
 	t.insert(vpn, e, k)
 	return true
 }
-
-// Remove implements PageTable.
-func (p *ECH) Remove(va mem.VAddr, k instrument.KernelMem) (Entry, bool) {
-	for _, t := range []*cuckooTable{p.tables[1], p.tables[0]} {
-		if e, ok := t.remove(t.pageSize.VPN(va), k); ok {
-			p.pages--
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
-// MappedPages implements PageTable.
-func (p *ECH) MappedPages() uint64 { return p.pages }
-
-// Resizes returns the total resize count across sub-tables (test hook).
-func (p *ECH) Resizes() uint64 { return p.tables[0].Resizes + p.tables[1].Resizes }

@@ -9,244 +9,141 @@ import (
 	"repro/internal/xrand"
 )
 
-// HDC is the open-addressing hashed page table of Yaniv & Tsafrir
-// ("Hash, Don't Cache (the page table)", SIGMETRICS'16): a single global
-// table (4 GB in Table 4) of 64-byte buckets, each holding a cluster of
-// 8 PTEs for 8 consecutive virtual pages. A walk hashes the cluster VPN
-// and probes linearly — one memory access in the common case, which is
-// why HDC both shortens walks (Fig. 13) and reduces DRAM row-buffer
-// conflicts (Fig. 14) relative to radix. On the host, clusters come
-// from arena chunks and the slot maps are plain maps, all of which a
-// pooled table (NewHDCWith) takes from and gives back to a recycle.Pool.
-type HDC struct {
-	sub   [2]*hdcTable // 4K, 2M
+// hashed is the shell of the hashed page tables (HDC, HT and ECH): one
+// scheme per page size, probed after perfect page-size resolution (the
+// 2M table first), and the count of mapped pages. The designs differ
+// only in their scheme; 1 GB pages are unsupported. (A generic shell
+// over the scheme type walks slower: calls through PageTable reach it
+// by a wrapper that copies each WalkResult once more.)
+type hashed struct {
+	sub   [2]scheme // 4K, 2M
 	pages uint64
+	// walk is where Walk builds its result: probe is an indirect call,
+	// so a result on Walk's stack would escape to the heap.
+	walk WalkResult
 }
 
-const hdcClusterPTEs = 8
-
-type hdcCluster struct {
-	cvpn    uint64
-	used    [hdcClusterPTEs]bool
-	entries [hdcClusterPTEs]Entry
-	n       int
+// scheme is one page size's table of a hashed design, keyed by virtual
+// page number. get returns vpn's entry and records no walk steps;
+// probe records the accesses of a hardware walk for vpn in out. put
+// maps vpn, reporting whether it was unmapped before; update rewrites
+// an existing mapping; remove unmaps vpn. The three charge their
+// kernel accesses to k. recycle parks the host storage in pool.
+type scheme interface {
+	get(vpn uint64) (Entry, bool)
+	probe(vpn uint64, out *WalkResult)
+	put(vpn uint64, e Entry, k instrument.KernelMem) bool
+	update(vpn uint64, e Entry, k instrument.KernelMem) bool
+	remove(vpn uint64, k instrument.KernelMem) (Entry, bool)
+	recycle(pool *recycle.Pool)
 }
 
-// Pool keys for a table's clusters (arena chunks of 16 doubling to 64;
-// clusters are never freed within a table's lifetime) and its two slot
-// maps.
-const (
-	hdcClusterChunkKey = "pagetable.hdc.clusterchunk"
-	hdcSlotToKey       = "pagetable.hdc.slotto"
-	hdcClusterSlotKey  = "pagetable.hdc.clusterslot"
-)
+// hashedSizes are the page sizes of a hashed table's sub-tables.
+var hashedSizes = [2]mem.PageSize{mem.Page4K, mem.Page2M}
 
-type hdcTable struct {
-	clusters arena[hdcCluster]
-	pageSize mem.PageSize
-	base     mem.PAddr
-	buckets  uint64
-	seed     uint64
-	// slotTo maps probe-slot index -> cluster stored there.
-	slotTo map[uint64]*hdcCluster
-	// clusterSlot maps cluster VPN -> probe-slot index.
-	clusterSlot map[uint64]uint64
-	Probes      uint64
-	Lookups     uint64
-}
-
-func newHDCTable(alloc FrameAllocator, ps mem.PageSize, tableBytes uint64, pool *recycle.Pool) (*hdcTable, error) {
-	pages := tableBytes / (4 * mem.KB)
-	base, ok := alloc.AllocContig(pages, 512)
-	if !ok {
-		return nil, errors.New("pagetable: cannot allocate HDC table")
-	}
-	return &hdcTable{
-		clusters:    arena[hdcCluster]{pool: pool, key: hdcClusterChunkKey, min: 16, max: 64},
-		pageSize:    ps,
-		base:        base,
-		buckets:     tableBytes / mem.CacheLineBytes,
-		seed:        0xD0C5EED ^ uint64(ps),
-		slotTo:      recycle.Map[uint64, *hdcCluster](pool, hdcSlotToKey),
-		clusterSlot: recycle.Map[uint64, uint64](pool, hdcClusterSlotKey),
-	}, nil
-}
-
-func (t *hdcTable) slotPA(slot uint64) mem.PAddr {
-	return t.base + mem.PAddr(slot*mem.CacheLineBytes)
-}
-
-func (t *hdcTable) home(cvpn uint64) uint64 {
-	return xrand.Hash64(cvpn, t.seed) % t.buckets
-}
-
-// find returns the cluster and probe count; out (optional) records the
-// probed bucket addresses.
-func (t *hdcTable) find(cvpn uint64, out *WalkResult) (*hdcCluster, bool) {
-	t.Lookups++
-	slot := t.home(cvpn)
-	for i := uint64(0); i < t.buckets; i++ {
-		s := (slot + i) % t.buckets
-		t.Probes++
-		if out != nil {
-			out.push(t.slotPA(s), 0)
-		}
-		c, occupied := t.slotTo[s]
-		if !occupied {
-			return nil, false // open slot terminates the probe sequence
-		}
-		if c.cvpn == cvpn {
-			return c, true
-		}
-	}
-	return nil, false
-}
-
-func (t *hdcTable) findOrCreate(cvpn uint64, k instrument.KernelMem) *hdcCluster {
-	slot := t.home(cvpn)
-	for i := uint64(0); ; i++ {
-		s := (slot + i) % t.buckets
-		k.Load(t.slotPA(s))
-		c, occupied := t.slotTo[s]
-		if occupied && c.cvpn == cvpn {
-			return c
-		}
-		if !occupied {
-			c = t.clusters.get()
-			c.cvpn = cvpn
-			t.slotTo[s] = c
-			t.clusterSlot[cvpn] = s
-			return c
-		}
-	}
-}
-
-// NewHDCWith builds the global open-addressing table (4 GB when
-// tableBytes is 0, split between the 4 KB and 2 MB page sizes, probed
-// after perfect page-size resolution), drawing cluster chunks and slot
-// maps from pool (nil pool = fresh allocations). It fails when alloc
-// has no contiguous run of frames left for a sub-table.
-func NewHDCWith(alloc FrameAllocator, tableBytes uint64, pool *recycle.Pool) (*HDC, error) {
-	if tableBytes == 0 {
-		tableBytes = 4 * mem.GB
-	}
-	small, err := newHDCTable(alloc, mem.Page4K, tableBytes*7/8, pool)
-	if err != nil {
-		return nil, err
-	}
-	large, err := newHDCTable(alloc, mem.Page2M, tableBytes/8, pool)
-	if err != nil {
-		return nil, err
-	}
-	return &HDC{sub: [2]*hdcTable{small, large}}, nil
-}
-
-// Recycle hands the table's cluster chunks and slot maps back to pool,
-// scrubbed to their empty state. The table must not be used afterwards.
-func (p *HDC) Recycle(pool *recycle.Pool) {
-	if pool == nil {
-		return
-	}
-	for _, t := range p.sub {
-		t.clusters.recycle(pool)
-		recycle.PutMap(pool, hdcSlotToKey, t.slotTo)
-		recycle.PutMap(pool, hdcClusterSlotKey, t.clusterSlot)
-	}
-	*p = HDC{}
-}
-
-// Kind implements PageTable.
-func (p *HDC) Kind() string { return "hdc" }
-
-func (p *HDC) tableFor(s mem.PageSize) *hdcTable {
+// table returns the sub-table for page size s (4K unless 2M) and va's VPN.
+func (p *hashed) table(s mem.PageSize, va mem.VAddr) (scheme, uint64) {
 	if s == mem.Page2M {
-		return p.sub[1]
+		return p.sub[1], mem.Page2M.VPN(va)
 	}
-	return p.sub[0]
+	return p.sub[0], mem.Page4K.VPN(va)
 }
 
-func clusterKey(t *hdcTable, va mem.VAddr) (cvpn uint64, idx int) {
-	vpn := t.pageSize.VPN(va)
-	return vpn / hdcClusterPTEs, int(vpn % hdcClusterPTEs)
-}
-
-// Walk implements PageTable.
-func (p *HDC) Walk(va mem.VAddr) WalkResult {
-	var out WalkResult
-	for _, t := range []*hdcTable{p.sub[1], p.sub[0]} {
-		cvpn, idx := clusterKey(t, va)
-		if c, ok := t.find(cvpn, nil); ok && c.used[idx] {
-			t.find(cvpn, &out)
-			out.Entry = c.entries[idx]
-			out.Found = true
-			return out
+// Walk implements PageTable: the walker probes the sub-table that maps
+// va, or the 4K one before raising the fault.
+func (p *hashed) Walk(va mem.VAddr) WalkResult {
+	out := &p.walk
+	*out = WalkResult{}
+	for i := 1; i >= 0; i-- {
+		vpn := hashedSizes[i].VPN(va)
+		if e, ok := p.sub[i].get(vpn); ok {
+			p.sub[i].probe(vpn, out)
+			out.Entry, out.Found = e, true
+			return *out
 		}
 	}
-	// Miss: the walker probes the 4K table before faulting.
-	cvpn, _ := clusterKey(p.sub[0], va)
-	p.sub[0].find(cvpn, &out)
-	return out
+	p.sub[0].probe(mem.Page4K.VPN(va), out)
+	return *out
 }
 
 // Lookup implements PageTable.
-func (p *HDC) Lookup(va mem.VAddr) (Entry, bool) {
-	for _, t := range []*hdcTable{p.sub[1], p.sub[0]} {
-		cvpn, idx := clusterKey(t, va)
-		if c, ok := t.find(cvpn, nil); ok && c.used[idx] {
-			return c.entries[idx], true
+func (p *hashed) Lookup(va mem.VAddr) (Entry, bool) {
+	for i := 1; i >= 0; i-- {
+		if e, ok := p.sub[i].get(hashedSizes[i].VPN(va)); ok {
+			return e, true
 		}
 	}
 	return Entry{}, false
 }
 
 // Insert implements PageTable.
-func (p *HDC) Insert(va mem.VAddr, e Entry, k instrument.KernelMem) error {
+func (p *hashed) Insert(va mem.VAddr, e Entry, k instrument.KernelMem) error {
 	if e.Size == mem.Page1G {
-		return ErrOutOfMemory{What: "1GB pages unsupported by HDC"}
+		return ErrOutOfMemory{What: "1GB pages unsupported by hashed page tables"}
 	}
-	t := p.tableFor(e.Size)
-	cvpn, idx := clusterKey(t, va)
-	c := t.findOrCreate(cvpn, k)
-	if !c.used[idx] {
-		c.n++
+	if t, vpn := p.table(e.Size, va); t.put(vpn, e, k) {
 		p.pages++
 	}
-	c.used[idx] = true
-	c.entries[idx] = e
-	k.Store(t.slotPA(t.clusterSlot[cvpn]))
 	return nil
 }
 
 // Update implements PageTable.
-func (p *HDC) Update(va mem.VAddr, e Entry, k instrument.KernelMem) bool {
-	t := p.tableFor(e.Size)
-	cvpn, idx := clusterKey(t, va)
-	c, ok := t.find(cvpn, nil)
-	if !ok || !c.used[idx] {
-		return false
-	}
-	c.entries[idx] = e
-	k.Store(t.slotPA(t.clusterSlot[cvpn]))
-	return true
+func (p *hashed) Update(va mem.VAddr, e Entry, k instrument.KernelMem) bool {
+	t, vpn := p.table(e.Size, va)
+	return t.update(vpn, e, k)
 }
 
 // Remove implements PageTable.
-func (p *HDC) Remove(va mem.VAddr, k instrument.KernelMem) (Entry, bool) {
-	for _, t := range []*hdcTable{p.sub[1], p.sub[0]} {
-		cvpn, idx := clusterKey(t, va)
-		if c, ok := t.find(cvpn, nil); ok && c.used[idx] {
-			old := c.entries[idx]
-			c.used[idx] = false
-			c.n--
+func (p *hashed) Remove(va mem.VAddr, k instrument.KernelMem) (Entry, bool) {
+	for i := 1; i >= 0; i-- {
+		if e, ok := p.sub[i].remove(hashedSizes[i].VPN(va), k); ok {
 			p.pages--
-			k.Store(t.slotPA(t.clusterSlot[cvpn]))
-			// Clusters are not compacted on emptiness (tombstone-free
-			// deletion would break linear probing); matching HDC's design.
-			return old, true
+			return e, true
 		}
 	}
 	return Entry{}, false
 }
 
 // MappedPages implements PageTable.
-func (p *HDC) MappedPages() uint64 { return p.pages }
+func (p *hashed) MappedPages() uint64 { return p.pages }
+
+// Recycle hands the table's host storage back to pool, scrubbed to its
+// empty state. The table must not be used afterwards.
+func (p *hashed) Recycle(pool *recycle.Pool) {
+	for _, t := range p.sub {
+		t.recycle(pool)
+	}
+	*p = hashed{}
+}
+
+// newGlobal builds a global hashed table (HDC, HT) of tableBytes, 4 GB
+// when 0, split 7:1 between its 4K and 2M sub-tables. Each sub-table's
+// buckets take a contiguous run of frames from alloc, keyed by seed
+// xor the page size, and sub builds the scheme over them. It fails when
+// alloc has no contiguous run left for a sub-table.
+func newGlobal(alloc FrameAllocator, tableBytes, seed uint64, design string, sub func(buckets) scheme) (PageTable, error) {
+	if tableBytes == 0 {
+		tableBytes = 4 * mem.GB
+	}
+	p := &hashed{}
+	for i, bytes := range [2]uint64{tableBytes * 7 / 8, tableBytes / 8} {
+		base, ok := alloc.AllocContig(bytes/(4*mem.KB), 512)
+		if !ok {
+			return nil, errors.New("pagetable: cannot allocate " + design + " table")
+		}
+		p.sub[i] = sub(buckets{base: base, n: bytes / mem.CacheLineBytes, seed: seed ^ uint64(hashedSizes[i])})
+	}
+	return p, nil
+}
+
+// buckets is a global table's array of 64-byte buckets at base: each
+// key hashes to a home bucket.
+type buckets struct {
+	base mem.PAddr
+	n    uint64
+	seed uint64
+}
+
+func (b *buckets) home(key uint64) uint64 { return xrand.Hash64(key, b.seed) % b.n }
+
+func (b *buckets) pa(i uint64) mem.PAddr { return b.base + mem.PAddr(i*mem.CacheLineBytes) }

@@ -143,7 +143,7 @@ func TestECHAbsentPagesMissWithoutMaking(t *testing.T) {
 	k := instrument.NopMem{}
 	va := mem.VAddr(0x7f00_1234_5000)
 	must(pt.Insert(va, Entry{Frame: 0x9000, Size: mem.Page4K, Present: true}, k))
-	t4, t2 := pt.tables[0], pt.tables[1]
+	t4, t2 := schemeOf[*cuckooTable](pt, 0), schemeOf[*cuckooTable](pt, 1)
 	if got := t4.cur.pageCount(); got != 1 {
 		t.Fatalf("one insert made %d pages, want 1", got)
 	}
@@ -178,7 +178,7 @@ func TestECHAbsentPagesMissWithoutMaking(t *testing.T) {
 // both tables, and keeps churning through the gradual migration, which
 // completes in the 2M table but not in the 4K one, so emptied records
 // are taken again. It returns the 4K pages it used.
-func echChurn(pt *ECH, l *trafficLog, seed uint64) []mem.VAddr {
+func echChurn(pt PageTable, l *trafficLog, seed uint64) []mem.VAddr {
 	rng := xrand.New(seed)
 	e4 := func(i int) Entry { return Entry{Frame: mem.PAddr(i+1) << 12, Size: mem.Page4K, Present: true} }
 	vas := make([]mem.VAddr, 3000)
@@ -192,8 +192,8 @@ func echChurn(pt *ECH, l *trafficLog, seed uint64) []mem.VAddr {
 	for i := uint64(0); i < 40; i++ {
 		must(pt.Insert(mem.VAddr(0x40_0000_0000+i*2*mem.MB), Entry{Frame: mem.PAddr(0x8000_0000 + i*2*mem.MB), Size: mem.Page2M, Present: true}, l))
 	}
-	for _, t := range pt.tables {
-		t.resize(l)
+	for i := range 2 {
+		schemeOf[*cuckooTable](pt, i).resize(l)
 	}
 	for i := 0; i < 120; i++ {
 		va := mem.VAddr(rng.Uint64n(1<<36)) &^ 0xfff
@@ -259,8 +259,8 @@ func TestECHReuseMatchesFresh(t *testing.T) {
 	pool := recycle.New()
 	old := NewECHWith(&bumpAlloc{}, pool)
 	echChurn(old, &trafficLog{h: sha256.New()}, 1)
-	reused := old.tables[0].old.page(0, 0)
-	old.Recycle(pool)
+	reused := schemeOf[*cuckooTable](old, 0).old.page(0, 0)
+	old.(recycle.Recycler).Recycle(pool)
 
 	fresh, pooled := NewECHWith(&bumpAlloc{}, nil), NewECHWith(&bumpAlloc{}, pool)
 	lf, lp := &trafficLog{h: sha256.New()}, &trafficLog{h: sha256.New()}
@@ -270,7 +270,8 @@ func TestECHReuseMatchesFresh(t *testing.T) {
 		t.Fatal("kernel traffic of the pooled table differs from the fresh one")
 	}
 	took := false
-	for _, tb := range pooled.tables {
+	for i := range 2 {
+		tb := schemeOf[*cuckooTable](pooled, i)
 		for _, a := range [2]*cuckooArray{tb.cur, tb.old} {
 			for i := 0; a != nil && i < len(a.pages); i++ {
 				took = took || a.pages[i] == reused
@@ -295,8 +296,8 @@ func TestECHReuseMatchesFresh(t *testing.T) {
 	if pooled.MappedPages() != fresh.MappedPages() {
 		t.Errorf("MappedPages: pooled %d, fresh %d", pooled.MappedPages(), fresh.MappedPages())
 	}
-	for i, tb := range pooled.tables {
-		ft := fresh.tables[i]
+	for i := range 2 {
+		tb, ft := schemeOf[*cuckooTable](pooled, i), schemeOf[*cuckooTable](fresh, i)
 		if tb.Kicks != ft.Kicks || tb.Resizes != ft.Resizes || tb.Migrations != ft.Migrations {
 			t.Errorf("table %d: pooled kicks/resizes/migrations %d/%d/%d, fresh %d/%d/%d",
 				i, tb.Kicks, tb.Resizes, tb.Migrations, ft.Kicks, ft.Resizes, ft.Migrations)
@@ -310,7 +311,7 @@ func TestECHReuseMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	if pooled.tables[0].old == nil || pooled.tables[1].old != nil {
+	if schemeOf[*cuckooTable](pooled, 0).old == nil || schemeOf[*cuckooTable](pooled, 1).old != nil {
 		t.Error("want the 4K table still migrating and the 2M table's migration complete")
 	}
 }

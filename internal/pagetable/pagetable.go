@@ -69,8 +69,6 @@ type FrameAllocator interface {
 // the injected instruction stream (they dominate the minor-fault latency
 // differences of Fig. 15).
 type PageTable interface {
-	// Kind names the design ("radix", "ech", "hdc", "ht").
-	Kind() string
 	// Walk performs a functional walk for va, listing the memory
 	// accesses a hardware walker performs.
 	Walk(va mem.VAddr) WalkResult

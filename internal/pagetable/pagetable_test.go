@@ -182,7 +182,7 @@ func TestECHElasticResize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pt.Resizes() == 0 {
+	if echResizes(pt) == 0 {
 		t.Fatal("expected at least one elastic resize")
 	}
 	// All entries must survive resizing + migration.

@@ -119,9 +119,6 @@ func (r *Radix) Recycle(pool *recycle.Pool) {
 	*r = Radix{}
 }
 
-// Kind implements PageTable.
-func (r *Radix) Kind() string { return "radix" }
-
 // indices returns the PML4/PDPT/PD/PT indices of va.
 func indices(va mem.VAddr) [4]int {
 	return [4]int{

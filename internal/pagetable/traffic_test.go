@@ -89,10 +89,10 @@ func echTraffic(l *trafficLog) {
 			l.walk(pt, va)
 		}
 	}
-	l.put('R', pt.Resizes())
+	l.put('R', echResizes(pt))
 	l.put('M', pt.MappedPages())
-	l.put('K', pt.tables[0].Kicks)
-	l.put('G', pt.tables[0].Migrations)
+	l.put('K', schemeOf[*cuckooTable](pt, 0).Kicks)
+	l.put('G', schemeOf[*cuckooTable](pt, 0).Migrations)
 	// The allocator's state after the sequence.
 	fp, _ := alloc.AllocFrame()
 	l.put('P', uint64(fp))
@@ -124,8 +124,8 @@ func echSparseTraffic(l *trafficLog) {
 		l.walk(pt, vas[i])
 		pt.Remove(vas[i], l)
 	}
-	for _, t := range pt.tables {
-		t.resize(l)
+	for i := range 2 {
+		schemeOf[*cuckooTable](pt, i).resize(l)
 	}
 	// Migration runs a few entries per insert across mostly absent
 	// slots; walks and removes see both generations meanwhile.
@@ -141,13 +141,13 @@ func echSparseTraffic(l *trafficLog) {
 	}
 	pt.Insert(0x40_0000_0000+8*mem.MB, Entry{Frame: 0x9000_0000, Size: mem.Page2M, Present: true}, l)
 	// A second resize finishes the first migration synchronously.
-	pt.tables[0].resize(l)
+	schemeOf[*cuckooTable](pt, 0).resize(l)
 	for _, va := range vas {
 		l.walk(pt, va)
 	}
-	l.put('R', pt.Resizes())
+	l.put('R', echResizes(pt))
 	l.put('M', pt.MappedPages())
-	l.put('G', pt.tables[0].Migrations+pt.tables[1].Migrations)
+	l.put('G', schemeOf[*cuckooTable](pt, 0).Migrations+schemeOf[*cuckooTable](pt, 1).Migrations)
 	fp, _ := alloc.AllocFrame()
 	l.put('P', uint64(fp))
 }
@@ -182,7 +182,7 @@ func crowdedVPNs(a *cuckooArray, slots uint64, n int) []uint64 {
 // the end.
 func echOrphanTraffic(l *trafficLog, pool *recycle.Pool) {
 	alloc := phys.NewSlab(phys.New(512 * mem.MB))
-	t := &cuckooTable{alloc: alloc, pageSize: mem.Page4K, cur: newCuckooArray(alloc, echPageSlots, 0, pool)}
+	t := &cuckooTable{alloc: alloc, cur: newCuckooArray(alloc, echPageSlots, 0, pool)}
 	vpns := append(crowdedVPNs(newCuckooArray(&bumpAlloc{}, 2*echPageSlots, 1, nil), 128, 600),
 		crowdedVPNs(t.cur, 32, 160)...)
 	e4 := func(i int) Entry { return Entry{Frame: mem.PAddr(i+1) << 12, Size: mem.Page4K, Present: true} }
@@ -376,11 +376,11 @@ func htTraffic(l *trafficLog, pool *recycle.Pool) {
 		l.walk(pt, va+0x5000)
 	}
 	l.put('M', pt.MappedPages())
-	l.put('O', pt.sub[0].OverflowNodes)
-	l.put('H', pt.sub[0].ChainHops)
+	l.put('O', schemeOf[*htTable](pt, 0).OverflowNodes)
+	l.put('H', schemeOf[*htTable](pt, 0).ChainHops)
 	fp, _ := alloc.AllocFrame()
 	l.put('P', uint64(fp))
-	pt.Recycle(pool)
+	pt.(recycle.Recycler).Recycle(pool)
 }
 
 // hdcTraffic drives a small HDC from pool: dense runs that fill
@@ -449,11 +449,11 @@ func hdcTraffic(l *trafficLog, pool *recycle.Pool) {
 	}
 	check(0x66_0000_0000)
 	l.put('M', pt.MappedPages())
-	l.put('B', pt.sub[0].Probes)
-	l.put('L', pt.sub[0].Lookups)
+	l.put('B', schemeOf[*hdcTable](pt, 0).Probes)
+	l.put('L', schemeOf[*hdcTable](pt, 0).Lookups)
 	fp, _ := alloc.AllocFrame()
 	l.put('P', uint64(fp))
-	pt.Recycle(pool)
+	pt.(recycle.Recycler).Recycle(pool)
 }
 
 // TestPageTableKernelTrafficPinned pins the simulated memory traffic of

@@ -160,9 +160,9 @@ var (
 
 	designs = newCatalog("design",
 		entry[Design]{"radix", Design{New: func(e DesignEnv) mmu.Design { return e.NewRadix() }}},
-		entry[Design]{"ech", Design{PTKind: mimicos.PTECH, New: hashWalker}},
-		entry[Design]{"hdc", Design{PTKind: mimicos.PTHDC, New: hashWalker}},
-		entry[Design]{"ht", Design{PTKind: mimicos.PTHT, New: hashWalker}},
+		entry[Design]{"ech", Design{PTKind: mimicos.PTECH, New: hashWalker(2)}},
+		entry[Design]{"hdc", Design{PTKind: mimicos.PTHDC, New: hashWalker(0)}},
+		entry[Design]{"ht", Design{PTKind: mimicos.PTHT, New: hashWalker(0)}},
 		entry[Design]{"utopia", Design{New: func(e DesignEnv) mmu.Design {
 			return mmu.NewUtopiaDesign(e.OS.Utopia, e.NewRadix(), e.Mem)
 		}}},
@@ -183,7 +183,11 @@ var (
 	loads = newCatalog[func(workloads.Params) (*workloads.Workload, error)]("workload")
 )
 
-func hashWalker(e DesignEnv) mmu.Design { return mmu.NewHashWalker(e.Proc.PT, e.Mem) }
+// hashWalker builds a hashed page table's walker; cwcLat is ECH's
+// cuckoo-walk-cache latency (Table 4: 2 cycles), 0 for HDC and HT.
+func hashWalker(cwcLat uint64) func(DesignEnv) mmu.Design {
+	return func(e DesignEnv) mmu.Design { return &mmu.HashWalker{PT: e.Proc.PT, Mem: e.Mem, CWCLat: cwcLat} }
+}
 
 // RegisterPolicy registers an allocation-policy constructor under name.
 // The constructor runs once per simulated system, so stateful policies

@@ -24,6 +24,7 @@ var resultsPin = struct {
 }{
 	specVersion: 2,
 	digests: map[string]string{
+		"hashed": "cda622c0958c20b6d042bb6bba71e0315aec20bb1a97ebf793b9cc5165ca0472",
 		"multi":  "2593a4afc94c439aa3c8c9a47b003e710be15e579634255d2bb79fe65bf78112",
 		"ranges": "72d8119e49614c28a492fa9649b25f3531ee4ab2440e4764e2d02c410ee50a04",
 		"single": "b0132b1e7d8a14597909b4bb7b2d8cd97e2a8a012e64471116357de993e69615",

@@ -4,9 +4,9 @@
 # and from the working tree, runs the sweep specs in testdata/results/
 # through both with `sweep run -canonical`, and cmp's each pair of
 # reports. The specs cover single-process and multiprogrammed points;
-# the radix, ech, nested, utopia, rmm and midgard designs; the thp, bd,
-# cr-thp and eager policies; flat and CXL+NVM tiers; and undersized
-# DRAM with swap.
+# the radix, ech, hdc, ht, nested, utopia, rmm and midgard designs;
+# the thp, bd, cr-thp and eager policies; flat and CXL+NVM tiers; and
+# undersized DRAM with swap.
 # TestResultsPinnedToSpecVersion pins the same reports to specVersion.
 #
 # For each spec it prints "identical", "spec_hash only" (the reports
