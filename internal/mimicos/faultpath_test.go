@@ -204,7 +204,7 @@ var faultPaths = []struct {
 		l.munmap(1, a, 1*mem.MB)
 		l.exitAll()
 		return l
-	}, "2d3e42a657994eacad91bc8dad4f608ddb98abf4b2125e5bab4e9c3851daf05e"},
+	}, "131abd575c4c1bb37a2a7c08b66ba03412bdced69544fedd2359e52807153fb0"},
 	{"utopia", []string{"utopia_alloc", "swap_out", "swap_in"}, func(t *testing.T) *faultLog {
 		// A small RestSeg whose full sets evict to swap; re-touching
 		// the first pages hits the RestSeg or swaps evicted pages in.
@@ -233,7 +233,7 @@ var faultPaths = []struct {
 		l.touch(1, base, 128*mem.KB, 4096) // hits, then misses
 		l.exitAll()
 		return l
-	}, "4a092cb642a4ece343969f913914638f1ee708d8f57202f4e85060ec4e8e5e8d"},
+	}, "8d5b2c7d7eb81e3faeb34956e43d47d99d4fe58d08397e390fe3fb528b2bc79c"},
 	{"file-1g", []string{"alloc_1g_page", "page_cache_lookup"}, func(t *testing.T) *faultLog {
 		// Two 1GB faults fit; the third region falls back to 4K.
 		l := newFaultLog(pinKernel(3*mem.GB, func(c *Config) {
@@ -293,7 +293,7 @@ var faultPaths = []struct {
 		l.munmap(1, a, 4*mem.MB)
 		l.exitAll()
 		return l
-	}, "90080185f26642a8237bf078c69ac49ef675c7712373487ffd0158adbfec1fe2"},
+	}, "906c138c7b45ea3df7feb7ac400dcb9778f7a392792d43972af91555e9f6155e"},
 	{"oom-flat", []string{"do_huge_pmd_anonymous_page", "direct_reclaim", "swap_out", "do_fault_file"}, func(t *testing.T) *faultLog {
 		l := newFaultLog(pinKernel(32*mem.MB, func(c *Config) {
 			c.SwapBytes = 64 * mem.MB
@@ -308,7 +308,7 @@ var faultPaths = []struct {
 		l.touch(1, file, 256*mem.KB, 4096)
 		l.exitAll()
 		return l
-	}, "f0f751e401865e1c8b980497dc82d6a072f7337bb1672efe761c6070a065de10"},
+	}, "4e4b9dcaf655d5a62689a1f57d99d0c27f77a33911b95db555314b32ba850e16"},
 	{"oom-tiered", []string{"tier_reclaim", "tier_demote", "tier_promote"}, func(t *testing.T) *faultLog {
 		l := newFaultLog(pinKernel(32*mem.MB, func(c *Config) {
 			c.SwapBytes = 64 * mem.MB
@@ -321,7 +321,7 @@ var faultPaths = []struct {
 		l.touch(1, base, 1*mem.MB, 4096) // promote under OOM
 		l.exitAll()
 		return l
-	}, "3014b71b5bd943a0eb225ec72234ab18a73dc0eb790ae7952e863bee74ddec42"},
+	}, "21ec3ac0d2f468017c99ea1274ec499edd9486ed4cac267f0f78e5ce5e7de601"},
 	{"tiers", []string{"tier_demote", "tier_cascade", "swap_out", "tier_promote", "swap_in", "tier_scan", "sys_munmap"}, func(t *testing.T) *faultLog {
 		// Two small slow tiers: demotion, cascade into the second tier
 		// and on into swap, then promotion of every page still in a
@@ -355,7 +355,7 @@ var faultPaths = []struct {
 		l.munmap(1, a+mem.VAddr(4*mem.MB), 4*mem.MB)
 		l.exitAll()
 		return l
-	}, "b9c9997a13d81bae5c7cd0aa69fc86234f8b426e0ef03ceca57852e9f5ce6a97"},
+	}, "2650113c1b99228914a5b27d2384f88bd7c0a89e5067f1ef9d30ed5a99fb9140"},
 	{"khugepaged", []string{"khugepaged_scan", "collapse_huge_page"}, func(t *testing.T) *faultLog {
 		// Process 1 falls back to 4K pages while every 2MB block is
 		// held; once contiguity returns, process 2's faults drive the

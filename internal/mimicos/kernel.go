@@ -109,17 +109,16 @@ type residentPage struct {
 	Heat    uint32
 	Size    mem.PageSize
 	RestSeg bool // frame belongs to a Utopia RestSeg (not buddy-owned)
-	Dead    bool
 }
 
 // residentChunk is the number of entries in one residentList chunk.
 const residentChunk = 1024
 
-// residentList is an append-only list of resident entries addressed by
-// plain int positions. It is stored in fixed chunks held by pointer, so
-// neither a push nor growth of the chunk index copies an entry, and a
-// pointer from at stays valid for the list's lifetime. Chunks come from
-// pool when it holds one (nil pool = always fresh).
+// residentList holds resident entries at plain int positions, in fixed
+// chunks held by pointer: neither a push nor growth of the chunk index
+// copies an entry. Entries past the end are zero. Chunks come from pool
+// when it holds one (nil pool = always fresh) and stay with the list as
+// it shrinks.
 type residentList struct {
 	chunks []*[residentChunk]residentPage
 	n      int
@@ -155,11 +154,28 @@ func (l *residentList) push(rp residentPage) int {
 	return i
 }
 
-// recycle scrubs the used entries of every chunk and parks the chunks
-// in pool. The list is empty afterwards.
+// tick returns the position under a clock hand over the list and
+// advances the hand; a hand at or past the end wraps to the start.
+func (l *residentList) tick(hand *int) int {
+	if *hand >= l.n {
+		*hand = 0
+	}
+	*hand++
+	return *hand - 1
+}
+
+// reset scrubs the used entries and empties the list, keeping its chunks.
+func (l *residentList) reset() {
+	for i := 0; i*residentChunk < l.n; i++ {
+		clear(l.chunks[i][:min(residentChunk, l.n-i*residentChunk)])
+	}
+	l.n = 0
+}
+
+// recycle empties the list and parks its chunks in pool.
 func (l *residentList) recycle(pool *recycle.Pool) {
-	for i, c := range l.chunks {
-		clear(c[:min(residentChunk, l.n-i*residentChunk)])
+	l.reset()
+	for _, c := range l.chunks {
 		pool.Give(residentChunkKey, c)
 	}
 	*l = residentList{}
@@ -574,16 +590,13 @@ func (k *Kernel) ExitProcess(pid int) {
 	// and the per-process design state dies with the process.
 	for i, n := 0, p.resident.len(); i < n; i++ {
 		rp := p.resident.at(i)
-		if rp.Dead {
-			continue
-		}
 		if e, ok := p.PT.Remove(k.keyForNoCharge(p, rp.VA), tr); ok && e.Present {
 			k.releaseFrame(rp, tr)
 			p.RSS -= rp.Size.Bytes()
 		}
-		delete(p.residentIdx, rp.VA)
-		rp.Dead = true
 	}
+	p.resident.reset()
+	clear(p.residentIdx)
 	p.VMAs = nil
 	// Free the swap slots of pages that stayed swapped out (sorted so
 	// the shared free list — and therefore later slot reuse — is
@@ -733,20 +746,20 @@ func (k *Kernel) Munmap(pid int, va mem.VAddr, length uint64) {
 
 // teardownVMA unmaps every resident page of v. The page table is keyed
 // by the translation key (the Midgard intermediate address when an
-// intermediate address space is active), not the virtual address.
+// intermediate address space is active), not the virtual address. The
+// walk runs backwards, so an entry a drop moves up was already visited.
 func (k *Kernel) teardownVMA(p *Process, v *VMA, tr *instrument.Tracer) {
-	for i, n := 0, p.resident.len(); i < n; i++ {
-		rp := p.resident.at(i)
-		if rp.Dead || !v.Contains(rp.VA) {
+	for i := p.resident.len() - 1; i >= 0; i-- {
+		rp := *p.resident.at(i)
+		if !v.Contains(rp.VA) {
 			continue
 		}
 		if e, ok := p.PT.Remove(k.keyForNoCharge(p, rp.VA), tr); ok && e.Present {
-			k.releaseFrame(rp, tr)
+			k.releaseFrame(&rp, tr)
 			p.RSS -= rp.Size.Bytes()
 			k.notifyUnmap(p.PID, rp.VA, rp.Size)
 		}
-		delete(p.residentIdx, rp.VA)
-		rp.Dead = true
+		p.dropResident(rp.VA)
 	}
 	if k.tiersEnabled() {
 		if n := k.tiers.RemoveRange(p.PID, v.Start, v.End); n > 0 {
@@ -815,11 +828,22 @@ func (p *Process) addResident(rp residentPage) {
 	p.residentIdx[rp.VA] = p.resident.push(rp)
 }
 
+// dropResident swap-removes va's entry: the list's last entry moves
+// into its slot (a clock hand past the slot meets it next lap) and the
+// vacated tail slot is zeroed.
 func (p *Process) dropResident(va mem.VAddr) {
-	if idx, ok := p.residentIdx[va]; ok {
-		p.resident.at(idx).Dead = true
-		delete(p.residentIdx, va)
+	idx, ok := p.residentIdx[va]
+	if !ok {
+		return
 	}
+	delete(p.residentIdx, va)
+	l := &p.resident
+	l.n--
+	if last := l.at(l.n); idx < l.n {
+		*l.at(idx) = *last
+		p.residentIdx[last.VA] = idx
+	}
+	*l.at(l.n) = residentPage{}
 }
 
 // TakeStream returns the instruction stream recorded by the last kernel

@@ -1,11 +1,13 @@
 package mimicos
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/recycle"
+	"repro/internal/xrand"
 )
 
 // TestResidentPageSize guards the field order that packs a resident
@@ -63,24 +65,38 @@ func TestAddResidentOverwritesInPlace(t *testing.T) {
 	}
 }
 
-func TestDropResidentMarksDead(t *testing.T) {
+func TestDropResidentSwapRemoves(t *testing.T) {
 	p := &Process{residentIdx: make(map[mem.VAddr]int)}
-	p.addResident(residentPage{VA: 0x1000, Size: mem.Page4K})
-	p.addResident(residentPage{VA: 0x2000, Size: mem.Page4K})
+	for _, va := range []mem.VAddr{0x1000, 0x2000, 0x3000} {
+		p.addResident(residentPage{VA: va, Size: mem.Page4K, Frame: mem.PAddr(va)})
+	}
+	// Dropping the first entry moves the last one into its slot.
 	p.dropResident(0x1000)
-	if !p.resident.at(0).Dead || p.resident.at(1).Dead {
-		t.Fatalf("dead flags = %v, %v; want true, false", p.resident.at(0).Dead, p.resident.at(1).Dead)
+	if p.resident.len() != 2 {
+		t.Fatalf("resident list holds %d entries after a drop, want 2", p.resident.len())
+	}
+	if rp := p.resident.at(0); rp.VA != 0x3000 || rp.Frame != 0x3000 {
+		t.Fatalf("slot 0 = %+v, want the moved last entry 0x3000", *rp)
+	}
+	if idx, ok := p.residentIdx[0x3000]; !ok || idx != 0 {
+		t.Fatalf("moved entry indexed at %d (present %v), want 0", idx, ok)
 	}
 	if _, ok := p.residentIdx[0x1000]; ok {
 		t.Fatal("dropped VA still indexed")
 	}
-	if p.resident.len() != 2 {
-		t.Fatalf("drop changed the list length to %d", p.resident.len())
+	if *p.resident.at(2) != (residentPage{}) {
+		t.Fatalf("vacated tail slot holds %+v", *p.resident.at(2))
 	}
-	// A re-fault of the dropped VA appends a fresh entry.
+	// Dropping the last entry moves nothing; dropping an unknown VA is a no-op.
+	p.dropResident(0x2000)
+	p.dropResident(0x9000)
+	if p.resident.len() != 1 || p.residentIdx[0x3000] != 0 || len(p.residentIdx) != 1 {
+		t.Fatalf("after dropping the tail: len %d, index %v", p.resident.len(), p.residentIdx)
+	}
+	// A re-fault of a dropped VA appends.
 	p.addResident(residentPage{VA: 0x1000, Size: mem.Page4K})
-	if idx := p.residentIdx[0x1000]; idx != 2 || p.resident.at(2).Dead {
-		t.Fatalf("re-added VA at position %d (dead %v), want a live entry at 2", idx, p.resident.at(idx).Dead)
+	if idx := p.residentIdx[0x1000]; idx != 1 || p.resident.len() != 2 {
+		t.Fatalf("re-added VA at position %d of %d, want 1 of 2", idx, p.resident.len())
 	}
 }
 
@@ -121,7 +137,7 @@ func TestResidentReuseMatchesFresh(t *testing.T) {
 			p.addResident(residentPage{VA: va, Frame: mem.PAddr(i + 100), Size: mem.Page4K})
 			*pos = append(*pos, p.residentIdx[va])
 		}
-		// In-place overwrite, dead marking, and a re-add after a drop.
+		// In-place overwrite, swap-removes, and a re-add after a drop.
 		p.addResident(residentPage{VA: 0x1000_1000, Frame: 0x77, Heat: 3, Size: mem.Page2M})
 		p.dropResident(0x1000_2000)
 		p.dropResident(0x9000_3000)
@@ -170,4 +186,144 @@ func TestResidentReuseMatchesFresh(t *testing.T) {
 	if _, ok := reused.residentIdx[0x9000_0000+mem.VAddr(3*residentChunk)<<12]; ok {
 		t.Fatal("reused index holds a key only the previous process mapped")
 	}
+}
+
+// checkResident requires p's resident list to hold exactly its
+// resident pages: one entry per index key, each key naming its entry's
+// position, and every buddy-owned entry mapped present in the page
+// table.
+func checkResident(t *testing.T, k *Kernel, p *Process, when string) {
+	t.Helper()
+	if n, m := p.resident.len(), len(p.residentIdx); n != m {
+		t.Fatalf("%s: resident list holds %d entries, index %d keys", when, n, m)
+	}
+	for i := 0; i < p.resident.len(); i++ {
+		rp := p.resident.at(i)
+		if idx, ok := p.residentIdx[rp.VA]; !ok || idx != i {
+			t.Fatalf("%s: entry %d (%#x) indexed at %d (present %v)", when, i, rp.VA, idx, ok)
+		}
+		if rp.RestSeg {
+			continue
+		}
+		if e, ok := p.PT.Lookup(k.keyForNoCharge(p, rp.VA)); !ok || !e.Present {
+			t.Fatalf("%s: entry %d (%#x) is not mapped present (%+v, found %v)", when, i, rp.VA, e, ok)
+		}
+	}
+}
+
+// TestResidentChurnKeepsListExact drives a working set four times DRAM
+// (eight times what stays below the watermark) through demotion,
+// promotion, swap-out and swap-in, and checks after every fault that
+// the resident list holds exactly the resident pages: a page that
+// leaves DRAM leaves the list. An unmap of half the set and the exit
+// must keep (and finally empty) it too.
+func TestResidentChurnKeepsListExact(t *testing.T) {
+	k := New(Config{
+		PhysBytes:     8 * mem.MB,
+		PTKind:        PTRadix,
+		SwapBytes:     64 * mem.MB,
+		SwapThreshold: 0.5,
+		Tiers:         oneTier(2 * mem.MB),
+	}, nil)
+	const pages = 8192 // 32 MB
+	p, err := k.CreateProcess(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := k.Mmap(1, pages*4096, MmapFlags{Anon: true})
+	r := xrand.New(7)
+	for i := 0; i < 3*pages; i++ {
+		va := base + mem.VAddr(r.Uint64n(pages)<<12)
+		if e, ok := p.PT.Lookup(k.keyForNoCharge(p, va)); ok && e.Present {
+			continue
+		}
+		if out := k.HandlePageFault(1, va, true, 0); !out.OK {
+			t.Fatalf("fault %d at %#x failed", i, va)
+		}
+		checkResident(t, k, p, fmt.Sprintf("fault %d at %#x", i, va))
+	}
+	if st := k.Stats(); st.Demotions == 0 || st.Promotions == 0 || st.SwapOuts == 0 || st.SwapIns == 0 {
+		t.Fatalf("churn missed a path: %+v", *st)
+	}
+	k.Munmap(1, base, pages/2*4096)
+	checkResident(t, k, p, "after munmap")
+	for i := 0; i < p.resident.len(); i++ {
+		if va := p.resident.at(i).VA; va < base+pages/2*4096 {
+			t.Fatalf("entry %d (%#x) survived the unmap of its range", i, va)
+		}
+	}
+	k.ExitProcess(1)
+	if p.resident.len() != 0 || len(p.residentIdx) != 0 {
+		t.Fatalf("exit left %d entries, %d index keys", p.resident.len(), len(p.residentIdx))
+	}
+}
+
+// FuzzResidentList drives a pooled process's resident list and index
+// with random adds, overwrites, drops (single pages and runs that
+// shrink the list across chunk boundaries) and recycle-then-reuse,
+// against a map oracle. After every op the list must hold exactly the
+// oracle's pages, each at the position the index names, and every slot
+// past the end must read as zero.
+func FuzzResidentList(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 3, 1, 0, 3, 2, 0, 3, 3, 0, 5, 0, 0, 5, 1, 0, 4, 0, 0, 3, 0, 7})
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 1, 0, 1, 2, 0, 1, 0, 0, 1, 2, 0, 9})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const pages, run = 3000, 300
+		pool := recycle.New()
+		newProc := func() *Process {
+			return &Process{
+				resident:    residentList{pool: pool},
+				residentIdx: recycle.Map[mem.VAddr, int](pool, residentIdxKey),
+			}
+		}
+		p, oracle := newProc(), map[mem.VAddr]residentPage{}
+		add := func(rp residentPage) {
+			p.addResident(rp)
+			oracle[rp.VA] = rp
+		}
+		drop := func(va mem.VAddr) {
+			p.dropResident(va)
+			delete(oracle, va)
+		}
+		for i := 0; i+2 < len(ops); i += 3 {
+			pg := (uint64(ops[i+1])<<8 | uint64(ops[i+2])) % pages
+			va := mem.VAddr(pg << 12)
+			switch ops[i] % 6 {
+			case 0:
+				add(residentPage{VA: va, Frame: mem.PAddr(i + 1), Heat: uint32(i), Size: mem.Page4K})
+			case 1:
+				add(residentPage{VA: va, Frame: mem.PAddr(i + 1), Size: mem.Page2M, RestSeg: true})
+			case 2:
+				drop(va)
+			case 3:
+				for j := uint64(0); j < run; j++ {
+					add(residentPage{VA: mem.VAddr((pg + j) % pages << 12), Frame: mem.PAddr(i + 1), Size: mem.Page4K})
+				}
+			case 4:
+				p.recycle(pool)
+				p, oracle = newProc(), map[mem.VAddr]residentPage{}
+			case 5:
+				for j := uint64(0); j < run; j++ {
+					drop(mem.VAddr((pg + j) % pages << 12))
+				}
+			}
+			if n := p.resident.len(); n != len(oracle) || n != len(p.residentIdx) {
+				t.Fatalf("op %d: list holds %d entries, index %d, oracle %d", i/3, n, len(p.residentIdx), len(oracle))
+			}
+			for j := 0; j < p.resident.len(); j++ {
+				rp := *p.resident.at(j)
+				if idx, ok := p.residentIdx[rp.VA]; !ok || idx != j {
+					t.Fatalf("op %d: entry %d (%#x) indexed at %d (present %v)", i/3, j, rp.VA, idx, ok)
+				}
+				if want := oracle[rp.VA]; rp != want {
+					t.Fatalf("op %d: entry %d = %+v, oracle %+v", i/3, j, rp, want)
+				}
+			}
+			for j := p.resident.len(); j < len(p.resident.chunks)*residentChunk; j++ {
+				if rp := *p.resident.at(j); rp != (residentPage{}) {
+					t.Fatalf("op %d: slot %d past the end holds %+v", i/3, j, rp)
+				}
+			}
+		}
+	})
 }

@@ -194,15 +194,8 @@ func (k *Kernel) directReclaim(p *Process, tr *instrument.Tracer, now uint64) {
 	evicted := 0
 	scanned := 0
 	for evicted < batch && scanned < 4*p.resident.len() {
-		if p.clockHand >= p.resident.len() {
-			p.clockHand = 0
-		}
-		rp := *p.resident.at(p.clockHand)
-		p.clockHand++
+		rp := *p.resident.at(p.resident.tick(&p.clockHand))
 		scanned++
-		if rp.Dead {
-			continue
-		}
 		tr.Load(k.lk.lru)
 		tr.ALU(18)
 		if rp.RestSeg {

@@ -31,28 +31,12 @@ func (k *Kernel) SetTierPolicy(p tier.Policy) {
 	}
 }
 
-// TierPolicy returns the active migration policy (nil without tiers).
-func (k *Kernel) TierPolicy() tier.Policy {
-	if k.tiers == nil {
-		return nil
-	}
-	return k.tiers.Policy()
-}
-
 // TierStats returns the per-tier counter snapshot (nil without tiers).
 func (k *Kernel) TierStats() []tier.Stats {
 	if !k.tiersEnabled() {
 		return nil
 	}
 	return k.tiers.Stats()
-}
-
-// TierPageCount returns the number of pages resident in slow tiers.
-func (k *Kernel) TierPageCount() int {
-	if !k.tiersEnabled() {
-		return 0
-	}
-	return k.tiers.PageCount()
 }
 
 // touchHeat is the policy Touch applied at fault-time mapping sites;
@@ -139,14 +123,10 @@ func (k *Kernel) tierReclaim(p *Process, tr *instrument.Tracer, now uint64) {
 	for pass := 0; pass < 2 && evicted < batch; pass++ {
 		scanned := 0
 		for evicted < batch && scanned < 2*p.resident.len() {
-			if p.clockHand >= p.resident.len() {
-				p.clockHand = 0
-			}
-			idx := p.clockHand
-			p.clockHand++
+			idx := p.resident.tick(&p.clockHand)
 			scanned++
 			rp := *p.resident.at(idx)
-			if rp.Dead || rp.RestSeg {
+			if rp.RestSeg {
 				continue
 			}
 			tr.Load(k.lk.lru)
@@ -302,17 +282,10 @@ func (k *Kernel) tierSample(p *Process, tr *instrument.Tracer) {
 		limit = p.resident.len()
 	}
 	for i := 0; i < limit; i++ {
-		if p.sampleHand >= p.resident.len() {
-			p.sampleHand = 0
-		}
-		rp := p.resident.at(p.sampleHand)
-		p.sampleHand++
+		rp := p.resident.at(p.resident.tick(&p.sampleHand))
 		if i%8 == 0 {
 			tr.Load(k.lk.pt)
 			tr.ALU(12) // batched PTE access-bit read+clear
-		}
-		if rp.Dead {
-			continue
 		}
 		rp.Heat = pol.Decay(rp.Heat)
 	}

@@ -154,7 +154,7 @@ func TestTierAccountingNoLoss(t *testing.T) {
 	if tiered == 0 || swapped == 0 {
 		t.Fatalf("pressure did not exercise both levels: tiered=%d swapped=%d", tiered, swapped)
 	}
-	if got := uint64(k.TierPageCount()); got != tiered {
+	if got := uint64(k.tiers.PageCount()); got != tiered {
 		t.Fatalf("manager counts %d resident pages, walk found %d", got, tiered)
 	}
 
@@ -174,7 +174,7 @@ func TestTierExitReleasesPages(t *testing.T) {
 	k := tierTestKernel(t, oneTier(64*mem.MB))
 	faultRegion(t, k, 1, 20*mem.MB)
 	faultRegion(t, k, 2, 20*mem.MB)
-	if k.TierPageCount() == 0 {
+	if k.tiers.PageCount() == 0 {
 		t.Fatal("no tier residency after two-process pressure")
 	}
 	k.ExitProcess(1)
@@ -182,8 +182,8 @@ func TestTierExitReleasesPages(t *testing.T) {
 		t.Fatalf("%d tier records leaked past process exit", n)
 	}
 	k.ExitProcess(2)
-	if k.TierPageCount() != 0 {
-		t.Fatalf("%d tier records survive all exits", k.TierPageCount())
+	if k.tiers.PageCount() != 0 {
+		t.Fatalf("%d tier records survive all exits", k.tiers.PageCount())
 	}
 	if k.tiers.UsedBytes(0) != 0 {
 		t.Fatalf("tier occupancy %d bytes after all exits", k.tiers.UsedBytes(0))
@@ -198,7 +198,7 @@ func TestFlatConfigHasNoTierSideEffects(t *testing.T) {
 	if k.tiersEnabled() {
 		t.Fatal("tiers enabled on a flat config")
 	}
-	if k.TierStats() != nil || k.TierPageCount() != 0 || k.TierPolicy() != nil {
+	if k.TierStats() != nil || k.tiers != nil {
 		t.Fatal("flat config leaks tier state")
 	}
 	if h := k.touchHeat(7); h != 0 {
@@ -258,7 +258,7 @@ func makeRoomFailsInPlace(t *testing.T, k *Kernel, vas []mem.VAddr, where func(m
 	for i, va := range vas {
 		before[i] = where(va)
 	}
-	used0, used1, pages, outs := k.tiers.UsedBytes(0), k.tiers.UsedBytes(1), k.TierPageCount(), k.Stats().SwapOuts
+	used0, used1, pages, outs := k.tiers.UsedBytes(0), k.tiers.UsedBytes(1), k.tiers.PageCount(), k.Stats().SwapOuts
 	if k.tierMakeRoom(0, 4*mem.KB, k.Tracer, 0) {
 		t.Fatal("tierMakeRoom succeeded with every level below CXL full")
 	}
@@ -267,9 +267,9 @@ func makeRoomFailsInPlace(t *testing.T, k *Kernel, vas []mem.VAddr, where func(m
 			t.Fatalf("page %#x moved from %c to %c in a failed make-room", va, before[i], got)
 		}
 	}
-	if k.tiers.UsedBytes(0) != used0 || k.tiers.UsedBytes(1) != used1 || k.TierPageCount() != pages {
+	if k.tiers.UsedBytes(0) != used0 || k.tiers.UsedBytes(1) != used1 || k.tiers.PageCount() != pages {
 		t.Fatalf("tiers changed in a failed make-room: CXL %d -> %d bytes, NVM %d -> %d bytes, %d -> %d pages",
-			used0, k.tiers.UsedBytes(0), used1, k.tiers.UsedBytes(1), pages, k.TierPageCount())
+			used0, k.tiers.UsedBytes(0), used1, k.tiers.UsedBytes(1), pages, k.tiers.PageCount())
 	}
 	if k.Stats().SwapOuts != outs || k.swap.used != 1 {
 		t.Fatalf("swap-outs %d -> %d, swap slots used %d in a failed make-room", outs, k.Stats().SwapOuts, k.swap.used)

@@ -373,10 +373,10 @@ func (t *cuckooTable) probe(vpn uint64, out *WalkResult) {
 	}
 }
 
-func (t *cuckooTable) put(vpn uint64, e Entry, k instrument.KernelMem) bool {
+func (t *cuckooTable) put(vpn uint64, e Entry, k instrument.KernelMem) (bool, error) {
 	_, exists := t.lookup(vpn, nil)
 	t.insert(vpn, e, k)
-	return !exists
+	return !exists, nil
 }
 
 // update re-inserts vpn, so it migrates like an insert.

@@ -26,13 +26,14 @@ type hashed struct {
 // scheme is one page size's table of a hashed design, keyed by virtual
 // page number. get returns vpn's entry and records no walk steps;
 // probe records the accesses of a hardware walk for vpn in out. put
-// maps vpn, reporting whether it was unmapped before; update rewrites
-// an existing mapping; remove unmaps vpn. The three charge their
-// kernel accesses to k. recycle parks the host storage in pool.
+// maps vpn, reporting whether it was unmapped before (or an error when
+// the table is full); update rewrites an existing mapping; remove
+// unmaps vpn. The three charge their kernel accesses to k. recycle
+// parks the host storage in pool.
 type scheme interface {
 	get(vpn uint64) (Entry, bool)
 	probe(vpn uint64, out *WalkResult)
-	put(vpn uint64, e Entry, k instrument.KernelMem) bool
+	put(vpn uint64, e Entry, k instrument.KernelMem) (bool, error)
 	update(vpn uint64, e Entry, k instrument.KernelMem) bool
 	remove(vpn uint64, k instrument.KernelMem) (Entry, bool)
 	recycle(pool *recycle.Pool)
@@ -81,10 +82,12 @@ func (p *hashed) Insert(va mem.VAddr, e Entry, k instrument.KernelMem) error {
 	if e.Size == mem.Page1G {
 		return ErrOutOfMemory{What: "1GB pages unsupported by hashed page tables"}
 	}
-	if t, vpn := p.table(e.Size, va); t.put(vpn, e, k) {
+	t, vpn := p.table(e.Size, va)
+	added, err := t.put(vpn, e, k)
+	if added {
 		p.pages++
 	}
-	return nil
+	return err
 }
 
 // Update implements PageTable.

@@ -78,9 +78,10 @@ func (t *hdcTable) find(cvpn uint64, out *WalkResult) (*hdcCluster, bool) {
 	return nil, false
 }
 
+// findOrCreate returns cluster cvpn, or nil when every slot is taken.
 func (t *hdcTable) findOrCreate(cvpn uint64, k instrument.KernelMem) *hdcCluster {
 	slot := t.home(cvpn)
-	for i := uint64(0); ; i++ {
+	for i := uint64(0); i < t.n; i++ {
 		s := (slot + i) % t.n
 		k.Load(t.pa(s))
 		c, occupied := t.slotTo[s]
@@ -94,6 +95,7 @@ func (t *hdcTable) findOrCreate(cvpn uint64, k instrument.KernelMem) *hdcCluster
 			return c
 		}
 	}
+	return nil
 }
 
 // mapped returns vpn's cluster (nil when vpn is unmapped) and PTE index.
@@ -114,12 +116,15 @@ func (t *hdcTable) get(vpn uint64) (Entry, bool) {
 
 func (t *hdcTable) probe(vpn uint64, out *WalkResult) { t.find(vpn/hdcClusterPTEs, out) }
 
-func (t *hdcTable) put(vpn uint64, e Entry, k instrument.KernelMem) bool {
+func (t *hdcTable) put(vpn uint64, e Entry, k instrument.KernelMem) (bool, error) {
 	c, idx := t.findOrCreate(vpn/hdcClusterPTEs, k), vpn%hdcClusterPTEs
+	if c == nil {
+		return false, ErrOutOfMemory{What: "HDC cluster (table full)"}
+	}
 	added := !c.used[idx]
 	c.used[idx], c.entries[idx] = true, e
 	k.Store(t.pa(c.slot))
-	return added
+	return added, nil
 }
 
 func (t *hdcTable) update(vpn uint64, e Entry, k instrument.KernelMem) bool {

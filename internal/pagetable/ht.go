@@ -81,7 +81,7 @@ func (t *htTable) find(vpn uint64, out *WalkResult) (*htNode, int, bool) {
 	return nil, 0, false
 }
 
-func (t *htTable) put(vpn uint64, e Entry, k instrument.KernelMem) bool {
+func (t *htTable) put(vpn uint64, e Entry, k instrument.KernelMem) (bool, error) {
 	b := t.home(vpn)
 	k.Load(t.pa(b))
 	head := t.heads[b]
@@ -95,7 +95,7 @@ func (t *htTable) put(vpn uint64, e Entry, k instrument.KernelMem) bool {
 			if node.used[i] && node.vpns[i] == vpn {
 				node.entries[i] = e
 				k.Store(node.pa)
-				return false // updated in place
+				return false, nil // updated in place
 			}
 			if !node.used[i] && freeNode == nil {
 				freeNode, freeIdx = node, i
@@ -111,7 +111,7 @@ func (t *htTable) put(vpn uint64, e Entry, k instrument.KernelMem) bool {
 		} else {
 			fp, ok := t.alloc.AllocFrame()
 			if !ok {
-				panic("pagetable: HT out of memory for overflow node")
+				return false, ErrOutOfMemory{What: "HT overflow node"}
 			}
 			pa = fp
 			t.OverflowNodes++
@@ -126,7 +126,7 @@ func (t *htTable) put(vpn uint64, e Entry, k instrument.KernelMem) bool {
 	freeNode.entries[freeIdx] = e
 	freeNode.used[freeIdx] = true
 	k.Store(freeNode.pa)
-	return true
+	return true, nil
 }
 
 func (t *htTable) get(vpn uint64) (Entry, bool) {

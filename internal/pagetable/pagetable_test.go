@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -212,6 +213,48 @@ func TestHDCCollisionProbing(t *testing.T) {
 		if !ok || e.Frame != mem.PAddr(0x10_0000_0000+i*4096) {
 			t.Fatalf("entry %d: %+v %v", i, e, ok)
 		}
+	}
+}
+
+// TestHashedTablesReportFull checks that a hashed table with no room
+// for a mapping fails the insert with ErrOutOfMemory instead of
+// spinning (HDC probing a full table) or panicking (HT short of an
+// overflow node), and leaves the mapped-page count alone.
+func TestHashedTablesReportFull(t *testing.T) {
+	k := instrument.NopMem{}
+	// A 64 KB HDC table has 896 4K cluster slots: cluster 897 has none.
+	hdc := mustTable(NewHDCWith(newAlloc(t), 64*mem.KB, nil))
+	for c := uint64(0); c < 896; c++ {
+		if err := hdc.Insert(mem.VAddr(c*hdcClusterPTEs<<12), Entry{Size: mem.Page4K, Present: true}, k); err != nil {
+			t.Fatalf("HDC cluster %d: %v", c, err)
+		}
+	}
+	var oom ErrOutOfMemory
+	if err := hdc.Insert(mem.VAddr(896*hdcClusterPTEs<<12), Entry{Size: mem.Page4K, Present: true}, k); !errors.As(err, &oom) {
+		t.Fatalf("HDC insert into a full table: error %v, want ErrOutOfMemory", err)
+	}
+	if n := hdc.MappedPages(); n != 896 {
+		t.Fatalf("HDC maps %d pages after the failed insert, want 896", n)
+	}
+	// An HT whose allocator is exhausted cannot chain an overflow node.
+	alloc := phys.NewSlab(phys.New(4 * mem.MB))
+	ht := mustTable(NewHTWith(alloc, 64*mem.KB, nil))
+	for {
+		if _, ok := alloc.AllocFrame(); !ok {
+			break
+		}
+	}
+	var err error
+	var mapped uint64
+	for i := uint64(0); err == nil; i++ {
+		mapped = ht.MappedPages()
+		err = ht.Insert(mem.VAddr(i<<12), Entry{Size: mem.Page4K, Present: true}, k)
+	}
+	if !errors.As(err, &oom) {
+		t.Fatalf("HT insert with no frame for an overflow node: error %v, want ErrOutOfMemory", err)
+	}
+	if n := ht.MappedPages(); n != mapped {
+		t.Fatalf("HT maps %d pages after the failed insert, want %d", n, mapped)
 	}
 }
 

@@ -22,14 +22,14 @@ var resultsPin = struct {
 	specVersion int
 	digests     map[string]string
 }{
-	specVersion: 2,
+	specVersion: 3,
 	digests: map[string]string{
 		"hashed": "cda622c0958c20b6d042bb6bba71e0315aec20bb1a97ebf793b9cc5165ca0472",
 		"multi":  "2593a4afc94c439aa3c8c9a47b003e710be15e579634255d2bb79fe65bf78112",
 		"ranges": "72d8119e49614c28a492fa9649b25f3531ee4ab2440e4764e2d02c410ee50a04",
 		"single": "b0132b1e7d8a14597909b4bb7b2d8cd97e2a8a012e64471116357de993e69615",
-		"swap":   "7412486669915041623850203dde0c101cbd4716de6812ac921a4efc55f7f622",
-		"tiers":  "5811ef7dc034feb00555f12a9d9dede8a56c4a7876eb706eee01aaf3401da745",
+		"swap":   "4d175fade23105e07caac0008416707b6b1ec2081966c0aa226f7290259839d9",
+		"tiers":  "db8230ec1fb84ffbdde414f5199d36452617c7a14ef3a9193c5f032810e1d19d",
 	},
 }
 

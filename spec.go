@@ -26,7 +26,9 @@ func ParseShard(s string) (Shard, error) { return sweepjob.ParseShard(s) }
 // loudly instead of merging silently wrong data.
 // v2: tiered-memory subsystem — tier axes join the grid, and Result
 // encoding gained per-tier and swap-device counters.
-const specVersion = 2
+// v3: MimicOS's resident list holds only resident pages, so reclaim and
+// tier sampling scan, decay and evict different pages under pressure.
+const specVersion = 3
 
 // SpecHash fingerprints everything that determines the sweep's points
 // and their results: the full base configuration, the grid axes,
